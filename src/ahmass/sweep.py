@@ -28,7 +28,7 @@ from .ah_metric import (
     mass_aspect,
     wang_mass,
 )
-from .embed_h3 import EmbeddedSurface, EmbeddingError, embed_surface
+from .embed_h3 import EmbeddingError, embed_surface
 from .killing_spinor import (
     KillingNormField,
     exhaustion_norm_growth,
@@ -43,7 +43,6 @@ from .lorentz import (
     MinkowskiVector,
     SpinorParameter,
     causal_classify,
-    hyperboloid_point,
     lorentz_inner,
 )
 from .quasilocal import (

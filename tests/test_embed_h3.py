@@ -1,10 +1,11 @@
-"""Isometric embedding into the hyperboloid: closed forms, the revolution
-solver, gauge centering, ambient isometries, and rejection paths."""
+"""Isometric embedding into the hyperboloid: closed forms, the rapidity
+quadrature, gauge centering, ambient isometries, and rejection paths."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ahmass import (
     AdSSchwarzschild,
@@ -22,7 +23,9 @@ from ahmass import (
     lorentz_inner,
     rotation,
 )
+from ahmass import embed_h3
 from ahmass.embed_h3 import dump_profile_csv, embed_revolution, mean_curvature_h0
+from ahmass.sweep import family_from_spec
 
 GRID = QuadratureGrid(48, 4)
 
@@ -59,18 +62,20 @@ def test_embed_round_rejects_bad_radius():
 
 
 def test_revolution_round_trip():
-    # exactly round input through the ODE path reproduces the geodesic sphere
-    R = 1.2
-    sh, ch = math.sinh(R), math.cosh(R)
-    E, G = round_profiles(R, GRID)
-    prof = embed_revolution(E, G, GRID)
-    assert np.max(np.abs(prof.f - sh * GRID.sin_theta)) < 1e-12
-    assert np.max(np.abs(prof.u - sh * GRID.x)) < 1e-10
-    assert np.max(np.abs(prof.w - ch)) < 1e-10
-    assert np.max(np.abs(prof.up + sh * GRID.sin_theta)) < 1e-9
-    assert prof.isometry_residual < 1e-11
-    assert abs(prof.axial_moment()) < 1e-12
-    assert np.max(np.abs(mean_curvature_h0(prof) - 2.0 * ch / sh)) < 1e-8
+    # exactly round input through the quadrature path reproduces the
+    # geodesic sphere, also at a large radius where the pole features of
+    # the rapidity are narrow
+    for R in (1.2, 4.5):
+        sh, ch = math.sinh(R), math.cosh(R)
+        E, G = round_profiles(R, GRID)
+        prof = embed_revolution(E, G, GRID)
+        assert np.max(np.abs(prof.f - sh * GRID.sin_theta)) < 1e-12
+        assert np.max(np.abs(prof.u - sh * GRID.x)) < 1e-11
+        assert np.max(np.abs(prof.w - ch)) < 1e-11
+        assert np.max(np.abs(prof.up + sh * GRID.sin_theta)) < 1e-9
+        assert prof.isometry_residual < 2e-13 * (1.0 + sh * sh)
+        assert abs(prof.axial_moment()) < 1e-12
+        assert np.max(np.abs(mean_curvature_h0(prof) - 2.0 * ch / sh)) < 1e-8
 
 
 def test_revolution_branch_mirror():
@@ -118,6 +123,57 @@ def test_small_radius_centering_defect():
     assert hyperboloid_defect(emb) < 1e-10
     assert emb.isometry_residual < 1e-8
     assert abs(emb.profile.axial_moment()) < 1e-10
+
+
+def test_rapidity_degree_follows_radius():
+    # pole features of the rapidity are about eps wide in theta, so the
+    # chosen degree grows as the sphere grows, and the chop is honoured
+    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    grid = QuadratureGrid(64, 4)
+    degrees = []
+    for eps in (0.2, 0.05, 0.0125, 0.0044):
+        prof = embed_surface(coordinate_sphere(fam, eps, grid)).profile
+        assert prof.cheb_tail <= embed_h3.RAPIDITY_TAIL_TOL
+        degrees.append(prof.cheb_degree)
+    assert degrees == sorted(degrees)
+    assert degrees[-1] > degrees[0]
+
+
+def test_rapidity_unresolved_at_degree_cap(monkeypatch):
+    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    surf = coordinate_sphere(fam, 0.0125, QuadratureGrid(64, 4))
+    monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 128)
+    with pytest.raises(EmbeddingError, match="unresolved at degree 128"):
+        embed_surface(surf)
+
+
+def test_rapidity_matches_adaptive_quadrature():
+    # chi(theta_i) - chi(theta_0) against scipy quad of chi' built
+    # independently from barycentric interpolants, at the deepest radius
+    # of a 12-radius default schedule
+    fam, _ = family_from_spec({"name": "perturbed_round",
+                               "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}})
+    grid = QuadratureGrid(64, 4)
+    surf = coordinate_sphere(fam, 0.2 * 2.0 ** -5.5, grid)
+    E, G = surf.E[:, 0], surf.G[:, 0]
+    prof = embed_revolution(E, G, grid)
+
+    s2 = grid.sin_theta ** 2
+    A = G / s2
+    B = (E - A) / s2
+    Ax = grid.deriv_x @ A
+
+    def chi_prime(th):
+        x, s = math.cos(th), math.sin(th)
+        a, b, e, ax = (grid.interp_x(v, x) for v in (A, B, E, Ax))
+        bracket = b + a * (1.0 + e) + x * ax - (1.0 - x * x) * ax * ax / (4.0 * a)
+        return -s * math.sqrt(bracket) / (1.0 + s * s * a)
+
+    steps = [quad(chi_prime, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+             for lo, hi in zip(grid.theta[:-1], grid.theta[1:])]
+    want = np.concatenate([[0.0], np.cumsum(steps)])
+    chi = np.arcsinh(prof.u / np.sqrt(1.0 + prof.f ** 2))
+    assert np.max(np.abs(chi - chi[0] - want)) < 1e-12
 
 
 def test_boost_surface_moves_nodes_keeps_intrinsic_data():
