@@ -89,7 +89,6 @@ from .sweep import (
     decay_order,
     default_schedule,
     family_from_spec,
-    fibonacci_cone_directions,
     fit_limit,
     run_sweep,
     verify_identities,
@@ -126,6 +125,6 @@ __all__ = [
     # sweep
     "ConfigError", "FitResult", "MassSweepRecord", "PerEpsRecord",
     "SweepConfig", "cone_pairing_report", "decay_order", "default_schedule",
-    "family_from_spec", "fibonacci_cone_directions", "fit_limit",
-    "run_sweep", "verify_identities", "write_outputs",
+    "family_from_spec", "fit_limit", "run_sweep", "verify_identities",
+    "write_outputs",
 ]

@@ -27,7 +27,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .lorentz import MinkowskiVector, sphere_direction
-from .sphere_geometry import QuadratureGrid, barycentric_interpolate, barycentric_weights
+from .sphere_geometry import QuadratureGrid
 
 __all__ = [
     "MassAspect",
@@ -254,17 +254,8 @@ class AdSSchwarzschild(AHFamily):
 
 # Internal spectral grid for the unit-sphere Laplacian of log u (axisymmetric).
 @functools.lru_cache(maxsize=1)
-def _axisym_nodes(n: int = 128):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x = x[::-1].copy()
-    w = w[::-1].copy()
-    bary = barycentric_weights(x, w)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    d = (bary[None, :] / bary[:, None]) / dx
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -d.sum(axis=1))
-    return x, bary, d
+def _axisym_grid() -> QuadratureGrid:
+    return QuadratureGrid(128, 1)
 
 
 def conformal_collar_scalar_curvature(rho, u, u_rho, u_rho2, lap0_log_u):
@@ -364,11 +355,12 @@ class PerturbedRound(AHFamily):
         du = self.conformal_factor_drho(rho, th)
         ddu = self.conformal_factor_drho2(rho, th)
         # lap0 log u spectrally on internal nodes, interpolated to theta
-        x, bary, d = _axisym_nodes()
-        logu = np.log(self.conformal_factor(rho, np.arccos(x)))
+        g = _axisym_grid()
+        x, d = g.x, g.deriv_x
+        logu = np.log(self.conformal_factor(rho, g.theta))
         fx = d @ logu
         lap_nodes = (1.0 - x ** 2) * (d @ fx) - 2.0 * x * fx
-        lap = np.atleast_1d(barycentric_interpolate(x, bary, lap_nodes, np.cos(th)))
+        lap = np.atleast_1d(g.interp_x(lap_nodes, np.cos(th)))
         out = conformal_collar_scalar_curvature(rho, u, du, ddu, lap)
         return out if np.asarray(theta).ndim else float(out[0])
 

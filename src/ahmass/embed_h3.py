@@ -399,8 +399,9 @@ def boost_surface(lam: LorentzMap, surf: EmbeddedSurface) -> EmbeddedSurface:
                            surface=surf.surface, profile=surf.profile)
 
 
-def dump_profile_csv(profile: RevolutionProfile, path) -> None:
-    """Write per-node theta, f, u, w, H0 as CSV for external plotting."""
-    h0 = mean_curvature_h0(profile)
-    rows = np.column_stack([profile.grid.theta, profile.f, profile.u, profile.w, h0])
+def dump_profile_csv(emb: EmbeddedSurface, path) -> None:
+    """Write the meridian phi = 0 of an embedded surface, per theta-node
+    theta, f, u, w, H0, as CSV for external plotting."""
+    rows = np.column_stack([emb.grid.theta, emb.X[:, 0, 0], emb.X[:, 0, 2],
+                            emb.X[:, 0, 3], emb.H0[:, 0]])
     np.savetxt(path, rows, delimiter=",", header="theta,f,u,w,H0", comments="")

@@ -30,8 +30,8 @@ from .lorentz import (
     hopf_eta,
     lorentz_inner,
 )
-from .sphere_geometry import coordinate_sphere, surface_laplacian
-from .embed_h3 import EmbeddedSurface, embed_surface
+from .sphere_geometry import surface_laplacian
+from .embed_h3 import EmbeddedSurface
 
 __all__ = [
     "KillingNormField",
@@ -190,17 +190,16 @@ def minkowski_identity_residual(field: KillingNormField, emb: EmbeddedSurface,
     return float(np.max(np.abs(lap - 2.0 * f - h0 * nu_f)))
 
 
-def exhaustion_norm_growth(field: KillingNormField, family, eps_list, grid) -> float:
+def exhaustion_norm_growth(field: KillingNormField, embeddings) -> float:
     """Fitted order p of the peak field value against 1/eps along a
-    coordinate exhaustion: max F ~ C eps^{-p}."""
-    eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    if eps.size < 2:
+    coordinate exhaustion, max F ~ C eps^{-p}, from embedded coordinate
+    spheres (each radius read from its source surface sample)."""
+    if len(embeddings) < 2:
         raise ValueError("need at least two radii to fit a growth order")
-    peaks = []
-    for e in eps:
-        surf = coordinate_sphere(family, float(e), grid)
-        emb = embed_surface(surf)
-        peaks.append(float(np.max(field.value_on(emb))))
+    if any(emb.surface is None for emb in embeddings):
+        raise ValueError("embedding lacks its source surface sample")
+    eps = np.array([emb.surface.eps for emb in embeddings])
+    peaks = [float(np.max(field.value_on(emb))) for emb in embeddings]
     basis = np.stack([np.ones_like(eps), np.log(eps)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, np.log(peaks), rcond=None)
     return float(-coef[1])

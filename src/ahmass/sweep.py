@@ -4,9 +4,9 @@ Drives the full pipeline over a decreasing list of collar radii: build
 the coordinate sphere, embed it, evaluate the mass vectors, fit each
 component to v_inf + C eps^p, and classify the causal character of the
 fitted limits.  A companion identity verifier runs the spinor and
-surface-geometry property suites on the configured family.  All outputs
-are deterministic: fixed low-discrepancy cone sampling, seeded random
-draws, no timestamps.
+surface-geometry property suites on the configured family, embedding
+each sphere once.  All outputs are deterministic: closed-form cone
+pairings, seeded random draws, no timestamps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .killing_spinor import (
     spinor_polar_point,
 )
 from .lorentz import (
-    CausalClass,
     MinkowskiVector,
     SpinorParameter,
     causal_classify,
@@ -68,7 +67,6 @@ __all__ = [
     "FitResult",
     "fit_limit",
     "decay_order",
-    "fibonacci_cone_directions",
     "cone_pairing_report",
     "family_from_spec",
     "SweepConfig",
@@ -79,7 +77,6 @@ __all__ = [
     "verify_identities",
     "write_outputs",
     "DEFAULT_TOLERANCES",
-    "DEFAULT_ETA_SAMPLES",
     "DEFAULT_SEED",
     "ORDER_RANGE",
 ]
@@ -93,7 +90,6 @@ class ConfigError(ValueError):
 # either end is reported but flagged untrusted.
 ORDER_RANGE = (0.5, 6.0)
 
-DEFAULT_ETA_SAMPLES = 1024
 DEFAULT_SEED = 94211
 
 DEFAULT_TOLERANCES = {
@@ -265,42 +261,17 @@ def decay_order(values, eps_list, floor=1e-13) -> float:
 # Cone pairing
 
 
-GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
-def fibonacci_cone_directions(n: int) -> np.ndarray:
-    """Deterministic low-discrepancy (n, 4) batch of future-null
-    directions on the t = 1 cone slice (Fibonacci lattice on S^2)."""
-    if n < 1:
-        raise ValueError("need at least one direction")
-    i = np.arange(n, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    ang = GOLDEN_ANGLE * i
-    return np.stack([s * np.cos(ang), s * np.sin(ang), z, np.ones(n)], axis=1)
-
-
-def cone_pairing_report(v, n_samples: int) -> tuple[float, CausalClass]:
-    """Max of <<v, eta>> over the future cone's t = 1 slice plus the
-    equivalent causal tag.
-
-    The sample set is the Fibonacci lattice augmented with the
-    closed-form maximizing direction eta* = (v_x/|v_x|, 1), so the
-    reported max is the true supremum over the slice and the tag always
-    matches causal_classify(v).
-    """
+def cone_pairing_report(v) -> float:
+    """Supremum of <<v, eta>> over the t = 1 slice of the future null
+    cone, |v_x| - v_t in closed form (attained at eta = (v_x/|v_x|, 1)).
+    v is future causal exactly when the supremum is <= 0."""
     if isinstance(v, MinkowskiVector):
         arr = v.as_array()
     else:
         arr = np.asarray(v, dtype=float)
         if arr.shape != (4,):
             raise ValueError("expected a 4-vector")
-    etas = fibonacci_cone_directions(int(n_samples))
-    best = float(np.max(etas[:, :3] @ arr[:3] - arr[3]))
-    spatial = float(np.linalg.norm(arr[:3]))
-    if spatial > 0.0:
-        best = max(best, spatial - float(arr[3]))
-    return best, causal_classify(arr)
+    return float(np.linalg.norm(arr[:3])) - float(arr[3])
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +352,11 @@ def default_schedule(eps0: float = 0.2, ratio: float = 2.0 ** -0.5,
     return tuple(eps0 * ratio ** k for k in range(count))
 
 
+# Top-level keys SweepConfig.from_dict accepts; any other key is an error.
+_CONFIG_KEYS = frozenset(("family", "epsilons", "schedule", "grid", "tolerances",
+                          "output", "branch", "seed", "alpha"))
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Validated sweep parameters; build from plain dicts with from_dict."""
@@ -390,7 +366,6 @@ class SweepConfig:
     n_theta: int = 64
     n_phi: int = 4
     branch: int = 1
-    eta_samples: int = DEFAULT_ETA_SAMPLES
     tolerances: Mapping = field(default_factory=dict)
     output_dir: str = "out"
     with_alpha: bool = True
@@ -415,8 +390,6 @@ class SweepConfig:
             raise ConfigError("grid.n_phi must be at least 4")
         if self.branch not in (1, -1):
             raise ConfigError("branch must be +1 or -1")
-        if self.eta_samples < 1:
-            raise ConfigError("eta_samples must be at least 1")
         merged = dict(DEFAULT_TOLERANCES)
         for key, val in dict(self.tolerances).items():
             if key not in DEFAULT_TOLERANCES:
@@ -432,6 +405,9 @@ class SweepConfig:
     def from_dict(cls, data) -> "SweepConfig":
         if not isinstance(data, Mapping):
             raise ConfigError("config root must be an object")
+        unknown = sorted(str(k) for k in data if k not in _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
         for key in ("family", "grid", "tolerances", "output"):
             if key not in data:
                 raise ConfigError("config is missing required key %r" % (key,))
@@ -470,9 +446,8 @@ class SweepConfig:
         if not isinstance(out, Mapping) or "dir" not in out:
             raise ConfigError("'output' must be an object with a 'dir'")
         branch = data.get("branch", 1)
-        eta_samples = data.get("eta_samples", DEFAULT_ETA_SAMPLES)
         seed = data.get("seed", DEFAULT_SEED)
-        for key, val in (("branch", branch), ("eta_samples", eta_samples), ("seed", seed)):
+        for key, val in (("branch", branch), ("seed", seed)):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError("%r must be an integer" % (key,))
         with_alpha = data.get("alpha", True)
@@ -484,7 +459,6 @@ class SweepConfig:
             n_theta=grid["n_theta"],
             n_phi=grid["n_phi"],
             branch=branch,
-            eta_samples=eta_samples,
             tolerances=tol,
             output_dir=str(out["dir"]),
             with_alpha=with_alpha,
@@ -569,9 +543,7 @@ class MassSweepRecord:
             "tags": {
                 k: {
                     "classify": t["classify"].value,
-                    "cone_tag": t["cone_tag"].value,
                     "cone_max": _jsonable(t["cone_max"]),
-                    "agree": t["agree"],
                 }
                 for k, t in self.tags.items()
             },
@@ -645,10 +617,8 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
         fits[name] = comp_fits
         vec = MinkowskiVector(*(comp_fits[c].limit for c in _COMPONENTS))
         limits[name] = vec
-        cone_max, cone_tag = cone_pairing_report(vec, cfg.eta_samples)
-        tag = causal_classify(vec)
-        tags[name] = {"classify": tag, "cone_tag": cone_tag,
-                      "cone_max": cone_max, "agree": tag is cone_tag}
+        tags[name] = {"classify": causal_classify(vec),
+                      "cone_max": cone_pairing_report(vec)}
 
     fits["hat_by_gap"] = fit_limit([_gap(r) for r in fit_recs], fit_eps)
     gaps_desc = [_gap(r) for r in sorted(good, key=lambda r: -r.eps)]
@@ -765,8 +735,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
 
     def e_norm_growth():
         fld = KillingNormField.from_spinor(_random_unit_spinor(rng))
-        eps_sub = cfg.eps_list[:6]
-        p = exhaustion_norm_growth(fld, fam, eps_sub, grid)
+        p = exhaustion_norm_growth(fld, [sphere_at(e)[1] for e in cfg.eps_list[:6]])
         return {"passed": abs(p - 1.0) <= tol["growth_exponent"], "exponent": p,
                 "tolerance": tol["growth_exponent"]}
 
@@ -830,8 +799,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
         fld = KillingNormField.from_spinor(_random_unit_spinor(rng))
         vals = []
         for eps in eps_fun:
-            surf = coordinate_sphere(fam, float(eps), grid)
-            emb = embed_surface(surf, branch=cfg.branch)
+            surf, emb = sphere_at(float(eps))
             f = fld.value_on(emb)
             lap = surface_laplacian(surf, f)
             vals.append(abs(integrate_scalar(surf, lap / (surf.H + 2.0))))
@@ -939,7 +907,6 @@ def write_outputs(record: MassSweepRecord, cfg: SweepConfig,
         "epsilons": list(cfg.eps_list),
         "grid": {"n_theta": cfg.n_theta, "n_phi": cfg.n_phi},
         "branch": cfg.branch,
-        "eta_samples": cfg.eta_samples,
         "seed": cfg.seed,
         "tolerances": dict(cfg.tolerances),
     }

@@ -103,7 +103,7 @@ def test_embed_writes_profile(tmp_path, capsys):
 
 
 def test_embed_round_dispatch_profile(tmp_path):
-    # the closed-form path reconstructs the meridian columns
+    # the closed-form path writes the meridian of its own embedding
     assert main(["embed", write_config(tmp_path)]) == 0
     csv = tmp_path / "out" / "profile_eps_0.2.csv"
     lines = csv.read_text().splitlines()

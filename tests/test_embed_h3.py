@@ -231,13 +231,24 @@ def test_embed_revolution_validation():
 
 
 def test_dump_profile_csv(tmp_path):
-    E, G = round_profiles(0.8, GRID)
-    prof = embed_revolution(E, G, GRID)
+    # the columns are the phi = 0 meridian of the embedding itself, on the
+    # revolution path and on the closed-form round path alike
+    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    emb = embed_surface(coordinate_sphere(fam, 0.1, GRID))
+    prof = emb.profile
     path = tmp_path / "profile.csv"
-    dump_profile_csv(prof, path)
+    dump_profile_csv(emb, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,f,u,w,H0"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (GRID.n_theta, 5)
-    assert np.allclose(data[:, 1], prof.f, atol=1e-12)
-    assert np.allclose(data[:, 4], mean_curvature_h0(prof), atol=1e-10)
+    assert np.array_equal(data[:, 0], GRID.theta)
+    for col, want in enumerate((prof.f, prof.u, prof.w, mean_curvature_h0(prof)), start=1):
+        assert np.array_equal(data[:, col], want)
+    R = 0.8
+    dump_profile_csv(embed_round(R, GRID), path)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.max(np.abs(data[:, 1] - math.sinh(R) * GRID.sin_theta)) <= 1e-15
+    assert np.max(np.abs(data[:, 2] - math.sinh(R) * GRID.x)) <= 1e-15
+    assert np.all(data[:, 3] == math.cosh(R))
+    assert np.all(data[:, 4] == 2.0 * math.cosh(R) / math.sinh(R))

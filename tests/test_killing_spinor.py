@@ -183,16 +183,18 @@ def test_surface_identity_refinement_floor():
 def test_exhaustion_growth_order():
     # peak of F on coordinate spheres grows like 1/eps
     grid = QuadratureGrid(32, 4)
-    eps = np.geomspace(0.2, 0.05, 5)
+    embs = [embed_surface(coordinate_sphere(Hyperbolic(), float(e), grid))
+            for e in np.geomspace(0.2, 0.05, 5)]
     field = KillingNormField.from_spinor(SpinorParameter(1.0, 0.5 - 0.5j))
-    p = exhaustion_norm_growth(field, Hyperbolic(), eps, grid)
+    p = exhaustion_norm_growth(field, embs)
     assert abs(p - 1.0) <= 0.05
     timelike = KillingNormField(MinkowskiVector(0.1, -0.2, 0.0, 2.0))
-    p2 = exhaustion_norm_growth(timelike, Hyperbolic(), eps, grid)
+    p2 = exhaustion_norm_growth(timelike, embs)
     assert abs(p2 - 1.0) <= 0.05
 
 
 def test_exhaustion_growth_needs_two_radii():
     field = KillingNormField.from_spinor(SpinorParameter(1.0, 0.0))
+    emb = embed_surface(coordinate_sphere(Hyperbolic(), 0.1, QuadratureGrid(16, 4)))
     with pytest.raises(ValueError):
-        exhaustion_norm_growth(field, Hyperbolic(), [0.1], QuadratureGrid(16, 4))
+        exhaustion_norm_growth(field, [emb])
