@@ -97,6 +97,10 @@ class AHFamily:
     def scalar_curvature(self, rho: float, theta) -> np.ndarray:
         raise NotImplementedError
 
+    def _check(self, rho):
+        if not (0.0 < rho <= self.rho_max):
+            raise ValueError("rho outside collar range")
+
 
 class Hyperbolic(AHFamily):
     """The reference space itself: u = 1, zero mass aspect, curvature -6."""
@@ -119,10 +123,6 @@ class Hyperbolic(AHFamily):
     def scalar_curvature(self, rho, theta):
         self._check(rho)
         return np.full_like(np.asarray(theta, dtype=float), -6.0)
-
-    def _check(self, rho):
-        if not (0.0 < rho <= self.rho_max):
-            raise ValueError("rho outside collar range")
 
 
 def _horizon_radius(m: float) -> float:
@@ -205,10 +205,6 @@ class AdSSchwarzschild(AHFamily):
         dw = 2.0 * p * dp
         ddw = 2.0 * (dp * dp + p * ddp)
         return w, dw, ddw
-
-    def _check(self, rho):
-        if not (0.0 < rho <= self.rho_max):
-            raise ValueError("rho outside collar range")
 
     def conformal_factor(self, rho, theta):
         self._check(rho)
@@ -314,10 +310,6 @@ class PerturbedRound(AHFamily):
             e = np.asarray(self.e_value(rho, thetas), dtype=float)
             if np.max(np.abs(e)) > bound * rho ** 4:
                 raise ValueError("remainder tail exceeds %g * rho^4 at rho=%g" % (bound, rho))
-
-    def _check(self, rho):
-        if not (0.0 < rho <= self.rho_max):
-            raise ValueError("rho outside collar range")
 
     def conformal_factor(self, rho, theta):
         self._check(rho)

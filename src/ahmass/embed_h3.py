@@ -21,11 +21,14 @@ gives the exact factorization
     x = cos th,
 
 whose bracket stays bounded away from the difference-of-large-terms trap.
-A, B, E and the bracket are Chebyshev interpolants in x.  chi' is resolved
-by a Chebyshev series in th on [0, pi], whose degree is doubled until the
-series tail is negligible (Aurentz & Trefethen, "Chopping a Chebyshev
-series", ACM TOMS 2017), and integrated once.  Near the poles chi'
-varies on a th scale of about 1/max f, which a series in x cannot
+A, B and E are the grid's own Gauss-Legendre interpolants in x, evaluated
+off the nodes by the barycentric formula (grid.interp_x); the
+x-derivatives of A, of A_x/(2 sqrt A) and of the bracket at the nodes
+come from the grid's differentiation matrix (grid.deriv_x).  chi' is
+resolved by a Chebyshev series in th on [0, pi], whose degree is doubled
+until the series tail is negligible (Aurentz & Trefethen, "Chopping a
+Chebyshev series", ACM TOMS 2017), and integrated once.  Near the poles
+chi' varies on a th scale of about 1/max f, which a series in x cannot
 resolve.  The second derivatives of the profile come from the
 closed-form chi'', never from differencing.
 
@@ -42,7 +45,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from numpy.polynomial.chebyshev import Chebyshev
 from scipy.fft import dct
 
 from .lorentz import LorentzMap, lorentz_inner
@@ -62,6 +64,8 @@ __all__ = [
 
 # Hyperboloid constraint allowance per node.
 HYPERBOLOID_TOL = 1e-9
+# Isometry residual allowance of embed_revolution, relative to 1 + max E.
+ISOMETRY_RESIDUAL_TOL = 1e-6
 # Relative spread below which a profile counts as exactly round.
 ROUND_DISPATCH_TOL = 1e-11
 # Degree search for the rapidity series: start, cap, and the bound on the
@@ -132,26 +136,6 @@ class EmbeddedSurface:
             a.setflags(write=False)
 
 
-def _cheb_degree(grid) -> int:
-    return min(220, 2 * grid.n_theta + 32)
-
-
-def _meridian_chebs(E, G, grid):
-    """Chebyshev models of the pole-regular combinations A = G/sin^2,
-    B = (E - A)/sin^2 and E itself, from node samples."""
-    x = grid.x
-    s2 = 1.0 - x ** 2
-    A = G / s2
-    B = (E - A) / s2
-    degree = _cheb_degree(grid)
-
-    def model(vals):
-        return Chebyshev.interpolate(lambda xq: grid.interp_x(vals, xq), degree,
-                                     domain=[-1.0, 1.0])
-
-    return model(A), model(B), model(E)
-
-
 def _theta_series(func):
     """Chebyshev series in t = 2 th / pi - 1 of func(th) on [0, pi], with
     the degree n doubled from RAPIDITY_MIN_DEGREE until the trailing
@@ -174,8 +158,7 @@ def _theta_series(func):
         n *= 2
 
 
-def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1,
-                     residual_tol: float = 1e-6) -> RevolutionProfile:
+def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionProfile:
     """Embed the axisymmetric metric E dth^2 + G dphi^2 (theta profiles on
     the grid nodes) as a surface of revolution about the x3-axis of the
     hyperboloid, centered so the axial moment of u vanishes.
@@ -185,7 +168,7 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1,
     negative (not realizable in this gauge), when the poles fail to
     close, when the rapidity series does not converge by
     RAPIDITY_MAX_DEGREE, or when the recomputed metric misses the target
-    by more than residual_tol relative to the metric scale.
+    by more than ISOMETRY_RESIDUAL_TOL relative to 1 + max E.
     """
     E = np.asarray(E, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -196,17 +179,21 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1,
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
 
-    A_c, B_c, E_c = _meridian_chebs(E, G, grid)
-    Ax_c = A_c.deriv()
+    x = grid.x
+    s = grid.sin_theta
+    s2 = 1.0 - x ** 2
+    A = G / s2
+    B = (E - A) / s2
+    Ax = grid.deriv_x @ A
+    nodal = np.stack([A, B, E, Ax], axis=1)
 
     # pole regularity: G/sin^2 must meet E at both poles
     scale = float(np.max(E))
-    for xp in (1.0, -1.0):
-        if abs(A_c(xp) - E_c(xp)) > 1e-6 * scale:
-            raise EmbeddingError("pole regularity violated: G/sin^2 != E at a pole")
+    poles = grid.interp_x(nodal[:, [0, 2]], np.array([1.0, -1.0]))
+    if np.max(np.abs(poles[:, 0] - poles[:, 1])) > 1e-6 * scale:
+        raise EmbeddingError("pole regularity violated: G/sin^2 != E at a pole")
 
-    def d_factored(xq):
-        a, b, e, ax = A_c(xq), B_c(xq), E_c(xq), Ax_c(xq)
+    def bracket(xq, a, b, e, ax):
         d = b + a * (1.0 + e) + xq * ax - (1.0 - xq ** 2) * ax ** 2 / (4.0 * a)
         if np.min(d) < 0.0:
             raise EmbeddingError(
@@ -215,28 +202,23 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1,
             )
         return d
 
-    d_factored(np.cos(np.linspace(0.0, np.pi, 2001)))  # raises if negative anywhere
-    D_c = Chebyshev.interpolate(d_factored, _cheb_degree(grid), domain=[-1.0, 1.0])
-    Dx_c = D_c.deriv()
+    probe = np.cos(np.linspace(0.0, np.pi, 2001))
+    bracket(probe, *grid.interp_x(nodal, probe).T)  # raises if negative anywhere
 
     # branch +1 = north pole up after centering = rapidity decreasing in theta
     sig = -branch
 
     def chi_prime(theta):
-        xq, s = np.cos(theta), np.sin(theta)
-        return sig * s * np.sqrt(d_factored(xq)) / (1.0 + s * s * A_c(xq))
+        xq, sq = np.cos(theta), np.sin(theta)
+        a, b, e, ax = grid.interp_x(nodal, xq).T
+        return sig * sq * np.sqrt(bracket(xq, a, b, e, ax)) / (1.0 + sq * sq * a)
 
     coef, degree, tail = _theta_series(chi_prime)
     chi_c = cheb.chebint(coef, scl=0.5 * np.pi, lbnd=-1.0)
 
-    x = grid.x
-    s = grid.sin_theta
-    a, ax = A_c(x), Ax_c(x)
-    p = np.sqrt(a)
-    q = ax / (2.0 * p)
-    q_c = Chebyshev.interpolate(lambda xq: Ax_c(xq) / (2.0 * np.sqrt(A_c(xq))),
-                                _cheb_degree(grid), domain=[-1.0, 1.0])
-    qx = q_c.deriv()(x)
+    p = np.sqrt(A)
+    q = Ax / (2.0 * p)
+    qx = grid.deriv_x @ q
 
     f = s * p
     fp = x * p - s ** 2 * q
@@ -247,9 +229,9 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1,
     rhop = f * fp / rho
     rhopp = (fp ** 2 + f * fpp - rhop ** 2) / rho
 
-    dt = d_factored(x)
+    dt = bracket(x, A, B, E, Ax)
     sqrt_dt = np.sqrt(dt)
-    d_s_sqrtD = (2.0 * x * dt - s ** 2 * Dx_c(x)) / (2.0 * sqrt_dt)
+    d_s_sqrtD = (2.0 * x * dt - s ** 2 * (grid.deriv_x @ dt)) / (2.0 * sqrt_dt)
     chip = sig * s * sqrt_dt / rho2
     chipp = sig * d_s_sqrtD / rho2 - chip * 2.0 * f * fp / rho2
 
@@ -272,7 +254,7 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1,
 
     prof = RevolutionProfile(grid, branch, f, fp, fpp, u, up, upp, w, wp, wpp, E, G,
                              degree, tail)
-    if prof.isometry_residual > residual_tol * (1.0 + scale):
+    if prof.isometry_residual > ISOMETRY_RESIDUAL_TOL * (1.0 + scale):
         raise EmbeddingError(
             "isometry residual %.3e exceeds tolerance" % prof.isometry_residual
         )
@@ -364,8 +346,7 @@ def _round_radius(surface: SurfaceSample):
     return math.asinh(math.sqrt(float(np.mean(E))))
 
 
-def embed_surface(surface: SurfaceSample, branch: int = 1,
-                  residual_tol: float = 1e-6) -> EmbeddedSurface:
+def embed_surface(surface: SurfaceSample, branch: int = 1) -> EmbeddedSurface:
     """Isometrically embed a coordinate-sphere sample into the hyperboloid.
 
     Exactly round samples take the closed geodesic-sphere form, which is
@@ -378,8 +359,7 @@ def embed_surface(surface: SurfaceSample, branch: int = 1,
         return embed_round(r, surface.grid, surface=surface)
     if not surface.is_axisymmetric() or np.max(np.abs(surface.F)) > 1e-12 * float(np.max(surface.E)):
         raise EmbeddingError("only rotationally symmetric metrics are supported")
-    prof = embed_revolution(surface.E[:, 0], surface.G[:, 0], surface.grid,
-                            branch=branch, residual_tol=residual_tol)
+    prof = embed_revolution(surface.E[:, 0], surface.G[:, 0], surface.grid, branch=branch)
     h0 = mean_curvature_h0(prof)
     X, N = _profile_nodes(prof)
     return EmbeddedSurface(surface.grid, X, N, h0, prof.isometry_residual,

@@ -170,8 +170,7 @@ def gradient_identity_residual(field: KillingNormField, points) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def minkowski_identity_residual(field: KillingNormField, emb: EmbeddedSurface,
-                                h0=None) -> float:
+def minkowski_identity_residual(field: KillingNormField, emb: EmbeddedSurface) -> float:
     """Max-node residual of the surface identity
 
         lap_S F = 2 F + H0 * dF/dnu,
@@ -180,14 +179,10 @@ def minkowski_identity_residual(field: KillingNormField, emb: EmbeddedSurface,
     normal of the embedded surface."""
     if emb.surface is None:
         raise ValueError("embedding lacks its source surface sample")
-    if emb.normal is None:
-        raise ValueError("embedding lacks normal data")
-    grid = emb.grid
     f = field.value_on(emb)
     lap = surface_laplacian(emb.surface, f)
     nu_f = -lorentz_inner(emb.normal, field.eta.as_array())
-    h0 = emb.H0 if h0 is None else grid.as_field(h0)
-    return float(np.max(np.abs(lap - 2.0 * f - h0 * nu_f)))
+    return float(np.max(np.abs(lap - 2.0 * f - emb.H0 * nu_f)))
 
 
 def exhaustion_norm_growth(field: KillingNormField, embeddings) -> float:

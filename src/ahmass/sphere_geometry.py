@@ -47,11 +47,14 @@ def barycentric_weights(x: np.ndarray, gl_weights: np.ndarray) -> np.ndarray:
 
 def barycentric_interpolate(x_nodes, weights, values, x_query):
     """Evaluate the polynomial interpolant of (x_nodes, values) at x_query
-    using the barycentric formula; exact node hits are returned directly."""
+    using the barycentric formula; exact node hits are returned directly.
+    values of shape (n,) or (n, k) give (m,) or (m, k) for m query points,
+    one weight matrix serving all k columns; a scalar query on (n,) values
+    gives a float."""
     xq = np.atleast_1d(np.asarray(x_query, dtype=float))
     values = np.asarray(values, dtype=float)
     diff = xq[:, None] - x_nodes[None, :]
-    out = np.empty_like(xq)
+    out = np.empty(xq.shape + values.shape[1:])
     exact = np.abs(diff) < 1e-15
     hit = exact.any(axis=1)
     if hit.any():
@@ -59,9 +62,10 @@ def barycentric_interpolate(x_nodes, weights, values, x_query):
     rest = ~hit
     if rest.any():
         c = weights[None, :] / diff[rest]
-        out[rest] = (c @ values) / c.sum(axis=1)
+        den = c.sum(axis=1)
+        out[rest] = (c @ values) / den.reshape(den.shape + (1,) * (values.ndim - 1))
     if np.asarray(x_query).ndim == 0:
-        return float(out[0])
+        return float(out[0]) if values.ndim == 1 else out[0]
     return out
 
 
@@ -131,7 +135,7 @@ class QuadratureGrid:
 
     def interp_x(self, values, x_query):
         """Evaluate the interpolant of a theta profile (given at the grid
-        nodes) at arbitrary x = cos theta."""
+        nodes, shape (n_theta,) or (n_theta, k)) at arbitrary x = cos theta."""
         return barycentric_interpolate(self.x, self.bary_w, values, x_query)
 
     def diff_theta(self, field) -> np.ndarray:

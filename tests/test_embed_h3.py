@@ -112,6 +112,13 @@ def test_perturbed_sphere_embedding_quality():
     assert emb.isometry_residual < 1e-9
     assert hyperboloid_defect(emb) < 1e-11
     assert np.max(np.abs(lorentz_inner(emb.normal, emb.X))) < 1e-9
+    # the isometry residual sits at the rounding floor of the metric
+    # scale on coarse and fine grids alike, down to small radii
+    for n_theta in (32, 96):
+        grid = QuadratureGrid(n_theta, 4)
+        for eps in (0.1, 0.0125, 0.0044):
+            surf = coordinate_sphere(fam, eps, grid)
+            assert embed_surface(surf).isometry_residual <= 1e-14 * (1.0 + np.max(surf.E))
 
 
 def test_small_radius_centering_defect():
@@ -148,9 +155,11 @@ def test_rapidity_unresolved_at_degree_cap(monkeypatch):
 
 
 def test_rapidity_matches_adaptive_quadrature():
-    # chi(theta_i) - chi(theta_0) against scipy quad of chi' built
-    # independently from barycentric interpolants, at the deepest radius
-    # of a 12-radius default schedule
+    # chi(theta_i) - chi(theta_0) against scipy quad of chi', at the
+    # deepest radius of a 12-radius default schedule.  chi' is built from
+    # the same barycentric interpolants of A, B and E as the embedding, so
+    # this checks the theta-series, its chop, the integration and the
+    # centering, not the model of the metric profiles
     fam, _ = family_from_spec({"name": "perturbed_round",
                                "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}})
     grid = QuadratureGrid(64, 4)

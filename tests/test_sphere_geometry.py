@@ -45,6 +45,30 @@ def test_quadrature_polynomial_exactness():
         assert abs(got - want) < 1e-13 * (1.0 + abs(want))
 
 
+def test_barycentric_interpolation():
+    # the grid interpolant reproduces polynomials of degree < n_theta,
+    # returns node values exactly at the nodes, and serves several
+    # columns with one weight matrix
+    grid = QuadratureGrid(64, 4)
+    rng = np.random.default_rng(7)
+    coef = rng.standard_normal(40)
+    xq = np.linspace(-1.0, 1.0, 2001)
+    want = np.polynomial.chebyshev.chebval(xq, coef)
+    got = grid.interp_x(np.polynomial.chebyshev.chebval(grid.x, coef), xq)
+    assert got.shape == xq.shape
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    values = rng.standard_normal((64, 4))
+    at_node = grid.interp_x(values[:, 0], grid.x[5])
+    assert isinstance(at_node, float)
+    assert at_node == values[5, 0]
+    stacked = grid.interp_x(values, xq)
+    assert stacked.shape == (xq.size, 4)
+    columns = np.stack([grid.interp_x(values[:, k], xq) for k in range(4)], axis=1)
+    assert np.max(np.abs(stacked - columns)) <= 1e-14 * np.max(np.abs(values))
+    assert np.array_equal(grid.interp_x(values, grid.x[[5, 9]]), values[[5, 9]])
+
+
 def test_hyperbolic_sphere_closed_forms():
     for eps in (0.05, 0.2, 0.4):
         s = coordinate_sphere(Hyperbolic(), eps, GRID)
