@@ -28,7 +28,6 @@ from .lorentz import (
 from .sphere_geometry import (
     QuadratureGrid,
     SurfaceSample,
-    brioschi_curvature,
     coordinate_sphere,
     embeddability_check,
     integrate_scalar,
@@ -103,9 +102,9 @@ __all__ = [
     "hopf_eta", "hyperboloid_point", "lorentz_inner", "rotation",
     "sphere_direction",
     # sphere_geometry
-    "QuadratureGrid", "SurfaceSample", "brioschi_curvature",
-    "coordinate_sphere", "embeddability_check", "integrate_scalar",
-    "integrate_vector", "surface_laplacian",
+    "QuadratureGrid", "SurfaceSample", "coordinate_sphere",
+    "embeddability_check", "integrate_scalar", "integrate_vector",
+    "surface_laplacian",
     # ah_metric
     "AdSSchwarzschild", "AHFamily", "Hyperbolic", "MassAspect",
     "PerturbedRound", "ads_collar_transform", "mass_aspect", "metric_at",

@@ -46,11 +46,6 @@ __all__ = [
 
 DEFAULT_RHO_MAX = 0.5
 
-# Least-squares window for extracting the rho^3 coefficient of u - 1.
-ASPECT_FIT_WINDOW = (0.02, 0.1)
-ASPECT_FIT_POINTS = 12
-ASPECT_FIT_RTOL = 1e-6
-
 
 class MassAspect:
     """Symmetric 2-tensor on the round sphere, sampled on a grid, storing
@@ -221,25 +216,9 @@ class AdSSchwarzschild(AHFamily):
         _, _, ddw = self._profile(rho)
         return np.full_like(np.asarray(theta, dtype=float), ddw)
 
-    def aspect_constant(self, window=ASPECT_FIT_WINDOW, points=ASPECT_FIT_POINTS) -> float:
-        """rho^3-coefficient of u - 1 scaled by 3, i.e. the constant psi
-        with aspect = psi h0, extracted by a least-squares fit of
-        3(w - 1)/rho^3 against {1, rho^2, rho^3} on a log-spaced window.
-
-        The intercept equals twice the mass.  A residual above 1e-6
-        relative to the intercept signals an inconsistent family.
-        """
-        rhos = np.geomspace(window[0], window[1], points)
-        y = np.array([3.0 * (self._profile(r)[0] - 1.0) / r ** 3 for r in rhos])
-        basis = np.stack([np.ones_like(rhos), rhos ** 2, rhos ** 3], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        resid = np.max(np.abs(basis @ coef - y))
-        if resid > ASPECT_FIT_RTOL * abs(coef[0]):
-            raise ValueError("aspect fit residual %.3e exceeds tolerance" % resid)
-        return float(coef[0])
-
     def aspect_function(self):
-        c = self.aspect_constant()
+        # u = (r sinh rho)^2 = 1 + 2m rho^3 / 3 + O(rho^4): the aspect is 2m h0
+        c = 2.0 * self.mass
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), c)
 
     def scalar_curvature(self, rho, theta):
@@ -348,10 +327,7 @@ class PerturbedRound(AHFamily):
         ddu = self.conformal_factor_drho2(rho, th)
         # lap0 log u spectrally on internal nodes, interpolated to theta
         g = _axisym_grid()
-        x, d = g.x, g.deriv_x
-        logu = np.log(self.conformal_factor(rho, g.theta))
-        fx = d @ logu
-        lap_nodes = (1.0 - x ** 2) * (d @ fx) - 2.0 * x * fx
+        lap_nodes = g.round_laplacian(np.log(self.conformal_factor(rho, g.theta)))
         lap = np.atleast_1d(g.interp_x(lap_nodes, np.cos(th)))
         out = conformal_collar_scalar_curvature(rho, u, du, ddu, lap)
         return out if np.asarray(theta).ndim else float(out[0])
@@ -396,13 +372,11 @@ def mass_aspect(family: AHFamily, grid: QuadratureGrid) -> MassAspect:
     return MassAspect(psi, 0.0, psi * s2, grid)
 
 
-def wang_mass(aspect: MassAspect, grid: QuadratureGrid | None = None) -> MinkowskiVector:
+def wang_mass(aspect: MassAspect) -> MinkowskiVector:
     """Mass vector (1/16 pi) (int omega tr dmu0, int tr dmu0) of an aspect
-    tensor; omega the unit position on the round sphere."""
-    if grid is None:
-        grid = aspect.grid
-    if grid is not aspect.grid:
-        raise ValueError("aspect was sampled on a different grid")
+    tensor, on the grid it was sampled on; omega the unit position on the
+    round sphere."""
+    grid = aspect.grid
     if grid.n_theta < 16:
         raise ValueError("need n_theta >= 16 to resolve the aspect integrals")
     tr = aspect.trace

@@ -115,7 +115,8 @@ class RevolutionProfile:
 class EmbeddedSurface:
     """Embedded image of a coordinate sphere: per-node position X on the
     hyperboloid, inward unit normal, and mean curvature H0 (sum
-    convention, geodesic spheres positive)."""
+    convention, geodesic spheres positive).  hyperboloid_defect is
+    max |<<X, X>> + 1| over the nodes."""
 
     def __init__(self, grid, X, normal, h0, isometry_residual, surface=None, profile=None):
         self.grid = grid
@@ -125,10 +126,10 @@ class EmbeddedSurface:
         self.isometry_residual = float(isometry_residual)
         self.surface = surface
         self.profile = profile
-        xx = lorentz_inner(self.X, self.X)
-        defect = np.max(np.abs(xx + 1.0))
-        if defect > HYPERBOLOID_TOL:
-            raise EmbeddingError("embedded nodes leave the hyperboloid (%.3e)" % defect)
+        self.hyperboloid_defect = float(np.max(np.abs(lorentz_inner(self.X, self.X) + 1.0)))
+        if self.hyperboloid_defect > HYPERBOLOID_TOL:
+            raise EmbeddingError("embedded nodes leave the hyperboloid (%.3e)"
+                                 % self.hyperboloid_defect)
         nn = lorentz_inner(self.normal, self.normal)
         if np.max(np.abs(nn - 1.0)) > 1e-8:
             raise EmbeddingError("normal field is not unit spacelike")

@@ -7,10 +7,11 @@ phi nodes are uniform on [0, 2pi) with the trapezoid weight 2pi/n_phi.
 Scalar fields are arrays of shape (n_theta, n_phi).
 
 Derivatives in theta are spectral: barycentric differentiation on the
-Gauss-Legendre nodes, with d/dth = -sin th d/dx.  Derivatives in phi are
-spectral via the FFT.  Both are accurate to near machine precision for the
-smooth fields produced by the metric families, which the fifth-order
-curvature expansions need.
+Gauss-Legendre nodes in x.  A coordinate sphere of a collar family is
+conformally round, so its Gauss curvature follows from the conformal
+factor and the round Laplacian of its logarithm, to near machine
+precision, which the fifth-order curvature expansions need.  The FFT in
+phi serves only surface_laplacian, which acts on fields that vary in phi.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "QuadratureGrid",
     "SurfaceSample",
     "coordinate_sphere",
-    "brioschi_curvature",
     "integrate_scalar",
     "integrate_vector",
     "surface_laplacian",
@@ -138,38 +138,13 @@ class QuadratureGrid:
         nodes, shape (n_theta,) or (n_theta, k)) at arbitrary x = cos theta."""
         return barycentric_interpolate(self.x, self.bary_w, values, x_query)
 
-    def diff_theta(self, field) -> np.ndarray:
-        f = np.asarray(field)
-        if f.ndim == 1:
-            return -self.sin_theta * (self.deriv_x @ f)
-        return -self.sin_theta[:, None] * (self.deriv_x @ f)
-
-    def diff2_theta(self, field) -> np.ndarray:
-        f = np.asarray(field)
-        fx = self.deriv_x @ f
-        fxx = self.deriv_x @ fx
-        if f.ndim == 1:
-            return (1.0 - self.x ** 2) * fxx - self.x * fx
-        s2 = (1.0 - self.x ** 2)[:, None]
-        return s2 * fxx - self.x[:, None] * fx
-
-    def _phi_modes(self, field):
-        f = self.as_field(field)
-        return np.fft.rfft(f, axis=1)
-
-    def diff_phi(self, field) -> np.ndarray:
-        fh = self._phi_modes(field)
-        m = np.arange(fh.shape[1])
-        fh = fh * (1j * m)
-        if self.n_phi % 2 == 0:
-            fh[:, -1] = 0.0  # Nyquist mode has no well-defined odd derivative
-        return np.fft.irfft(fh, n=self.n_phi, axis=1)
-
-    def diff2_phi(self, field) -> np.ndarray:
-        fh = self._phi_modes(field)
-        m = np.arange(fh.shape[1])
-        fh = fh * (-(m.astype(float) ** 2))
-        return np.fft.irfft(fh, n=self.n_phi, axis=1)
+    def round_laplacian(self, profile) -> np.ndarray:
+        """Laplacian of the unit round sphere applied to an axisymmetric
+        theta profile: (1 - x^2) f_xx - 2 x f_x in x = cos theta.  Both
+        derivatives are taken by deriv_x; this non-divergence form keeps
+        the rounding near machine precision at the poles."""
+        fx = self.deriv_x @ np.asarray(profile, dtype=float)
+        return (1.0 - self.x ** 2) * (self.deriv_x @ fx) - 2.0 * self.x * fx
 
 
 class SurfaceSample:
@@ -207,44 +182,6 @@ class SurfaceSample:
         return True
 
 
-def _det3(m):
-    # m is a 3x3 nested list of (n_theta, n_phi) arrays
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def brioschi_curvature(E, F, G, grid: QuadratureGrid) -> np.ndarray:
-    """Gauss curvature of the metric E dth^2 + 2F dth dphi + G dphi^2 from
-    first-fundamental-form data alone, via the Brioschi determinant
-    formula.  Spectral derivatives; exact in phi for axisymmetric input."""
-    E = grid.as_field(E)
-    F = grid.as_field(F)
-    G = grid.as_field(G)
-    Eu, Ev = grid.diff_theta(E), grid.diff_phi(E)
-    Fu, Fv = grid.diff_theta(F), grid.diff_phi(F)
-    Gu, Gv = grid.diff_theta(G), grid.diff_phi(G)
-    Evv = grid.diff2_phi(E)
-    Guu = grid.diff2_theta(G)
-    Fuv = grid.diff_phi(grid.diff_theta(F))
-
-    m1 = [
-        [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
-        [Fv - 0.5 * Gu, E, F],
-        [0.5 * Gv, F, G],
-    ]
-    zero = np.zeros_like(E)
-    m2 = [
-        [zero, 0.5 * Ev, 0.5 * Gu],
-        [0.5 * Ev, E, F],
-        [0.5 * Gu, F, G],
-    ]
-    det = E * G - F ** 2
-    return (_det3(m1) - _det3(m2)) / det ** 2
-
-
 def coordinate_sphere(family, eps: float, grid: QuadratureGrid) -> SurfaceSample:
     """Level set {rho = eps} of a collar family, with its induced metric,
     area element, mean curvature and Gauss curvature.
@@ -254,6 +191,9 @@ def coordinate_sphere(family, eps: float, grid: QuadratureGrid) -> SurfaceSample
     sinh^-2 rho (drho^2 + u(rho, theta) h0).  The normal underlying H
     points away from infinity (toward increasing rho), which makes
     geodesic spheres of the reference metric have H = 2 cosh eps > 0.
+    The sphere carries the conformally round metric (u / sinh^2 eps) h0,
+    so K = sinh^2 eps (1 - lap0(log u) / 2) / u, exactly sinh^2 eps
+    where u is constant.
     """
     if not (0.0 < eps <= family.rho_max):
         raise ValueError("eps=%g outside the collar range (0, %g]" % (eps, family.rho_max))
@@ -266,7 +206,7 @@ def coordinate_sphere(family, eps: float, grid: QuadratureGrid) -> SurfaceSample
     G = E * (grid.sin_theta ** 2)[:, None]
     F = np.zeros(grid.shape)
     H = grid.as_field(2.0 * ch - sh * du / u)
-    K = brioschi_curvature(E, F, G, grid)
+    K = grid.as_field(sh ** 2 * (1.0 - 0.5 * grid.round_laplacian(np.log(u))) / u)
     return SurfaceSample(eps, E, F, G, H, K, grid)
 
 

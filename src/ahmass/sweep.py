@@ -570,14 +570,13 @@ def _sweep_one(family: AHFamily, eps: float, grid: QuadratureGrid,
         radii = (r1, r2)
     result = MassResult(eps, m_by, m_hat, m_alpha=m_alpha,
                         euclid_by=euclid_by_mass(surf, emb.H0))
-    defect = float(np.max(np.abs(lorentz_inner(emb.X, emb.X) + 1.0)))
     return PerEpsRecord(
         eps=eps, result=result, alpha=alpha, radii=radii,
         area=float(surf.area),
         h_min=float(np.min(surf.H)), h_max=float(np.max(surf.H)),
         k_min=float(np.min(surf.K)), k_max=float(np.max(surf.K)),
         isometry_residual=float(emb.isometry_residual),
-        hyperboloid_defect=defect,
+        hyperboloid_defect=emb.hyperboloid_defect,
     )
 
 
@@ -788,7 +787,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
             surf, _ = sphere_at(eps)
             values.append(float(np.max(np.abs(surf.K - math.sinh(eps) ** 2))))
         # curvature roundoff scales with the sinh^2 target, not absolutely
-        floor = 1e-8 * np.sinh(np.asarray(cfg.eps_list)) ** 2
+        floor = 1e-11 * np.sinh(np.asarray(cfg.eps_list)) ** 2
         p = decay_order(values, cfg.eps_list, floor=floor)
         return {"passed": p >= tol["gauss_order"], "order": _jsonable(p),
                 "tolerance": tol["gauss_order"], "values": values}
@@ -819,8 +818,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
         for eps in cfg.eps_list:
             surf, emb = sphere_at(eps)
             worst_iso = max(worst_iso, emb.isometry_residual)
-            worst_defect = max(worst_defect,
-                               float(np.max(np.abs(lorentz_inner(emb.X, emb.X) + 1.0))))
+            worst_defect = max(worst_defect, emb.hyperboloid_defect)
             k_ok = k_ok and embeddability_check(surf)
             h_ok = h_ok and float(np.min(surf.H)) > MEAN_CURVATURE_FLOOR
         ok = (worst_iso <= tol["isometry"] and worst_defect <= tol["hyperboloid"]
@@ -870,7 +868,7 @@ def _csv_cell(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 

@@ -151,7 +151,7 @@ def test_04_mean_and_reference_curvature_expansions():
             h0_vals.append(float(np.max(np.abs(emb.H0 - 2.0 * math.cosh(e)))))
             k_vals.append(float(np.max(np.abs(surf.K - math.sinh(e) ** 2))))
         p_h0 = decay_order(h0_vals, eps_list, floor=1e-11)
-        p_k = decay_order(k_vals, eps_list, floor=1e-8 * np.sinh(eps_list) ** 2)
+        p_k = decay_order(k_vals, eps_list, floor=1e-11 * np.sinh(eps_list) ** 2)
         assert p_h0 >= 4.0
         assert p_k >= 4.5
         print("PASS curvature expansions (%s): cubic coefficient err %.2e, reference "

@@ -108,13 +108,17 @@ def test_mass_aspect_ads_constant_and_normalized():
     assert np.max(np.abs(v.spatial)) < 1e-12
 
 
-def test_ads_aspect_fit_window_stable():
-    fam = AdSSchwarzschild(2.0)
-    import ahmass.ah_metric as am
-    w0, w1 = am.ASPECT_FIT_WINDOW
-    c_full = fam.aspect_constant()
-    c_half = fam.aspect_constant(window=(w0, w1 / 2))
-    assert abs(c_full - c_half) <= 1e-4 * abs(c_full)
+def test_ads_aspect_is_twice_the_mass():
+    # the rho^3 coefficient of 3(u - 1), fitted from the collar transform,
+    # is the aspect 2m the family reports
+    m = 2.0
+    fam = AdSSchwarzschild(m)
+    rhos = np.geomspace(0.02, 0.1, 12)
+    y = np.array([3.0 * (fam.conformal_factor(r, 0.0) - 1.0) / r ** 3 for r in rhos])
+    basis = np.stack([np.ones_like(rhos), rhos ** 2, rhos ** 3], axis=1)
+    intercept = np.linalg.lstsq(basis, y, rcond=None)[0][0]
+    assert abs(intercept - 2.0 * m) <= 1e-6 * 2.0 * m
+    assert np.all(fam.aspect_function()(GRID.theta) == 2.0 * m)
 
 
 def test_wang_mass_zero_aspect():

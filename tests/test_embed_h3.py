@@ -193,6 +193,8 @@ def test_boost_surface_moves_nodes_keeps_intrinsic_data():
     assert np.max(np.abs(moved.X - want)) == 0.0
     assert np.array_equal(moved.H0, emb.H0)
     assert hyperboloid_defect(moved) < 1e-12
+    # the stored defect is recomputed for the moved nodes
+    assert moved.hyperboloid_defect == hyperboloid_defect(moved)
     assert np.max(np.abs(lorentz_inner(moved.normal, moved.X))) < 1e-12
 
 

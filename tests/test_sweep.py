@@ -1,6 +1,7 @@
 """Limit fitting, cone-slice pairing, configuration plumbing, and the
 radius-sweep driver."""
 
+import csv
 import json
 import math
 import sys
@@ -340,6 +341,12 @@ def test_write_outputs_files(tmp_path):
     csv_lines = open(paths["csv"]).read().splitlines()
     assert csv_lines[0].startswith("epsilon,mBY_x1")
     assert len(csv_lines) == 1 + len(rec.records)
+    with open(paths["csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for key, cell in row.items():
+            if cell and not key.startswith("tag_") and key != "error":
+                float(cell)
     summary = json.load(open(paths["summary"]))
     for key in ("family", "epsilons", "fit_epsilons", "records", "fits",
                 "limits", "tags", "wang_reference", "gap_monotone", "config"):
