@@ -62,7 +62,6 @@ from .quasilocal import (
     alpha_from_radii,
     by_mass,
     enclosing_radii,
-    euclid_by_mass,
     hat_mass,
     mainhyp_functional,
     shitam_alpha_mass,
@@ -115,7 +114,7 @@ __all__ = [
     "embed_surface", "mean_curvature_h0",
     # quasilocal
     "MassResult", "alpha_from_radii", "by_mass", "enclosing_radii",
-    "euclid_by_mass", "hat_mass", "mainhyp_functional", "shitam_alpha_mass",
+    "hat_mass", "mainhyp_functional", "shitam_alpha_mass",
     # killing_spinor
     "KillingNormField", "SpinorValue", "exhaustion_norm_growth",
     "geodesic_norm_check", "gradient_identity_residual",

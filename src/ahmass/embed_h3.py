@@ -29,8 +29,17 @@ resolved by a Chebyshev series in th on [0, pi], whose degree is doubled
 until the series tail is negligible (Aurentz & Trefethen, "Chopping a
 Chebyshev series", ACM TOMS 2017), and integrated once.  Near the poles
 chi' varies on a th scale of about 1/max f, which a series in x cannot
-resolve.  The second derivatives of the profile come from the
-closed-form chi'', never from differencing.
+resolve.  chi'' comes in closed form, never from differencing.
+
+H0 and the normal are computed in the comoving frame: boosting each
+meridian point by -chi, an isometry, gives
+
+    X = (f, 0, rho),   X' = (f', rho chi', rho'),
+    X'' = (f'', 2 rho' chi' + rho chi'', rho'' + rho chi'^2),
+
+so no sinh chi or cosh chi, whose size ~ 1/eps would cancel down to O(1)
+in ambient cross products, enters H0.  The normal is boosted back by chi
+only to place it on the grid.
 
 The translation gauge along the axis is fixed by the boost that zeroes
 the first axial moment (integral of u f dth).  Along the axis a boost is
@@ -81,26 +90,28 @@ class EmbeddingError(RuntimeError):
 
 
 class RevolutionProfile:
-    """Meridian samples (f, u, w) of an embedded surface of revolution at
-    the grid theta-nodes, together with exact first and second
-    derivatives, the branch sign, and the degree and relative tail of the
-    Chebyshev series that resolved the rapidity."""
+    """Meridian samples at the grid theta-nodes: f, rho = sqrt(1 + f^2)
+    and the rapidity chi with exact first and second derivatives, the
+    ambient u, w, u', w' (the isometry residual compares f'^2 + u'^2 - w'^2
+    and f^2 with the target), the branch sign, and the degree and relative
+    tail of the Chebyshev series that resolved the rapidity."""
 
-    def __init__(self, grid, branch, f, fp, fpp, u, up, upp, w, wp, wpp,
+    def __init__(self, grid, branch, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
                  E_target, G_target, cheb_degree, cheb_tail):
         self.grid = grid
         self.branch = int(branch)
         self.f, self.fp, self.fpp = f, fp, fpp
-        self.u, self.up, self.upp = u, up, upp
-        self.w, self.wp, self.wpp = w, wp, wpp
+        self.rho, self.rhop, self.rhopp = rho, rhop, rhopp
+        self.chi, self.chip, self.chipp = chi, chip, chipp
         self.E_target = np.asarray(E_target, dtype=float)
         self.G_target = np.asarray(G_target, dtype=float)
         self.cheb_degree = int(cheb_degree)
         self.cheb_tail = float(cheb_tail)
 
-        constraint = np.max(np.abs(self.f ** 2 + self.u ** 2 - self.w ** 2 + 1.0))
-        if constraint > 1e-10 * (1.0 + np.max(self.w ** 2)):
-            raise EmbeddingError("hyperboloid constraint violated (%.3e)" % constraint)
+        sh, ch = np.sinh(chi), np.cosh(chi)
+        self.u, self.w = rho * sh, rho * ch
+        self.up = rhop * sh + chip * self.w
+        self.wp = rhop * ch + chip * self.u
         e_got = self.fp ** 2 + self.up ** 2 - self.wp ** 2
         self.isometry_residual = float(
             np.max(np.abs(e_got - self.E_target)) + np.max(np.abs(self.f ** 2 - self.G_target))
@@ -244,17 +255,8 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
         iw = float(np.sum(grid.w_theta * rho * np.cosh(chi) * f / s))
         chi = chi + math.atanh(-iu / iw)
 
-    sh, ch = np.sinh(chi), np.cosh(chi)
-    u, w = rho * sh, rho * ch
-    up = rhop * sh + chip * w
-    wp = rhop * ch + chip * u
-    radial = rhopp + rho * chip ** 2
-    tangential = 2.0 * rhop * chip + rho * chipp
-    upp = radial * sh + tangential * ch
-    wpp = radial * ch + tangential * sh
-
-    prof = RevolutionProfile(grid, branch, f, fp, fpp, u, up, upp, w, wp, wpp, E, G,
-                             degree, tail)
+    prof = RevolutionProfile(grid, branch, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
+                             E, G, degree, tail)
     if prof.isometry_residual > ISOMETRY_RESIDUAL_TOL * (1.0 + scale):
         raise EmbeddingError(
             "isometry residual %.3e exceeds tolerance" % prof.isometry_residual
@@ -262,40 +264,33 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
     return prof
 
 
-def _unit_normal(profile: RevolutionProfile):
-    """Inward unit normal (f, u, w components) along the meridian: the
-    Minkowski cross product of position and meridian tangent, index
-    raised with diag(1, 1, -1), oriented so the azimuthal curvature
-    -N_f/f is positive."""
-    f, fp = profile.f, profile.fp
-    u, up = profile.u, profile.up
-    w, wp = profile.w, profile.wp
-    nf = u * wp - w * up
-    nu = w * fp - f * wp
-    nw = u * fp - f * up
-    norm_sq = nf ** 2 + nu ** 2 - nw ** 2
-    if np.any(norm_sq <= 0.0):
-        raise EmbeddingError("degenerate tangent plane: normal not spacelike")
-    inv = 1.0 / np.sqrt(norm_sq)
-    if np.median(-nf / f) < 0.0:
-        inv = -inv
-    return nf * inv, nu * inv, nw * inv
+def _comoving_normal(profile: RevolutionProfile):
+    """Squared meridian speed e and inward unit normal (f, u, w
+    components) in the comoving frame, where the point is (f, 0, rho):
+    n = -branch (-rho^2 chi', f'/rho, -f rho chi') / sqrt(e), with
+    e = rho^2 chi'^2 + f'^2 / rho^2.  chi' has sign -branch, so the
+    azimuthal curvature -n_f/f is positive."""
+    p = profile
+    e = (p.rho * p.chip) ** 2 + (p.fp / p.rho) ** 2
+    scale = -p.branch / np.sqrt(e)
+    return e, (-p.rho ** 2 * p.chip * scale, p.fp / p.rho * scale,
+               -p.f * p.rho * p.chip * scale)
 
 
 def mean_curvature_h0(profile: RevolutionProfile) -> np.ndarray:
     """Mean curvature of the embedded revolution surface in hyperbolic
-    3-space, from the second fundamental form in the ambient Minkowski
-    space; geodesic spheres give +2 coth R (normal on the inner side)."""
-    nf, nu, nw = _unit_normal(profile)
-    e_ind = profile.fp ** 2 + profile.up ** 2 - profile.wp ** 2
-    if np.any(e_ind <= 0.0):
-        raise EmbeddingError("degenerate tangent plane: meridian tangent not spacelike")
-    ii_t = profile.fpp * nf + profile.upp * nu - profile.wpp * nw
-    return ii_t / e_ind - nf / profile.f
+    3-space, from the second fundamental form in the comoving frame;
+    geodesic spheres give +2 coth R (normal on the inner side)."""
+    p = profile
+    e, (nf, nu, nw) = _comoving_normal(p)
+    ii_t = (p.fpp * nf + (2.0 * p.rhop * p.chip + p.rho * p.chipp) * nu
+            - (p.rhopp + p.rho * p.chip ** 2) * nw)
+    return ii_t / e - nf / p.f
 
 
 def _profile_nodes(profile: RevolutionProfile):
-    """Position and inward normal on the full grid, shape (nth, nph, 4)."""
+    """Position and inward normal on the full grid, shape (nth, nph, 4);
+    the normal is boosted back from the comoving frame by chi."""
     g = profile.grid
     cph = np.cos(g.phi)[None, :]
     sph = np.sin(g.phi)[None, :]
@@ -308,7 +303,10 @@ def _profile_nodes(profile: RevolutionProfile):
             np.broadcast_to(time[:, None], g.shape),
         ], axis=-1)
 
-    return revolve(profile.f, profile.u, profile.w), revolve(*_unit_normal(profile))
+    _, (nf, nu, nw) = _comoving_normal(profile)
+    sh, ch = np.sinh(profile.chi), np.cosh(profile.chi)
+    return (revolve(profile.f, profile.u, profile.w),
+            revolve(nf, nu * ch + nw * sh, nu * sh + nw * ch))
 
 
 def embed_round(R: float, grid: QuadratureGrid,

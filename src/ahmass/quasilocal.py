@@ -36,7 +36,6 @@ __all__ = [
     "shitam_alpha_mass",
     "alpha_from_radii",
     "enclosing_radii",
-    "euclid_by_mass",
     "mainhyp_functional",
     "MEAN_CURVATURE_FLOOR",
 ]
@@ -53,7 +52,6 @@ class MassResult:
     m_by: MinkowskiVector
     m_hat: MinkowskiVector
     m_alpha: MinkowskiVector | None = None
-    euclid_by: float | None = None
 
     @property
     def tag_by(self) -> CausalClass:
@@ -120,14 +118,6 @@ def enclosing_radii(emb: EmbeddedSurface) -> tuple:
     farthest node: cosh of the distance is the time component of X."""
     t = emb.X[..., 3]
     return float(np.arccosh(np.min(t))), float(np.arccosh(np.max(t)))
-
-
-def euclid_by_mass(surf_euclid: SurfaceSample, h0_euclid) -> float:
-    """Flat-reference endpoint: (1/8 pi) int (H0 - H) dS with externally
-    supplied Euclidean comparison curvature."""
-    g = surf_euclid.grid
-    h0 = g.as_field(h0_euclid)
-    return float(integrate_scalar(surf_euclid, h0 - surf_euclid.H) / (8.0 * np.pi))
 
 
 def mainhyp_functional(surf: SurfaceSample, emb: EmbeddedSurface, F) -> float:

@@ -50,7 +50,6 @@ from .quasilocal import (
     alpha_from_radii,
     by_mass,
     enclosing_radii,
-    euclid_by_mass,
     hat_mass,
     shitam_alpha_mass,
 )
@@ -93,8 +92,6 @@ ORDER_RANGE = (0.5, 6.0)
 DEFAULT_SEED = 94211
 
 DEFAULT_TOLERANCES = {
-    "mass_zero": 1e-8,
-    "spatial_atol": 1e-6,
     "limit_rtol": 0.01,
     "isometry": 1e-6,
     "hyperboloid": 1e-9,
@@ -390,11 +387,13 @@ class SweepConfig:
             raise ConfigError("grid.n_phi must be at least 4")
         if self.branch not in (1, -1):
             raise ConfigError("branch must be +1 or -1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         merged = dict(DEFAULT_TOLERANCES)
-        for key, val in dict(self.tolerances).items():
+        for key in self.tolerances:
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError("unknown tolerance %r" % (key,))
-            merged[key] = float(val)
+            merged[key] = _config_float(self.tolerances, key, "tolerances")
         label = self.family_label or getattr(self.family, "name", type(self.family).__name__)
         object.__setattr__(self, "eps_list", eps)
         object.__setattr__(self, "tolerances", merged)
@@ -499,7 +498,6 @@ class PerEpsRecord:
             if self.result.m_alpha is not None:
                 out["m_alpha"] = list(self.result.m_alpha.as_array())
                 out["tag_alpha"] = self.result.tag_alpha.value
-            out["euclid_by"] = self.result.euclid_by
         for name in ("alpha", "area", "h_min", "h_max", "k_min", "k_max",
                      "isometry_residual", "hyperboloid_defect"):
             out[name] = getattr(self, name)
@@ -568,8 +566,7 @@ def _sweep_one(family: AHFamily, eps: float, grid: QuadratureGrid,
         alpha = alpha_from_radii(r1, r2)
         m_alpha = shitam_alpha_mass(surf, emb, alpha)
         radii = (r1, r2)
-    result = MassResult(eps, m_by, m_hat, m_alpha=m_alpha,
-                        euclid_by=euclid_by_mass(surf, emb.H0))
+    result = MassResult(eps, m_by, m_hat, m_alpha=m_alpha)
     return PerEpsRecord(
         eps=eps, result=result, alpha=alpha, radii=radii,
         area=float(surf.area),
@@ -858,7 +855,7 @@ _CSV_HEADER = (
     + ["mBY_%s" % c for c in _COMPONENTS]
     + ["mhat_%s" % c for c in _COMPONENTS]
     + ["malpha_%s" % c for c in _COMPONENTS]
-    + ["euclid_by", "alpha", "area", "h_min", "h_max", "k_min", "k_max",
+    + ["alpha", "area", "h_min", "h_max", "k_min", "k_max",
        "isometry_residual", "hyperboloid_defect", "tag_by", "tag_hat",
        "tag_alpha", "error"]
 )
@@ -872,10 +869,9 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
-def write_outputs(record: MassSweepRecord, cfg: SweepConfig,
-                  verify_report: dict | None = None) -> dict:
-    """Write sweep.csv and summary.json (and verify.json when given) into
-    the configured output directory; returns the paths."""
+def write_outputs(record: MassSweepRecord, cfg: SweepConfig) -> dict:
+    """Write sweep.csv and summary.json into the configured output
+    directory; returns the paths."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -888,7 +884,7 @@ def write_outputs(record: MassSweepRecord, cfg: SweepConfig,
                     res.m_alpha if res else None):
             row.extend(list(vec.as_array()) if vec is not None else [None] * 4)
         row.extend([
-            res.euclid_by if res else None, rec.alpha, rec.area,
+            rec.alpha, rec.area,
             rec.h_min, rec.h_max, rec.k_min, rec.k_max,
             rec.isometry_residual, rec.hyperboloid_defect,
             res.tag_by.value if res else None,
@@ -911,9 +907,4 @@ def write_outputs(record: MassSweepRecord, cfg: SweepConfig,
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
-    paths = {"csv": str(csv_path), "summary": str(summary_path)}
-    if verify_report is not None:
-        verify_path = out / "verify.json"
-        verify_path.write_text(json.dumps(verify_report, sort_keys=True, indent=2) + "\n")
-        paths["verify"] = str(verify_path)
-    return paths
+    return {"csv": str(csv_path), "summary": str(summary_path)}

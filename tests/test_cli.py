@@ -19,7 +19,7 @@ def write_config(tmp_path, name="cfg.json", **over):
     }
     cfg.update(over)
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
     return str(path)
 
 
@@ -71,12 +71,40 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("over", [
+    {"tolerances": {"isometry": "abc"}},
+    {"tolerances": {"hyperboloid": None}},
+    {"tolerances": {"surface_identity": "inf"}},
+    {"seed": -1},
+])
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_bad_config_values_exit_3(tmp_path, capsys, command, over):
+    assert main([command, write_config(tmp_path, **over)]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
 def test_verify_success(tmp_path, capsys):
     assert main(["verify", write_config(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert report["passed"] is True
+
+
+def test_verify_resolves_reference_curvature_at_small_radii(tmp_path):
+    # twelve radii down to eps 0.0044: H0 - 2 cosh(eps) must keep its
+    # fifth-order decay at the deepest radii instead of flattening out
+    path = write_config(
+        tmp_path,
+        family={"name": "perturbed_round",
+                "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}},
+        epsilons=None,
+        schedule={"eps0": 0.2, "ratio": 0.7071067811865476, "count": 12},
+        grid={"n_theta": 64, "n_phi": 4},
+    )
+    assert main(["verify", path]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["entries"]["reference_curvature_order"]["order"] >= 4.5
 
 
 def test_verify_failure_exits_2(tmp_path, capsys):

@@ -87,6 +87,27 @@ def test_revolution_branch_mirror():
     assert plus.u[0] > 0 > minus.u[0]
 
 
+def test_branches_give_the_same_h0():
+    # the normal's orientation follows the branch: chi' flips sign with
+    # it, and H0 is the same on both mirror images
+    fam, _ = family_from_spec({"name": "perturbed_round",
+                               "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}})
+    grid = QuadratureGrid(64, 4)
+    surf = coordinate_sphere(fam, 0.0125, grid)
+    plus, minus = embed_surface(surf, branch=1), embed_surface(surf, branch=-1)
+    assert plus.profile is not None
+    assert np.array_equal(plus.H0, minus.H0)
+    assert np.min(plus.H0) > 2.0
+    # psi = a cos(theta) shifts the sphere along the axis, so
+    # H0 = 2 cosh(eps) + O(eps^8): each branch reaches it to rounding
+    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    for eps in (0.0125, 0.0044):
+        surf = coordinate_sphere(fam, eps, grid)
+        for branch in (1, -1):
+            h0 = embed_surface(surf, branch=branch).H0
+            assert np.max(np.abs(h0 - 2.0 * math.cosh(eps))) <= 1e-14
+
+
 def test_hyperbolic_sphere_reference_curvature_matches_bulk():
     # coordinate spheres of the reference space are geodesic spheres:
     # embedded mean curvature equals the bulk one, 2 cosh(eps)

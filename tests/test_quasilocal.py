@@ -23,10 +23,10 @@ from ahmass import (
     by_mass,
     causal_classify,
     coordinate_sphere,
+    default_schedule,
     embed_round,
     embed_surface,
     enclosing_radii,
-    euclid_by_mass,
     hat_mass,
     hopf_eta,
     integrate_scalar,
@@ -89,17 +89,6 @@ def test_mass_rejects_mismatched_grids():
         by_mass(surf, other)
 
 
-def test_euclid_by_mass_round_examples():
-    s2 = GRID.sin_theta ** 2
-    for r in (0.5, 1.0, 2.0):
-        surf = SurfaceSample(0.1, r * r, 0.0, r * r * s2, 0.0, 1.0 / r ** 2, GRID)
-        # H = 0 against the flat-sphere comparison 2/r gives mass r
-        assert euclid_by_mass(surf, 2.0 / r) == pytest.approx(r, rel=1e-12)
-        surf2 = SurfaceSample(0.1, r * r, 0.0, r * r * s2, 1.0 / r, 1.0 / r ** 2, GRID)
-        assert euclid_by_mass(surf2, 2.0 / r) == pytest.approx(r / 2, rel=1e-12)
-        assert euclid_by_mass(surf2, 1.0 / r) == pytest.approx(0.0, abs=1e-14)
-
-
 def test_alpha_from_radii_values():
     assert alpha_from_radii(1.0, 2.0) == pytest.approx(3.797423536739249, rel=1e-15)
     for r in (0.5, 1.0, 3.0):
@@ -120,6 +109,34 @@ def test_enclosing_radii():
     q1, q2 = enclosing_radii(emb2)
     assert q1 < q2
     assert alpha_from_radii(q1, q2) > 1.0
+
+
+@pytest.fixture(scope="module")
+def cos_theta_by_masses():
+    # m_BY on psi = 0.1 cos(theta) down the 12-radius default schedule;
+    # the boundary mass integral is (0, 0, 1/60, 0)
+    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    grid = QuadratureGrid(64, 4)
+    eps = np.array(default_schedule(0.2, 2 ** -0.5, 12))
+    m = []
+    for e in eps:
+        surf = coordinate_sphere(fam, float(e), grid)
+        m.append(by_mass(surf, embed_surface(surf)).as_array())
+    return eps, np.array(m)
+
+
+def test_by_mass_error_halves_down_to_smallest_radius(cos_theta_by_masses):
+    # the x3 error is c eps^2 + ..., so each 1/sqrt(2) step halves it; a
+    # rounding floor in H0 would break the ratio at the deepest radii
+    _, m = cos_theta_by_masses
+    err = m[:, 2] - 1.0 / 60.0
+    ratios = err[:-1] / err[1:]
+    assert np.all(np.abs(ratios - 2.0) <= 0.05), ratios
+
+
+def test_by_mass_time_component_has_no_rounding_floor(cos_theta_by_masses):
+    eps, m = cos_theta_by_masses
+    assert np.max(np.abs(m[eps <= 0.0125 + 1e-12, 3])) <= 2e-9
 
 
 def test_alpha_one_matches_scaled_by_mass():
@@ -215,11 +232,8 @@ def test_mass_result_tags():
     assert res.tag_by is CausalClass.FUTURE_TIMELIKE
     assert res.tag_hat is CausalClass.PAST_TIMELIKE
     assert res.tag_alpha is None
-    assert res.euclid_by is None
     full = MassResult(0.1,
                       MinkowskiVector(0.0, 0.0, 0.0, 1.0),
                       MinkowskiVector(0.0, 0.0, 0.0, 1.0),
-                      m_alpha=MinkowskiVector(1.0, 0.0, 0.0, 1.0),
-                      euclid_by=0.5)
+                      m_alpha=MinkowskiVector(1.0, 0.0, 0.0, 1.0))
     assert full.tag_alpha is CausalClass.FUTURE_NULL
-    assert full.euclid_by == 0.5
