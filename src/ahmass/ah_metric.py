@@ -23,8 +23,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .lorentz import MinkowskiVector, sphere_direction
 from .sphere_geometry import QuadratureGrid
@@ -129,15 +127,23 @@ def _horizon_radius(m: float) -> float:
     return float(np.max(real))
 
 
-def _ads_tail(m: float, r: float) -> float:
-    # integral_r^infty (V^-1/2 - (1+s^2)^-1/2) ds via s = r/x, x in (0, 1]
-    def integrand(x):
-        s = r / x
-        v = 1.0 + s * s - 2.0 * m / s
-        return (1.0 / math.sqrt(v) - 1.0 / math.sqrt(1.0 + s * s)) * r / (x * x)
+# Gauss-Legendre rule on [0, 1] for the AdS tail integral.
+@functools.lru_cache(maxsize=1)
+def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
+    t, w = np.polynomial.legendre.leggauss(64)
+    return 0.5 * (t + 1.0), 0.5 * w
 
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
-    return val
+
+def _ads_tail(m: float, r: float) -> float:
+    # integral_r^infty (V^-1/2 - (1+s^2)^-1/2) ds via s = r/x, x in (0, 1];
+    # the integrand is smooth there, ~ m x^2 / r^3 as x -> 0, and the
+    # difference is written as 2m/s / (sqrt(V) sqrt(1+s^2) (sqrt(V) + sqrt(1+s^2)))
+    # so nothing cancels at large s
+    x, w = _tail_rule()
+    s = r / x
+    a = np.sqrt(1.0 + s * s)
+    b = np.sqrt(1.0 + s * s - 2.0 * m / s)
+    return float(w @ ((2.0 * m / s) / (a * b * (a + b)) * r / (x * x)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -148,11 +154,13 @@ def ads_collar_transform(m: float, rho: float) -> float:
 
     r is the unique solution above the horizon of
 
-        asinh(r) - integral_r^infty (V^-1/2 - (1+s^2)^-1/2) ds
-            = -log tanh(rho/2),
+        F(r) = asinh(r) - integral_r^infty (V^-1/2 - (1+s^2)^-1/2) ds
+               + log tanh(rho/2) = 0,
 
-    normalized so m = 0 returns exactly 1/sinh rho.  Residual of the
-    defining equation at the returned root is below 1e-12.
+    normalized so m = 0 returns exactly 1/sinh rho.  The tail integral is
+    a 64-point Gauss-Legendre rule in x = r/s; the root comes from Newton's
+    method with the exact slope F'(r) = V(r)^-1/2, kept inside a sign
+    bracket by bisection whenever a step would leave it.
     """
     if m < 0.0:
         raise ValueError("mass must be nonnegative")
@@ -170,7 +178,22 @@ def ads_collar_transform(m: float, rho: float) -> float:
     hi = 3.0 / math.sinh(rho) + 3.0 * m + 3.0
     if f(lo) >= 0.0 or f(hi) <= 0.0:
         raise ValueError("no collar radius in bracket; rho too deep for this mass")
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    r = min(max(1.0 / math.sinh(rho), lo), hi)
+    for _ in range(100):
+        fr = f(r)
+        if fr == 0.0:
+            break
+        if fr < 0.0:
+            lo = r
+        else:
+            hi = r
+        nxt = r - fr * math.sqrt(1.0 + r * r - 2.0 * m / r)  # F / F' = F sqrt(V)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - r) <= 4e-16 * r:
+            return nxt
+        r = nxt
+    return r
 
 
 class AdSSchwarzschild(AHFamily):

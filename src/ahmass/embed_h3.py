@@ -54,7 +54,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from scipy.fft import dct
 
 from .lorentz import LorentzMap, lorentz_inner
 from .sphere_geometry import QuadratureGrid, SurfaceSample
@@ -153,12 +152,14 @@ def _theta_series(func):
     the degree n doubled from RAPIDITY_MIN_DEGREE until the trailing
     eighth of the coefficients is below RAPIDITY_TAIL_TOL of the largest.
     The coefficients of the interpolant through the n + 1 points
-    t_k = cos(k pi / n) come from one DCT-I, in O(n log n).
+    t_k = cos(k pi / n) come from one DCT-I, in O(n log n): the real part
+    of the FFT of the samples' even extension y_0 .. y_n, y_{n-1} .. y_1.
     Returns (coefficients, degree, relative tail)."""
     n = RAPIDITY_MIN_DEGREE
     while True:
         t = np.cos(np.pi * np.arange(n + 1) / n)
-        c = dct(func(0.5 * np.pi * (1.0 + t)), type=1) / n
+        y = func(0.5 * np.pi * (1.0 + t))
+        c = np.fft.rfft(np.concatenate([y, y[-2:0:-1]])).real / n
         c[[0, -1]] *= 0.5
         tail = float(np.max(np.abs(c[-(n // 8):])) / np.max(np.abs(c)))
         if tail <= RAPIDITY_TAIL_TOL:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .ah_metric import (
     AdSSchwarzschild,
@@ -148,16 +147,51 @@ def _tail_monotone(eps, v, vinf) -> bool:
     return bool(np.all(d[:-1] <= d[1:] + slack))
 
 
+def _illinois_root(g, a: float, b: float) -> float | None:
+    """Root of g in [a, b] by the Illinois variant of false position, or
+    None unless g(a) < 0 < g(b).  Stops when two successive estimates
+    agree to 1e-9 relative: the noise floor of g is reached well before."""
+    ga, gb = g(a), g(b)
+    if not ga < 0.0 < gb:
+        return None
+    root, side = None, 0
+    for _ in range(100):
+        q = (a * gb - b * ga) / (gb - ga)
+        if not a < q < b:
+            break
+        gq = g(q)
+        settled = root is not None and abs(q - root) <= 1e-9 * q
+        root = q
+        if settled or gq == 0.0:
+            break
+        if gq < 0.0:
+            a, ga = q, gq
+            if side < 0:
+                gb *= 0.5
+            side = -1
+        else:
+            b, gb = q, gq
+            if side > 0:
+                ga *= 0.5
+            side = 1
+    return root
+
+
 def fit_limit(values, eps_list, known_order: float | None = None) -> FitResult:
     """Least-squares fit of v(eps) = v_inf + C eps^p over a radius list.
 
     The exponent is free inside ORDER_RANGE unless known_order pins it
-    (Richardson-style fallback).  Near-constant data returns the mean
-    with order 0 and order_trusted False; the flag also drops when the
-    distance to the fitted limit fails to shrink monotonically toward
-    small eps, or when the free exponent lands on a search boundary.
-    limit_stderr is the standard error of v_inf from the Gauss-Newton
-    normal matrix.
+    (Richardson-style fallback).  For a fixed p, v_inf and C are linear
+    least squares; p is the best of a 23-point scan of ORDER_RANGE,
+    refined by variable projection (Golub & Pereyra 1973): a bracketed
+    Illinois secant search within one scan step for a root of
+    1/2 dSSR/dp = C sum_i r_i eps_i^p log eps_i that turns from - to +.
+    The scan point stands when there is no such sign change or when the
+    refined p fits worse.  Near-constant data returns the mean with order
+    0 and order_trusted False; the flag also drops when the distance to
+    the fitted limit fails to shrink monotonically toward small eps, or
+    when the free exponent lands on a search boundary.  limit_stderr is
+    the standard error of v_inf from the Gauss-Newton normal matrix.
     """
     v = np.asarray(values, dtype=float)
     eps = np.asarray(eps_list, dtype=float)
@@ -195,31 +229,32 @@ def fit_limit(values, eps_list, known_order: float | None = None) -> FitResult:
         return FitResult(float(coef[0]), float(coef[1]), p, math.sqrt(ssr),
                          stderr, _tail_monotone(eps, v, float(coef[0])))
 
+    scan = np.linspace(ORDER_RANGE[0], ORDER_RANGE[1], 23)
     best = None
-    for p in np.linspace(ORDER_RANGE[0], ORDER_RANGE[1], 23):
+    for p in scan:
         coef, ssr, _ = linear(p)
         if best is None or ssr < best[2]:
             best = (float(p), coef, ssr)
-    p0, coef0, _ = best
-    x0 = np.array([coef0[0], coef0[1], p0])
+    p, coef, ssr = best
 
-    def resid(th):
-        return th[0] + th[1] * eps ** th[2] - v
+    log_eps = np.log(eps)
 
-    def jac(th):
-        ep = eps ** th[2]
-        return np.stack([np.ones_like(eps), ep, th[1] * ep * np.log(eps)], axis=1)
+    def slope(q):
+        # half the derivative in p of the SSR with v_inf and C profiled out
+        c, _, basis = linear(q)
+        return float(c[1] * ((basis @ c - v) @ (basis[:, 1] * log_eps)))
 
-    sol = least_squares(
-        resid, x0, jac=jac,
-        bounds=([-np.inf, -np.inf, ORDER_RANGE[0]], [np.inf, np.inf, ORDER_RANGE[1]]),
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000,
-    )
-    vinf, c, p = (float(t) for t in sol.x)
-    r = resid(sol.x)
-    ssr = float(r @ r)
+    h = float(scan[1] - scan[0])
+    root = _illinois_root(slope, max(p - h, ORDER_RANGE[0]), min(p + h, ORDER_RANGE[1]))
+    if root is not None:
+        coef_q, ssr_q, _ = linear(root)
+        if ssr_q <= ssr:
+            p, coef, ssr = root, coef_q, ssr_q
+
+    vinf, c = float(coef[0]), float(coef[1])
+    ep = eps ** p
     dof = max(v.size - 3, 1)
-    j = jac(sol.x)
+    j = np.stack([np.ones_like(eps), ep, c * ep * log_eps], axis=1)
     try:
         cov = np.linalg.inv(j.T @ j) * (ssr / dof)
         stderr = float(math.sqrt(max(float(cov[0, 0]), 0.0)))

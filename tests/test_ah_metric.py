@@ -1,9 +1,12 @@
 """Metric families in collar form, mass aspect extraction, and the mass vector."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from ahmass import (
     AdSSchwarzschild,
@@ -79,6 +82,47 @@ def test_ads_transform_satisfies_radial_ode():
     drdrho = (ads_collar_transform(m, rho + h) - ads_collar_transform(m, rho - h)) / (2 * h)
     v = 1.0 + r * r - 2.0 * m / r
     assert drdrho == pytest.approx(-math.sqrt(v) / math.sinh(rho), rel=1e-8)
+
+
+def _collar_radius_oracle(m, rho):
+    # adaptive quadrature of the tail in x = r/s and a bracketing root finder
+    def tail(r):
+        def integrand(x):
+            s = r / x
+            v = 1.0 + s * s - 2.0 * m / s
+            return (1.0 / math.sqrt(v) - 1.0 / math.sqrt(1.0 + s * s)) * r / (x * x)
+        return quad(integrand, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    target = -math.log(math.tanh(0.5 * rho))
+    horizon = brentq(lambda r: r ** 3 + r - 2.0 * m, 0.0, 2.0 * m + 1.0, xtol=1e-15)
+    lo = max(0.5 / math.sinh(rho), horizon * (1.0 + 1e-10))
+    hi = 3.0 / math.sinh(rho) + 3.0 * m + 3.0
+    return brentq(lambda r: math.asinh(r) - tail(r) - target, lo, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("m", [0.25, 1.0, 3.3, 5.0])
+def test_ads_transform_matches_quadrature_oracle(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the oracle's quad warns for m >~ 3
+        for rho in np.geomspace(0.002, 0.5, 25):
+            want = _collar_radius_oracle(m, float(rho))
+            assert ads_collar_transform(m, float(rho)) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("m, rho", [(20.0, 0.5), (100.0, 0.3), (100.0, 0.5)])
+def test_ads_transform_rejects_radius_below_horizon(m, rho):
+    with pytest.raises(ValueError, match="no collar radius in bracket"):
+        ads_collar_transform(m, rho)
+
+
+@pytest.mark.parametrize("m", [3.05, 3.3])
+def test_ads_transform_does_not_warn(m):
+    # rho = 0.3 is the radius of verify's flat_laplacian_decay entry
+    ads_collar_transform.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = ads_collar_transform(m, 0.3)
+    assert r > 1.0 / math.sinh(0.3)
 
 
 def test_ads_transform_rejects_negative_mass():

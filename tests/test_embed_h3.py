@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.integrate import quad
 
 from ahmass import (
@@ -173,6 +174,26 @@ def test_rapidity_unresolved_at_degree_cap(monkeypatch):
     monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 128)
     with pytest.raises(EmbeddingError, match="unresolved at degree 128"):
         embed_surface(surf)
+
+
+@pytest.mark.parametrize("func, chop", [
+    (lambda th: np.exp(np.cos(th)) * np.sin(th), "min"),
+    (lambda th: 1.0 / (1.0 + 25.0 * np.cos(th) ** 2), "deep"),
+])
+def test_theta_series_matches_dct_oracle(func, chop):
+    # an entire function chops at the first degree; one with poles at
+    # cos th = +-i/5 needs several doublings
+    c, n, tail = embed_h3._theta_series(func)
+    if chop == "min":
+        assert n == embed_h3.RAPIDITY_MIN_DEGREE
+    else:
+        assert n >= 256
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    want = dct(func(0.5 * np.pi * (1.0 + t)), type=1) / n
+    want[[0, -1]] *= 0.5
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(c - want)) <= 1e-15 * scale
+    assert abs(tail - np.max(np.abs(want[-(n // 8):])) / scale) <= 1e-15
 
 
 def test_rapidity_matches_adaptive_quadrature():

@@ -31,6 +31,7 @@ from ahmass import embed_h3
 from ahmass.sweep import DEFAULT_SEED, DEFAULT_TOLERANCES, ORDER_RANGE
 
 EPS8 = np.geomspace(0.2, 0.02, 8)
+EPS_FIT4 = np.array(default_schedule(0.2, 2 ** -0.5, 8)[-4:])
 
 
 def fast_config(tmp_path, **over):
@@ -40,11 +41,19 @@ def fast_config(tmp_path, **over):
     return SweepConfig(**base)
 
 
-def test_fit_limit_quadratic():
-    fit = fit_limit(3.0 + 2.0 * EPS8 ** 2, EPS8)
-    assert fit.limit == pytest.approx(3.0, abs=1e-8)
-    assert fit.coefficient == pytest.approx(2.0, rel=1e-4)
-    assert fit.order == pytest.approx(2.0, abs=1e-3)
+@pytest.mark.parametrize("eps, vinf, coeff, order", [
+    (EPS8, 3.0, 2.0, 2.0),
+    # exponents between the scan points, on the four radii a default
+    # 8-radius sweep fits: the refinement must land on the exponent
+    (EPS_FIT4, 0.035, -0.0058, 1.996),
+    (EPS_FIT4, 0.0167, 0.004, 2.003),
+    (EPS_FIT4, 1.0, 0.3, 2.37),
+], ids=["on-grid", "off-grid-1.996", "off-grid-2.003", "off-grid-2.37"])
+def test_fit_limit_quadratic(eps, vinf, coeff, order):
+    fit = fit_limit(vinf + coeff * eps ** order, eps)
+    assert abs(fit.limit - vinf) < 1e-12 * (1.0 + abs(vinf))
+    assert fit.coefficient == pytest.approx(coeff, rel=1e-4)
+    assert abs(fit.order - order) < 1e-6
     assert fit.order_trusted
     assert fit.limit_stderr < 1e-6
 
