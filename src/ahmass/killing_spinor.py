@@ -51,14 +51,17 @@ ON_SHEET_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpinorValue:
-    """Two complex spinor components at one point."""
+    """Two complex spinor components at one point, or two complex arrays
+    of them at many points."""
 
-    c1: complex
-    c2: complex
+    c1: complex | np.ndarray
+    c2: complex | np.ndarray
 
     @property
-    def norm_sq(self) -> float:
-        return float(abs(self.c1) ** 2 + abs(self.c2) ** 2)
+    def norm_sq(self):
+        """|c1|^2 + |c2|^2: a float at one point, an array at many."""
+        out = np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2
+        return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class KillingNormField:
         return -lorentz_inner(emb.X, self.eta.as_array())
 
 
-def spinor_at(z: SpinorParameter, r: float, theta: float, phi: float) -> SpinorValue:
+def spinor_at(z: SpinorParameter, r, theta, phi) -> SpinorValue:
     """Killing spinor components at polar position (r, theta, phi),
     axis along x1:
 
@@ -94,29 +97,43 @@ def spinor_at(z: SpinorParameter, r: float, theta: float, phi: float) -> SpinorV
 
     Components are anti-periodic in phi with period 2 pi; the squared
     norm is 2 pi-periodic and equals the field value at
-    spinor_polar_point(r, theta, phi)."""
+    spinor_polar_point(r, theta, phi).
+
+    r, theta and phi are floats or arrays that broadcast together; the
+    components are Python complex numbers for float input and complex
+    arrays of the broadcast shape otherwise."""
+    r, theta, phi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, theta, phi)))
     ep = np.exp(0.5j * phi)
     c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
     c1 = (z.z1 * ep * c + z.z2 * np.conj(ep) * s) * np.exp(0.5 * r)
     c2 = -(z.z1 * ep * s - z.z2 * np.conj(ep) * c) * np.exp(-0.5 * r)
-    return SpinorValue(complex(c1), complex(c2))
+    if c1.ndim == 0:
+        return SpinorValue(complex(c1), complex(c2))
+    return SpinorValue(c1, c2)
 
 
-def spinor_polar_point(r: float, theta: float, phi: float) -> MinkowskiVector:
-    """Hyperboloid point in the spinor formula's frame (polar axis x1)."""
-    if r < 0:
+def spinor_polar_point(r, theta, phi):
+    """Hyperboloid point in the spinor formula's frame (polar axis x1).
+
+    A MinkowskiVector for float input; for arrays that broadcast to shape
+    S, an S + (4,) array of points in (x1, x2, x3, t) order."""
+    r, theta, phi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, theta, phi)))
+    if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
     sr = np.sinh(r)
-    return MinkowskiVector(
-        float(sr * np.cos(theta)),
-        float(sr * np.sin(theta) * np.cos(phi)),
-        float(sr * np.sin(theta) * np.sin(phi)),
-        float(np.cosh(r)),
-    )
+    pts = np.stack([sr * np.cos(theta), sr * np.sin(theta) * np.cos(phi),
+                    sr * np.sin(theta) * np.sin(phi), np.cosh(r)], axis=-1)
+    if pts.ndim == 1:
+        return MinkowskiVector.from_array(pts)
+    return pts
+
+
+def _rows(X) -> np.ndarray:
+    return X.as_array() if isinstance(X, MinkowskiVector) else np.asarray(X, dtype=float)
 
 
 def _require_on_sheet(X):
-    arr = X.as_array() if isinstance(X, MinkowskiVector) else np.asarray(X, dtype=float)
+    arr = _rows(X)
     defect = np.max(np.abs(lorentz_inner(arr, arr) + 1.0))
     if defect > ON_SHEET_TOL:
         raise ValueError("point is off the hyperboloid by %.3e" % defect)
@@ -129,32 +146,49 @@ def norm_field_at(field: KillingNormField, X):
     return field.value(arr)
 
 
-def geodesic_norm_check(field: KillingNormField, start: MinkowskiVector,
-                        direction: MinkowskiVector, t_samples):
+def geodesic_norm_check(field, start, direction, t_samples):
     """Restrict F to the unit-speed geodesic cosh t X0 + sinh t V and fit
     A e^t + B e^{-t}; returns (A, B, max fit residual).
 
     The fit residual vanishes to rounding because the restriction of a
     linear form to a geodesic solves u'' = u exactly; a visible residual
-    flags a broken field or geodesic."""
-    eta = field.eta
-    if max(abs(c) for c in eta.as_array()) == 0.0:
-        raise ValueError("zero direction vector has a constant norm field")
-    x0 = start.as_array()
-    v = direction.as_array()
-    if abs(lorentz_inner(x0, x0) + 1.0) > ON_SHEET_TOL:
-        raise ValueError("geodesic start is off the hyperboloid")
-    if abs(lorentz_inner(v, v) - 1.0) > ON_SHEET_TOL or abs(lorentz_inner(x0, v)) > ON_SHEET_TOL:
-        raise ValueError("direction must be unit spacelike and tangent at the start")
+    flags a broken field or geodesic.
+
+    Batched form: field may be a sequence of n fields, one per row, and
+    start and direction (n, 4) arrays; single fields, points or
+    directions broadcast against the rows.  Every row is validated (a
+    nonzero eta, the start on the sheet, a unit spacelike direction
+    tangent at the start) and all rows are fitted by one least-squares
+    solve against the shared (len(t), 2) basis.  A, B and the residual
+    are floats when field, start and direction are all single, and
+    length-n arrays otherwise."""
+    single = isinstance(field, KillingNormField)
+    eta = np.array([f.eta.as_array() for f in ([field] if single else field)])
+    x0, v = _rows(start), _rows(direction)
+    single = single and x0.ndim == 1 and v.ndim == 1
+    eta, x0, v = np.broadcast_arrays(eta, np.atleast_2d(x0), np.atleast_2d(v))
+    bad = np.flatnonzero(np.max(np.abs(eta), axis=1) == 0.0)
+    if bad.size:
+        raise ValueError("row %d: zero direction vector has a constant norm field" % bad[0])
+    bad = np.flatnonzero(np.abs(lorentz_inner(x0, x0) + 1.0) > ON_SHEET_TOL)
+    if bad.size:
+        raise ValueError("row %d: geodesic start is off the hyperboloid" % bad[0])
+    bad = np.flatnonzero((np.abs(lorentz_inner(v, v) - 1.0) > ON_SHEET_TOL)
+                         | (np.abs(lorentz_inner(x0, v)) > ON_SHEET_TOL))
+    if bad.size:
+        raise ValueError("row %d: direction must be unit spacelike and tangent at the start"
+                         % bad[0])
     t = np.asarray(t_samples, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.ptp(t) < 1e-12:
         raise ValueError("need at least two distinct parameter samples")
-    pts = np.cosh(t)[:, None] * x0[None, :] + np.sinh(t)[:, None] * v[None, :]
-    u = field.value(pts)
+    pts = np.cosh(t)[:, None, None] * x0 + np.sinh(t)[:, None, None] * v
+    u = -lorentz_inner(pts, eta)
     basis = np.stack([np.exp(t), np.exp(-t)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
-    resid = float(np.max(np.abs(basis @ coef - u)))
-    return float(coef[0]), float(coef[1]), resid
+    resid = np.max(np.abs(basis @ coef - u), axis=0)
+    if single:
+        return float(coef[0, 0]), float(coef[1, 0]), float(resid[0])
+    return coef[0], coef[1], resid
 
 
 def gradient_identity_residual(field: KillingNormField, points) -> float:

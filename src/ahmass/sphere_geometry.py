@@ -238,7 +238,10 @@ def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:
     Works modewise in phi.  Each Fourier mode is factored as
     sin^p th * (smooth function of cos th), p the mode parity, so every
     theta-derivative acts on a pole-regular function; this keeps spectral
-    accuracy through the poles.
+    accuracy through the poles.  The even and the odd modes go through
+    the theta-derivative together, as real and imaginary columns of one
+    real matrix product: a real-by-complex product stalls in a threaded
+    BLAS on small hosts.
     """
     g = surface.grid
     if not surface.is_axisymmetric():
@@ -247,30 +250,26 @@ def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:
         raise ValueError("surface_laplacian requires F = 0")
     f = g.as_field(field)
 
-    x = g.x
-    s = g.sin_theta
+    x = g.x[:, None]
+    s = g.sin_theta[:, None]
     s2 = 1.0 - x ** 2
-    E = surface.E[:, 0]
-    A = surface.G[:, 0] / s2  # pole-regular angular coefficient
-    j = np.sqrt(E * A)        # area element = sin th * j
-    d = g.deriv_x
+    E = surface.E[:, :1]
+    A = surface.G[:, :1] / s2  # pole-regular angular coefficient
+    j = np.sqrt(E * A)         # area element = sin th * j
+
+    def d(modes):
+        re = np.ascontiguousarray(modes).view(float)
+        return (g.deriv_x @ re).view(complex)
 
     fh = np.fft.rfft(f, axis=1)
-    out = np.zeros_like(fh)
-    for m in range(fh.shape[1]):
-        fm = fh[:, m]
-        if m % 2 == 0:
-            gm = fm
-            afn = -s2 * (j / E) * (d @ gm)
-            div = -(d @ afn) / j
-        else:
-            gm = fm / s
-            b = (j / E) * (x * gm - s2 * (d @ gm))
-            div = (x * b - s2 * (d @ b)) / (s * j)
-        lap = div
-        if m > 0:
-            lap = lap - (m * m) * fm / (A * s2)
-        out[:, m] = lap
+    out = np.empty_like(fh)
+    afn = -s2 * (j / E) * d(fh[:, 0::2])
+    out[:, 0::2] = -d(afn) / j
+    gm = fh[:, 1::2] / s
+    b = (j / E) * (x * gm - s2 * d(gm))
+    out[:, 1::2] = (x * b - s2 * d(b)) / (s * j)
+    m = np.arange(1, fh.shape[1])
+    out[:, 1:] -= (m * m) * fh[:, 1:] / (A * s2)
     return np.fft.irfft(out, n=g.n_phi, axis=1)
 
 

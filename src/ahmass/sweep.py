@@ -289,6 +289,36 @@ def decay_order(values, eps_list, floor=1e-13) -> float:
     return float(coef[1])
 
 
+# |int lap f / (H + 2) dS| on coordinate spheres: lap f sees only the
+# l = 1 part of f (size 1/eps, eigenvalue ~ 2 eps^2 on an area ~ 4 pi /
+# eps^2), and the weight 1/(H + 2) varies by O(eps^3), so the integral is
+# O(eps^2).  A tail order of 1.5 tells that from an eps^1 or a flat tail
+# while leaving room for the eps^3 correction at the larger tail radii.
+FLAT_LAPLACIAN_MIN_ORDER = 1.5
+
+
+def judge_flat_laplacian(values, radii, tol) -> dict:
+    """Verify entry for |int lap f / (H + 2) dS| sampled at radii (largest
+    first): zero to rounding when the first value is within
+    tol["funclim_atol"]; otherwise its decay order over the smaller half
+    of the radii (the area_growth convention; values below the atol carry
+    no order) must reach FLAT_LAPLACIAN_MIN_ORDER and the last value must
+    fall to tol["funclim_factor"] times the first, or to the atol."""
+    vals = [float(v) for v in values]
+    atol = tol["funclim_atol"]
+    if vals[0] <= atol:
+        return {"passed": True, "initial": vals[0], "final": vals[-1],
+                "note": "zero to rounding", "tolerance": atol}
+    n_fit = max(3, math.ceil(len(vals) / 2))
+    order = decay_order(vals[-n_fit:], radii[-n_fit:], floor=atol)
+    ok = (order >= FLAT_LAPLACIAN_MIN_ORDER
+          and vals[-1] <= max(tol["funclim_factor"] * vals[0], atol))
+    return {"passed": ok, "initial": vals[0], "final": vals[-1],
+            "factor": vals[-1] / vals[0], "order": _jsonable(order),
+            "tolerance": tol["funclim_factor"],
+            "radii": [float(e) for e in radii]}
+
+
 # ---------------------------------------------------------------------------
 # Cone pairing
 
@@ -725,25 +755,22 @@ def verify_identities(cfg: SweepConfig) -> dict:
             r = rng.uniform(0.0, 3.0, 1000)
             th = rng.uniform(0.0, np.pi, 1000)
             ph = rng.uniform(0.0, 2.0 * np.pi, 1000)
-            for k in range(1000):
-                sv = spinor_at(z, r[k], th[k], ph[k])
-                f = fld.value(spinor_polar_point(r[k], th[k], ph[k]).as_array())
-                worst = max(worst, abs(sv.norm_sq - f))
+            f = fld.value(spinor_polar_point(r, th, ph))
+            worst = max(worst, float(np.max(np.abs(spinor_at(z, r, th, ph).norm_sq - f))))
         return {"passed": worst <= tol["spinor_norm"], "residual": worst,
                 "tolerance": tol["spinor_norm"], "samples": 10000}
 
     def e_geodesic():
-        worst = 0.0
-        t = np.linspace(-1.0, 1.0, 9)
+        flds, x0, y = [], [], []
         for _ in range(100):
-            fld = KillingNormField.from_spinor(_random_unit_spinor(rng))
-            x0 = _random_sheet_points(rng, 1, 2.0)[0]
-            y = rng.standard_normal(4)
-            v = y + lorentz_inner(y, x0) * x0
-            v = v / math.sqrt(lorentz_inner(v, v))
-            _, _, resid = geodesic_norm_check(
-                fld, MinkowskiVector.from_array(x0), MinkowskiVector.from_array(v), t)
-            worst = max(worst, resid)
+            flds.append(KillingNormField.from_spinor(_random_unit_spinor(rng)))
+            x0.append(_random_sheet_points(rng, 1, 2.0)[0])
+            y.append(rng.standard_normal(4))
+        x0, y = np.array(x0), np.array(y)
+        v = y + lorentz_inner(y, x0)[:, None] * x0
+        v = v / np.sqrt(lorentz_inner(v, v))[:, None]
+        _, _, resid = geodesic_norm_check(flds, x0, v, np.linspace(-1.0, 1.0, 9))
+        worst = float(np.max(resid))
         return {"passed": worst <= tol["geodesic_fit"], "residual": worst,
                 "tolerance": tol["geodesic_fit"], "samples": 100}
 
@@ -834,15 +861,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
             f = fld.value_on(emb)
             lap = surface_laplacian(surf, f)
             vals.append(abs(integrate_scalar(surf, lap / (surf.H + 2.0))))
-        atol = tol["funclim_atol"]
-        if vals[0] <= atol:
-            return {"passed": True, "initial": vals[0], "final": vals[-1],
-                    "note": "zero to rounding", "tolerance": atol}
-        shrinking = all(b <= 1.1 * a + atol for a, b in zip(vals, vals[1:]))
-        ok = shrinking and vals[-1] <= max(tol["funclim_factor"] * vals[0], atol)
-        return {"passed": ok, "initial": vals[0], "final": vals[-1],
-                "factor": vals[-1] / vals[0], "tolerance": tol["funclim_factor"],
-                "radii": [float(e) for e in eps_fun]}
+        return judge_flat_laplacian(vals, eps_fun, tol)
 
     def e_embedding():
         worst_iso = worst_defect = 0.0

@@ -13,6 +13,7 @@ from ahmass import (
     PerturbedRound,
     QuadratureGrid,
     SpinorParameter,
+    SpinorValue,
     coordinate_sphere,
     embed_round,
     embed_surface,
@@ -64,6 +65,30 @@ def test_component_norm_matches_field_everywhere():
             got = spinor_at(z, ri, ti, pi).norm_sq
             want = field.value(spinor_polar_point(ri, ti, pi).as_array())
             assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_array_calls_match_scalar_calls():
+    rng = np.random.default_rng(RNG_SEED + 6)
+    z = random_spinor(rng)
+    r = rng.uniform(0.0, 3.0, size=200)
+    th = rng.uniform(0.0, np.pi, size=200)
+    ph = rng.uniform(0.0, 2 * np.pi, size=200)
+    norms = spinor_at(z, r, th, ph).norm_sq
+    pts = spinor_polar_point(r, th, ph)
+    assert norms.shape == (200,) and pts.shape == (200, 4)
+    for k in range(200):
+        sv = spinor_at(z, r[k], th[k], ph[k])
+        assert isinstance(sv, SpinorValue)
+        assert isinstance(sv.c1, complex) and isinstance(sv.c2, complex)
+        assert isinstance(sv.norm_sq, float)
+        assert abs(norms[k] - sv.norm_sq) <= 1e-15 * sv.norm_sq
+        x = spinor_polar_point(r[k], th[k], ph[k])
+        assert isinstance(x, MinkowskiVector)
+        assert np.all(np.abs(pts[k] - x.as_array()) <= 1e-15 * np.abs(x.as_array()))
+    grid = spinor_at(z, r[:3, None], th[None, :5], 0.4)
+    assert grid.c1.shape == grid.c2.shape == (3, 5)
+    with pytest.raises(ValueError):
+        spinor_polar_point(np.array([0.5, -0.1]), 0.0, 0.0)
 
 
 def test_spinor_components_antiperiodic():
@@ -143,6 +168,55 @@ def test_geodesic_check_validates_input():
         geodesic_norm_check(field, origin, MinkowskiVector(2.0, 0.0, 0.0, 0.0), [0.0, 1.0])
     with pytest.raises(ValueError):
         geodesic_norm_check(field, origin, ex, [1.0])
+
+
+def random_geodesics(rng, n):
+    fields = [KillingNormField.from_spinor(random_spinor(rng)) for _ in range(n)]
+    x0 = random_points(rng, n)
+    v = np.concatenate([rng.normal(size=(n, 3)), np.zeros((n, 1))], axis=1)
+    v = v + lorentz_inner(v, x0)[:, None] * x0
+    return fields, x0, v / np.sqrt(lorentz_inner(v, v))[:, None]
+
+
+def test_batched_geodesic_check_matches_rows():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    t = np.linspace(-1.0, 1.0, 9)
+    fields, x0, v = random_geodesics(rng, 30)
+    a, b, resid = geodesic_norm_check(fields, x0, v, t)
+    assert a.shape == b.shape == resid.shape == (30,)
+    for k in range(30):
+        ak, bk, rk = geodesic_norm_check(fields[k], MinkowskiVector(*x0[k]),
+                                         MinkowskiVector(*v[k]), t)
+        assert isinstance(ak, float) and isinstance(rk, float)
+        assert (a[k], b[k]) == pytest.approx((ak, bk), rel=1e-13, abs=1e-13)
+        assert resid[k] <= 1e-10 * max(abs(ak), abs(bk), 1.0)
+    # one field broadcasts against many geodesics
+    a1, _, _ = geodesic_norm_check(fields[0], x0, v, t)
+    assert a1.shape == (30,) and a1[0] == pytest.approx(a[0], rel=1e-13)
+
+
+def test_batched_geodesic_check_validates_every_row():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    t = np.linspace(-1.0, 1.0, 9)
+    fields, x0, v = random_geodesics(rng, 12)
+    off = x0.copy()
+    off[7, 0] += 1e-3
+    with pytest.raises(ValueError, match="row 7.*off the hyperboloid"):
+        geodesic_norm_check(fields, off, v, t)
+    slanted = v.copy()
+    slanted[4] = slanted[4] + 1e-3 * x0[4]
+    with pytest.raises(ValueError, match="row 4.*tangent"):
+        geodesic_norm_check(fields, x0, slanted, t)
+    long = v.copy()
+    long[11] *= 2.0
+    with pytest.raises(ValueError, match="row 11.*unit spacelike"):
+        geodesic_norm_check(fields, x0, long, t)
+    zero = list(fields)
+    zero[2] = KillingNormField(MinkowskiVector(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="row 2.*constant"):
+        geodesic_norm_check(zero, x0, v, t)
+    with pytest.raises(ValueError):
+        geodesic_norm_check(fields, x0, v, [0.5, 0.5])
 
 
 def test_gradient_identity():

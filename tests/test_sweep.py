@@ -28,7 +28,8 @@ from ahmass import (
     write_outputs,
 )
 from ahmass import embed_h3
-from ahmass.sweep import DEFAULT_SEED, DEFAULT_TOLERANCES, ORDER_RANGE
+from ahmass import killing_spinor
+from ahmass.sweep import DEFAULT_SEED, DEFAULT_TOLERANCES, ORDER_RANGE, judge_flat_laplacian
 
 EPS8 = np.geomspace(0.2, 0.02, 8)
 EPS_FIT4 = np.array(default_schedule(0.2, 2 ** -0.5, 8)[-4:])
@@ -113,6 +114,37 @@ def test_decay_order_floor():
         decay_order([1e-3], [0.1])
     with pytest.raises(ValueError):
         decay_order([1e-3, 1e-4], [0.1, -0.2])
+
+
+# |int lap f / (H + 2) dS| of the perturbed-round case poly_cos [-0.146918,
+# -0.00012, -0.132763] (8 radii, 64x4, default seed): it rises over the
+# first step, then decays as eps^2
+FLAT_LAP_RADII = np.geomspace(0.3, 0.0075, 8)
+FLAT_LAP_RISING = [5.660467896027572e-07, 9.789295754576514e-07, 4.0274528674355853e-07,
+                   1.451045510599822e-07, 5.094397180031129e-08, 1.7785437359338902e-08,
+                   6.2028036248771505e-09, 2.1612074894846772e-09]
+
+
+def test_flat_laplacian_judgement_tail_order():
+    tol = dict(DEFAULT_TOLERANCES)
+    rising = judge_flat_laplacian(FLAT_LAP_RISING, FLAT_LAP_RADII, tol)
+    assert FLAT_LAP_RISING[1] > 1.1 * FLAT_LAP_RISING[0]
+    assert rising["passed"] and rising["order"] == pytest.approx(2.0, abs=0.01)
+    # a sharp drop over the large radii, then a tail that ends under the
+    # final-value bound: only the tail order can tell these apart
+    head = [1e-3, 1e-4, 1e-5, 1e-6]
+    tail_eps = FLAT_LAP_RADII[4:] / FLAT_LAP_RADII[4]
+    for power, passed in ((2.0, True), (1.0, False), (0.0, False)):
+        vals = head + list(5e-7 * tail_eps ** power)
+        assert vals[-1] <= tol["funclim_factor"] * vals[0]
+        entry = judge_flat_laplacian(vals, FLAT_LAP_RADII, tol)
+        assert entry["passed"] is passed, power
+        assert entry["order"] == pytest.approx(power, abs=1e-9)
+    zero = judge_flat_laplacian([1e-13] * 8, FLAT_LAP_RADII, tol)
+    assert zero["passed"] and zero["note"] == "zero to rounding"
+    # an eps^2 tail after a flat head still misses the final-value bound
+    late = judge_flat_laplacian([1e-3] * 4 + list(1e-3 * tail_eps ** 2), FLAT_LAP_RADII, tol)
+    assert not late["passed"] and late["order"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_cone_pairing_exact_values():
@@ -395,3 +427,24 @@ def test_verify_embeds_each_sphere_once(tmp_path, monkeypatch):
     assert len(calls) == 16
     assert len(set(calls)) == len(calls)
     assert all(branch == cfg.branch for _, branch in calls)
+
+
+def test_verify_checks_spinors_in_array_calls(tmp_path, monkeypatch):
+    # the spinor norm check takes one array call per spinor, and the
+    # geodesic restriction one batched fit for all its triples
+    counts = {"spinor_at": 0, "spinor_polar_point": 0, "geodesic_norm_check": 0}
+    for name in counts:
+        real = getattr(killing_spinor, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("ahmass.") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    report = verify_identities(fast_config(tmp_path, eps_list=default_schedule()))
+    assert report["passed"] is True
+    assert counts["spinor_at"] <= 10
+    assert counts["spinor_polar_point"] <= 10
+    assert counts["geodesic_norm_check"] <= 1
