@@ -146,7 +146,11 @@ def _ads_tail(m: float, r: float) -> float:
     return float(w @ ((2.0 * m / s) / (a * b * (a + b)) * r / (x * x)))
 
 
-@functools.lru_cache(maxsize=4096)
+# The memo serves repeats within one config: its sweep and its verify ask
+# for the same (mass, rho) pairs, n + 8 distinct ones on n radii (16 on 8,
+# 20 on 12).  64 holds all of them up to about 50 radii; a larger cache
+# only keeps pairs of configs that no later run asks for.
+@functools.lru_cache(maxsize=64)
 def ads_collar_transform(m: float, rho: float) -> float:
     """Static area radius r of the coordinate sphere {rho = const} in the
     collar form of the AdS-Schwarzschild metric V^-1 dr^2 + r^2 h0,

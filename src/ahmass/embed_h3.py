@@ -21,15 +21,19 @@ gives the exact factorization
     x = cos th,
 
 whose bracket stays bounded away from the difference-of-large-terms trap.
-A, B and E are the grid's own Gauss-Legendre interpolants in x, evaluated
-off the nodes by the barycentric formula (grid.interp_x); the
-x-derivatives of A, of A_x/(2 sqrt A) and of the bracket at the nodes
-come from the grid's differentiation matrix (grid.deriv_x).  chi' is
-resolved by a Chebyshev series in th on [0, pi], whose degree is doubled
-until the series tail is negligible (Aurentz & Trefethen, "Chopping a
-Chebyshev series", ACM TOMS 2017), and integrated once.  Near the poles
-chi' varies on a th scale of about 1/max f, which a series in x cannot
-resolve.  chi'' comes in closed form, never from differencing.
+A, B and E are the grid's own Gauss-Legendre interpolants in x.  The
+poles and the discriminant probe read them at x = cos(k pi / 2000) from
+their Chebyshev coefficients in x and one FFT
+(grid.interp_uniform_theta); the chi' samples read them by the
+barycentric formula (grid.interp_x).  The x-derivatives of A, of
+A_x/(2 sqrt A) and of the bracket at the nodes come from the grid's
+differentiation matrix (grid.deriv_x).  chi' is resolved by a Chebyshev
+series in th on [0, pi], whose degree is doubled on nested points until
+the series tail is negligible (Aurentz & Trefethen, "Chopping a
+Chebyshev series", ACM TOMS 2017), and integrated once, term by term,
+with the primitive summed at the nodes in one matrix product.  Near the
+poles chi' varies on a th scale of about 1/max f, which a series in x
+cannot resolve.  chi'' comes in closed form, never from differencing.
 
 H0 and the normal are computed in the comoving frame: boosting each
 meridian point by -chi, an isometry, gives
@@ -53,7 +57,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .lorentz import LorentzMap, lorentz_inner
 from .sphere_geometry import QuadratureGrid, SurfaceSample
@@ -154,11 +157,17 @@ def _theta_series(func):
     The coefficients of the interpolant through the n + 1 points
     t_k = cos(k pi / n) come from one DCT-I, in O(n log n): the real part
     of the FFT of the samples' even extension y_0 .. y_n, y_{n-1} .. y_1.
+    The points are nested: those of degree n are, bit for bit, the even
+    points of degree 2n, so a doubling samples func only at the n new odd
+    points and every point is sampled once, n + 1 in all.
     Returns (coefficients, degree, relative tail)."""
+
+    def sample(k, n):
+        return func(0.5 * np.pi * (1.0 + np.cos(np.pi * k / n)))
+
     n = RAPIDITY_MIN_DEGREE
+    y = sample(np.arange(n + 1), n)
     while True:
-        t = np.cos(np.pi * np.arange(n + 1) / n)
-        y = func(0.5 * np.pi * (1.0 + t))
         c = np.fft.rfft(np.concatenate([y, y[-2:0:-1]])).real / n
         c[[0, -1]] *= 0.5
         tail = float(np.max(np.abs(c[-(n // 8):])) / np.max(np.abs(c)))
@@ -169,6 +178,28 @@ def _theta_series(func):
                 "rapidity series unresolved at degree %d (relative tail %.3e)" % (n, tail)
             )
         n *= 2
+        y = np.insert(y, np.arange(1, y.size), sample(np.arange(1, n, 2), n))
+
+
+def _primitive_at(c, t, scl):
+    """Values at t in [-1, 1] of scl times the primitive of the Chebyshev
+    series c that vanishes at t = -1, with no loop over the degree.  The
+    primitive has the coefficients b_k = scl (c_{k-1} - c_{k+1}) / (2k),
+    k >= 1 (c_0 counted twice, c zero beyond its degree), and
+    b_0 = -sum_k (-1)^k b_k.  With T_k(t) = Re z^k, z = exp(i arccos t),
+    and k = 32 q + r, sum_k b_k z^k = sum_q z^(32 q) sum_r b_(32 q + r) z^r
+    is one matrix product, and each point needs only 32 + (degree + 2) / 32
+    complex exponentials."""
+    k = np.arange(1, c.size + 1)
+    lo = np.concatenate([[2.0 * c[0]], c[1:]])
+    hi = np.concatenate([c[2:], [0.0, 0.0]])
+    b = scl * (lo - hi) / (2.0 * k)
+    b = np.concatenate([[-np.sum((-1.0) ** k * b)], b])
+    q = -(-b.size // 32)
+    b = np.pad(b, (0, 32 * q - b.size)).reshape(q, 32)
+    phi = np.arccos(t)[:, None]
+    return np.sum(np.exp(32j * phi * np.arange(q)) * (np.exp(1j * phi * np.arange(32)) @ b.T),
+                  axis=1).real
 
 
 def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionProfile:
@@ -199,11 +230,13 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
     B = (E - A) / s2
     Ax = grid.deriv_x @ A
     nodal = np.stack([A, B, E, Ax], axis=1)
+    # the interpolants at x = cos(k pi / 2000): both poles and the probe
+    probe_x = np.cos(np.linspace(0.0, np.pi, 2001))
+    probe = grid.interp_uniform_theta(nodal, 2000)
 
     # pole regularity: G/sin^2 must meet E at both poles
     scale = float(np.max(E))
-    poles = grid.interp_x(nodal[:, [0, 2]], np.array([1.0, -1.0]))
-    if np.max(np.abs(poles[:, 0] - poles[:, 1])) > 1e-6 * scale:
+    if np.max(np.abs(probe[[0, -1], 0] - probe[[0, -1], 2])) > 1e-6 * scale:
         raise EmbeddingError("pole regularity violated: G/sin^2 != E at a pole")
 
     def bracket(xq, a, b, e, ax):
@@ -215,8 +248,7 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
             )
         return d
 
-    probe = np.cos(np.linspace(0.0, np.pi, 2001))
-    bracket(probe, *grid.interp_x(nodal, probe).T)  # raises if negative anywhere
+    bracket(probe_x, *probe.T)  # raises if negative anywhere
 
     # branch +1 = north pole up after centering = rapidity decreasing in theta
     sig = -branch
@@ -227,7 +259,6 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
         return sig * sq * np.sqrt(bracket(xq, a, b, e, ax)) / (1.0 + sq * sq * a)
 
     coef, degree, tail = _theta_series(chi_prime)
-    chi_c = cheb.chebint(coef, scl=0.5 * np.pi, lbnd=-1.0)
 
     p = np.sqrt(A)
     q = Ax / (2.0 * p)
@@ -250,7 +281,7 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
 
     # Centering shift, applied twice: the moments grow like rho^2 at small
     # radii, so one pass leaves a rounding residue the second removes.
-    chi = cheb.chebval(2.0 * grid.theta / np.pi - 1.0, chi_c)
+    chi = _primitive_at(coef, 2.0 * grid.theta / np.pi - 1.0, 0.5 * np.pi)
     for _ in range(2):
         iu = float(np.sum(grid.w_theta * rho * np.sinh(chi) * f / s))
         iw = float(np.sum(grid.w_theta * rho * np.cosh(chi) * f / s))

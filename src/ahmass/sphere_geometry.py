@@ -107,9 +107,13 @@ class QuadratureGrid:
         self.w_phi = 2.0 * np.pi / self.n_phi
         self.bary_w = barycentric_weights(x, w)
         self.deriv_x = _barycentric_diff_matrix(x, self.bary_w)
+        # Chebyshev coefficients in x of the nodal interpolant: the inverse
+        # of T_j(x_i) = cos(j theta_i), whose condition number stays near 3
+        # on Gauss-Legendre nodes.
+        self.cheb_x = np.linalg.inv(np.cos(np.outer(self.theta, np.arange(self.n_theta))))
         self.theta_mesh, self.phi_mesh = np.meshgrid(self.theta, self.phi, indexing="ij")
         for a in (self.x, self.w_theta, self.theta, self.sin_theta, self.phi,
-                  self.bary_w, self.deriv_x, self.theta_mesh, self.phi_mesh):
+                  self.bary_w, self.deriv_x, self.cheb_x, self.theta_mesh, self.phi_mesh):
             a.setflags(write=False)
 
     @property
@@ -137,6 +141,18 @@ class QuadratureGrid:
         """Evaluate the interpolant of a theta profile (given at the grid
         nodes, shape (n_theta,) or (n_theta, k)) at arbitrary x = cos theta."""
         return barycentric_interpolate(self.x, self.bary_w, values, x_query)
+
+    def interp_uniform_theta(self, values, n: int) -> np.ndarray:
+        """Evaluate the interpolant of a theta profile (shape (n_theta,) or
+        (n_theta, k)) at the n + 1 points theta = k pi / n, k = 0 .. n,
+        i.e. x = cos(k pi / n) from x = 1 down, with n >= n_theta.  With
+        the Chebyshev coefficients a = cheb_x @ values the values are
+        sum_j a_j cos(j k pi / n): the real part of one zero-padded FFT of
+        length 2n, in O(n log n)."""
+        if n < self.n_theta:
+            raise ValueError("need n >= n_theta")
+        a = self.cheb_x @ np.asarray(values, dtype=float)
+        return np.fft.rfft(a, n=2 * n, axis=0).real
 
     def round_laplacian(self, profile) -> np.ndarray:
         """Laplacian of the unit round sphere applied to an axisymmetric

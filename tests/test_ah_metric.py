@@ -125,6 +125,20 @@ def test_ads_transform_does_not_warn(m):
     assert r > 1.0 / math.sinh(0.3)
 
 
+def test_ads_transform_memo_holds_one_config():
+    # a 12-radius sweep and verify ask for 20 distinct (m, rho) pairs,
+    # each twice or more; the memo keeps them all but no run's pairs beyond
+    ads_collar_transform.cache_clear()
+    rhos = list(np.geomspace(0.002, 0.2, 20))
+    for rho in rhos + rhos:
+        ads_collar_transform(1.0, float(rho))
+    info = ads_collar_transform.cache_info()
+    assert (info.misses, info.hits) == (20, 20)
+    for rho in np.geomspace(0.01, 0.5, 200):
+        ads_collar_transform(0.5, float(rho))
+    assert ads_collar_transform.cache_info().currsize <= 64
+
+
 def test_ads_transform_rejects_negative_mass():
     with pytest.raises(ValueError):
         AdSSchwarzschild(-1.0)

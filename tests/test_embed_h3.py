@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 from scipy.fft import dct
 from scipy.integrate import quad
 
@@ -194,6 +195,83 @@ def test_theta_series_matches_dct_oracle(func, chop):
     scale = np.max(np.abs(want))
     assert np.max(np.abs(c - want)) <= 1e-15 * scale
     assert abs(tail - np.max(np.abs(want[-(n // 8):])) / scale) <= 1e-15
+
+
+def test_theta_series_samples_each_point_once():
+    # doubling reuses the old points as the new even points, so func sees
+    # each of the n + 1 points once, and the series is bit-identical to
+    # one taken from fresh samples at the final degree
+    def func(th):
+        calls.append(th)
+        return 1.0 / (1.0 + 25.0 * np.cos(th) ** 2)
+
+    calls = []
+    c, n, _ = embed_h3._theta_series(func)
+    assert n >= 256
+    assert sum(th.size for th in calls) == n + 1
+    th = 0.5 * np.pi * (1.0 + np.cos(np.pi * np.arange(n + 1) / n))
+    assert np.array_equal(np.sort(np.concatenate(calls)), np.sort(th))
+    y = func(th)
+    want = np.fft.rfft(np.concatenate([y, y[-2:0:-1]])).real / n
+    want[[0, -1]] *= 0.5
+    assert np.array_equal(c, want)
+
+
+BENCH_PSI = [
+    {"type": "cos_theta", "amplitude": 0.1},
+    {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]},
+]
+
+
+@pytest.mark.parametrize("psi", BENCH_PSI)
+@pytest.mark.parametrize("eps", [0.2, 0.0044])
+def test_discriminant_probe_matches_barycentric(psi, eps):
+    # the probe's FFT values of A, B, E and A_x at x = cos(k pi / 2000)
+    # against the barycentric formula at the same points
+    fam, _ = family_from_spec({"name": "perturbed_round", "psi": psi})
+    grid = QuadratureGrid(64, 4)
+    surf = coordinate_sphere(fam, eps, grid)
+    E, G = surf.E[:, 0], surf.G[:, 0]
+    A = G / grid.sin_theta ** 2
+    B = (E - A) / grid.sin_theta ** 2
+    nodal = np.stack([A, B, E, grid.deriv_x @ A], axis=1)
+    got = grid.interp_uniform_theta(nodal, 2000)
+    want = grid.interp_x(nodal, np.cos(np.linspace(0.0, np.pi, 2001)))
+    # a coordinate sphere is conformally round, so B = (E - A)/sin^2 is
+    # rounding noise; it is measured on the scale of A(1 + E) beside it
+    scale = np.max(np.abs(want), axis=0)
+    scale[1] = scale[0]
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+
+
+def test_primitive_matches_chebint_oracle(monkeypatch):
+    # the loop-free primitive of the rapidity series at the nodes against
+    # numpy's chebint + chebval, on the series the bench profiles choose
+    # (degrees 128 to 1024) and on a degree-64 one
+    series = []
+
+    def spy(func):
+        out = theta_series(func)
+        series.append(out[0])
+        return out
+
+    theta_series = embed_h3._theta_series
+    monkeypatch.setattr(embed_h3, "_theta_series", spy)
+    grid = QuadratureGrid(64, 4)
+    for psi in BENCH_PSI:
+        fam, _ = family_from_spec({"name": "perturbed_round", "psi": psi})
+        for eps in (0.2, 0.05, 0.0125, 0.0044):
+            embed_surface(coordinate_sphere(fam, eps, grid))
+    series.append(theta_series(lambda th: np.exp(np.cos(th)) * np.sin(th))[0])
+    degrees = sorted({c.size - 1 for c in series})
+    assert degrees[0] == 64 and degrees[-1] == 1024
+
+    t = 2.0 * grid.theta / np.pi - 1.0
+    for c in series:
+        b = cheb.chebint(c, scl=0.5 * np.pi, lbnd=-1.0)
+        want = cheb.chebval(t, b)
+        got = embed_h3._primitive_at(c, t, 0.5 * np.pi)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(b))
 
 
 def test_rapidity_matches_adaptive_quadrature():

@@ -68,6 +68,24 @@ def test_barycentric_interpolation():
     assert np.array_equal(grid.interp_x(values, grid.x[[5, 9]]), values[[5, 9]])
 
 
+@pytest.mark.parametrize("n_theta", [48, 64])
+def test_interpolation_at_uniform_theta(n_theta):
+    # the Chebyshev-coefficient FFT path reproduces polynomials of degree
+    # < n_theta at x = cos(k pi / n), from x = 1 down, column by column
+    grid = QuadratureGrid(n_theta, 4)
+    rng = np.random.default_rng(11)
+    coef = rng.standard_normal((n_theta, 3))
+    values = np.polynomial.chebyshev.chebval(grid.x, coef).T
+    got = grid.interp_uniform_theta(values, 2000)
+    xq = np.cos(np.linspace(0.0, np.pi, 2001))
+    assert got.shape == (2001, 3)
+    want = np.polynomial.chebyshev.chebval(xq, coef).T
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    assert grid.interp_uniform_theta(values[:, 0], n_theta).shape == (n_theta + 1,)
+    with pytest.raises(ValueError):
+        grid.interp_uniform_theta(values, n_theta - 1)
+
+
 def test_hyperbolic_sphere_closed_forms():
     for eps in (0.05, 0.2, 0.4):
         s = coordinate_sphere(Hyperbolic(), eps, GRID)
