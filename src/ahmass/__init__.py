@@ -15,7 +15,6 @@ from .lorentz import (
     LorentzMap,
     MinkowskiVector,
     SpinorParameter,
-    apply_lorentz,
     boost,
     causal_classify,
     causal_tolerance,
@@ -42,7 +41,6 @@ from .ah_metric import (
     PerturbedRound,
     ads_collar_transform,
     mass_aspect,
-    metric_at,
     scalar_curvature,
     wang_mass,
 )
@@ -73,7 +71,6 @@ from .killing_spinor import (
     geodesic_norm_check,
     gradient_identity_residual,
     minkowski_identity_residual,
-    norm_field_at,
     spinor_at,
     spinor_polar_point,
 )
@@ -97,16 +94,15 @@ __all__ = [
     "__version__",
     # lorentz
     "CausalClass", "LorentzMap", "MinkowskiVector", "SpinorParameter",
-    "apply_lorentz", "boost", "causal_classify", "causal_tolerance",
-    "hopf_eta", "hyperboloid_point", "lorentz_inner", "rotation",
-    "sphere_direction",
+    "boost", "causal_classify", "causal_tolerance", "hopf_eta",
+    "hyperboloid_point", "lorentz_inner", "rotation", "sphere_direction",
     # sphere_geometry
     "QuadratureGrid", "SurfaceSample", "coordinate_sphere",
     "embeddability_check", "integrate_scalar", "integrate_vector",
     "surface_laplacian",
     # ah_metric
     "AdSSchwarzschild", "AHFamily", "Hyperbolic", "MassAspect",
-    "PerturbedRound", "ads_collar_transform", "mass_aspect", "metric_at",
+    "PerturbedRound", "ads_collar_transform", "mass_aspect",
     "scalar_curvature", "wang_mass",
     # embed_h3
     "EmbeddedSurface", "EmbeddingError", "RevolutionProfile",
@@ -118,8 +114,7 @@ __all__ = [
     # killing_spinor
     "KillingNormField", "SpinorValue", "exhaustion_norm_growth",
     "geodesic_norm_check", "gradient_identity_residual",
-    "minkowski_identity_residual", "norm_field_at", "spinor_at",
-    "spinor_polar_point",
+    "minkowski_identity_residual", "spinor_at", "spinor_polar_point",
     # sweep
     "ConfigError", "FitResult", "MassSweepRecord", "PerEpsRecord",
     "SweepConfig", "cone_pairing_report", "decay_order", "default_schedule",

@@ -33,9 +33,7 @@ __all__ = [
     "Hyperbolic",
     "AdSSchwarzschild",
     "PerturbedRound",
-    "CollarSample",
     "ads_collar_transform",
-    "metric_at",
     "mass_aspect",
     "wang_mass",
     "scalar_curvature",
@@ -127,11 +125,12 @@ def _horizon_radius(m: float) -> float:
     return float(np.max(real))
 
 
-# Gauss-Legendre rule on [0, 1] for the AdS tail integral.
+# Gauss-Legendre rule on [0, 1] for the AdS tail integral, from the
+# 64-node grid table: reversed, its nodes and weights are leggauss(64).
 @functools.lru_cache(maxsize=1)
 def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
-    t, w = np.polynomial.legendre.leggauss(64)
-    return 0.5 * (t + 1.0), 0.5 * w
+    g = QuadratureGrid(64, 1)
+    return 0.5 * (g.x[::-1] + 1.0), 0.5 * g.w_theta[::-1]
 
 
 def _ads_tail(m: float, r: float) -> float:
@@ -254,12 +253,6 @@ class AdSSchwarzschild(AHFamily):
         return np.full_like(np.asarray(theta, dtype=float), -6.0)
 
 
-# Internal spectral grid for the unit-sphere Laplacian of log u (axisymmetric).
-@functools.lru_cache(maxsize=1)
-def _axisym_grid() -> QuadratureGrid:
-    return QuadratureGrid(128, 1)
-
-
 def conformal_collar_scalar_curvature(rho, u, u_rho, u_rho2, lap0_log_u):
     """Scalar curvature of g = sinh^-2 rho (drho^2 + u h0) from the profile
     u, its radial derivatives, and the unit-sphere Laplacian of log u.
@@ -302,13 +295,21 @@ class PerturbedRound(AHFamily):
             self._check_remainder(float(remainder_bound))
 
     def _check_pole_regularity(self):
+        # One-sided slope of second order, (4 (psi(d) - psi(0)) - (psi(2d) -
+        # psi(0))) / 2d, at each pole: it is exact on quadratics, so the d^2
+        # term of a profile even about the pole cancels.  c cos^N theta reads
+        # about 3 c N^2 d^3 / 4, where a first-order difference reads c N d.
         d = 1e-4
-        scale = 1.0 + max(abs(float(self.psi(np.array(0.0)))),
-                          abs(float(self.psi(np.array(np.pi)))))
-        slope0 = abs(float(self.psi(np.array(d))) - float(self.psi(np.array(0.0)))) / d
-        slope1 = abs(float(self.psi(np.array(np.pi - d))) - float(self.psi(np.array(np.pi)))) / d
-        if slope0 > 1e-3 * scale or slope1 > 1e-3 * scale:
-            raise ValueError("psi must have vanishing slope at both poles")
+
+        def at(t):
+            return float(self.psi(np.array(t)))
+
+        scale = 1.0 + max(abs(at(0.0)), abs(at(np.pi)))
+        for pole, step in ((0.0, d), (np.pi, -d)):
+            p0 = at(pole)
+            slope = abs(4.0 * (at(pole + step) - p0) - (at(pole + 2.0 * step) - p0)) / (2.0 * d)
+            if slope > 1e-3 * scale:
+                raise ValueError("psi must have vanishing slope at both poles")
 
     def _check_remainder(self, bound):
         thetas = np.linspace(0.05, np.pi - 0.05, 33)
@@ -353,43 +354,11 @@ class PerturbedRound(AHFamily):
         du = self.conformal_factor_drho(rho, th)
         ddu = self.conformal_factor_drho2(rho, th)
         # lap0 log u spectrally on internal nodes, interpolated to theta
-        g = _axisym_grid()
+        g = QuadratureGrid(128, 1)
         lap_nodes = g.round_laplacian(np.log(self.conformal_factor(rho, g.theta)))
         lap = np.atleast_1d(g.interp_x(lap_nodes, np.cos(th)))
         out = conformal_collar_scalar_curvature(rho, u, du, ddu, lap)
         return out if np.asarray(theta).ndim else float(out[0])
-
-
-class CollarSample:
-    """Components of h_rho and of the collar metric at one radius, sampled
-    on a grid."""
-
-    def __init__(self, rho, u, grid: QuadratureGrid):
-        self.rho = float(rho)
-        self.grid = grid
-        self.u = grid.as_field(u)
-        if np.any(self.u <= 0.0):
-            raise ValueError("h_rho is not positive definite")
-        s2 = (grid.sin_theta ** 2)[:, None]
-        sh2 = math.sinh(self.rho) ** 2
-        self.h_tt = self.u
-        self.h_tp = np.zeros(grid.shape)
-        self.h_pp = self.u * s2
-        self.g_rr = np.full(grid.shape, 1.0 / sh2)
-        self.g_tt = self.h_tt / sh2
-        self.g_tp = self.h_tp / sh2
-        self.g_pp = self.h_pp / sh2
-        for a in (self.u, self.h_tt, self.h_tp, self.h_pp,
-                  self.g_rr, self.g_tt, self.g_tp, self.g_pp):
-            a.setflags(write=False)
-
-
-def metric_at(family: AHFamily, rho: float, grid: QuadratureGrid) -> CollarSample:
-    """Sample h_rho and g = sinh^-2 rho (drho^2 + h_rho) at one radius."""
-    if not (0.0 < rho <= family.rho_max):
-        raise ValueError("rho=%g outside the collar range (0, %g]" % (rho, family.rho_max))
-    u = family.conformal_factor(rho, grid.theta)
-    return CollarSample(rho, u, grid)
 
 
 def mass_aspect(family: AHFamily, grid: QuadratureGrid) -> MassAspect:

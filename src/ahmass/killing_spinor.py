@@ -38,7 +38,6 @@ __all__ = [
     "SpinorValue",
     "spinor_at",
     "spinor_polar_point",
-    "norm_field_at",
     "geodesic_norm_check",
     "gradient_identity_residual",
     "minkowski_identity_residual",
@@ -138,12 +137,6 @@ def _require_on_sheet(X):
     if defect > ON_SHEET_TOL:
         raise ValueError("point is off the hyperboloid by %.3e" % defect)
     return arr
-
-
-def norm_field_at(field: KillingNormField, X):
-    """F(X) = -<<X, eta>> for X on the hyperboloid (checked to 1e-8)."""
-    arr = _require_on_sheet(X)
-    return field.value(arr)
 
 
 def geodesic_norm_check(field, start, direction, t_samples):

@@ -34,7 +34,6 @@ __all__ = [
     "hopf_eta",
     "sphere_direction",
     "hyperboloid_point",
-    "apply_lorentz",
     "boost",
     "rotation",
 ]
@@ -97,10 +96,6 @@ class MinkowskiVector:
     def spatial(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3])
 
-    @property
-    def spatial_norm(self) -> float:
-        return float(np.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2))
-
     def __add__(self, other: "MinkowskiVector") -> "MinkowskiVector":
         return MinkowskiVector(
             self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3, self.t + other.t
@@ -132,14 +127,6 @@ class SpinorParameter:
     def __post_init__(self):
         if not (np.isfinite(self.z1) and np.isfinite(self.z2)):
             raise ValueError("spinor parameter components must be finite")
-
-    @property
-    def norm_sq(self) -> float:
-        return float(abs(self.z1) ** 2 + abs(self.z2) ** 2)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.norm_sq == 0.0
 
 
 def _as_array4(v) -> np.ndarray:
@@ -272,17 +259,6 @@ class LorentzMap:
     def compose(self, other: "LorentzMap") -> "LorentzMap":
         return LorentzMap(self.matrix @ other.matrix)
 
-    def __matmul__(self, other: "LorentzMap") -> "LorentzMap":
-        return self.compose(other)
-
-    def inverse(self) -> "LorentzMap":
-        # G Lambda^T G is the inverse of any pairing-preserving Lambda.
-        return LorentzMap(MINKOWSKI_METRIC @ self.matrix.T @ MINKOWSKI_METRIC)
-
-    @classmethod
-    def identity(cls) -> "LorentzMap":
-        return cls(np.eye(4))
-
 
 def boost(axis: int, rapidity: float) -> LorentzMap:
     """Boost of given rapidity mixing spatial axis (0, 1 or 2) with time."""
@@ -309,14 +285,3 @@ def rotation(axis: int, angle: float) -> LorentzMap:
     m[i, j] = -s
     m[j, i] = s
     return LorentzMap(m)
-
-
-def apply_lorentz(lam: LorentzMap, v):
-    """Apply Lambda to a MinkowskiVector (returns one) or to an array with
-    trailing dimension 4 (returns an array)."""
-    if not isinstance(lam, LorentzMap):
-        raise TypeError("first argument must be a LorentzMap")
-    if isinstance(v, MinkowskiVector):
-        return MinkowskiVector.from_array(lam.matrix @ v.as_array())
-    arr = _as_array4(v)
-    return np.einsum("ab,...b->...a", lam.matrix, arr)

@@ -37,6 +37,7 @@ __all__ = [
     "alpha_from_radii",
     "enclosing_radii",
     "mainhyp_functional",
+    "laplacian_term",
     "MEAN_CURVATURE_FLOOR",
 ]
 
@@ -120,6 +121,12 @@ def enclosing_radii(emb: EmbeddedSurface) -> tuple:
     return float(np.arccosh(np.min(t))), float(np.arccosh(np.max(t)))
 
 
+def laplacian_term(surf: SurfaceSample, F) -> float:
+    """int lap_S F / (H + 2) dS for a scalar field F on the surface."""
+    lap = surface_laplacian(surf, F)
+    return integrate_scalar(surf, lap / (surf.H + 2.0))
+
+
 def mainhyp_functional(surf: SurfaceSample, emb: EmbeddedSurface, F) -> float:
     """int (H0^2 - H^2)/(H + 2) F dS + 4 int lap_S F / (H + 2) dS for a
     scalar field F on the surface; requires H > -2."""
@@ -127,7 +134,5 @@ def mainhyp_functional(surf: SurfaceSample, emb: EmbeddedSurface, F) -> float:
     if np.min(surf.H) <= MEAN_CURVATURE_FLOOR:
         raise ValueError("mean curvature reaches -2; functional undefined")
     f = surf.grid.as_field(F)
-    lap = surface_laplacian(surf, f)
     first = integrate_scalar(surf, (emb.H0 ** 2 - surf.H ** 2) / (surf.H + 2.0) * f)
-    second = integrate_scalar(surf, lap / (surf.H + 2.0))
-    return float(first + 4.0 * second)
+    return float(first + 4.0 * laplacian_term(surf, f))

@@ -16,6 +16,8 @@ phi serves only surface_laplacian, which acts on fields that vary in phi.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .lorentz import MinkowskiVector
@@ -79,12 +81,38 @@ def _barycentric_diff_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return d
 
 
+# A run reads the tables of its own n_theta, the 64-node one (the AdS tail
+# rule) and the 128-node one (scalar_curvature): four entries hold them all.
+@functools.lru_cache(maxsize=4)
+def _theta_tables(n_theta: int) -> tuple:
+    """Read-only theta tables of the n_theta-point grid: the nodes x in
+    theta-ascending order, their Gauss-Legendre weights, theta, sin theta,
+    the barycentric weights, the differentiation matrix in x and the
+    Chebyshev coefficient map cheb_x.  Shared by every grid of that size."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    # leggauss returns x ascending; flip so theta = arccos x ascends.
+    x = x[::-1].copy()
+    w = w[::-1].copy()
+    theta = np.arccos(x)
+    bary_w = barycentric_weights(x, w)
+    # Chebyshev coefficients in x of the nodal interpolant: the inverse of
+    # T_j(x_i) = cos(j theta_i), whose condition number stays near 3 on
+    # Gauss-Legendre nodes.
+    cheb_x = np.linalg.inv(np.cos(np.outer(theta, np.arange(n_theta))))
+    out = (x, w, theta, np.sqrt(1.0 - x ** 2), bary_w,
+           _barycentric_diff_matrix(x, bary_w), cheb_x)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 class QuadratureGrid:
     """Tensor-product quadrature grid on the round sphere.
 
     Integrating the constant 1 against the round measure returns 4 pi to
     rounding; polynomials in cos theta up to degree 2 n_theta - 1 are
-    integrated exactly.  Instances are immutable.
+    integrated exactly.  Instances are immutable; the theta tables are
+    shared by all grids with the same n_theta.
     """
 
     def __init__(self, n_theta: int = 64, n_phi: int = 4):
@@ -94,26 +122,12 @@ class QuadratureGrid:
             raise ValueError("n_phi must be at least 1")
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
-
-        x, w = np.polynomial.legendre.leggauss(self.n_theta)
-        # leggauss returns x ascending; flip so theta = arccos x ascends.
-        x = x[::-1].copy()
-        w = w[::-1].copy()
-        self.x = x
-        self.w_theta = w
-        self.theta = np.arccos(x)
-        self.sin_theta = np.sqrt(1.0 - x ** 2)
+        (self.x, self.w_theta, self.theta, self.sin_theta,
+         self.bary_w, self.deriv_x, self.cheb_x) = _theta_tables(self.n_theta)
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self.w_phi = 2.0 * np.pi / self.n_phi
-        self.bary_w = barycentric_weights(x, w)
-        self.deriv_x = _barycentric_diff_matrix(x, self.bary_w)
-        # Chebyshev coefficients in x of the nodal interpolant: the inverse
-        # of T_j(x_i) = cos(j theta_i), whose condition number stays near 3
-        # on Gauss-Legendre nodes.
-        self.cheb_x = np.linalg.inv(np.cos(np.outer(self.theta, np.arange(self.n_theta))))
         self.theta_mesh, self.phi_mesh = np.meshgrid(self.theta, self.phi, indexing="ij")
-        for a in (self.x, self.w_theta, self.theta, self.sin_theta, self.phi,
-                  self.bary_w, self.deriv_x, self.cheb_x, self.theta_mesh, self.phi_mesh):
+        for a in (self.phi, self.theta_mesh, self.phi_mesh):
             a.setflags(write=False)
 
     @property

@@ -50,14 +50,13 @@ from .quasilocal import (
     by_mass,
     enclosing_radii,
     hat_mass,
+    laplacian_term,
     shitam_alpha_mass,
 )
 from .sphere_geometry import (
     QuadratureGrid,
     coordinate_sphere,
     embeddability_check,
-    integrate_scalar,
-    surface_laplacian,
 )
 
 __all__ = [
@@ -858,9 +857,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
         vals = []
         for eps in eps_fun:
             surf, emb = sphere_at(float(eps))
-            f = fld.value_on(emb)
-            lap = surface_laplacian(surf, f)
-            vals.append(abs(integrate_scalar(surf, lap / (surf.H + 2.0))))
+            vals.append(abs(laplacian_term(surf, fld.value_on(emb))))
         return judge_flat_laplacian(vals, eps_fun, tol)
 
     def e_embedding():

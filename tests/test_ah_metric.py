@@ -15,8 +15,9 @@ from ahmass import (
     PerturbedRound,
     QuadratureGrid,
     ads_collar_transform,
+    coordinate_sphere,
+    family_from_spec,
     mass_aspect,
-    metric_at,
     scalar_curvature,
     wang_mass,
 )
@@ -41,33 +42,28 @@ CURVATURE_ORACLE_B = {
 }
 
 
-def test_metric_at_hyperbolic_is_round():
-    cs = metric_at(Hyperbolic(), 0.3, GRID)
-    assert np.array_equal(cs.h_tt, np.ones(GRID.shape))
-    assert np.array_equal(cs.h_tp, np.zeros(GRID.shape))
-    want_pp = (GRID.sin_theta ** 2)[:, None] * np.ones((1, GRID.n_phi))
-    assert np.array_equal(cs.h_pp, want_pp)
-    assert np.allclose(cs.g_rr, 1.0 / math.sinh(0.3) ** 2, rtol=1e-15)
+def test_conformal_factor_hyperbolic_is_one():
+    assert np.array_equal(Hyperbolic().conformal_factor(0.3, GRID.theta), np.ones(GRID.n_theta))
 
 
-def test_metric_at_perturbed_round_definitional():
+def test_conformal_factor_perturbed_round_definitional():
     rho = 0.2
     fam = PerturbedRound(lambda t: 0.1 * np.cos(t),
                          e_value=lambda r, t: r ** 4 * np.cos(t) ** 2 / 9,
                          e_drho=lambda r, t: 4 * r ** 3 * np.cos(t) ** 2 / 9,
                          e_drho2=lambda r, t: 12 * r ** 2 * np.cos(t) ** 2 / 9)
-    cs = metric_at(fam, rho, GRID)
-    th = GRID.theta[:, None]
+    u = fam.conformal_factor(rho, GRID.theta)
+    th = GRID.theta
     want = 1.0 + rho ** 3 * (0.1 * np.cos(th)) / 3.0 + rho ** 4 * np.cos(th) ** 2 / 9
-    assert np.max(np.abs(cs.u - want)) < 1e-15
+    assert np.max(np.abs(u - want)) < 1e-15
 
 
-def test_metric_at_ads_matches_collar_transform():
+def test_conformal_factor_ads_matches_collar_transform():
     rho = 0.1
-    cs = metric_at(AdSSchwarzschild(1.0), rho, GRID)
+    u = AdSSchwarzschild(1.0).conformal_factor(rho, GRID.theta)
     r = ads_collar_transform(1.0, rho)
     want = (r * math.sinh(rho)) ** 2
-    assert np.max(np.abs(cs.u - want)) < 1e-10 * want
+    assert np.max(np.abs(u - want)) < 1e-10 * want
 
 
 def test_ads_transform_massless_closed_form():
@@ -254,8 +250,9 @@ def test_scalar_curvature_energy_bound_small_profile():
 
 
 def test_perturbed_round_validation():
-    with pytest.raises(ValueError):
-        PerturbedRound(lambda t: np.sin(t))  # nonzero slope at the poles
+    for psi in (np.sin, lambda t: 0.01 * np.sin(t), lambda t: t):
+        with pytest.raises(ValueError):
+            PerturbedRound(psi)  # nonzero slope at the poles
     with pytest.raises(ValueError):
         # remainder must decay like rho^4
         PerturbedRound(lambda t: 0.1 * np.cos(t),
@@ -265,13 +262,24 @@ def test_perturbed_round_validation():
                        remainder_bound=10.0)
 
 
+def test_high_degree_even_profiles_pass_the_pole_check():
+    # c cos^N theta is smooth at the poles, though a first-order difference
+    # reads its slope there as c N d
+    fam, _ = family_from_spec({"name": "perturbed_round",
+                               "psi": {"type": "poly_cos", "coefficients": [0] * 30 + [3]}})
+    assert fam.conformal_factor(0.1, np.array([0.0, np.pi])) == pytest.approx(1.0 + 1e-3)
+    PerturbedRound(lambda t: 50.0 * np.cos(t) ** 60)
+
+
 def test_collar_range_validation():
     with pytest.raises(ValueError):
-        metric_at(Hyperbolic(), 0.6, GRID)
+        Hyperbolic().conformal_factor(0.6, GRID.theta)
     with pytest.raises(ValueError):
-        metric_at(PerturbedRound(lambda t: 0.1 * np.cos(t)), -0.1, GRID)
+        PerturbedRound(lambda t: 0.1 * np.cos(t)).conformal_factor(-0.1, GRID.theta)
 
 
 def test_collar_sample_rejects_nonpositive_metric():
-    with pytest.raises(ValueError):
-        metric_at(PerturbedRound(lambda t: np.full_like(t, -40.0)), 0.45, GRID)
+    # u = 1 - 40 rho^3 / 3 < 0 at rho = 0.45: the collar metric sampled on
+    # the coordinate sphere there is not positive definite
+    with pytest.raises(ValueError, match="conformal factor <= 0"):
+        coordinate_sphere(PerturbedRound(lambda t: np.full_like(t, -40.0)), 0.45, GRID)

@@ -44,6 +44,15 @@ def test_quadrature_polynomial_exactness():
         assert abs(got - want) < 1e-13 * (1.0 + abs(want))
 
 
+def test_grids_share_read_only_theta_tables():
+    a, b = QuadratureGrid(64, 4), QuadratureGrid(64, 8)
+    assert a.deriv_x is b.deriv_x and a.cheb_x is b.cheb_x
+    for table in (a.deriv_x, a.cheb_x):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
 def test_barycentric_interpolation():
     # the grid interpolant reproduces polynomials of degree < n_theta,
     # returns node values exactly at the nodes, and serves several

@@ -27,8 +27,10 @@ from ahmass import (
     verify_identities,
     write_outputs,
 )
+from ahmass import ah_metric
 from ahmass import embed_h3
 from ahmass import killing_spinor
+from ahmass import sphere_geometry
 from ahmass.sweep import DEFAULT_SEED, DEFAULT_TOLERANCES, ORDER_RANGE, judge_flat_laplacian
 
 EPS8 = np.geomspace(0.2, 0.02, 8)
@@ -359,6 +361,26 @@ def test_run_sweep_needs_three_good_radii(tmp_path):
     cfg = fast_config(tmp_path, family=fam, eps_list=(0.45, 0.44, 0.43, 0.06, 0.05))
     with pytest.raises(RuntimeError, match="need 3"):
         run_sweep(cfg)
+
+
+def test_sweep_and_verify_build_one_gauss_legendre_rule(tmp_path, monkeypatch):
+    # the sweep grid, the verify grid and the AdS collar-radius tail rule
+    # all read the one 64-node theta table
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    sphere_geometry._theta_tables.cache_clear()
+    ah_metric._tail_rule.cache_clear()
+    ah_metric.ads_collar_transform.cache_clear()
+    cfg = fast_config(tmp_path, family=AdSSchwarzschild(1.0), n_theta=64)
+    assert all(r.error is None for r in run_sweep(cfg).records)
+    assert verify_identities(cfg)["passed"]
+    assert calls == [64]
 
 
 def test_run_sweep_deterministic(tmp_path):
