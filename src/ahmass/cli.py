@@ -84,9 +84,11 @@ def _cmd_verify(args) -> int:
         status = "PASS" if entry.get("passed") else "FAIL"
         detail = entry.get("residual", entry.get("order",
                            entry.get("exponent", entry.get("factor", ""))))
+        note = entry.get("error", entry.get("note", ""))
         if isinstance(detail, float):
             detail = "%.3e" % detail
-        note = entry.get("error", entry.get("note", ""))
+        elif note:
+            detail = ""  # a non-number detail ("inf") gives way to the note
         print("  %s  %-26s %-12s %s" % (status, name, detail, note))
     print("wrote %s" % path)
     return 0 if report["passed"] else 2

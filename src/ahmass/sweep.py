@@ -139,130 +139,197 @@ def _jsonable(x):
     return x
 
 
-def _tail_monotone(eps, v, vinf) -> bool:
-    # distance to the fitted limit should shrink toward eps -> 0
-    d = np.abs(v - vinf)
-    slack = 1e-9 * float(np.ptp(v)) + 1e-13 * (1.0 + float(np.max(np.abs(v))))
-    return bool(np.all(d[:-1] <= d[1:] + slack))
+def _tail_monotone(v, vinf):
+    # distance to the fitted limit should shrink toward eps -> 0; one row
+    # of v per column, smallest radius first
+    d = np.abs(v - vinf[:, None])
+    slack = 1e-9 * np.ptp(v, axis=1) + 1e-13 * (1.0 + np.max(np.abs(v), axis=1))
+    return np.all(d[:, :-1] <= d[:, 1:] + slack[:, None], axis=1)
 
 
-def _illinois_root(g, a: float, b: float) -> float | None:
-    """Root of g in [a, b] by the Illinois variant of false position, or
-    None unless g(a) < 0 < g(b).  Stops when two successive estimates
-    agree to 1e-9 relative: the noise floor of g is reached well before."""
-    ga, gb = g(a), g(b)
-    if not ga < 0.0 < gb:
-        return None
-    root, side = None, 0
+def _sum_last(a):
+    """Sum over the last axis, left to right.  numpy's own reductions
+    change their summation order with the array's shape, so a column's
+    fit would depend on what else shares its batch."""
+    s = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        s = s + a[..., i]
+    return s
+
+
+def _powers(eps, p):
+    """eps_i^p_j as a (p.size, eps.size) array.  Both operands are
+    materialised in full: numpy takes another pow loop for a broadcast
+    exponent, on some shapes only, and a column's fit would then depend on
+    what else shares its batch."""
+    shape = (p.size, eps.size)
+    return np.power(np.broadcast_to(eps, shape).copy(),
+                    np.broadcast_to(p[:, None], shape).copy())
+
+
+def _line_fit(x, v):
+    """Closed-form least squares of v = v_inf + C x along the last axis,
+    from centred sums (x and v broadcast).  Returns v_inf, C, the SSR and
+    the residuals, fit minus data."""
+    n = x.shape[-1]
+    xm = _sum_last(x) / n
+    vm = _sum_last(v) / n
+    dx = x - xm[..., None]
+    dv = v - vm[..., None]
+    c = _sum_last(dx * dv) / _sum_last(dx * dx)
+    r = c[..., None] * dx - dv
+    return vm - c * xm, c, _sum_last(r * r), r
+
+
+def _inv00(gram):
+    """Top-left entry of the inverse of each matrix in a stack, inf where
+    one is singular.  The stacked inverse raises if any matrix is, so
+    then each is inverted alone."""
+    try:
+        return np.linalg.inv(gram)[:, 0, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(len(gram), math.inf)
+        for i, g in enumerate(gram):
+            try:
+                out[i] = np.linalg.inv(g)[0, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _stderr(gram00, ssr, dof):
+    out = np.full(ssr.shape, math.inf)
+    ok = np.isfinite(gram00)
+    out[ok] = np.sqrt(np.maximum(gram00[ok] * (ssr[ok] / dof), 0.0))
+    return out
+
+
+def _illinois_roots(slope, a, b):
+    """Per-column root of slope(q, cols) in [a, b] by the Illinois variant
+    of false position, all columns in lockstep; NaN unless the slope turns
+    from - at a to + at b.  A column stops when two successive estimates
+    agree to 1e-9 relative (the noise floor of the slope is reached well
+    before), on an exact zero, when the secant leaves its bracket, or
+    after 100 steps.  a and b are overwritten."""
+    cols = np.arange(a.size)
+    ga, gb = slope(a, cols), slope(b, cols)
+    root = np.full(a.shape, np.nan)
+    side = np.zeros(a.shape)
+    act = np.flatnonzero((ga < 0.0) & (gb > 0.0))
     for _ in range(100):
-        q = (a * gb - b * ga) / (gb - ga)
-        if not a < q < b:
+        q = (a[act] * gb[act] - b[act] * ga[act]) / (gb[act] - ga[act])
+        inside = (a[act] < q) & (q < b[act])
+        act, q = act[inside], q[inside]
+        if act.size == 0:
             break
-        gq = g(q)
-        settled = root is not None and abs(q - root) <= 1e-9 * q
-        root = q
-        if settled or gq == 0.0:
-            break
-        if gq < 0.0:
-            a, ga = q, gq
-            if side < 0:
-                gb *= 0.5
-            side = -1
-        else:
-            b, gb = q, gq
-            if side > 0:
-                ga *= 0.5
-            side = 1
+        gq = slope(q, act)
+        settled = np.abs(q - root[act]) <= 1e-9 * q  # False while root is NaN
+        root[act] = q
+        go = ~settled & (gq != 0.0)
+        act, q, gq = act[go], q[go], gq[go]
+        neg = gq < 0.0
+        lo, hi = act[neg], act[~neg]
+        a[lo], ga[lo] = q[neg], gq[neg]
+        gb[lo[side[lo] < 0]] *= 0.5
+        side[lo] = -1
+        b[hi], gb[hi] = q[~neg], gq[~neg]
+        ga[hi[side[hi] > 0]] *= 0.5
+        side[hi] = 1
     return root
 
 
-def fit_limit(values, eps_list, known_order: float | None = None) -> FitResult:
-    """Least-squares fit of v(eps) = v_inf + C eps^p over a radius list.
-
-    The exponent is free inside ORDER_RANGE unless known_order pins it
-    (Richardson-style fallback).  For a fixed p, v_inf and C are linear
-    least squares; p is the best of a 23-point scan of ORDER_RANGE,
-    refined by variable projection (Golub & Pereyra 1973): a bracketed
-    Illinois secant search within one scan step for a root of
-    1/2 dSSR/dp = C sum_i r_i eps_i^p log eps_i that turns from - to +.
-    The scan point stands when there is no such sign change or when the
-    refined p fits worse.  Near-constant data returns the mean with order
-    0 and order_trusted False; the flag also drops when the distance to
-    the fitted limit fails to shrink monotonically toward small eps, or
-    when the free exponent lands on a search boundary.  limit_stderr is
-    the standard error of v_inf from the Gauss-Newton normal matrix.
-    """
-    v = np.asarray(values, dtype=float)
-    eps = np.asarray(eps_list, dtype=float)
-    if v.ndim != 1 or v.shape != eps.shape:
-        raise ValueError("values and eps_list must be aligned 1-d sequences")
-    if v.size < 3:
-        raise ValueError("need at least 3 samples to fit a limit")
-    if np.any(eps <= 0.0) or np.unique(eps).size != eps.size:
-        raise ValueError("radii must be positive and distinct")
-    order = np.argsort(eps)
-    eps, v = eps[order], v[order]
-
-    scale = float(np.max(np.abs(v)))
-    if float(np.ptp(v)) <= 1e-13 * (1.0 + scale):
-        return FitResult(float(np.mean(v)), 0.0, 0.0, float(np.ptp(v)), 0.0, False)
-
-    def linear(p):
-        basis = np.stack([np.ones_like(eps), eps ** p], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
-        r = basis @ coef - v
-        return coef, float(r @ r), basis
-
-    if known_order is not None:
-        p = float(known_order)
-        if not p > 0.0:
-            raise ValueError("known_order must be positive")
-        coef, ssr, basis = linear(p)
-        dof = max(v.size - 2, 1)
-        gram = basis.T @ basis
-        try:
-            cov = np.linalg.inv(gram) * (ssr / dof)
-            stderr = float(math.sqrt(max(float(cov[0, 0]), 0.0)))
-        except np.linalg.LinAlgError:
-            stderr = math.inf
-        return FitResult(float(coef[0]), float(coef[1]), p, math.sqrt(ssr),
-                         stderr, _tail_monotone(eps, v, float(coef[0])))
-
+def _free_order_fit(vs, eps):
+    """p, v_inf, C, SSR and v_inf standard error per row of vs, with p
+    free inside ORDER_RANGE (see fit_limit)."""
     scan = np.linspace(ORDER_RANGE[0], ORDER_RANGE[1], 23)
-    best = None
-    for p in scan:
-        coef, ssr, _ = linear(p)
-        if best is None or ssr < best[2]:
-            best = (float(p), coef, ssr)
-    p, coef, ssr = best
+    vinf, c, ssr, _ = _line_fit(_powers(eps, scan)[:, None, :], vs)
+    best = np.argmin(ssr, axis=0)
+    cols = np.arange(vs.shape[0])
+    p, vinf, c, ssr = scan[best], vinf[best, cols], c[best, cols], ssr[best, cols]
 
     log_eps = np.log(eps)
 
-    def slope(q):
+    def slope(q, rows):
         # half the derivative in p of the SSR with v_inf and C profiled out
-        c, _, basis = linear(q)
-        return float(c[1] * ((basis @ c - v) @ (basis[:, 1] * log_eps)))
+        x = _powers(eps, q)
+        _, cq, _, r = _line_fit(x, vs[rows])
+        return cq * _sum_last(r * (x * log_eps))
 
     h = float(scan[1] - scan[0])
-    root = _illinois_root(slope, max(p - h, ORDER_RANGE[0]), min(p + h, ORDER_RANGE[1]))
-    if root is not None:
-        coef_q, ssr_q, _ = linear(root)
-        if ssr_q <= ssr:
-            p, coef, ssr = root, coef_q, ssr_q
+    root = _illinois_roots(slope, np.maximum(p - h, ORDER_RANGE[0]),
+                           np.minimum(p + h, ORDER_RANGE[1]))
+    has = np.flatnonzero(~np.isnan(root))
+    vq, cq, sq, _ = _line_fit(_powers(eps, root[has]), vs[has])
+    better = sq <= ssr[has]
+    take = has[better]
+    p[take], vinf[take], c[take], ssr[take] = root[take], vq[better], cq[better], sq[better]
 
-    vinf, c = float(coef[0]), float(coef[1])
-    ep = eps ** p
-    dof = max(v.size - 3, 1)
-    j = np.stack([np.ones_like(eps), ep, c * ep * log_eps], axis=1)
-    try:
-        cov = np.linalg.inv(j.T @ j) * (ssr / dof)
-        stderr = float(math.sqrt(max(float(cov[0, 0]), 0.0)))
-    except np.linalg.LinAlgError:
-        stderr = math.inf
-    trusted = _tail_monotone(eps, v, vinf)
-    if p <= ORDER_RANGE[0] + 1e-9 or p >= ORDER_RANGE[1] - 1e-9:
-        trusted = False
-    return FitResult(vinf, c, p, math.sqrt(ssr), stderr, trusted)
+    ep = _powers(eps, p)
+    jac = np.stack([np.ones_like(ep), ep, c[:, None] * ep * log_eps], axis=1)
+    gram = _sum_last(jac[:, :, None, :] * jac[:, None, :, :])
+    return p, vinf, c, ssr, _stderr(_inv00(gram), ssr, max(eps.size - 3, 1))
+
+
+def fit_limit(values, eps_list, known_order: float | None = None):
+    """Least-squares fit of v(eps) = v_inf + C eps^p over a radius list.
+
+    values is one series of shape (n,), which returns one FitResult, or a
+    batch of shape (n, k), which returns a tuple of k FitResults, one per
+    column; each equals the fit of that column alone.
+
+    The exponent is free inside ORDER_RANGE unless known_order pins it
+    (Richardson-style fallback).  For a fixed p, v_inf and C solve the
+    line v_inf + C x, x = eps^p, in closed form from centred sums; p is
+    the best of a 23-point scan of ORDER_RANGE, one array expression over
+    scan points, columns and radii.  Variable projection (Golub & Pereyra
+    1973) refines it: a bracketed Illinois secant search within one scan
+    step for a root of 1/2 dSSR/dp = C sum_i r_i eps_i^p log eps_i that
+    turns from - to +, run in lockstep over the columns.  The scan point
+    stands when there is no such sign change or when the refined p fits
+    worse.  Near-constant data returns the mean with order 0 and
+    order_trusted False; the flag also drops when the distance to the
+    fitted limit fails to shrink monotonically toward small eps, or when
+    the free exponent lands on a search boundary.  limit_stderr is the
+    standard error of v_inf from the Gauss-Newton normal matrix (inf when
+    that matrix is singular).
+    """
+    v = np.asarray(values, dtype=float)
+    eps = np.asarray(eps_list, dtype=float)
+    if v.ndim not in (1, 2) or eps.ndim != 1 or v.shape[0] != eps.size:
+        raise ValueError("values must have shape (n,) or (n, k) for n radii in eps_list")
+    if eps.size < 3:
+        raise ValueError("need at least 3 samples to fit a limit")
+    if np.any(eps <= 0.0) or np.unique(eps).size != eps.size:
+        raise ValueError("radii must be positive and distinct")
+    if known_order is not None and not float(known_order) > 0.0:
+        raise ValueError("known_order must be positive")
+    order = np.argsort(eps)
+    eps = eps[order]
+    # one row per column, smallest radius first
+    vs = np.ascontiguousarray(v.reshape(eps.size, -1)[order].T)
+
+    flat = np.ptp(vs, axis=1) <= 1e-13 * (1.0 + np.max(np.abs(vs), axis=1))
+    live = np.flatnonzero(~flat)
+    vl = vs[live]
+    if known_order is not None:
+        x = eps ** float(known_order)
+        vinf, c, ssr, _ = _line_fit(x, vl)
+        gram = np.array([[[eps.size, x.sum()], [x.sum(), x @ x]]])
+        stderr = _stderr(np.repeat(_inv00(gram), live.size), ssr,
+                         max(eps.size - 2, 1))
+        p = np.full(live.size, float(known_order))
+        trusted = _tail_monotone(vl, vinf)
+    else:
+        p, vinf, c, ssr, stderr = _free_order_fit(vl, eps)
+        trusted = (_tail_monotone(vl, vinf) & (p > ORDER_RANGE[0] + 1e-9)
+                   & (p < ORDER_RANGE[1] - 1e-9))
+
+    fits = [FitResult(float(np.mean(row)), 0.0, 0.0, float(np.ptp(row)), 0.0, False)
+            if is_flat else None for row, is_flat in zip(vs, flat)]
+    for i, j in enumerate(live):
+        fits[j] = FitResult(float(vinf[i]), float(c[i]), float(p[i]), math.sqrt(ssr[i]),
+                            float(stderr[i]), bool(trusted[i]))
+    return fits[0] if v.ndim == 1 else tuple(fits)
 
 
 def decay_order(values, eps_list, floor=1e-13) -> float:
@@ -302,7 +369,9 @@ def judge_flat_laplacian(values, radii, tol) -> dict:
     tol["funclim_atol"]; otherwise its decay order over the smaller half
     of the radii (the area_growth convention; values below the atol carry
     no order) must reach FLAT_LAPLACIAN_MIN_ORDER and the last value must
-    fall to tol["funclim_factor"] times the first, or to the atol."""
+    fall to tol["funclim_factor"] times the first, or to the atol.  With
+    fewer than two tail values above the atol the order is unresolved
+    (+inf), and a note says so."""
     vals = [float(v) for v in values]
     atol = tol["funclim_atol"]
     if vals[0] <= atol:
@@ -312,10 +381,15 @@ def judge_flat_laplacian(values, radii, tol) -> dict:
     order = decay_order(vals[-n_fit:], radii[-n_fit:], floor=atol)
     ok = (order >= FLAT_LAPLACIAN_MIN_ORDER
           and vals[-1] <= max(tol["funclim_factor"] * vals[0], atol))
-    return {"passed": ok, "initial": vals[0], "final": vals[-1],
-            "factor": vals[-1] / vals[0], "order": _jsonable(order),
-            "tolerance": tol["funclim_factor"],
-            "radii": [float(e) for e in radii]}
+    entry = {"passed": ok, "initial": vals[0], "final": vals[-1],
+             "factor": vals[-1] / vals[0], "order": _jsonable(order),
+             "tolerance": tol["funclim_factor"],
+             "radii": [float(e) for e in radii]}
+    if order == math.inf:
+        above = sum(x > atol for x in vals[-n_fit:])
+        entry["note"] = ("decay order unresolved: %d of %d tail values above funclim_atol"
+                         % (above, n_fit))
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +740,23 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     fit_recs = good[:n_fit]
     fit_eps = np.array([r.eps for r in fit_recs])
 
-    names = [("m_by", lambda r: r.result.m_by), ("m_hat", lambda r: r.result.m_hat)]
+    names = ["m_by", "m_hat"]
     if all(r.result.m_alpha is not None for r in good):
-        names.append(("m_alpha", lambda r: r.result.m_alpha))
+        names.append("m_alpha")
+    # one batched fit: four components per mass vector, then the gap
+    series = np.array([[x for name in names for x in getattr(r.result, name).as_array()]
+                       + [_gap(r)] for r in fit_recs])
+    col_fits = fit_limit(series, fit_eps)
 
     fits, limits, tags = {}, {}, {}
-    for name, pick in names:
-        comps = np.array([pick(r).as_array() for r in fit_recs])
-        comp_fits = {c: fit_limit(comps[:, j], fit_eps) for j, c in enumerate(_COMPONENTS)}
+    for i, name in enumerate(names):
+        comp_fits = dict(zip(_COMPONENTS, col_fits[4 * i:4 * i + 4]))
         fits[name] = comp_fits
         vec = MinkowskiVector(*(comp_fits[c].limit for c in _COMPONENTS))
         limits[name] = vec
         tags[name] = {"classify": causal_classify(vec),
                       "cone_max": cone_pairing_report(vec)}
-
-    fits["hat_by_gap"] = fit_limit([_gap(r) for r in fit_recs], fit_eps)
+    fits["hat_by_gap"] = col_fits[-1]
     gaps_desc = [_gap(r) for r in sorted(good, key=lambda r: -r.eps)]
     slack = 1e-12 + 1e-9 * max(gaps_desc)
     gap_monotone = all(b <= a + slack for a, b in zip(gaps_desc, gaps_desc[1:]))
@@ -713,13 +789,19 @@ def _random_unit_spinor(rng) -> SpinorParameter:
     return SpinorParameter(complex(a[0], a[1]), complex(a[2], a[3]))
 
 
+def _sheet_points(r, ct, ph):
+    """Hyperboloid points at geodesic distance r from (0, 0, 0, 1) in the
+    direction with polar cosine ct and azimuth ph."""
+    st = np.sqrt(1.0 - ct ** 2)
+    omega = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
+    return np.concatenate([np.sinh(r)[:, None] * omega, np.cosh(r)[:, None]], axis=1)
+
+
 def _random_sheet_points(rng, n, r_max):
     r = rng.uniform(0.05, r_max, n)
     ct = rng.uniform(-1.0, 1.0, n)
-    st = np.sqrt(1.0 - ct ** 2)
     ph = rng.uniform(0.0, 2.0 * np.pi, n)
-    omega = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
-    return np.concatenate([np.sinh(r)[:, None] * omega, np.cosh(r)[:, None]], axis=1)
+    return _sheet_points(r, ct, ph)
 
 
 def verify_identities(cfg: SweepConfig) -> dict:
@@ -760,12 +842,15 @@ def verify_identities(cfg: SweepConfig) -> dict:
                 "tolerance": tol["spinor_norm"], "samples": 10000}
 
     def e_geodesic():
-        flds, x0, y = [], [], []
+        # the draws interleave per sample; the points are built after
+        flds, r, ct, ph, y = [], [], [], [], []
         for _ in range(100):
             flds.append(KillingNormField.from_spinor(_random_unit_spinor(rng)))
-            x0.append(_random_sheet_points(rng, 1, 2.0)[0])
+            r.append(rng.uniform(0.05, 2.0))
+            ct.append(rng.uniform(-1.0, 1.0))
+            ph.append(rng.uniform(0.0, 2.0 * np.pi))
             y.append(rng.standard_normal(4))
-        x0, y = np.array(x0), np.array(y)
+        x0, y = _sheet_points(np.array(r), np.array(ct), np.array(ph)), np.array(y)
         v = y + lorentz_inner(y, x0)[:, None] * x0
         v = v / np.sqrt(lorentz_inner(v, v))[:, None]
         _, _, resid = geodesic_norm_check(flds, x0, v, np.linspace(-1.0, 1.0, 9))

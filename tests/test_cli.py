@@ -112,6 +112,27 @@ def test_verify_resolves_reference_curvature_at_small_radii(tmp_path):
     assert report["entries"]["reference_curvature_order"]["order"] >= 4.5
 
 
+def test_verify_notes_unresolved_flat_laplacian_order(tmp_path, capsys):
+    # on 3 cos^30 theta the Laplacian term falls below funclim_atol at three
+    # of the four tail radii, so its decay order is never measured
+    path = write_config(
+        tmp_path,
+        family={"name": "perturbed_round",
+                "psi": {"type": "poly_cos", "coefficients": [0] * 30 + [3]}},
+        epsilons=None,
+        schedule={"eps0": 0.2, "ratio": 0.7071067811865476, "count": 8},
+        grid={"n_theta": 64, "n_phi": 4},
+    )
+    assert main(["verify", path]) == 0
+    note = "decay order unresolved: 1 of 4 tail values above funclim_atol"
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if "flat_laplacian_decay" in ln)
+    assert note in line and "inf" not in line
+    entry = json.loads((tmp_path / "out" / "verify.json").read_text())["entries"][
+        "flat_laplacian_decay"]
+    assert entry["passed"] is True and entry["note"] == note
+
+
 def test_verify_failure_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, tolerances={"spinor_norm": 1e-18})
     assert main(["verify", path]) == 2

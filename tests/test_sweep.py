@@ -31,6 +31,7 @@ from ahmass import ah_metric
 from ahmass import embed_h3
 from ahmass import killing_spinor
 from ahmass import sphere_geometry
+from ahmass import sweep
 from ahmass.sweep import DEFAULT_SEED, DEFAULT_TOLERANCES, ORDER_RANGE, judge_flat_laplacian
 
 EPS8 = np.geomspace(0.2, 0.02, 8)
@@ -100,6 +101,97 @@ def test_fit_limit_validation():
         fit_limit([1.0, 2.0, 3.0], [0.1, 0.1, 0.2])
     with pytest.raises(ValueError):
         fit_limit([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
+
+
+# Columns of one fit batch on EPS_FIT4: flat data, exponents pinned at
+# either end of ORDER_RANGE (at the lower end the profiled slope has no
+# sign change in the bracket, so the scan point stands), exponents between
+# scan points, and two-term series that no single power law fits.
+MIXED_BATCH = {
+    "flat": np.full(4, 7.25),
+    "upper-pinned": 0.5 * EPS_FIT4 ** 8,
+    "lower-pinned": 1.0 + EPS_FIT4 ** 0.3,
+    "off-grid-1.996": 0.035 - 0.0058 * EPS_FIT4 ** 1.996,
+    "off-grid-2.003": 0.0167 + 0.004 * EPS_FIT4 ** 2.003,
+    "off-grid-2.37": 1.0 + 0.3 * EPS_FIT4 ** 2.37,
+    "cubic+quartic": EPS_FIT4 ** 3 + 0.1 * EPS_FIT4 ** 4,
+    "two-term": 0.2 * EPS_FIT4 ** 1.3 - 2.0 * EPS_FIT4 ** 2.5,
+}
+
+
+def test_fit_limit_batch_equals_solo():
+    cols = list(MIXED_BATCH.values())
+    batch = fit_limit(np.stack(cols, axis=1), EPS_FIT4)
+    assert isinstance(batch, tuple) and len(batch) == len(cols)
+    for name, col, fit in zip(MIXED_BATCH, cols, batch):
+        assert fit == fit_limit(col, EPS_FIT4), name
+    # neither the column order nor the radius order matters
+    flipped = fit_limit(np.stack(cols[::-1], axis=1)[::-1], EPS_FIT4[::-1])
+    assert flipped == batch[::-1]
+    assert fit_limit(cols[3][:, None], EPS_FIT4) == (batch[3],)
+
+    fits = dict(zip(MIXED_BATCH, batch))
+    assert fits["flat"].order == 0.0 and not fits["flat"].order_trusted
+    assert fits["upper-pinned"].order == ORDER_RANGE[1]
+    assert fits["lower-pinned"].order == ORDER_RANGE[0]
+    assert not fits["upper-pinned"].order_trusted and not fits["lower-pinned"].order_trusted
+    for name in ("off-grid-1.996", "off-grid-2.003", "off-grid-2.37"):
+        assert abs(fits[name].order - float(name.split("-")[-1])) < 1e-6
+
+
+def _dense_scan_min_ssr(v, eps):
+    # np.linalg.lstsq at each of 2000 exponents: an oracle independent of the fit
+    best = math.inf
+    for p in np.linspace(ORDER_RANGE[0], ORDER_RANGE[1], 2000):
+        basis = np.stack([np.ones_like(eps), eps ** p], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
+        r = basis @ coef - v
+        best = min(best, float(r @ r))
+    return best
+
+
+def test_fit_limit_ssr_matches_dense_lstsq_scan():
+    names = [n for n in MIXED_BATCH if n != "flat"]
+    batch = fit_limit(np.stack([MIXED_BATCH[n] for n in names], axis=1), EPS_FIT4)
+    for name, fit in zip(names, batch):
+        oracle = _dense_scan_min_ssr(MIXED_BATCH[name], EPS_FIT4)
+        assert fit.residual ** 2 <= oracle * (1.0 + 1e-12), name
+
+
+def test_fit_limit_batch_validation():
+    with pytest.raises(ValueError):
+        fit_limit(np.ones((4, 2)), EPS8)
+    with pytest.raises(ValueError):
+        fit_limit(np.ones((8, 2, 1)), EPS8)
+
+
+def test_singular_gauss_newton_matrix_gives_inf_for_its_column_only():
+    # the stacked inverse raises for the whole stack; the others keep theirs
+    gram = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+    assert list(sweep._inv00(gram)) == [1.0, math.inf, 0.5]
+
+
+def test_run_sweep_fits_every_limit_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    real_fit = sweep.fit_limit
+
+    def counting_fit(values, eps_list, known_order=None):
+        calls.append(np.shape(values))
+        return real_fit(values, eps_list, known_order)
+
+    monkeypatch.setattr(sweep, "fit_limit", counting_fit)
+    cfg = fast_config(tmp_path, family=PerturbedRound(lambda t: 0.1 * np.cos(t)))
+    rec = run_sweep(cfg)
+    # 12 mass components and the hat-BY gap, on the 3 smallest of 5 radii
+    assert calls == [(3, 13)]
+    by_eps = {r.eps: r.result for r in rec.records}
+    results = [by_eps[e] for e in rec.fit_eps]
+    for name in ("m_by", "m_hat", "m_alpha"):
+        series = np.array([getattr(r, name).as_array() for r in results])
+        for j, comp in enumerate(("x1", "x2", "x3", "t")):
+            assert rec.fits[name][comp] == real_fit(series[:, j], rec.fit_eps)
+    gaps = [float(np.max(np.abs(r.m_hat.as_array() - r.m_by.as_array()))) for r in results]
+    assert rec.fits["hat_by_gap"] == real_fit(gaps, rec.fit_eps)
 
 
 def test_decay_order_cubic():
