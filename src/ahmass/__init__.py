@@ -37,7 +37,6 @@ from .ah_metric import (
     AdSSchwarzschild,
     AHFamily,
     Hyperbolic,
-    MassAspect,
     PerturbedRound,
     ads_collar_transform,
     mass_aspect,
@@ -101,8 +100,8 @@ __all__ = [
     "embeddability_check", "integrate_scalar", "integrate_vector",
     "surface_laplacian",
     # ah_metric
-    "AdSSchwarzschild", "AHFamily", "Hyperbolic", "MassAspect",
-    "PerturbedRound", "ads_collar_transform", "mass_aspect",
+    "AdSSchwarzschild", "AHFamily", "Hyperbolic", "PerturbedRound",
+    "ads_collar_transform", "mass_aspect",
     "scalar_curvature", "wang_mass",
     # embed_h3
     "EmbeddedSurface", "EmbeddingError", "RevolutionProfile",

@@ -6,15 +6,16 @@ Every family here is conformal over the round sphere: the metric is
     g = sinh^-2 rho (drho^2 + u(rho, theta) h0),   0 < rho <= rho_max,
 
 with u -> 1 at the boundary rho -> 0.  The third-order coefficient of u is
-the mass aspect: u = 1 + rho^3 psi(theta)/3 + O(rho^4) corresponds to the
-aspect tensor psi h0, whose trace 2 psi feeds the mass vector.
+the mass aspect: u = 1 + rho^3 psi/3 + O(rho^4) corresponds to the aspect
+tensor psi h0, whose trace 2 psi feeds the mass vector.  Every family is
+axisymmetric and gives psi as a function of x = cos theta, so psi is
+smooth at the poles by construction.
 
 Families:
   Hyperbolic           u = 1 exactly (reference space).
   AdSSchwarzschild(m)  u = (r(rho) sinh rho)^2 with r the static area
                        radius; obtained from the collar transform below.
-  PerturbedRound(psi)  u = 1 + rho^3 psi(theta)/3 + e(rho, theta), psi
-                       smooth at the poles, e an optional O(rho^4) tail.
+  PerturbedRound(psi)  u = 1 + rho^3 psi(cos theta)/3.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .lorentz import MinkowskiVector, sphere_direction
 from .sphere_geometry import QuadratureGrid
 
 __all__ = [
-    "MassAspect",
     "AHFamily",
     "Hyperbolic",
     "AdSSchwarzschild",
@@ -40,37 +40,12 @@ __all__ = [
     "conformal_collar_scalar_curvature",
 ]
 
-DEFAULT_RHO_MAX = 0.5
-
-
-class MassAspect:
-    """Symmetric 2-tensor on the round sphere, sampled on a grid, storing
-    the third-order term of the collar expansion.  The trace against the
-    round metric is what the mass vector integrates."""
-
-    def __init__(self, h_tt, h_tp, h_pp, grid: QuadratureGrid):
-        self.grid = grid
-        self.h_tt = grid.as_field(h_tt)
-        self.h_tp = grid.as_field(h_tp)
-        self.h_pp = grid.as_field(h_pp)
-        for a in (self.h_tt, self.h_tp, self.h_pp):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("mass aspect has non-finite samples")
-            a.setflags(write=False)
-
-    @property
-    def trace(self) -> np.ndarray:
-        """Trace against the round metric, h_tt + h_pp / sin^2 th."""
-        s2 = (self.grid.sin_theta ** 2)[:, None]
-        return self.h_tt + self.h_pp / s2
-
-
 class AHFamily:
     """Base class for collar-form families; subclasses provide the
     conformal profile u and its first two radial derivatives."""
 
     name = "abstract"
-    rho_max = DEFAULT_RHO_MAX
+    rho_max = 0.5
 
     def conformal_factor(self, rho: float, theta) -> np.ndarray:
         raise NotImplementedError
@@ -81,8 +56,8 @@ class AHFamily:
     def conformal_factor_drho2(self, rho: float, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def aspect_function(self):
-        """theta -> rho^3-coefficient profile psi(theta) (aspect = psi h0)."""
+    def aspect(self, x) -> np.ndarray:
+        """rho^3-coefficient profile psi at x = cos theta (aspect = psi h0)."""
         raise NotImplementedError
 
     def scalar_curvature(self, rho: float, theta) -> np.ndarray:
@@ -108,8 +83,8 @@ class Hyperbolic(AHFamily):
 
     conformal_factor_drho2 = conformal_factor_drho
 
-    def aspect_function(self):
-        return lambda theta: np.zeros_like(np.asarray(theta, dtype=float))
+    def aspect(self, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
 
     def scalar_curvature(self, rho, theta):
         self._check(rho)
@@ -242,10 +217,9 @@ class AdSSchwarzschild(AHFamily):
         _, _, ddw = self._profile(rho)
         return np.full_like(np.asarray(theta, dtype=float), ddw)
 
-    def aspect_function(self):
+    def aspect(self, x):
         # u = (r sinh rho)^2 = 1 + 2m rho^3 / 3 + O(rho^4): the aspect is 2m h0
-        c = 2.0 * self.mass
-        return lambda theta: np.full_like(np.asarray(theta, dtype=float), c)
+        return np.full_like(np.asarray(x, dtype=float), 2.0 * self.mass)
 
     def scalar_curvature(self, rho, theta):
         self._check(rho)
@@ -272,80 +246,27 @@ def conformal_collar_scalar_curvature(rho, u, u_rho, u_rho2, lap0_log_u):
 
 
 class PerturbedRound(AHFamily):
-    """Conformal perturbation u = 1 + rho^3 psi(theta)/3 + e(rho, theta).
+    """Conformal perturbation u = 1 + rho^3 psi(cos theta)/3, psi a
+    callable of x = cos theta (e.g. a numpy Polynomial)."""
 
-    psi must be smooth at the poles (vanishing theta-derivative there,
-    enforced by sampling).  The optional tail e is given with its first
-    two radial derivatives and must satisfy |e| <= bound * rho^4 on the
-    collar, checked on 20 log-spaced radii.
-    """
-
-    def __init__(self, psi, e_value=None, e_drho=None, e_drho2=None,
-                 remainder_bound: float = 100.0, rho_max: float = DEFAULT_RHO_MAX):
+    def __init__(self, psi):
         self.psi = psi
-        self.e_value = e_value
-        self.e_drho = e_drho
-        self.e_drho2 = e_drho2
-        self.rho_max = float(rho_max)
         self.name = "perturbed_round"
-        self._check_pole_regularity()
-        if e_value is not None:
-            if e_drho is None:
-                raise ValueError("a remainder tail needs its radial derivative")
-            self._check_remainder(float(remainder_bound))
 
-    def _check_pole_regularity(self):
-        # One-sided slope of second order, (4 (psi(d) - psi(0)) - (psi(2d) -
-        # psi(0))) / 2d, at each pole: it is exact on quadratics, so the d^2
-        # term of a profile even about the pole cancels.  c cos^N theta reads
-        # about 3 c N^2 d^3 / 4, where a first-order difference reads c N d.
-        d = 1e-4
-
-        def at(t):
-            return float(self.psi(np.array(t)))
-
-        scale = 1.0 + max(abs(at(0.0)), abs(at(np.pi)))
-        for pole, step in ((0.0, d), (np.pi, -d)):
-            p0 = at(pole)
-            slope = abs(4.0 * (at(pole + step) - p0) - (at(pole + 2.0 * step) - p0)) / (2.0 * d)
-            if slope > 1e-3 * scale:
-                raise ValueError("psi must have vanishing slope at both poles")
-
-    def _check_remainder(self, bound):
-        thetas = np.linspace(0.05, np.pi - 0.05, 33)
-        for rho in np.geomspace(1e-3, self.rho_max, 20):
-            e = np.asarray(self.e_value(rho, thetas), dtype=float)
-            if np.max(np.abs(e)) > bound * rho ** 4:
-                raise ValueError("remainder tail exceeds %g * rho^4 at rho=%g" % (bound, rho))
+    def aspect(self, x):
+        return np.asarray(self.psi(x), dtype=float)
 
     def conformal_factor(self, rho, theta):
         self._check(rho)
-        th = np.asarray(theta, dtype=float)
-        u = 1.0 + rho ** 3 * np.asarray(self.psi(th), dtype=float) / 3.0
-        if self.e_value is not None:
-            u = u + np.asarray(self.e_value(rho, th), dtype=float)
-        return u
+        return 1.0 + rho ** 3 * self.aspect(np.cos(theta)) / 3.0
 
     def conformal_factor_drho(self, rho, theta):
         self._check(rho)
-        th = np.asarray(theta, dtype=float)
-        du = rho ** 2 * np.asarray(self.psi(th), dtype=float)
-        if self.e_drho is not None:
-            du = du + np.asarray(self.e_drho(rho, th), dtype=float)
-        return du
+        return rho ** 2 * self.aspect(np.cos(theta))
 
     def conformal_factor_drho2(self, rho, theta):
         self._check(rho)
-        th = np.asarray(theta, dtype=float)
-        ddu = 2.0 * rho * np.asarray(self.psi(th), dtype=float)
-        if self.e_value is not None:
-            if self.e_drho2 is None:
-                raise ValueError("remainder tail lacks a second radial derivative")
-            ddu = ddu + np.asarray(self.e_drho2(rho, th), dtype=float)
-        return ddu
-
-    def aspect_function(self):
-        return lambda theta: np.asarray(self.psi(np.asarray(theta, dtype=float)), dtype=float)
+        return 2.0 * rho * self.aspect(np.cos(theta))
 
     def scalar_curvature(self, rho, theta):
         self._check(rho)
@@ -361,21 +282,23 @@ class PerturbedRound(AHFamily):
         return out if np.asarray(theta).ndim else float(out[0])
 
 
-def mass_aspect(family: AHFamily, grid: QuadratureGrid) -> MassAspect:
-    """Third-order coefficient tensor of the family's collar expansion."""
-    psi = np.asarray(family.aspect_function()(grid.theta), dtype=float)
-    s2 = grid.sin_theta ** 2
-    return MassAspect(psi, 0.0, psi * s2, grid)
+def mass_aspect(family: AHFamily, grid: QuadratureGrid) -> np.ndarray:
+    """Read-only profile psi of the family's mass aspect psi h0 at the
+    grid's theta nodes."""
+    psi = np.broadcast_to(family.aspect(np.cos(grid.theta)), grid.theta.shape)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("mass aspect has non-finite samples")
+    return psi
 
 
-def wang_mass(aspect: MassAspect) -> MinkowskiVector:
-    """Mass vector (1/16 pi) (int omega tr dmu0, int tr dmu0) of an aspect
-    tensor, on the grid it was sampled on; omega the unit position on the
+def wang_mass(psi, grid: QuadratureGrid) -> MinkowskiVector:
+    """Mass vector (1/16 pi) (int omega tr dmu0, int tr dmu0) of the aspect
+    psi h0, whose trace against the round metric is tr = 2 psi; psi is a
+    theta profile on the grid's nodes, omega the unit position on the
     round sphere."""
-    grid = aspect.grid
     if grid.n_theta < 16:
         raise ValueError("need n_theta >= 16 to resolve the aspect integrals")
-    tr = aspect.trace
+    tr = grid.as_field(2.0 * np.asarray(psi, dtype=float))
     omega = sphere_direction(grid.theta_mesh, grid.phi_mesh)
     c = 1.0 / (16.0 * np.pi)
     comps = [c * grid.integrate_round(omega[..., k] * tr) for k in range(3)]

@@ -357,22 +357,14 @@ def embed_round(R: float, grid: QuadratureGrid,
     X = np.concatenate([sh * omega, np.full(grid.shape + (1,), ch)], axis=-1)
     N = np.concatenate([-ch * omega, np.full(grid.shape + (1,), -sh)], axis=-1)
     if surface is None:
-        E = np.full(grid.shape, sh * sh)
-        surface = SurfaceSample(R, E, 0.0, E * (grid.sin_theta ** 2)[:, None],
-                                2.0 * ch / sh, 1.0 / sh ** 2, grid)
+        surface = SurfaceSample(R, sh * sh, 2.0 * ch / sh, 1.0 / sh ** 2, grid)
     return EmbeddedSurface(grid, X, N, 2.0 * ch / sh, 0.0, surface=surface)
 
 
 def _round_radius(surface: SurfaceSample):
     """Radius R when the induced metric is exactly sinh^2 R h0, else None."""
-    E, F, G = surface.E, surface.F, surface.G
-    scale = float(np.max(E))
-    if np.max(np.abs(F)) > ROUND_DISPATCH_TOL * scale:
-        return None
-    if np.max(E) - np.min(E) > ROUND_DISPATCH_TOL * scale:
-        return None
-    s2 = (surface.grid.sin_theta ** 2)[:, None]
-    if np.max(np.abs(G - E * s2)) > ROUND_DISPATCH_TOL * scale:
+    E = surface.E
+    if np.max(E) - np.min(E) > ROUND_DISPATCH_TOL * float(np.max(E)):
         return None
     return math.asinh(math.sqrt(float(np.mean(E))))
 
@@ -382,14 +374,12 @@ def embed_surface(surface: SurfaceSample, branch: int = 1) -> EmbeddedSurface:
 
     Exactly round samples take the closed geodesic-sphere form, which is
     exact and about a hundred times cheaper than the rapidity quadrature;
-    everything else goes through embed_revolution.  Non-axisymmetric
-    input is rejected: the general problem is out of scope.
+    everything else goes through embed_revolution.  A SurfaceSample is
+    axisymmetric by construction.
     """
     r = _round_radius(surface)
     if r is not None:
         return embed_round(r, surface.grid, surface=surface)
-    if not surface.is_axisymmetric() or np.max(np.abs(surface.F)) > 1e-12 * float(np.max(surface.E)):
-        raise EmbeddingError("only rotationally symmetric metrics are supported")
     prof = embed_revolution(surface.E[:, 0], surface.G[:, 0], surface.grid, branch=branch)
     h0 = mean_curvature_h0(prof)
     X, N = _profile_nodes(prof)

@@ -178,38 +178,36 @@ class QuadratureGrid:
 
 
 class SurfaceSample:
-    """Induced geometry of one coordinate sphere, sampled on a grid.
+    """Induced geometry of one axisymmetric coordinate sphere, sampled on
+    a grid.
 
-    Stores the first fundamental form (E, F, G) in (theta, phi), the area
-    element, the mean curvature H (sum-of-principal-curvatures convention,
-    normal pointing away from infinity) and the Gauss curvature K.
+    E, H and K are scalars or theta profiles (a full grid array must not
+    vary in phi): the first fundamental form is E dth^2 + G dphi^2 with
+    G = E sin^2 th, H the mean curvature (sum-of-principal-curvatures
+    convention, normal pointing away from infinity) and K the Gauss
+    curvature.  All are stored as read-only grid fields.
     """
 
-    def __init__(self, eps, E, F, G, H, K, grid: QuadratureGrid):
+    def __init__(self, eps, E, H, K, grid: QuadratureGrid):
         self.eps = float(eps)
         self.grid = grid
+        for a in (E, H, K):
+            # scalars and theta profiles are constant in phi by shape
+            if np.ndim(a) == 2 and np.any(np.ptp(a, axis=1) > 0.0):
+                raise ValueError("surface fields must not vary in phi")
         self.E = grid.as_field(E)
-        self.F = grid.as_field(F)
-        self.G = grid.as_field(G)
         self.H = grid.as_field(H)
         self.K = grid.as_field(K)
-        det = self.E * self.G - self.F ** 2
-        if np.any(self.E <= 0.0) or np.any(det <= 0.0):
+        if np.any(self.E <= 0.0):
             raise ValueError("degenerate induced metric sample")
-        self.sqrt_det = np.sqrt(det)
-        for a in (self.E, self.F, self.G, self.H, self.K, self.sqrt_det):
+        self.G = self.E * (grid.sin_theta ** 2)[:, None]
+        self.sqrt_det = np.sqrt(self.E * self.G)
+        for a in (self.E, self.G, self.H, self.K, self.sqrt_det):
             a.setflags(write=False)
 
     @property
     def area(self) -> float:
         return integrate_scalar(self, 1.0)
-
-    def is_axisymmetric(self, tol: float = 1e-11) -> bool:
-        for a in (self.E, self.F, self.G):
-            spread = np.max(a, axis=1) - np.min(a, axis=1)
-            if np.max(spread) > tol * (1.0 + np.max(np.abs(a))):
-                return False
-        return True
 
 
 def coordinate_sphere(family, eps: float, grid: QuadratureGrid) -> SurfaceSample:
@@ -232,12 +230,8 @@ def coordinate_sphere(family, eps: float, grid: QuadratureGrid) -> SurfaceSample
     if np.any(u <= 0.0):
         raise ValueError("degenerate induced metric: conformal factor <= 0")
     sh, ch = np.sinh(eps), np.cosh(eps)
-    E = grid.as_field(u / sh ** 2)
-    G = E * (grid.sin_theta ** 2)[:, None]
-    F = np.zeros(grid.shape)
-    H = grid.as_field(2.0 * ch - sh * du / u)
-    K = grid.as_field(sh ** 2 * (1.0 - 0.5 * grid.round_laplacian(np.log(u))) / u)
-    return SurfaceSample(eps, E, F, G, H, K, grid)
+    K = sh ** 2 * (1.0 - 0.5 * grid.round_laplacian(np.log(u))) / u
+    return SurfaceSample(eps, u / sh ** 2, 2.0 * ch - sh * du / u, K, grid)
 
 
 def integrate_scalar(surface: SurfaceSample, field) -> float:
@@ -262,8 +256,8 @@ def integrate_vector(surface: SurfaceSample, field) -> MinkowskiVector:
 
 
 def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:
-    """Laplace-Beltrami operator of the surface metric applied to a scalar
-    field, for axisymmetric E and G with F = 0.
+    """Laplace-Beltrami operator of the surface metric E dth^2 + G dphi^2
+    applied to a scalar field, which may vary in phi.
 
     Works modewise in phi.  Each Fourier mode is factored as
     sin^p th * (smooth function of cos th), p the mode parity, so every
@@ -274,10 +268,6 @@ def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:
     BLAS on small hosts.
     """
     g = surface.grid
-    if not surface.is_axisymmetric():
-        raise ValueError("surface_laplacian requires an axisymmetric surface")
-    if np.max(np.abs(surface.F)) > 1e-12 * (1.0 + np.max(surface.E)):
-        raise ValueError("surface_laplacian requires F = 0")
     f = g.as_field(field)
 
     x = g.x[:, None]

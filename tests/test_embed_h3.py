@@ -16,7 +16,6 @@ from ahmass import (
     LorentzMap,
     PerturbedRound,
     QuadratureGrid,
-    SurfaceSample,
     boost,
     boost_surface,
     coordinate_sphere,
@@ -102,7 +101,7 @@ def test_branches_give_the_same_h0():
     assert np.min(plus.H0) > 2.0
     # psi = a cos(theta) shifts the sphere along the axis, so
     # H0 = 2 cosh(eps) + O(eps^8): each branch reaches it to rounding
-    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    fam = PerturbedRound(lambda x: 0.1 * x)
     for eps in (0.0125, 0.0044):
         surf = coordinate_sphere(fam, eps, grid)
         for branch in (1, -1):
@@ -130,7 +129,7 @@ def test_ads_sphere_takes_round_dispatch():
 
 
 def test_perturbed_sphere_embedding_quality():
-    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    fam = PerturbedRound(lambda x: 0.1 * x)
     emb = embed_surface(coordinate_sphere(fam, 0.1, GRID))
     assert emb.isometry_residual < 1e-9
     assert hyperboloid_defect(emb) < 1e-11
@@ -147,7 +146,7 @@ def test_perturbed_sphere_embedding_quality():
 def test_small_radius_centering_defect():
     # regression: the centered gauge must not lose digits to cancellation
     # as the sphere shrinks (raw profile values grow like 1/eps^2)
-    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    fam = PerturbedRound(lambda x: 0.1 * x)
     grid = QuadratureGrid(64, 4)
     emb = embed_surface(coordinate_sphere(fam, 0.2 * 2.0 ** -3.5, grid))
     assert hyperboloid_defect(emb) < 1e-10
@@ -158,7 +157,7 @@ def test_small_radius_centering_defect():
 def test_rapidity_degree_follows_radius():
     # pole features of the rapidity are about eps wide in theta, so the
     # chosen degree grows as the sphere grows, and the chop is honoured
-    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    fam = PerturbedRound(lambda x: 0.1 * x)
     grid = QuadratureGrid(64, 4)
     degrees = []
     for eps in (0.2, 0.05, 0.0125, 0.0044):
@@ -170,7 +169,7 @@ def test_rapidity_degree_follows_radius():
 
 
 def test_rapidity_unresolved_at_degree_cap(monkeypatch):
-    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    fam = PerturbedRound(lambda x: 0.1 * x)
     surf = coordinate_sphere(fam, 0.0125, QuadratureGrid(64, 4))
     monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 128)
     with pytest.raises(EmbeddingError, match="unresolved at degree 128"):
@@ -342,15 +341,6 @@ def test_pole_regularity_rejected():
         embed_revolution(E, G, GRID)
 
 
-def test_non_axisymmetric_rejected():
-    sh = math.sinh(1.0)
-    E = sh * sh * (1.0 + 0.01 * np.cos(GRID.phi_mesh))
-    G = E * (GRID.sin_theta ** 2)[:, None]
-    surf = SurfaceSample(0.1, E, 0.0, G, 2.5, 1.0 / sh ** 2, GRID)
-    with pytest.raises(EmbeddingError, match="rotationally symmetric"):
-        embed_surface(surf)
-
-
 def test_embed_revolution_validation():
     E, G = round_profiles(1.0, GRID)
     with pytest.raises(ValueError):
@@ -364,7 +354,7 @@ def test_embed_revolution_validation():
 def test_dump_profile_csv(tmp_path):
     # the columns are the phi = 0 meridian of the embedding itself, on the
     # revolution path and on the closed-form round path alike
-    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    fam = PerturbedRound(lambda x: 0.1 * x)
     emb = embed_surface(coordinate_sphere(fam, 0.1, GRID))
     prof = emb.profile
     path = tmp_path / "profile.csv"

@@ -246,7 +246,7 @@ def test_surface_identity_refinement_floor():
     # on a non-round sphere the residual sits at the rounding floor on
     # every grid: the operators are spectral and the data analytic, so
     # there is no truncation regime to observe
-    fam = PerturbedRound(lambda t: 0.3 * np.cos(t) + 0.1 * np.sin(t) ** 2)
+    fam = PerturbedRound(lambda x: 0.3 * x + 0.1 * (1.0 - x ** 2))
     field = KillingNormField.from_spinor(SpinorParameter(0.9 + 0.2j, -0.4 + 0.6j))
     for n_theta in (16, 24, 32, 40):
         emb = embed_surface(coordinate_sphere(fam, 0.1, QuadratureGrid(n_theta, 4)))

@@ -74,8 +74,7 @@ def test_ads_sphere_masses_future_timelike():
 def test_hat_mass_needs_mean_curvature_above_floor():
     emb = embed_round(1.0, GRID)
     sh = math.sinh(1.0)
-    bad = SurfaceSample(0.1, sh * sh, 0.0, sh * sh * GRID.sin_theta ** 2,
-                        -2.5, 1.0 / sh ** 2, GRID)
+    bad = SurfaceSample(0.1, sh * sh, -2.5, 1.0 / sh ** 2, GRID)
     with pytest.raises(ValueError, match="mean curvature"):
         hat_mass(bad, emb)
     with pytest.raises(ValueError, match="mean curvature"):
@@ -105,7 +104,7 @@ def test_enclosing_radii():
     r1, r2 = enclosing_radii(emb)
     assert r1 == pytest.approx(1.4, abs=1e-9)
     assert r2 == pytest.approx(1.4, abs=1e-9)
-    emb2 = embed_surface(coordinate_sphere(PerturbedRound(lambda t: 0.1 * np.cos(t)), 0.1, GRID))
+    emb2 = embed_surface(coordinate_sphere(PerturbedRound(lambda x: 0.1 * x), 0.1, GRID))
     q1, q2 = enclosing_radii(emb2)
     assert q1 < q2
     assert alpha_from_radii(q1, q2) > 1.0
@@ -115,7 +114,7 @@ def test_enclosing_radii():
 def cos_theta_by_masses():
     # m_BY on psi = 0.1 cos(theta) down the 12-radius default schedule;
     # the boundary mass integral is (0, 0, 1/60, 0)
-    fam = PerturbedRound(lambda t: 0.1 * np.cos(t))
+    fam = PerturbedRound(lambda x: 0.1 * x)
     grid = QuadratureGrid(64, 4)
     eps = np.array(default_schedule(0.2, 2 ** -0.5, 12))
     m = []

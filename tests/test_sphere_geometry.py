@@ -15,6 +15,7 @@ from ahmass import (
     embeddability_check,
     integrate_scalar,
     integrate_vector,
+    mass_aspect,
     surface_laplacian,
 )
 
@@ -23,11 +24,8 @@ GRID = QuadratureGrid(32, 4)
 
 def round_sample(radius_sinh, grid, eps=0.1):
     """Exactly round sample E = sinh^2 R, G = sinh^2 R sin^2 theta."""
-    e = np.full(grid.shape, radius_sinh ** 2)
-    g = radius_sinh ** 2 * (np.sin(grid.theta) ** 2)[:, None] * np.ones((1, grid.n_phi))
-    h = np.full(grid.shape, 2.0 * np.sqrt(1.0 + radius_sinh ** 2) / radius_sinh)
-    k = np.full(grid.shape, 1.0 / radius_sinh ** 2)
-    return SurfaceSample(eps, e, np.zeros(grid.shape), g, h, k, grid)
+    h = 2.0 * np.sqrt(1.0 + radius_sinh ** 2) / radius_sinh
+    return SurfaceSample(eps, radius_sinh ** 2, h, 1.0 / radius_sinh ** 2, grid)
 
 
 def test_round_measure_total():
@@ -102,7 +100,6 @@ def test_hyperbolic_sphere_closed_forms():
         assert np.max(np.abs(s.K - np.sinh(eps) ** 2)) < 1e-10
         area = 4.0 * np.pi / np.sinh(eps) ** 2
         assert abs(s.area - area) < 1e-10 * area
-        assert np.max(np.abs(s.F)) == 0.0
 
 
 def test_area_element_round():
@@ -143,9 +140,9 @@ def test_reference_difference_vanishes_on_hyperbolic():
 
 def test_embeddability_check():
     assert embeddability_check(coordinate_sphere(Hyperbolic(), 0.1, GRID))
-    assert embeddability_check(coordinate_sphere(PerturbedRound(lambda t: 0.1 * np.cos(t)), 0.2, GRID))
+    assert embeddability_check(coordinate_sphere(PerturbedRound(lambda x: 0.1 * x), 0.2, GRID))
     s = round_sample(1.0, GRID)
-    flat = SurfaceSample(0.1, s.E, s.F, s.G, s.H, np.full(GRID.shape, -1.0), GRID)
+    flat = SurfaceSample(0.1, s.E, s.H, np.full(GRID.shape, -1.0), GRID)
     assert not embeddability_check(flat)
 
 
@@ -156,7 +153,7 @@ def test_gauss_curvature_closed_form():
         grid = QuadratureGrid(n_theta, 4)
         x = grid.x[:, None]
         for eps in (0.2, 0.05, 0.0125):
-            s = coordinate_sphere(PerturbedRound(lambda t: a * np.cos(t)), eps, grid)
+            s = coordinate_sphere(PerturbedRound(lambda x: a * x), eps, grid)
             c = eps ** 3 * a / 3.0
             lap_log_u = (-2.0 * x * c * (1.0 + c * x) - (1.0 - x ** 2) * c ** 2) / (1.0 + c * x) ** 2
             k_exact = np.sinh(eps) ** 2 * (1.0 - 0.5 * lap_log_u) / (1.0 + c * x)
@@ -164,21 +161,38 @@ def test_gauss_curvature_closed_form():
 
 
 def test_perturbed_round_sample_properties():
-    s = coordinate_sphere(PerturbedRound(lambda t: 0.1 * np.cos(t)), 0.1, GRID)
-    assert np.max(np.abs(s.F)) == 0.0
+    s = coordinate_sphere(PerturbedRound(lambda x: 0.1 * x), 0.1, GRID)
     assert np.min(s.K) > -1.0
-    assert np.min(s.E) > 0.0 and np.min(s.E * s.G - s.F ** 2) > 0.0
+    assert np.min(s.E) > 0.0 and np.min(s.E * s.G) > 0.0
+    assert np.array_equal(s.G, s.E * (GRID.sin_theta ** 2)[:, None])
+
+
+def test_surface_sample_rejects_phi_varying_fields():
+    # a coordinate sphere is axisymmetric: E, H and K are theta profiles,
+    # and a grid array that varies in phi is refused at construction
+    sh = np.sinh(1.0)
+    fields = {"E": sh * sh, "H": 2.5, "K": 1.0 / sh ** 2}
+    wobble = 1.0 + 0.01 * np.cos(GRID.phi_mesh)
+    for name in fields:
+        bad = dict(fields, **{name: fields[name] * wobble})
+        with pytest.raises(ValueError, match="vary in phi"):
+            SurfaceSample(0.1, bad["E"], bad["H"], bad["K"], GRID)
+    profile = np.full(GRID.n_theta, sh * sh)
+    s = SurfaceSample(0.1, profile, fields["H"], np.full(GRID.shape, fields["K"]), GRID)
+    assert np.array_equal(s.E, np.full(GRID.shape, sh * sh))
+    with pytest.raises(ValueError, match="degenerate"):
+        SurfaceSample(0.1, -profile, fields["H"], fields["K"], GRID)
 
 
 @pytest.mark.parametrize("family,psi_scale", [
     (AdSSchwarzschild(1.0), None),
-    (PerturbedRound(lambda t: 0.1 * np.cos(t)), 0.1),
+    (PerturbedRound(lambda x: 0.1 * x), 0.1),
 ])
 def test_mean_curvature_cubic_coefficient(family, psi_scale):
     # (2 cosh eps - H)/eps^3 approaches the trace coefficient of the aspect
     eps = 0.025
     s = coordinate_sphere(family, eps, GRID)
-    psi = family.aspect_function()(GRID.theta)[:, None] * np.ones((1, GRID.n_phi))
+    psi = mass_aspect(family, GRID)[:, None]
     resid = np.max(np.abs((2.0 * np.cosh(eps) - s.H) / eps ** 3 - psi))
     assert resid < 0.02 * (1.0 + np.max(np.abs(psi)))
 
@@ -188,8 +202,8 @@ def test_gauss_curvature_expansion_order():
     # the perturbed cases use the identity suite's rounding floor for K
     floor = 1e-11 * np.sinh(eps_list) ** 2
     cases = ((AdSSchwarzschild(1.0), GRID, 1e-13),
-             (PerturbedRound(lambda t: 0.1 * np.cos(t)), QuadratureGrid(64, 4), floor),
-             (PerturbedRound(lambda t: 0.1 * np.cos(t)), QuadratureGrid(128, 4), floor))
+             (PerturbedRound(lambda x: 0.1 * x), QuadratureGrid(64, 4), floor),
+             (PerturbedRound(lambda x: 0.1 * x), QuadratureGrid(128, 4), floor))
     for family, grid, fl in cases:
         vals = []
         for eps in eps_list:
@@ -208,7 +222,7 @@ def test_area_growth_toward_round():
 
 
 def test_surface_laplacian_divergence_free():
-    s = coordinate_sphere(PerturbedRound(lambda t: 0.1 * np.cos(t)), 0.2, GRID)
+    s = coordinate_sphere(PerturbedRound(lambda x: 0.1 * x), 0.2, GRID)
     th, ph = GRID.theta_mesh, GRID.phi_mesh
     for field in (np.exp(np.cos(th)), np.sin(th) ** 2 * np.cos(2 * ph) + np.cos(th)):
         lap = surface_laplacian(s, field)

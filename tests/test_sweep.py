@@ -16,6 +16,7 @@ from ahmass import (
     Hyperbolic,
     MinkowskiVector,
     PerturbedRound,
+    QuadratureGrid,
     SweepConfig,
     causal_classify,
     cone_pairing_report,
@@ -180,7 +181,7 @@ def test_run_sweep_fits_every_limit_in_one_call(tmp_path, monkeypatch):
         return real_fit(values, eps_list, known_order)
 
     monkeypatch.setattr(sweep, "fit_limit", counting_fit)
-    cfg = fast_config(tmp_path, family=PerturbedRound(lambda t: 0.1 * np.cos(t)))
+    cfg = fast_config(tmp_path, family=PerturbedRound(lambda x: 0.1 * x))
     rec = run_sweep(cfg)
     # 12 mass components and the hat-BY gap, on the 3 smallest of 5 radii
     assert calls == [(3, 13)]
@@ -292,14 +293,37 @@ def test_family_from_spec_names():
 
 
 def test_family_from_spec_psi_profiles():
+    # psi is a function of x = cos theta
+    x = np.linspace(-1.0, 1.0, 7)
     fam, _ = family_from_spec(
         {"name": "perturbedround", "psi": {"type": "constant", "value": 0.3}})
-    assert np.allclose(fam.psi(np.linspace(0, np.pi, 5)), 0.3)
+    assert np.allclose(fam.psi(x), 0.3)
     fam, _ = family_from_spec(
         {"name": "perturbed_round",
          "psi": {"type": "poly_cos", "coefficients": [0.2, 0.0, 0.1]}})
-    th = np.linspace(0.0, np.pi, 7)
-    assert np.allclose(fam.psi(th), 0.2 + 0.1 * np.cos(th) ** 2)
+    assert np.allclose(fam.psi(x), 0.2 + 0.1 * x ** 2)
+
+
+@pytest.mark.parametrize("n_theta", [64, 128])
+def test_psi_profile_types_give_identical_conformal_factors(n_theta):
+    # cos_theta(a) and constant(c) are poly_cos [0, a] and [c] to the last
+    # bit, and equal the closed forms 1 + rho^3 a cos(theta) / 3 and
+    # 1 + rho^3 c / 3 the sweep outputs were produced from
+    theta = QuadratureGrid(n_theta, 4).theta
+
+    def u(psi, rho):
+        fam, _ = family_from_spec({"name": "perturbed_round", "psi": psi})
+        return fam.conformal_factor(rho, theta)
+
+    for rho in (0.2, 0.0125):
+        for a in (0.1, -0.37):
+            got = u({"type": "cos_theta", "amplitude": a}, rho)
+            assert np.array_equal(got, u({"type": "poly_cos", "coefficients": [0, a]}, rho))
+            assert np.array_equal(got, 1.0 + rho ** 3 * (a * np.cos(theta)) / 3.0)
+        for c in (0.3, -2.5):
+            got = u({"type": "constant", "value": c}, rho)
+            assert np.array_equal(got, u({"type": "poly_cos", "coefficients": [c]}, rho))
+            assert np.array_equal(got, 1.0 + rho ** 3 * np.full_like(theta, c) / 3.0)
 
 
 def test_family_from_spec_errors():
@@ -438,7 +462,7 @@ def test_run_sweep_reference_space(tmp_path):
 
 
 def test_run_sweep_records_per_radius_failure(tmp_path):
-    fam = PerturbedRound(lambda t: np.full_like(t, -40.0))
+    fam = PerturbedRound(lambda x: np.full_like(x, -40.0))
     cfg = fast_config(tmp_path, family=fam, eps_list=(0.45, 0.12, 0.08, 0.05))
     rec = run_sweep(cfg)
     assert rec.records[0].error is not None
@@ -449,7 +473,7 @@ def test_run_sweep_records_per_radius_failure(tmp_path):
 
 
 def test_run_sweep_needs_three_good_radii(tmp_path):
-    fam = PerturbedRound(lambda t: np.full_like(t, -40.0))
+    fam = PerturbedRound(lambda x: np.full_like(x, -40.0))
     cfg = fast_config(tmp_path, family=fam, eps_list=(0.45, 0.44, 0.43, 0.06, 0.05))
     with pytest.raises(RuntimeError, match="need 3"):
         run_sweep(cfg)
@@ -492,7 +516,8 @@ def test_write_outputs_files(tmp_path):
     cfg = fast_config(tmp_path)
     rec = run_sweep(cfg)
     paths = write_outputs(rec, cfg)
-    csv_lines = open(paths["csv"]).read().splitlines()
+    with open(paths["csv"]) as fh:
+        csv_lines = fh.read().splitlines()
     assert csv_lines[0].startswith("epsilon,mBY_x1")
     assert len(csv_lines) == 1 + len(rec.records)
     with open(paths["csv"], newline="") as fh:
@@ -501,7 +526,8 @@ def test_write_outputs_files(tmp_path):
         for key, cell in row.items():
             if cell and not key.startswith("tag_") and key != "error":
                 float(cell)
-    summary = json.load(open(paths["summary"]))
+    with open(paths["summary"]) as fh:
+        summary = json.load(fh)
     for key in ("family", "epsilons", "fit_epsilons", "records", "fits",
                 "limits", "tags", "wang_reference", "gap_monotone", "config"):
         assert key in summary
