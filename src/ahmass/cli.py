@@ -50,7 +50,11 @@ def _fmt_vec(comps) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    record = run_sweep(cfg)
+    try:
+        record = run_sweep(cfg)
+    except RuntimeError as exc:
+        print("sweep failed: %s" % exc, file=sys.stderr)
+        return 2
     paths = write_outputs(record, cfg)
     print("family: %s" % record.family_label)
     for rec in record.records:

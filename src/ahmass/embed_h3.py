@@ -25,7 +25,12 @@ A, B and E are the grid's own Gauss-Legendre interpolants in x.  The
 poles and the discriminant probe read them at x = cos(k pi / 2000) from
 their Chebyshev coefficients in x and one FFT
 (grid.interp_uniform_theta); the chi' samples read them by the
-barycentric formula (grid.interp_x).  The x-derivatives of A, of
+barycentric formula, one 4-column product (c @ nodal) / den per level of
+the series.  The rows c and sums den at a level's points depend only on
+the grid size and the level, so they are built once per process and
+shared by every sphere (_level_rows), as are the sample points and the
+primitive's exponentials (Berrut & Trefethen, "Barycentric Lagrange
+interpolation", SIAM Review 2004).  The x-derivatives of A, of
 A_x/(2 sqrt A) and of the bracket at the nodes come from the grid's
 differentiation matrix (grid.deriv_x).  chi' is resolved by a Chebyshev
 series in th on [0, pi], whose degree is doubled on nested points until
@@ -54,12 +59,13 @@ positive axis.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .lorentz import LorentzMap, lorentz_inner
-from .sphere_geometry import QuadratureGrid, SurfaceSample
+from .sphere_geometry import QuadratureGrid, SurfaceSample, barycentric_apply, barycentric_rows
 
 __all__ = [
     "RevolutionProfile",
@@ -150,23 +156,72 @@ class EmbeddedSurface:
             a.setflags(write=False)
 
 
-def _theta_series(func):
-    """Chebyshev series in t = 2 th / pi - 1 of func(th) on [0, pi], with
-    the degree n doubled from RAPIDITY_MIN_DEGREE until the trailing
+def _readonly(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# The rapidity quadrature's tables depend only on the grid size and the
+# series degree, never on the sphere.  Each is built on first use and then
+# shared read-only.  One grid size reads at most eight levels (degree 64
+# to RAPIDITY_MAX_DEGREE); sixteen entries hold two grid sizes.  The
+# barycentric rows are the bulk, n_theta floats per sample point.  On 64
+# nodes the tables of every level up to degree 8192 hold about 4.9 MB
+# (4.3 MB of rows); up to degree 1024, the deepest a default schedule
+# reaches, about 0.8 MB.
+@functools.lru_cache(maxsize=1)
+def _probe_x() -> np.ndarray:
+    """x = cos(k pi / 2000), k = 0 .. 2000: both poles and the
+    discriminant probe."""
+    return _readonly(np.cos(np.linspace(0.0, np.pi, 2001)))[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _level_points(n: int) -> tuple:
+    """theta, cos theta and sin theta at the points that degree n of the
+    rapidity series adds: all n + 1 points th = pi/2 (1 + cos(k pi / n))
+    at RAPIDITY_MIN_DEGREE, the n/2 odd k at every doubling."""
+    k = np.arange(n + 1) if n == RAPIDITY_MIN_DEGREE else np.arange(1, n, 2)
+    theta = 0.5 * np.pi * (1.0 + np.cos(np.pi * k / n))
+    return _readonly(theta, np.cos(theta), np.sin(theta))
+
+
+@functools.lru_cache(maxsize=16)
+def _level_rows(n_theta: int, n: int) -> tuple:
+    """Barycentric rows (sphere_geometry.barycentric_rows) of the
+    n_theta-node interpolant at the x = cos theta of _level_points(n)."""
+    grid = QuadratureGrid(n_theta, 1)
+    return _readonly(*barycentric_rows(grid.x, grid.bary_w, _level_points(n)[1]))
+
+
+@functools.lru_cache(maxsize=16)
+def _primitive_tables(n_theta: int, degree: int) -> tuple:
+    """What _primitive_at needs besides the series: 2k and (-1)^k for
+    k = 1 .. degree + 1, and exp(32 i phi q) and exp(i phi r) for the
+    block counts q of a degree-`degree` series and r = 0 .. 31, at the
+    n_theta nodes, phi = arccos(2 th / pi - 1)."""
+    k = np.arange(1, degree + 2)
+    q = -(-(degree + 2) // 32)
+    phi = np.arccos(2.0 * QuadratureGrid(n_theta, 1).theta / np.pi - 1.0)[:, None]
+    return _readonly(2.0 * k, (-1.0) ** k,
+                     np.exp(32j * phi * np.arange(q)), np.exp(1j * phi * np.arange(32)))
+
+
+def _theta_series(sample):
+    """Chebyshev series in t = 2 th / pi - 1 of a function on [0, pi],
+    with the degree n doubled from RAPIDITY_MIN_DEGREE until the trailing
     eighth of the coefficients is below RAPIDITY_TAIL_TOL of the largest.
+    sample(n) returns the function at the points _level_points(n) adds.
     The coefficients of the interpolant through the n + 1 points
     t_k = cos(k pi / n) come from one DCT-I, in O(n log n): the real part
     of the FFT of the samples' even extension y_0 .. y_n, y_{n-1} .. y_1.
     The points are nested: those of degree n are, bit for bit, the even
-    points of degree 2n, so a doubling samples func only at the n new odd
-    points and every point is sampled once, n + 1 in all.
+    points of degree 2n, so a doubling samples only the n new odd points
+    and every point is sampled once, n + 1 in all.
     Returns (coefficients, degree, relative tail)."""
-
-    def sample(k, n):
-        return func(0.5 * np.pi * (1.0 + np.cos(np.pi * k / n)))
-
     n = RAPIDITY_MIN_DEGREE
-    y = sample(np.arange(n + 1), n)
+    y = sample(n)
     while True:
         c = np.fft.rfft(np.concatenate([y, y[-2:0:-1]])).real / n
         c[[0, -1]] *= 0.5
@@ -178,28 +233,27 @@ def _theta_series(func):
                 "rapidity series unresolved at degree %d (relative tail %.3e)" % (n, tail)
             )
         n *= 2
-        y = np.insert(y, np.arange(1, y.size), sample(np.arange(1, n, 2), n))
+        y = np.insert(y, np.arange(1, y.size), sample(n))
 
 
-def _primitive_at(c, t, scl):
-    """Values at t in [-1, 1] of scl times the primitive of the Chebyshev
-    series c that vanishes at t = -1, with no loop over the degree.  The
-    primitive has the coefficients b_k = scl (c_{k-1} - c_{k+1}) / (2k),
-    k >= 1 (c_0 counted twice, c zero beyond its degree), and
-    b_0 = -sum_k (-1)^k b_k.  With T_k(t) = Re z^k, z = exp(i arccos t),
-    and k = 32 q + r, sum_k b_k z^k = sum_q z^(32 q) sum_r b_(32 q + r) z^r
-    is one matrix product, and each point needs only 32 + (degree + 2) / 32
-    complex exponentials."""
-    k = np.arange(1, c.size + 1)
+def _primitive_at(c, n_theta, scl):
+    """Values at the n_theta grid nodes, t = 2 th / pi - 1, of scl times
+    the primitive of the Chebyshev series c that vanishes at t = -1, with
+    no loop over the degree.  The primitive has the coefficients
+    b_k = scl (c_{k-1} - c_{k+1}) / (2k), k >= 1 (c_0 counted twice, c zero
+    beyond its degree), and b_0 = -sum_k (-1)^k b_k.  With
+    T_k(t) = Re z^k, z = exp(i arccos t), and k = 32 q + r,
+    sum_k b_k z^k = sum_q z^(32 q) sum_r b_(32 q + r) z^r is one matrix
+    product.  The exponentials come from _primitive_tables, so a call only
+    forms b and takes that product."""
+    two_k, sign, zq, zr = _primitive_tables(n_theta, c.size - 1)
     lo = np.concatenate([[2.0 * c[0]], c[1:]])
     hi = np.concatenate([c[2:], [0.0, 0.0]])
-    b = scl * (lo - hi) / (2.0 * k)
-    b = np.concatenate([[-np.sum((-1.0) ** k * b)], b])
-    q = -(-b.size // 32)
+    b = scl * (lo - hi) / two_k
+    b = np.concatenate([[-np.sum(sign * b)], b])
+    q = zq.shape[1]
     b = np.pad(b, (0, 32 * q - b.size)).reshape(q, 32)
-    phi = np.arccos(t)[:, None]
-    return np.sum(np.exp(32j * phi * np.arange(q)) * (np.exp(1j * phi * np.arange(32)) @ b.T),
-                  axis=1).real
+    return np.sum(zq * (zr @ b.T), axis=1).real
 
 
 def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionProfile:
@@ -231,7 +285,6 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
     Ax = grid.deriv_x @ A
     nodal = np.stack([A, B, E, Ax], axis=1)
     # the interpolants at x = cos(k pi / 2000): both poles and the probe
-    probe_x = np.cos(np.linspace(0.0, np.pi, 2001))
     probe = grid.interp_uniform_theta(nodal, 2000)
 
     # pole regularity: G/sin^2 must meet E at both poles
@@ -248,14 +301,14 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
             )
         return d
 
-    bracket(probe_x, *probe.T)  # raises if negative anywhere
+    bracket(_probe_x(), *probe.T)  # raises if negative anywhere
 
     # branch +1 = north pole up after centering = rapidity decreasing in theta
     sig = -branch
 
-    def chi_prime(theta):
-        xq, sq = np.cos(theta), np.sin(theta)
-        a, b, e, ax = grid.interp_x(nodal, xq).T
+    def chi_prime(n):
+        _, xq, sq = _level_points(n)
+        a, b, e, ax = barycentric_apply(_level_rows(grid.n_theta, n), nodal).T
         return sig * sq * np.sqrt(bracket(xq, a, b, e, ax)) / (1.0 + sq * sq * a)
 
     coef, degree, tail = _theta_series(chi_prime)
@@ -281,7 +334,7 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
 
     # Centering shift, applied twice: the moments grow like rho^2 at small
     # radii, so one pass leaves a rounding residue the second removes.
-    chi = _primitive_at(coef, 2.0 * grid.theta / np.pi - 1.0, 0.5 * np.pi)
+    chi = _primitive_at(coef, grid.n_theta, 0.5 * np.pi)
     for _ in range(2):
         iu = float(np.sum(grid.w_theta * rho * np.sinh(chi) * f / s))
         iw = float(np.sum(grid.w_theta * rho * np.cosh(chi) * f / s))

@@ -32,6 +32,8 @@ __all__ = [
     "embeddability_check",
     "barycentric_weights",
     "barycentric_interpolate",
+    "barycentric_rows",
+    "barycentric_apply",
     "EMBEDDABILITY_MARGIN",
 ]
 
@@ -47,27 +49,41 @@ def barycentric_weights(x: np.ndarray, gl_weights: np.ndarray) -> np.ndarray:
     return w * ((-1.0) ** np.arange(x.size))
 
 
+def barycentric_rows(x_nodes, weights, x_query) -> tuple:
+    """The part of the barycentric formula that depends only on the nodes
+    and the query points x_query (a 1-d array): a mask of exact node hits,
+    the node each hit lands on, and for the other points the rows
+    c = weights / (x_q - x_nodes) with their sums den.  barycentric_apply
+    turns them into values; one set of rows serves any nodal data."""
+    diff = x_query[:, None] - x_nodes[None, :]
+    exact = np.abs(diff) < 1e-15
+    hit = exact.any(axis=1)
+    c = weights[None, :] / diff[~hit]
+    return hit, exact[hit].argmax(axis=1), c, c.sum(axis=1)
+
+
+def barycentric_apply(rows, values) -> np.ndarray:
+    """Interpolant values at the query points of barycentric_rows: exact
+    node hits read their node, the rest are (c @ values) / den.  values of
+    shape (n,) or (n, k) give (m,) or (m, k) for m query points."""
+    hit, node, c, den = rows
+    values = np.asarray(values, dtype=float)
+    out = np.empty(hit.shape + values.shape[1:])
+    out[hit] = values[node]
+    out[~hit] = (c @ values) / den.reshape(den.shape + (1,) * (values.ndim - 1))
+    return out
+
+
 def barycentric_interpolate(x_nodes, weights, values, x_query):
     """Evaluate the polynomial interpolant of (x_nodes, values) at x_query
     using the barycentric formula; exact node hits are returned directly.
     values of shape (n,) or (n, k) give (m,) or (m, k) for m query points,
     one weight matrix serving all k columns; a scalar query on (n,) values
-    gives a float."""
+    gives a float.  It is barycentric_rows followed by barycentric_apply."""
     xq = np.atleast_1d(np.asarray(x_query, dtype=float))
-    values = np.asarray(values, dtype=float)
-    diff = xq[:, None] - x_nodes[None, :]
-    out = np.empty(xq.shape + values.shape[1:])
-    exact = np.abs(diff) < 1e-15
-    hit = exact.any(axis=1)
-    if hit.any():
-        out[hit] = values[exact[hit].argmax(axis=1)]
-    rest = ~hit
-    if rest.any():
-        c = weights[None, :] / diff[rest]
-        den = c.sum(axis=1)
-        out[rest] = (c @ values) / den.reshape(den.shape + (1,) * (values.ndim - 1))
+    out = barycentric_apply(barycentric_rows(x_nodes, weights, xq), values)
     if np.asarray(x_query).ndim == 0:
-        return float(out[0]) if values.ndim == 1 else out[0]
+        return float(out[0]) if out.ndim == 1 else out[0]
     return out
 
 
@@ -136,14 +152,15 @@ class QuadratureGrid:
 
     def as_field(self, values) -> np.ndarray:
         """Broadcast a constant, a theta profile of shape (n_theta,), or a
-        full (n_theta, n_phi) array onto the grid."""
+        full (n_theta, n_phi) array onto the grid.  The result is always a
+        new array, so a caller may freeze it without touching the input."""
         arr = np.asarray(values, dtype=float)
         if arr.ndim == 0:
             return np.full(self.shape, float(arr))
         if arr.shape == (self.n_theta,):
             return np.repeat(arr[:, None], self.n_phi, axis=1)
         if arr.shape == self.shape:
-            return arr
+            return arr.copy()
         raise ValueError("field shape %r does not fit grid %r" % (arr.shape, self.shape))
 
     def integrate_round(self, field) -> float:

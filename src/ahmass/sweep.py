@@ -445,6 +445,8 @@ def _psi_from_spec(spec) -> tuple[np.polynomial.Polynomial, str]:
             cs = [float(c) for c in raw]
         except (TypeError, ValueError):
             raise ConfigError("poly_cos coefficients must be numbers") from None
+        if not all(math.isfinite(c) for c in cs):
+            raise ConfigError("poly_cos coefficients must be finite")
         return np.polynomial.Polynomial(cs), "poly_cos(%s)" % ",".join("%g" % c for c in cs)
     raise ConfigError("unknown psi profile type %r" % (kind,))
 

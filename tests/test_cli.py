@@ -88,6 +88,28 @@ def test_bad_config_values_exit_3(tmp_path, capsys, command, over):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_non_finite_poly_cos_coefficient_exits_3(tmp_path, capsys, command, bad):
+    # json reads NaN and Infinity; a profile built from them is refused
+    # before any radius runs
+    family = {"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": [bad, 0.1]}}
+    assert main([command, write_config(tmp_path, family=family)]) == 3
+    assert "poly_cos coefficients must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_with_too_few_radii_exits_2(tmp_path, capsys):
+    # a valid config whose two radii are too few to fit the limits: one
+    # line on stderr, no traceback, no outputs
+    assert main(["sweep", write_config(tmp_path, epsilons=[0.2, 0.1])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "sweep failed: only 2 of 2 radii completed; need 3 to fit limits"]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_success(tmp_path, capsys):
     assert main(["verify", write_config(tmp_path)]) == 0
     out = capsys.readouterr().out

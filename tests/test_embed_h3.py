@@ -176,6 +176,11 @@ def test_rapidity_unresolved_at_degree_cap(monkeypatch):
         embed_surface(surf)
 
 
+def sampled(func):
+    # the sampler _theta_series takes: func(th) at the points degree n adds
+    return lambda n: func(embed_h3._level_points(n)[0])
+
+
 @pytest.mark.parametrize("func, chop", [
     (lambda th: np.exp(np.cos(th)) * np.sin(th), "min"),
     (lambda th: 1.0 / (1.0 + 25.0 * np.cos(th) ** 2), "deep"),
@@ -183,7 +188,7 @@ def test_rapidity_unresolved_at_degree_cap(monkeypatch):
 def test_theta_series_matches_dct_oracle(func, chop):
     # an entire function chops at the first degree; one with poles at
     # cos th = +-i/5 needs several doublings
-    c, n, tail = embed_h3._theta_series(func)
+    c, n, tail = embed_h3._theta_series(sampled(func))
     if chop == "min":
         assert n == embed_h3.RAPIDITY_MIN_DEGREE
     else:
@@ -205,7 +210,7 @@ def test_theta_series_samples_each_point_once():
         return 1.0 / (1.0 + 25.0 * np.cos(th) ** 2)
 
     calls = []
-    c, n, _ = embed_h3._theta_series(func)
+    c, n, _ = embed_h3._theta_series(sampled(func))
     assert n >= 256
     assert sum(th.size for th in calls) == n + 1
     th = 0.5 * np.pi * (1.0 + np.cos(np.pi * np.arange(n + 1) / n))
@@ -261,7 +266,7 @@ def test_primitive_matches_chebint_oracle(monkeypatch):
         fam, _ = family_from_spec({"name": "perturbed_round", "psi": psi})
         for eps in (0.2, 0.05, 0.0125, 0.0044):
             embed_surface(coordinate_sphere(fam, eps, grid))
-    series.append(theta_series(lambda th: np.exp(np.cos(th)) * np.sin(th))[0])
+    series.append(theta_series(sampled(lambda th: np.exp(np.cos(th)) * np.sin(th)))[0])
     degrees = sorted({c.size - 1 for c in series})
     assert degrees[0] == 64 and degrees[-1] == 1024
 
@@ -269,8 +274,86 @@ def test_primitive_matches_chebint_oracle(monkeypatch):
     for c in series:
         b = cheb.chebint(c, scl=0.5 * np.pi, lbnd=-1.0)
         want = cheb.chebval(t, b)
-        got = embed_h3._primitive_at(c, t, 0.5 * np.pi)
+        got = embed_h3._primitive_at(c, grid.n_theta, 0.5 * np.pi)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(b))
+
+
+TABLE_CACHES = ("_probe_x", "_level_points", "_level_rows", "_primitive_tables")
+
+
+def test_cached_rows_give_the_interp_x_samples(monkeypatch):
+    # with the chop disabled the doubling runs to a forced degree 2048;
+    # at every level the chi' samples from the cached barycentric rows
+    # equal, bit for bit, grid.interp_x run afresh at the same points
+    fam, _ = family_from_spec({"name": "perturbed_round", "psi": BENCH_PSI[1]})
+    grid = QuadratureGrid(64, 4)
+    surf = coordinate_sphere(fam, 0.05, grid)
+    E, G = surf.E[:, 0], surf.G[:, 0]
+    s2 = 1.0 - grid.x ** 2  # as embed_revolution forms A and B
+    A = G / s2
+    nodal = np.stack([A, (E - A) / s2, E, grid.deriv_x @ A], axis=1)
+
+    levels = {}
+    theta_series = embed_h3._theta_series
+
+    def spy(sample):
+        def recording(n):
+            levels[n] = sample(n)
+            return levels[n]
+        return theta_series(recording)
+
+    monkeypatch.setattr(embed_h3, "_theta_series", spy)
+    monkeypatch.setattr(embed_h3, "RAPIDITY_TAIL_TOL", 0.0)
+    monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 2048)
+    with pytest.raises(EmbeddingError, match="unresolved at degree 2048"):
+        embed_revolution(E, G, grid)
+    assert sorted(levels) == [64 * 2 ** j for j in range(6)]
+    for n, got in levels.items():
+        k = np.arange(n + 1) if n == 64 else np.arange(1, n, 2)
+        th = 0.5 * np.pi * (1.0 + np.cos(np.pi * k / n))
+        x, s = np.cos(th), np.sin(th)
+        a, b, e, ax = grid.interp_x(nodal, x).T
+        d = b + a * (1.0 + e) + x * ax - (1.0 - x ** 2) * ax ** 2 / (4.0 * a)
+        assert np.array_equal(got, -s * np.sqrt(d) / (1.0 + s * s * a))
+
+
+def test_second_embedding_builds_no_table():
+    fam = PerturbedRound(lambda x: 0.1 * x)
+    embed_surface(coordinate_sphere(fam, 0.0125, QuadratureGrid(64, 4)))
+    before = {name: getattr(embed_h3, name).cache_info() for name in TABLE_CACHES}
+    # a new grid of the same size, the other branch
+    emb = embed_surface(coordinate_sphere(fam, 0.0125, QuadratureGrid(64, 4)), branch=-1)
+    assert emb.profile.cheb_degree > embed_h3.RAPIDITY_MIN_DEGREE
+    for name, old in before.items():
+        new = getattr(embed_h3, name).cache_info()
+        assert new.misses == old.misses, name
+        assert new.hits > old.hits, name
+
+
+def test_tables_are_read_only():
+    tables = [(embed_h3._probe_x(),), embed_h3._level_points(64), embed_h3._level_points(256),
+              embed_h3._level_rows(64, 64), embed_h3._level_rows(64, 256),
+              embed_h3._primitive_tables(64, 256)]
+    arrays = [a for t in tables for a in t]
+    assert len(arrays) == 1 + 3 + 3 + 4 + 4 + 4
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_table_caches_stay_bounded():
+    # three small grid sizes at all eight levels: 24 keys for 16 entries
+    for n_theta in (8, 9, 10):
+        for j in range(8):
+            n = embed_h3.RAPIDITY_MIN_DEGREE * 2 ** j
+            embed_h3._level_rows(n_theta, n)
+            embed_h3._primitive_tables(n_theta, n)
+    assert embed_h3._level_points.cache_info().currsize <= 8
+    for name in ("_level_rows", "_primitive_tables"):
+        info = getattr(embed_h3, name).cache_info()
+        assert info.maxsize == 16
+        assert info.currsize == 16
 
 
 def test_rapidity_matches_adaptive_quadrature():

@@ -184,6 +184,16 @@ def test_surface_sample_rejects_phi_varying_fields():
         SurfaceSample(0.1, -profile, fields["H"], fields["K"], GRID)
 
 
+def test_surface_sample_leaves_caller_arrays_writeable():
+    # the sample freezes its own copies, never the caller's arrays
+    E, H, K = (np.full(GRID.shape, v) for v in (2.0, 2.5, 0.5))
+    s = SurfaceSample(0.1, E, H, K, GRID)
+    assert E.flags.writeable and H.flags.writeable and K.flags.writeable
+    assert not s.E.flags.writeable
+    E[0, 0] = 3.0
+    assert s.E[0, 0] == 2.0
+
+
 @pytest.mark.parametrize("family,psi_scale", [
     (AdSSchwarzschild(1.0), None),
     (PerturbedRound(lambda x: 0.1 * x), 0.1),
