@@ -52,6 +52,7 @@ from .embed_h3 import (
     embed_revolution,
     embed_round,
     embed_surface,
+    embed_surfaces,
     mean_curvature_h0,
 )
 from .quasilocal import (
@@ -106,7 +107,7 @@ __all__ = [
     # embed_h3
     "EmbeddedSurface", "EmbeddingError", "RevolutionProfile",
     "boost_surface", "dump_profile_csv", "embed_revolution", "embed_round",
-    "embed_surface", "mean_curvature_h0",
+    "embed_surface", "embed_surfaces", "mean_curvature_h0",
     # quasilocal
     "MassResult", "alpha_from_radii", "by_mass", "enclosing_radii",
     "hat_mass", "mainhyp_functional", "shitam_alpha_mass",

@@ -21,24 +21,25 @@ gives the exact factorization
     x = cos th,
 
 whose bracket stays bounded away from the difference-of-large-terms trap.
-A, B and E are the grid's own Gauss-Legendre interpolants in x.  The
-poles and the discriminant probe read them at x = cos(k pi / 2000) from
-their Chebyshev coefficients in x and one FFT
-(grid.interp_uniform_theta); the chi' samples read them by the
-barycentric formula, one 4-column product (c @ nodal) / den per level of
-the series.  The rows c and sums den at a level's points depend only on
-the grid size and the level, so they are built once per process and
-shared by every sphere (_level_rows), as are the sample points and the
-primitive's exponentials (Berrut & Trefethen, "Barycentric Lagrange
-interpolation", SIAM Review 2004).  The x-derivatives of A, of
-A_x/(2 sqrt A) and of the bracket at the nodes come from the grid's
-differentiation matrix (grid.deriv_x).  chi' is resolved by a Chebyshev
-series in th on [0, pi], whose degree is doubled on nested points until
-the series tail is negligible (Aurentz & Trefethen, "Chopping a
-Chebyshev series", ACM TOMS 2017), and integrated once, term by term,
-with the primitive summed at the nodes in one matrix product.  Near the
-poles chi' varies on a th scale of about 1/max f, which a series in x
-cannot resolve.  chi'' comes in closed form, never from differencing.
+A, B and E are the grid's own Gauss-Legendre interpolants in x, read at
+x = cos(k pi / 2000) (poles and discriminant probe) by one FFT of their
+Chebyshev coefficients, at the chi' samples by the barycentric formula
+(c @ nodal) / den (Berrut & Trefethen, SIAM Review 2004), with c, den,
+the points and the primitive's exponentials built once per grid size
+and level.  chi' is a Chebyshev series in th on [0, pi], its degree
+doubled on nested points until the tail is negligible (Aurentz &
+Trefethen, ACM TOMS 2017), integrated term by term and summed at the
+nodes in one product; near the poles chi' varies on a th scale of about
+1/max f, which a series in x cannot resolve.  chi'' is in closed form.
+
+The quadrature runs on a stack of spheres, a C-contiguous (S, n_theta)
+row each (embed_surfaces): one call per stack for every elementwise
+step and row reduction, one DCT-I over the rows per doubling level.
+Matrix products stay per sphere, stacked matmuls whose items are a lone
+sphere's BLAS calls (one product over all spheres changes a column's
+last bits with the column count), as does the 2000-point probe
+(stacked, it holds about 2.5 MB more), so a sphere in a stack is, bit
+for bit, the sphere embedded alone.
 
 H0 and the normal are computed in the comoving frame: boosting each
 meridian point by -chi, an isometry, gives
@@ -67,17 +68,9 @@ import numpy as np
 from .lorentz import LorentzMap, lorentz_inner
 from .sphere_geometry import QuadratureGrid, SurfaceSample, barycentric_apply, barycentric_rows
 
-__all__ = [
-    "RevolutionProfile",
-    "EmbeddedSurface",
-    "EmbeddingError",
-    "embed_round",
-    "embed_revolution",
-    "embed_surface",
-    "mean_curvature_h0",
-    "boost_surface",
-    "dump_profile_csv",
-]
+__all__ = ["RevolutionProfile", "EmbeddedSurface", "EmbeddingError", "embed_round",
+           "embed_revolution", "embed_surface", "embed_surfaces", "mean_curvature_h0",
+           "boost_surface", "dump_profile_csv"]
 
 # Hyperboloid constraint allowance per node.
 HYPERBOLOID_TOL = 1e-9
@@ -102,28 +95,30 @@ class RevolutionProfile:
     and the rapidity chi with exact first and second derivatives, the
     ambient u, w, u', w' (the isometry residual compares f'^2 + u'^2 - w'^2
     and f^2 with the target), the branch sign, and the degree and relative
-    tail of the Chebyshev series that resolved the rapidity."""
+    tail of the Chebyshev series that resolved the rapidity, for a stack
+    of spheres, a row each; row(i) is sphere i's own profile."""
 
     def __init__(self, grid, branch, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
                  E_target, G_target, cheb_degree, cheb_tail):
-        self.grid = grid
-        self.branch = int(branch)
+        self.grid, self.branch = grid, int(branch)
         self.f, self.fp, self.fpp = f, fp, fpp
         self.rho, self.rhop, self.rhopp = rho, rhop, rhopp
         self.chi, self.chip, self.chipp = chi, chip, chipp
-        self.E_target = np.asarray(E_target, dtype=float)
-        self.G_target = np.asarray(G_target, dtype=float)
-        self.cheb_degree = int(cheb_degree)
-        self.cheb_tail = float(cheb_tail)
+        self.cheb_degree, self.cheb_tail = cheb_degree, cheb_tail
 
         sh, ch = np.sinh(chi), np.cosh(chi)
         self.u, self.w = rho * sh, rho * ch
-        self.up = rhop * sh + chip * self.w
-        self.wp = rhop * ch + chip * self.u
+        self.up, self.wp = rhop * sh + chip * self.w, rhop * ch + chip * self.u
         e_got = self.fp ** 2 + self.up ** 2 - self.wp ** 2
-        self.isometry_residual = float(
-            np.max(np.abs(e_got - self.E_target)) + np.max(np.abs(self.f ** 2 - self.G_target))
-        )
+        self.isometry_residual = (np.max(np.abs(e_got - E_target), axis=-1)
+                                  + np.max(np.abs(self.f ** 2 - G_target), axis=-1))
+
+    def row(self, i) -> RevolutionProfile:
+        """Sphere i of a stacked profile; its arrays are views of row i."""
+        out = object.__new__(RevolutionProfile)
+        out.__dict__ = {k: v if k in ("grid", "branch") else v[i] for k, v in vars(self).items()}
+        out.isometry_residual = float(out.isometry_residual)
+        return out
 
     def axial_moment(self) -> float:
         """Integral of u f dth; zero in the centered gauge."""
@@ -138,22 +133,17 @@ class EmbeddedSurface:
     max |<<X, X>> + 1| over the nodes."""
 
     def __init__(self, grid, X, normal, h0, isometry_residual, surface=None, profile=None):
-        self.grid = grid
-        self.X = np.asarray(X, dtype=float)
-        self.normal = np.asarray(normal, dtype=float)
+        self.grid, self.surface, self.profile = grid, surface, profile
+        self.X, self.normal = np.asarray(X, dtype=float), np.asarray(normal, dtype=float)
         self.H0 = grid.as_field(h0)
         self.isometry_residual = float(isometry_residual)
-        self.surface = surface
-        self.profile = profile
         self.hyperboloid_defect = float(np.max(np.abs(lorentz_inner(self.X, self.X) + 1.0)))
         if self.hyperboloid_defect > HYPERBOLOID_TOL:
             raise EmbeddingError("embedded nodes leave the hyperboloid (%.3e)"
                                  % self.hyperboloid_defect)
-        nn = lorentz_inner(self.normal, self.normal)
-        if np.max(np.abs(nn - 1.0)) > 1e-8:
+        if np.max(np.abs(lorentz_inner(self.normal, self.normal) - 1.0)) > 1e-8:
             raise EmbeddingError("normal field is not unit spacelike")
-        for a in (self.X, self.normal, self.H0):
-            a.setflags(write=False)
+        _readonly(self.X, self.normal, self.H0)
 
 
 def _readonly(*arrays) -> tuple:
@@ -162,26 +152,19 @@ def _readonly(*arrays) -> tuple:
     return arrays
 
 
-# The rapidity quadrature's tables depend only on the grid size and the
-# series degree, never on the sphere.  Each is built on first use and then
-# shared read-only.  One grid size reads at most eight levels (degree 64
-# to RAPIDITY_MAX_DEGREE); sixteen entries hold two grid sizes.  The
-# barycentric rows are the bulk, n_theta floats per sample point.  On 64
-# nodes the tables of every level up to degree 8192 hold about 4.9 MB
-# (4.3 MB of rows); up to degree 1024, the deepest a default schedule
-# reaches, about 0.8 MB.
+# Tables that depend only on the grid size and the series degree, built on
+# first use and shared read-only; sixteen entries hold two grid sizes.  On
+# 64 nodes they hold about 4.9 MB up to degree 8192, 0.8 MB up to 1024.
 @functools.lru_cache(maxsize=1)
 def _probe_x() -> np.ndarray:
-    """x = cos(k pi / 2000), k = 0 .. 2000: both poles and the
-    discriminant probe."""
+    """x = cos(k pi / 2000), k = 0 .. 2000: the poles and the probe."""
     return _readonly(np.cos(np.linspace(0.0, np.pi, 2001)))[0]
 
 
 @functools.lru_cache(maxsize=8)
 def _level_points(n: int) -> tuple:
-    """theta, cos theta and sin theta at the points that degree n of the
-    rapidity series adds: all n + 1 points th = pi/2 (1 + cos(k pi / n))
-    at RAPIDITY_MIN_DEGREE, the n/2 odd k at every doubling."""
+    """theta, cos theta and sin theta at th = pi/2 (1 + cos(k pi / n)) for
+    k = 0 .. n at RAPIDITY_MIN_DEGREE, for the n/2 odd k at a doubling."""
     k = np.arange(n + 1) if n == RAPIDITY_MIN_DEGREE else np.arange(1, n, 2)
     theta = 0.5 * np.pi * (1.0 + np.cos(np.pi * k / n))
     return _readonly(theta, np.cos(theta), np.sin(theta))
@@ -189,18 +172,15 @@ def _level_points(n: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _level_rows(n_theta: int, n: int) -> tuple:
-    """Barycentric rows (sphere_geometry.barycentric_rows) of the
-    n_theta-node interpolant at the x = cos theta of _level_points(n)."""
+    """barycentric_rows of the n_theta-node interpolant at _level_points(n)."""
     grid = QuadratureGrid(n_theta, 1)
     return _readonly(*barycentric_rows(grid.x, grid.bary_w, _level_points(n)[1]))
 
 
 @functools.lru_cache(maxsize=16)
 def _primitive_tables(n_theta: int, degree: int) -> tuple:
-    """What _primitive_at needs besides the series: 2k and (-1)^k for
-    k = 1 .. degree + 1, and exp(32 i phi q) and exp(i phi r) for the
-    block counts q of a degree-`degree` series and r = 0 .. 31, at the
-    n_theta nodes, phi = arccos(2 th / pi - 1)."""
+    """2k and (-1)^k, k = 1 .. degree + 1, and at phi = arccos(2 th / pi - 1)
+    exp(32 i phi q) for the series' blocks q and exp(i phi r), r < 32."""
     k = np.arange(1, degree + 2)
     q = -(-(degree + 2) // 32)
     phi = np.arccos(2.0 * QuadratureGrid(n_theta, 1).theta / np.pi - 1.0)[:, None]
@@ -208,32 +188,42 @@ def _primitive_tables(n_theta: int, degree: int) -> tuple:
                      np.exp(32j * phi * np.arange(q)), np.exp(1j * phi * np.arange(32)))
 
 
-def _theta_series(sample):
-    """Chebyshev series in t = 2 th / pi - 1 of a function on [0, pi],
-    with the degree n doubled from RAPIDITY_MIN_DEGREE until the trailing
-    eighth of the coefficients is below RAPIDITY_TAIL_TOL of the largest.
-    sample(n) returns the function at the points _level_points(n) adds.
-    The coefficients of the interpolant through the n + 1 points
-    t_k = cos(k pi / n) come from one DCT-I, in O(n log n): the real part
-    of the FFT of the samples' even extension y_0 .. y_n, y_{n-1} .. y_1.
-    The points are nested: those of degree n are, bit for bit, the even
-    points of degree 2n, so a doubling samples only the n new odd points
-    and every point is sampled once, n + 1 in all.
-    Returns (coefficients, degree, relative tail)."""
-    n = RAPIDITY_MIN_DEGREE
-    y = sample(n)
-    while True:
-        c = np.fft.rfft(np.concatenate([y, y[-2:0:-1]])).real / n
-        c[[0, -1]] *= 0.5
-        tail = float(np.max(np.abs(c[-(n // 8):])) / np.max(np.abs(c)))
-        if tail <= RAPIDITY_TAIL_TOL:
-            return c, n, tail
-        if n >= RAPIDITY_MAX_DEGREE:
-            raise EmbeddingError(
-                "rapidity series unresolved at degree %d (relative tail %.3e)" % (n, tail)
-            )
-        n *= 2
-        y = np.insert(y, np.arange(1, y.size), sample(n))
+def _bracket(xq, a, b, e, ax) -> tuple:
+    """The bracket of D / sin^2 th (module docstring) at the points xq, and
+    per row of the last axis None or the EmbeddingError of its minimum."""
+    d = b + a * (1.0 + e) + xq * ax - (1.0 - xq ** 2) * ax ** 2 / (4.0 * a)
+    return d, [EmbeddingError("discriminant negative (min %.3e): metric not realizable as a "
+                              "revolution surface in this gauge" % m) if m < 0.0 else None
+               for m in np.min(d, axis=-1).reshape(-1)]
+
+
+def _theta_series(sample, rows) -> dict:
+    """Chebyshev series in t = 2 th / pi - 1 of functions on [0, pi], one per
+    index in rows, in lockstep, each degree n doubling from
+    RAPIDITY_MIN_DEGREE until the last eighth of the coefficients is below
+    RAPIDITY_TAIL_TOL of the largest.  sample(n, rows) gives the functions
+    at the points _level_points(n) adds (those of degree n are the even
+    points of degree 2n), a row each, and per row None or an EmbeddingError
+    that ends its series.  The coefficients are one DCT-I over the rows, the
+    FFT of each even extension.  Returns per index (coefficients, degree,
+    tail) or its EmbeddingError."""
+    out, y, n = {}, None, RAPIDITY_MIN_DEGREE
+    rows = np.asarray(rows, dtype=int)
+    while rows.size:
+        new, errs = sample(n, rows)
+        y = new if y is None else np.insert(y, np.arange(1, y.shape[1]), new, axis=1)
+        out.update((i, err) for i, err in zip(rows, errs) if err is not None)
+        ok = np.array([err is None for err in errs], dtype=bool)
+        rows, y = rows[ok], y[ok]
+        c = np.fft.rfft(np.concatenate([y, y[:, -2:0:-1]], axis=1)).real / n
+        c[:, [0, -1]] *= 0.5
+        tail = np.max(np.abs(c[:, -(n // 8):]), axis=1) / np.max(np.abs(c), axis=1)
+        done = (tail <= RAPIDITY_TAIL_TOL) | (n >= RAPIDITY_MAX_DEGREE)
+        out.update((i, (ci, n, float(t)) if t <= RAPIDITY_TAIL_TOL else EmbeddingError(
+            "rapidity series unresolved at degree %d (relative tail %.3e)" % (n, t)))
+            for i, ci, t in zip(rows[done], c[done], tail[done]))
+        rows, y, n = rows[~done], y[~done], 2 * n
+    return out
 
 
 def _primitive_at(c, n_theta, scl):
@@ -243,118 +233,116 @@ def _primitive_at(c, n_theta, scl):
     b_k = scl (c_{k-1} - c_{k+1}) / (2k), k >= 1 (c_0 counted twice, c zero
     beyond its degree), and b_0 = -sum_k (-1)^k b_k.  With
     T_k(t) = Re z^k, z = exp(i arccos t), and k = 32 q + r,
-    sum_k b_k z^k = sum_q z^(32 q) sum_r b_(32 q + r) z^r is one matrix
-    product.  The exponentials come from _primitive_tables, so a call only
-    forms b and takes that product."""
+    sum_k b_k z^k = sum_q z^(32 q) sum_r b_(32 q + r) z^r: one product."""
     two_k, sign, zq, zr = _primitive_tables(n_theta, c.size - 1)
     lo = np.concatenate([[2.0 * c[0]], c[1:]])
     hi = np.concatenate([c[2:], [0.0, 0.0]])
-    b = scl * (lo - hi) / two_k
-    b = np.concatenate([[-np.sum(sign * b)], b])
-    q = zq.shape[1]
-    b = np.pad(b, (0, 32 * q - b.size)).reshape(q, 32)
+    b = np.zeros((zq.shape[1], 32))  # b_0 .. b_degree+1, then zeros
+    bk = b.reshape(-1)[:c.size + 1]
+    bk[1:] = scl * (lo - hi) / two_k
+    bk[0] = -np.sum(sign * bk[1:])
     return np.sum(zq * (zr @ b.T), axis=1).real
+
+
+def _embed_rows(E, G, grid, branch) -> list:
+    """The rapidity quadrature for a stack of spheres, a row of the
+    C-contiguous (S, n_theta) arrays E and G each.  Returns per row its
+    (RevolutionProfile, X, normal, H0) or its EmbeddingError."""
+    x, s = grid.x, grid.sin_theta
+    s2 = 1.0 - x ** 2
+    A = G / s2
+    B = (E - A) / s2
+    Ax = (grid.deriv_x @ A[..., None])[..., 0]
+    nodal = np.stack([A, B, E, Ax], axis=-1)
+    scale = np.max(E, axis=1)
+    out = {}
+    for i in range(len(E)):
+        # at x = cos(k pi / 2000): G/sin^2 meets E at the poles, bracket >= 0
+        probe = grid.interp_uniform_theta(nodal[i], 2000)
+        if np.max(np.abs(probe[[0, -1], 0] - probe[[0, -1], 2])) > 1e-6 * scale[i]:
+            out[i] = EmbeddingError("pole regularity violated: G/sin^2 != E at a pole")
+        elif (err := _bracket(_probe_x(), *probe.T)[1][0]) is not None:
+            out[i] = err
+    # branch +1 = north pole up after centering = rapidity decreasing in theta
+    sig = -branch
+
+    def chi_prime(n, rows):
+        _, xq, sq = _level_points(n)
+        at = barycentric_apply(_level_rows(grid.n_theta, n), nodal[rows])
+        d, errs = _bracket(xq, *np.moveaxis(at, -1, 0))
+        with np.errstate(invalid="ignore"):  # a failed row leaves the series
+            return sig * sq * np.sqrt(d) / (1.0 + sq * sq * at[..., 0]), errs
+
+    series = _theta_series(chi_prime, [i for i in range(len(E)) if i not in out])
+    dt, dt_errs = _bracket(x, A, B, E, Ax)
+    for i, got in series.items():
+        if isinstance(got, EmbeddingError) or dt_errs[i] is not None:
+            out[i] = got if isinstance(got, EmbeddingError) else dt_errs[i]
+    keep = np.array([i for i in range(len(E)) if i not in out], dtype=int)
+    A, Ax, dt = A[keep], Ax[keep], dt[keep]
+    p = np.sqrt(A)
+    q = Ax / (2.0 * p)
+    qx = (grid.deriv_x @ q[..., None])[..., 0]
+    f = s * p
+    fp = x * p - s ** 2 * q
+    fpp = -s * (p + 3.0 * x * q) + s ** 3 * qx
+    rho2 = 1.0 + f ** 2
+    rho = np.sqrt(rho2)
+    rhop = f * fp / rho
+    rhopp = (fp ** 2 + f * fpp - rhop ** 2) / rho
+    sqrt_dt = np.sqrt(dt)
+    d_s_sqrtD = (2.0 * x * dt - s ** 2 * (grid.deriv_x @ dt[..., None])[..., 0]) / (2.0 * sqrt_dt)
+    chip = sig * s * sqrt_dt / rho2
+    chipp = sig * d_s_sqrtD / rho2 - chip * 2.0 * f * fp / rho2
+    # Centering shift, applied twice: the moments grow like rho^2 at small
+    # radii, so one pass leaves a rounding residue the second removes.
+    chi = np.array([_primitive_at(series[i][0], grid.n_theta, 0.5 * np.pi)
+                    for i in keep]).reshape(-1, grid.n_theta)
+    for _ in range(2):
+        iu = np.sum(grid.w_theta * rho * np.sinh(chi) * f / s, axis=1)
+        iw = np.sum(grid.w_theta * rho * np.cosh(chi) * f / s, axis=1)
+        chi = chi + np.array([math.atanh(-a / b) for a, b in zip(iu, iw)])[:, None]
+    prof = RevolutionProfile(grid, branch, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
+                             E[keep], G[keep], [series[i][1] for i in keep],
+                             [series[i][2] for i in keep])
+    h0, (X, N) = mean_curvature_h0(prof), _profile_nodes(prof)
+    for k, i in enumerate(keep):
+        res = prof.isometry_residual[k]
+        out[i] = (EmbeddingError("isometry residual %.3e exceeds tolerance" % res)
+                  if res > ISOMETRY_RESIDUAL_TOL * (1.0 + scale[i])
+                  else (prof.row(k), X[k], N[k], h0[k]))
+    return [out[i] for i in range(len(E))]
 
 
 def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionProfile:
     """Embed the axisymmetric metric E dth^2 + G dphi^2 (theta profiles on
     the grid nodes) as a surface of revolution about the x3-axis of the
-    hyperboloid, centered so the axial moment of u vanishes.
-
-    branch +1 puts the theta = 0 pole on the positive axis; -1 is the
-    mirror image.  Raises EmbeddingError when the discriminant goes
-    negative (not realizable in this gauge), when the poles fail to
-    close, when the rapidity series does not converge by
-    RAPIDITY_MAX_DEGREE, or when the recomputed metric misses the target
-    by more than ISOMETRY_RESIDUAL_TOL relative to 1 + max E.
+    hyperboloid, centered so the axial moment of u vanishes.  branch +1
+    puts the theta = 0 pole on the positive axis; -1 is the mirror image.
+    Raises EmbeddingError when the discriminant goes negative (not
+    realizable in this gauge), when the poles fail to close, when the
+    rapidity series does not converge by RAPIDITY_MAX_DEGREE, or when the
+    recomputed metric misses the target by more than
+    ISOMETRY_RESIDUAL_TOL relative to 1 + max E.
     """
-    E = np.asarray(E, dtype=float)
-    G = np.asarray(G, dtype=float)
+    E, G = np.asarray(E, dtype=float), np.asarray(G, dtype=float)
     if E.shape != (grid.n_theta,) or G.shape != (grid.n_theta,):
         raise ValueError("E and G must be theta profiles on the grid nodes")
     if np.any(E <= 0.0) or np.any(G <= 0.0):
         raise EmbeddingError("metric profiles must be positive")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-
-    x = grid.x
-    s = grid.sin_theta
-    s2 = 1.0 - x ** 2
-    A = G / s2
-    B = (E - A) / s2
-    Ax = grid.deriv_x @ A
-    nodal = np.stack([A, B, E, Ax], axis=1)
-    # the interpolants at x = cos(k pi / 2000): both poles and the probe
-    probe = grid.interp_uniform_theta(nodal, 2000)
-
-    # pole regularity: G/sin^2 must meet E at both poles
-    scale = float(np.max(E))
-    if np.max(np.abs(probe[[0, -1], 0] - probe[[0, -1], 2])) > 1e-6 * scale:
-        raise EmbeddingError("pole regularity violated: G/sin^2 != E at a pole")
-
-    def bracket(xq, a, b, e, ax):
-        d = b + a * (1.0 + e) + xq * ax - (1.0 - xq ** 2) * ax ** 2 / (4.0 * a)
-        if np.min(d) < 0.0:
-            raise EmbeddingError(
-                "discriminant negative (min %.3e): metric not realizable as a "
-                "revolution surface in this gauge" % np.min(d)
-            )
-        return d
-
-    bracket(_probe_x(), *probe.T)  # raises if negative anywhere
-
-    # branch +1 = north pole up after centering = rapidity decreasing in theta
-    sig = -branch
-
-    def chi_prime(n):
-        _, xq, sq = _level_points(n)
-        a, b, e, ax = barycentric_apply(_level_rows(grid.n_theta, n), nodal).T
-        return sig * sq * np.sqrt(bracket(xq, a, b, e, ax)) / (1.0 + sq * sq * a)
-
-    coef, degree, tail = _theta_series(chi_prime)
-
-    p = np.sqrt(A)
-    q = Ax / (2.0 * p)
-    qx = grid.deriv_x @ q
-
-    f = s * p
-    fp = x * p - s ** 2 * q
-    fpp = -s * (p + 3.0 * x * q) + s ** 3 * qx
-
-    rho2 = 1.0 + f ** 2
-    rho = np.sqrt(rho2)
-    rhop = f * fp / rho
-    rhopp = (fp ** 2 + f * fpp - rhop ** 2) / rho
-
-    dt = bracket(x, A, B, E, Ax)
-    sqrt_dt = np.sqrt(dt)
-    d_s_sqrtD = (2.0 * x * dt - s ** 2 * (grid.deriv_x @ dt)) / (2.0 * sqrt_dt)
-    chip = sig * s * sqrt_dt / rho2
-    chipp = sig * d_s_sqrtD / rho2 - chip * 2.0 * f * fp / rho2
-
-    # Centering shift, applied twice: the moments grow like rho^2 at small
-    # radii, so one pass leaves a rounding residue the second removes.
-    chi = _primitive_at(coef, grid.n_theta, 0.5 * np.pi)
-    for _ in range(2):
-        iu = float(np.sum(grid.w_theta * rho * np.sinh(chi) * f / s))
-        iw = float(np.sum(grid.w_theta * rho * np.cosh(chi) * f / s))
-        chi = chi + math.atanh(-iu / iw)
-
-    prof = RevolutionProfile(grid, branch, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
-                             E, G, degree, tail)
-    if prof.isometry_residual > ISOMETRY_RESIDUAL_TOL * (1.0 + scale):
-        raise EmbeddingError(
-            "isometry residual %.3e exceeds tolerance" % prof.isometry_residual
-        )
-    return prof
+    got = _embed_rows(E[None], G[None], grid, branch)[0]
+    if isinstance(got, EmbeddingError):
+        raise got
+    return got[0]
 
 
 def _comoving_normal(profile: RevolutionProfile):
-    """Squared meridian speed e and inward unit normal (f, u, w
-    components) in the comoving frame, where the point is (f, 0, rho):
-    n = -branch (-rho^2 chi', f'/rho, -f rho chi') / sqrt(e), with
-    e = rho^2 chi'^2 + f'^2 / rho^2.  chi' has sign -branch, so the
-    azimuthal curvature -n_f/f is positive."""
+    """Squared meridian speed e = rho^2 chi'^2 + f'^2 / rho^2 and inward
+    unit normal n = -branch (-rho^2 chi', f'/rho, -f rho chi') / sqrt(e)
+    (f, u, w components) in the comoving frame, where the point is
+    (f, 0, rho); chi' has sign -branch, so -n_f/f is positive."""
     p = profile
     e = (p.rho * p.chip) ** 2 + (p.fp / p.rho) ** 2
     scale = -p.branch / np.sqrt(e)
@@ -374,19 +362,16 @@ def mean_curvature_h0(profile: RevolutionProfile) -> np.ndarray:
 
 
 def _profile_nodes(profile: RevolutionProfile):
-    """Position and inward normal on the full grid, shape (nth, nph, 4);
-    the normal is boosted back from the comoving frame by chi."""
+    """Position and inward normal on the full grid, shape (..., nth, nph,
+    4); the normal is boosted back from the comoving frame by chi."""
     g = profile.grid
-    cph = np.cos(g.phi)[None, :]
-    sph = np.sin(g.phi)[None, :]
+    cph, sph = np.cos(g.phi), np.sin(g.phi)
 
     def revolve(radial, axial, time):
-        return np.stack([
-            radial[:, None] * cph,
-            radial[:, None] * sph,
-            np.broadcast_to(axial[:, None], g.shape),
-            np.broadcast_to(time[:, None], g.shape),
-        ], axis=-1)
+        shape = axial.shape + (g.n_phi,)
+        return np.stack([radial[..., None] * cph, radial[..., None] * sph,
+                         np.broadcast_to(axial[..., None], shape),
+                         np.broadcast_to(time[..., None], shape)], axis=-1)
 
     _, (nf, nu, nw) = _comoving_normal(profile)
     sh, ch = np.sinh(profile.chi), np.cosh(profile.chi)
@@ -402,11 +387,9 @@ def embed_round(R: float, grid: QuadratureGrid,
     if not (R > 0.0):
         raise ValueError("radius must be positive")
     sh, ch = math.sinh(R), math.cosh(R)
-    omega = np.stack([
-        grid.sin_theta[:, None] * np.cos(grid.phi)[None, :],
-        grid.sin_theta[:, None] * np.sin(grid.phi)[None, :],
-        np.broadcast_to(grid.x[:, None], grid.shape).copy(),
-    ], axis=-1)
+    omega = np.stack([grid.sin_theta[:, None] * np.cos(grid.phi)[None, :],
+                      grid.sin_theta[:, None] * np.sin(grid.phi)[None, :],
+                      np.broadcast_to(grid.x[:, None], grid.shape).copy()], axis=-1)
     X = np.concatenate([sh * omega, np.full(grid.shape + (1,), ch)], axis=-1)
     N = np.concatenate([-ch * omega, np.full(grid.shape + (1,), -sh)], axis=-1)
     if surface is None:
@@ -422,22 +405,40 @@ def _round_radius(surface: SurfaceSample):
     return math.asinh(math.sqrt(float(np.mean(E))))
 
 
-def embed_surface(surface: SurfaceSample, branch: int = 1) -> EmbeddedSurface:
-    """Isometrically embed a coordinate-sphere sample into the hyperboloid.
+def embed_surfaces(surfaces, branch: int = 1) -> list:
+    """Isometrically embed coordinate-sphere samples (axisymmetric by
+    construction) into the hyperboloid in one pass; returns, in order, the
+    EmbeddedSurface or the EmbeddingError embed_surface gives for each.
+    Exactly round ones take the closed geodesic-sphere form, about a
+    hundred times cheaper; the others on one grid share one stacked
+    rapidity quadrature."""
+    radii = [_round_radius(surf) for surf in surfaces]
+    if None in radii and branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    out = {}
+    for grid in dict.fromkeys(s.grid for s, r in zip(surfaces, radii) if r is None):
+        idx = [i for i, r in enumerate(radii) if r is None and surfaces[i].grid is grid]
+        E, G = (np.stack([getattr(surfaces[i], a)[:, 0] for i in idx]) for a in "EG")
+        out.update(zip(idx, _embed_rows(E, G, grid, branch)))
+    for i, surf in enumerate(surfaces):
+        try:
+            if radii[i] is not None:
+                out[i] = embed_round(radii[i], surf.grid, surface=surf)
+            elif not isinstance(out[i], EmbeddingError):
+                prof, X, N, h0 = out[i]
+                out[i] = EmbeddedSurface(surf.grid, X, N, h0, prof.isometry_residual,
+                                         surface=surf, profile=prof)
+        except EmbeddingError as exc:
+            out[i] = exc
+    return [out[i] for i in range(len(surfaces))]
 
-    Exactly round samples take the closed geodesic-sphere form, which is
-    exact and about a hundred times cheaper than the rapidity quadrature;
-    everything else goes through embed_revolution.  A SurfaceSample is
-    axisymmetric by construction.
-    """
-    r = _round_radius(surface)
-    if r is not None:
-        return embed_round(r, surface.grid, surface=surface)
-    prof = embed_revolution(surface.E[:, 0], surface.G[:, 0], surface.grid, branch=branch)
-    h0 = mean_curvature_h0(prof)
-    X, N = _profile_nodes(prof)
-    return EmbeddedSurface(surface.grid, X, N, h0, prof.isometry_residual,
-                           surface=surface, profile=prof)
+
+def embed_surface(surface: SurfaceSample, branch: int = 1) -> EmbeddedSurface:
+    """embed_surfaces of the one sample, raising its EmbeddingError."""
+    emb = embed_surfaces([surface], branch)[0]
+    if isinstance(emb, EmbeddingError):
+        raise emb
+    return emb
 
 
 def boost_surface(lam: LorentzMap, surf: EmbeddedSurface) -> EmbeddedSurface:
@@ -447,8 +448,7 @@ def boost_surface(lam: LorentzMap, surf: EmbeddedSurface) -> EmbeddedSurface:
         raise TypeError("expected a LorentzMap")
     if not lam.is_restricted:
         raise ValueError("isometry must be proper and orthochronous")
-    X = np.einsum("ab,ijb->ija", lam.matrix, surf.X)
-    N = np.einsum("ab,ijb->ija", lam.matrix, surf.normal)
+    X, N = (np.einsum("ab,ijb->ija", lam.matrix, a) for a in (surf.X, surf.normal))
     return EmbeddedSurface(surf.grid, X, N, surf.H0, surf.isometry_residual,
                            surface=surf.surface, profile=surf.profile)
 

@@ -65,12 +65,15 @@ def barycentric_rows(x_nodes, weights, x_query) -> tuple:
 def barycentric_apply(rows, values) -> np.ndarray:
     """Interpolant values at the query points of barycentric_rows: exact
     node hits read their node, the rest are (c @ values) / den.  values of
-    shape (n,) or (n, k) give (m,) or (m, k) for m query points."""
+    shape (n,) or (n, k) give (m,) or (m, k) for m query points; a stack
+    of shape (S, n, k) gives (S, m, k), one product per item."""
     hit, node, c, den = rows
     values = np.asarray(values, dtype=float)
-    out = np.empty(hit.shape + values.shape[1:])
-    out[hit] = values[node]
-    out[~hit] = (c @ values) / den.reshape(den.shape + (1,) * (values.ndim - 1))
+    lead = (slice(None),) * (values.ndim == 3)  # the stack axis, if any
+    out = np.empty(values.shape[:len(lead)] + hit.shape + values.shape[len(lead) + 1:])
+    out[lead + (hit,)] = values[lead + (node,)]
+    tail = (1,) * (values.ndim - 1 - len(lead))
+    out[lead + (~hit,)] = (c @ values) / den.reshape(den.shape + tail)
     return out
 
 

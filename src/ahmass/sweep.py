@@ -1,11 +1,12 @@
 """Radius-sweep harness for coordinate exhaustions.
 
 Drives the full pipeline over a decreasing list of collar radii: build
-the coordinate sphere, embed it, evaluate the mass vectors, fit each
-component to v_inf + C eps^p, and classify the causal character of the
-fitted limits.  A companion identity verifier runs the spinor and
-surface-geometry property suites on the configured family, embedding
-each sphere once.  All outputs are deterministic: closed-form cone
+the coordinate spheres, embed them all in one batched call, evaluate the
+mass vectors, fit each component to v_inf + C eps^p, and classify the
+causal character of the fitted limits.  A companion identity verifier
+runs the spinor and surface-geometry property suites on the configured
+family, embedding each sphere once, all in one batched call before any
+suite entry runs.  All outputs are deterministic: closed-form cone
 pairings, seeded random draws, no timestamps.
 """
 
@@ -27,7 +28,7 @@ from .ah_metric import (
     mass_aspect,
     wang_mass,
 )
-from .embed_h3 import EmbeddingError, embed_surface
+from .embed_h3 import EmbeddingError, embed_surfaces
 from .killing_spinor import (
     KillingNormField,
     exhaustion_norm_growth,
@@ -55,6 +56,7 @@ from .quasilocal import (
 )
 from .sphere_geometry import (
     QuadratureGrid,
+    SurfaceSample,
     coordinate_sphere,
     embeddability_check,
 )
@@ -685,14 +687,17 @@ class MassSweepRecord:
         }
 
 
-def _sweep_one(family: AHFamily, eps: float, grid: QuadratureGrid,
-               cfg: SweepConfig) -> PerEpsRecord:
+def _checked_sphere(family: AHFamily, eps: float, grid: QuadratureGrid) -> SurfaceSample:
     surf = coordinate_sphere(family, eps, grid)
     if not embeddability_check(surf):
         raise EmbeddingError("Gauss curvature does not clear the K > -1 margin")
     if float(np.min(surf.H)) <= MEAN_CURVATURE_FLOOR:
         raise ValueError("mean curvature reaches the H = -2 floor")
-    emb = embed_surface(surf, branch=cfg.branch)
+    return surf
+
+
+def _sweep_one(surf: SurfaceSample, emb, cfg: SweepConfig) -> PerEpsRecord:
+    eps = surf.eps
     m_by = by_mass(surf, emb)
     m_hat = hat_mass(surf, emb)
     alpha = radii = m_alpha = None
@@ -719,15 +724,26 @@ def _gap(rec: PerEpsRecord) -> float:
 def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     """Run the mass pipeline over the configured radius list and fit the
     limits.  Per-radius failures are recorded and skipped; at least three
-    radii must survive to fit."""
+    radii must survive to fit.  Every radius that passes its curvature
+    checks is embedded in one batched call."""
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
-    records = []
+    failed = (EmbeddingError, ValueError, ArithmeticError)
+    outcome, surfs = {}, []
     for eps in cfg.eps_list:
         try:
-            records.append(_sweep_one(cfg.family, float(eps), grid, cfg))
-        except (EmbeddingError, ValueError, ArithmeticError) as exc:
-            records.append(PerEpsRecord(eps=float(eps),
-                                        error="%s: %s" % (type(exc).__name__, exc)))
+            surfs.append(_checked_sphere(cfg.family, eps, grid))
+        except failed as exc:
+            outcome[eps] = exc
+    for surf, emb in zip(surfs, embed_surfaces(surfs, cfg.branch)):
+        try:
+            outcome[surf.eps] = emb if isinstance(emb, failed) else _sweep_one(surf, emb, cfg)
+        except failed as exc:
+            outcome[surf.eps] = exc
+    records = []
+    for eps in cfg.eps_list:
+        got = outcome[eps]
+        records.append(got if isinstance(got, PerEpsRecord) else
+                       PerEpsRecord(eps=eps, error="%s: %s" % (type(got).__name__, got)))
     good = [r for r in records if r.error is None]
     if len(good) < 3:
         raise RuntimeError("only %d of %d radii completed; need 3 to fit limits"
@@ -810,13 +826,25 @@ def verify_identities(cfg: SweepConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     entries = {}
 
-    cache = {}
+    # every sphere an entry reads, the configured radii and the
+    # flat-Laplacian radii, embedded in one batched call; a failed sphere
+    # holds its error, raised in the entry that reads it
+    hi = min(0.3, float(fam.rho_max))
+    eps_fun = np.geomspace(hi, 0.025 * hi, 8)
+    spheres = {}
+    for eps in dict.fromkeys(cfg.eps_list + tuple(float(e) for e in eps_fun)):
+        try:
+            spheres[eps] = coordinate_sphere(fam, eps, grid)
+        except Exception as exc:
+            spheres[eps] = exc
+    surfs = [s for s in spheres.values() if isinstance(s, SurfaceSample)]
+    for surf, emb in zip(surfs, embed_surfaces(surfs, cfg.branch)):
+        spheres[surf.eps] = emb if isinstance(emb, EmbeddingError) else (surf, emb)
 
     def sphere_at(eps):
-        if eps not in cache:
-            surf = coordinate_sphere(fam, eps, grid)
-            cache[eps] = (surf, embed_surface(surf, branch=cfg.branch))
-        return cache[eps]
+        if isinstance(spheres[eps], Exception):
+            raise spheres[eps]
+        return spheres[eps]
 
     def run_entry(name, fn):
         try:
@@ -931,8 +959,6 @@ def verify_identities(cfg: SweepConfig) -> dict:
                 "tolerance": tol["gauss_order"], "values": values}
 
     def e_flat_laplacian_decay():
-        hi = min(0.3, float(fam.rho_max))
-        eps_fun = np.geomspace(hi, 0.025 * hi, 8)
         fld = KillingNormField.from_spinor(_random_unit_spinor(rng))
         vals = []
         for eps in eps_fun:

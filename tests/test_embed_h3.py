@@ -2,6 +2,7 @@
 quadrature, gauge centering, ambient isometries, and rejection paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,17 +17,19 @@ from ahmass import (
     LorentzMap,
     PerturbedRound,
     QuadratureGrid,
+    SurfaceSample,
     boost,
     boost_surface,
     coordinate_sphere,
     embed_round,
     embed_surface,
+    embed_surfaces,
     lorentz_inner,
     rotation,
 )
 from ahmass import embed_h3
 from ahmass.embed_h3 import dump_profile_csv, embed_revolution, mean_curvature_h0
-from ahmass.sweep import family_from_spec
+from ahmass.sweep import default_schedule, family_from_spec
 
 GRID = QuadratureGrid(48, 4)
 
@@ -177,8 +180,11 @@ def test_rapidity_unresolved_at_degree_cap(monkeypatch):
 
 
 def sampled(func):
-    # the sampler _theta_series takes: func(th) at the points degree n adds
-    return lambda n: func(embed_h3._level_points(n)[0])
+    # the sampler _theta_series takes: func(th) at the points degree n
+    # adds, a row per index, and no error
+    def sample(n, rows):
+        return np.tile(func(embed_h3._level_points(n)[0]), (rows.size, 1)), [None] * rows.size
+    return sample
 
 
 @pytest.mark.parametrize("func, chop", [
@@ -188,7 +194,7 @@ def sampled(func):
 def test_theta_series_matches_dct_oracle(func, chop):
     # an entire function chops at the first degree; one with poles at
     # cos th = +-i/5 needs several doublings
-    c, n, tail = embed_h3._theta_series(sampled(func))
+    c, n, tail = embed_h3._theta_series(sampled(func), [0])[0]
     if chop == "min":
         assert n == embed_h3.RAPIDITY_MIN_DEGREE
     else:
@@ -210,7 +216,7 @@ def test_theta_series_samples_each_point_once():
         return 1.0 / (1.0 + 25.0 * np.cos(th) ** 2)
 
     calls = []
-    c, n, _ = embed_h3._theta_series(sampled(func))
+    c, n, _ = embed_h3._theta_series(sampled(func), [0])[0]
     assert n >= 256
     assert sum(th.size for th in calls) == n + 1
     th = 0.5 * np.pi * (1.0 + np.cos(np.pi * np.arange(n + 1) / n))
@@ -254,9 +260,9 @@ def test_primitive_matches_chebint_oracle(monkeypatch):
     # (degrees 128 to 1024) and on a degree-64 one
     series = []
 
-    def spy(func):
-        out = theta_series(func)
-        series.append(out[0])
+    def spy(sample, rows):
+        out = theta_series(sample, rows)
+        series.extend(got[0] for got in out.values())
         return out
 
     theta_series = embed_h3._theta_series
@@ -266,7 +272,7 @@ def test_primitive_matches_chebint_oracle(monkeypatch):
         fam, _ = family_from_spec({"name": "perturbed_round", "psi": psi})
         for eps in (0.2, 0.05, 0.0125, 0.0044):
             embed_surface(coordinate_sphere(fam, eps, grid))
-    series.append(theta_series(sampled(lambda th: np.exp(np.cos(th)) * np.sin(th)))[0])
+    series.append(theta_series(sampled(lambda th: np.exp(np.cos(th)) * np.sin(th)), [0])[0][0])
     degrees = sorted({c.size - 1 for c in series})
     assert degrees[0] == 64 and degrees[-1] == 1024
 
@@ -296,11 +302,12 @@ def test_cached_rows_give_the_interp_x_samples(monkeypatch):
     levels = {}
     theta_series = embed_h3._theta_series
 
-    def spy(sample):
-        def recording(n):
-            levels[n] = sample(n)
-            return levels[n]
-        return theta_series(recording)
+    def spy(sample, rows):
+        def recording(n, rows):
+            got = sample(n, rows)
+            levels[n] = got[0][0]
+            return got
+        return theta_series(recording, rows)
 
     monkeypatch.setattr(embed_h3, "_theta_series", spy)
     monkeypatch.setattr(embed_h3, "RAPIDITY_TAIL_TOL", 0.0)
@@ -456,3 +463,66 @@ def test_dump_profile_csv(tmp_path):
     assert np.max(np.abs(data[:, 2] - math.sinh(R) * GRID.x)) <= 1e-15
     assert np.all(data[:, 3] == math.cosh(R))
     assert np.all(data[:, 4] == 2.0 * math.cosh(R) / math.sinh(R))
+
+
+def assert_twins(got, solo):
+    # one item of a batch against the same sphere embedded alone
+    if isinstance(solo, Exception):
+        assert type(got) is type(solo) and str(got) == str(solo)
+        return
+    for name in ("X", "normal", "H0"):
+        assert np.array_equal(getattr(got, name), getattr(solo, name)), name
+    assert got.isometry_residual == solo.isometry_residual
+    assert (got.profile is None) == (solo.profile is None)
+    if solo.profile is not None:
+        assert np.array_equal(got.profile.chi, solo.profile.chi)
+        assert got.profile.cheb_degree == solo.profile.cheb_degree
+        assert got.profile.cheb_tail == solo.profile.cheb_tail
+
+
+def test_embed_surfaces_match_solo(monkeypatch):
+    # a mixed batch: round spheres, non-round ones on two grids at degrees
+    # 128 to 1024, one that fails the discriminant probe, and one that
+    # hits the degree cap; each item equals, bit for bit, its lone twin
+    monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 1024)
+    grid = QuadratureGrid(64, 4)
+    fam, _ = family_from_spec({"name": "perturbed_round", "psi": BENCH_PSI[1]})
+    # E = 0.1 exp(6x) is pole-regular, but its bracket is negative at x = 0
+    bad = SurfaceSample(0.1, 0.1 * np.exp(6.0 * grid.x), 2.0, 1.0, grid)
+    batch = ([coordinate_sphere(Hyperbolic(), 0.1, grid),
+              coordinate_sphere(AdSSchwarzschild(1.0), 0.1, grid), bad]
+             + [coordinate_sphere(fam, eps, grid) for eps in (0.2, 0.05, 0.002, 0.0125, 0.0044)]
+             + [coordinate_sphere(fam, 0.05, QuadratureGrid(32, 4))])
+    for branch in (1, -1):
+        got = embed_surfaces(batch, branch)
+        assert len(got) == len(batch)
+        for item, surf in zip(got, batch):
+            assert_twins(item, embed_surfaces([surf], branch)[0])
+            if not isinstance(item, Exception):
+                assert item.surface is surf
+        assert [e.profile is None for e in got[:2]] == [True, True]
+        assert "discriminant negative" in str(got[2])
+        assert str(got[5]).startswith("rapidity series unresolved at degree 1024")
+        degrees = [e.profile.cheb_degree for e in got[3:] if not isinstance(e, Exception)]
+        assert min(degrees) == 128 and max(degrees) == 1024
+        with pytest.raises(EmbeddingError, match="discriminant negative"):
+            embed_surface(bad, branch)
+    assert embed_surfaces([]) == []
+
+
+def test_embed_surfaces_peak_memory():
+    # the 16 spheres of a verify run on poly_cos, tables warm: the probe
+    # runs per sphere, so the batch holds little more than its results
+    grid = QuadratureGrid(64, 4)
+    fam, _ = family_from_spec({"name": "perturbed_round", "psi": BENCH_PSI[1]})
+    eps = list(default_schedule()) + [float(e) for e in np.geomspace(0.3, 0.0075, 8)]
+    surfs = [coordinate_sphere(fam, e, grid) for e in eps]
+    assert len(set(eps)) == 16
+    embed_surfaces(surfs)
+    tracemalloc.start()
+    try:
+        embed_surfaces(surfs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6

@@ -33,6 +33,7 @@ from ahmass import embed_h3
 from ahmass import killing_spinor
 from ahmass import sphere_geometry
 from ahmass import sweep
+from ahmass.cli import main
 from ahmass.sweep import DEFAULT_SEED, DEFAULT_TOLERANCES, ORDER_RANGE, judge_flat_laplacian
 
 EPS8 = np.geomspace(0.2, 0.02, 8)
@@ -549,24 +550,112 @@ def test_verify_identities_fast_pass(tmp_path):
         assert entry["passed"], name
 
 
-def test_verify_embeds_each_sphere_once(tmp_path, monkeypatch):
-    # every module-level lookup of embed_surface is counted, so a suite
-    # entry that re-embeds a sphere on its own shows up as a repeat
-    real = embed_h3.embed_surface
+def count_embed_calls(monkeypatch):
+    # every module-level lookup of embed_surfaces is counted, embed_surface
+    # included, so a sphere embedded on its own shows up as a call
+    real = embed_h3.embed_surfaces
     calls = []
 
-    def counting(surface, branch=1, **kw):
-        calls.append((surface.eps, branch))
-        return real(surface, branch=branch, **kw)
+    def counting(surfaces, branch=1):
+        calls.append([(s.eps, branch) for s in surfaces])
+        return real(surfaces, branch)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("ahmass.") and getattr(mod, "embed_surface", None) is real:
-            monkeypatch.setattr(mod, "embed_surface", counting)
+        if name.startswith("ahmass.") and getattr(mod, "embed_surfaces", None) is real:
+            monkeypatch.setattr(mod, "embed_surfaces", counting)
+    return calls
+
+
+def test_verify_embeds_each_sphere_once(tmp_path, monkeypatch):
+    calls = count_embed_calls(monkeypatch)
     cfg = fast_config(tmp_path, eps_list=default_schedule(), branch=-1)
     verify_identities(cfg)
-    assert len(calls) == 16
-    assert len(set(calls)) == len(calls)
-    assert all(branch == cfg.branch for _, branch in calls)
+    assert len(calls) == 1
+    spheres = calls[0]
+    assert len(spheres) == 16
+    assert len(set(spheres)) == len(spheres)
+    assert all(branch == cfg.branch for _, branch in spheres)
+
+
+def test_sweep_embeds_in_one_call(tmp_path, monkeypatch):
+    # one call holds every radius that passed the K and H checks; the
+    # radius that fails them is never embedded
+    calls = count_embed_calls(monkeypatch)
+    cfg = fast_config(tmp_path, family=PerturbedRound(lambda x: 0.1 * x))
+    real_check = sweep.embeddability_check
+    monkeypatch.setattr(sweep, "embeddability_check",
+                        lambda surf: surf.eps != cfg.eps_list[1] and real_check(surf))
+    rec = run_sweep(cfg)
+    assert calls == [[(eps, cfg.branch) for eps in cfg.eps_list if eps != cfg.eps_list[1]]]
+    assert rec.records[1].error == "EmbeddingError: Gauss curvature does not clear the K > -1 margin"
+    assert all(r.error is None for i, r in enumerate(rec.records) if i != 1)
+
+
+POLY_SPEC = {"name": "perturbed_round",
+             "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}}
+
+
+def capped_embedding_errors(cfg, radii):
+    # the error text each radius gets when embedded alone
+    grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
+    errors = {}
+    for eps in radii:
+        try:
+            embed_h3.embed_surface(sphere_geometry.coordinate_sphere(cfg.family, eps, grid))
+        except embed_h3.EmbeddingError as exc:
+            errors[eps] = "EmbeddingError: %s" % exc
+    return errors
+
+
+def test_sweep_isolates_radii_past_the_degree_cap(tmp_path, monkeypatch, capsys):
+    # with the degree cap at 256 only the deepest radii fail, each with the
+    # error it gets alone; the other rows are those of an uncapped sweep
+    cfg = fast_config(tmp_path, family=family_from_spec(POLY_SPEC)[0],
+                      eps_list=default_schedule(count=12), n_theta=64)
+    plain = run_sweep(cfg)
+    monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 256)
+    errors = capped_embedding_errors(cfg, cfg.eps_list)
+    assert set(errors) == set(cfg.eps_list[-len(errors):])
+    assert 3 <= len(errors) <= len(cfg.eps_list) - 3
+    capped = run_sweep(cfg)
+    for a, b in zip(plain.records, capped.records):
+        if b.eps in errors:
+            assert b.error == errors[b.eps]
+            assert b.error.startswith("EmbeddingError: rapidity series unresolved at degree 256")
+        else:
+            assert b.to_dict() == a.to_dict()
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": POLY_SPEC, "schedule": {"eps0": 0.2, "ratio": 2 ** -0.5, "count": 12},
+        "grid": {"n_theta": 64, "n_phi": 4}, "tolerances": {},
+        "output": {"dir": str(tmp_path / "out")}}))
+    assert main(["sweep", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("FAILED: EmbeddingError: rapidity series unresolved at degree 256") == len(errors)
+
+
+def test_verify_fails_only_entries_that_read_a_failed_sphere(tmp_path, monkeypatch):
+    cfg = fast_config(tmp_path, family=family_from_spec(POLY_SPEC)[0],
+                      eps_list=default_schedule(count=12), n_theta=64)
+    eps = list(cfg.eps_list)
+    eps_fun = [float(e) for e in np.geomspace(0.3, 0.0075, 8)]
+    # the radii each entry reads; the rest read no sphere
+    reads = {"surface_identity": [eps[0], eps[len(eps) // 2], eps[-1]],
+             "norm_growth": eps[:6], "area_growth": eps, "mean_curvature_expansion": eps[-1:],
+             "reference_curvature_order": eps, "gauss_curvature_order": eps,
+             "flat_laplacian_decay": eps_fun, "embedding_residuals": eps}
+    assert verify_identities(cfg)["passed"] is True
+    monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 256)
+    errors = capped_embedding_errors(cfg, eps + eps_fun)
+    report = verify_identities(cfg)
+    failed = {name for name, entry in report["entries"].items() if not entry["passed"]}
+    assert failed == {name for name, radii in reads.items() if set(radii) & set(errors)}
+    assert "norm_growth" not in failed and "area_growth" in failed
+    for name in failed:
+        # an entry reads its radii largest first and stops at the first failure
+        first = max(set(reads[name]) & set(errors))
+        assert report["entries"][name]["error"] == errors[first]
 
 
 def test_verify_checks_spinors_in_array_calls(tmp_path, monkeypatch):
