@@ -30,7 +30,6 @@ from .sphere_geometry import (
     coordinate_sphere,
     embeddability_check,
     integrate_scalar,
-    integrate_vector,
     surface_laplacian,
 )
 from .ah_metric import (
@@ -62,6 +61,7 @@ from .quasilocal import (
     enclosing_radii,
     hat_mass,
     mainhyp_functional,
+    mass_vectors,
     shitam_alpha_mass,
 )
 from .killing_spinor import (
@@ -98,8 +98,7 @@ __all__ = [
     "hyperboloid_point", "lorentz_inner", "rotation", "sphere_direction",
     # sphere_geometry
     "QuadratureGrid", "SurfaceSample", "coordinate_sphere",
-    "embeddability_check", "integrate_scalar", "integrate_vector",
-    "surface_laplacian",
+    "embeddability_check", "integrate_scalar", "surface_laplacian",
     # ah_metric
     "AdSSchwarzschild", "AHFamily", "Hyperbolic", "PerturbedRound",
     "ads_collar_transform", "mass_aspect",
@@ -110,7 +109,7 @@ __all__ = [
     "embed_surface", "embed_surfaces", "mean_curvature_h0",
     # quasilocal
     "MassResult", "alpha_from_radii", "by_mass", "enclosing_radii",
-    "hat_mass", "mainhyp_functional", "shitam_alpha_mass",
+    "hat_mass", "mainhyp_functional", "mass_vectors", "shitam_alpha_mass",
     # killing_spinor
     "KillingNormField", "SpinorValue", "exhaustion_norm_growth",
     "geodesic_norm_check", "gradient_identity_residual",

@@ -6,20 +6,21 @@ Subcommands:
   embed <config>    embed one coordinate sphere, dump its profile CSV
   report <summary>  pretty-print a summary.json written by sweep
 
-Exit codes: 0 all asserted checks passed, 2 identity or sweep failure,
-3 configuration error.
+Exit codes: 0 all asserted checks passed, 2 identity, sweep or embed
+failure, 3 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .embed_h3 import dump_profile_csv, embed_surface
+from .embed_h3 import EmbeddingError, dump_profile_csv, embed_surface
 from .quasilocal import enclosing_radii
 from .sphere_geometry import QuadratureGrid, coordinate_sphere
 from .sweep import (
@@ -105,9 +106,13 @@ def _cmd_embed(args) -> int:
         raise ConfigError("eps %g outside the collar range (0, %g]"
                           % (eps, cfg.family.rho_max))
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
-    surf = coordinate_sphere(cfg.family, float(eps), grid)
-    emb = embed_surface(surf, branch=cfg.branch)
-    r1, r2 = enclosing_radii(emb)
+    try:
+        surf = coordinate_sphere(cfg.family, float(eps), grid)
+        emb = embed_surface(surf, branch=cfg.branch)
+        r1, r2 = enclosing_radii(emb)
+    except (EmbeddingError, ValueError, ArithmeticError) as exc:
+        print("embed failed: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
     print("family: %s  eps=%g" % (cfg.family_label, eps))
     print("  area              %.12g" % surf.area)
     print("  radii             [%.12g, %.12g]" % (r1, r2))
@@ -158,7 +163,8 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)  # built by the first main call, not at import
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ahmass",
         description="Quasi-local mass sweeps over coordinate spheres of "
@@ -182,8 +188,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="pretty-print a summary.json")
     p.add_argument("record", help="summary.json written by sweep")
     p.set_defaults(fn=_cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

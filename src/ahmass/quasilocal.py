@@ -11,26 +11,29 @@ integrate against the position X of that image in R^{3,1}:
 
 The alpha-mass normalization differs from the others on purpose; only its
 sign against future-causal directions is ever consumed.
+
+mass_vectors computes all three for a stack of spheres, one einsum over the
+stack per component: that sums in integrate_scalar's order, so each row is
+bit-identical to its sphere alone (one einsum over all four components is
+not).  by_mass, hat_mass and shitam_alpha_mass are one-sphere calls of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lorentz import CausalClass, MinkowskiVector, causal_classify
-from .sphere_geometry import (
-    SurfaceSample,
-    integrate_scalar,
-    integrate_vector,
-    surface_laplacian,
-)
+from .sphere_geometry import SurfaceSample, integrate_scalar, surface_laplacian
 from .embed_h3 import EmbeddedSurface
 
 __all__ = [
     "MassResult",
+    "mass_vectors",
+    "mass_vector",
     "by_mass",
     "hat_mass",
     "shitam_alpha_mass",
@@ -54,19 +57,17 @@ class MassResult:
     m_hat: MinkowskiVector
     m_alpha: MinkowskiVector | None = None
 
-    @property
+    @functools.cached_property
     def tag_by(self) -> CausalClass:
         return causal_classify(self.m_by)
 
-    @property
+    @functools.cached_property
     def tag_hat(self) -> CausalClass:
         return causal_classify(self.m_hat)
 
-    @property
+    @functools.cached_property
     def tag_alpha(self) -> CausalClass | None:
-        if self.m_alpha is None:
-            return None
-        return causal_classify(self.m_alpha)
+        return None if self.m_alpha is None else causal_classify(self.m_alpha)
 
 
 def _check_aligned(surf: SurfaceSample, emb: EmbeddedSurface):
@@ -74,11 +75,50 @@ def _check_aligned(surf: SurfaceSample, emb: EmbeddedSurface):
         raise ValueError("surface and embedding live on different grids")
 
 
+def mass_vectors(surfaces, embeddings, alphas=None) -> tuple:
+    """(S, 4) arrays m_by, m_hat (needs H > -2) and m_alpha (None without
+    one alpha >= 1 per sphere) of S spheres, their (S,) areas, and an (S, 2
+    or 3) mask that is True where a vector's density is not finite."""
+    for surf, emb in zip(surfaces, embeddings):
+        _check_aligned(surf, emb)
+    if alphas is not None:
+        alphas = np.asarray(alphas, dtype=float)
+        if np.any(alphas < 1.0):
+            raise ValueError("alpha must be at least 1")
+    grid = surfaces[0].grid
+    H = np.stack([s.H for s in surfaces])
+    H0 = np.stack([e.H0 for e in embeddings])
+    W = np.stack([s.sqrt_det for s in surfaces]) / grid.sin_theta[:, None]
+    # each density is a scalar factor times X (with alpha t for m_alpha),
+    # formed one component at a time: no (S, n_theta, n_phi, 4) array is
+    # held, so a sweep's peak memory stays that of its embeddings
+    factors = [H0 - H, (H0 ** 2 - H ** 2) / (H + 2.0)]
+    if alphas is not None:
+        factors.append(H - H0)
+    out = np.empty((len(factors), len(surfaces), 4))
+    bad = np.zeros((len(surfaces), len(factors)), dtype=bool)
+    for k in range(4):
+        xk = np.stack([e.X[..., k] for e in embeddings])
+        for j, f in enumerate(factors):
+            d = f * (xk * alphas[:, None, None] if j == 2 and k == 3 else xk)
+            bad[:, j] |= ~np.isfinite(d).all(axis=(1, 2))
+            out[j, :, k] = grid.w_phi * np.einsum("i,sij->s", grid.w_theta, d * W)
+    c = 1.0 / (8.0 * np.pi)
+    area = grid.w_phi * np.einsum("i,sij->s", grid.w_theta, W)
+    return c * out[0], c * out[1], out[2] if alphas is not None else None, area, bad
+
+
+def mass_vector(row, bad: bool) -> MinkowskiVector:
+    """A row of mass_vectors, refused where its density is not finite."""
+    if bad:
+        raise ValueError("field has non-finite entries")
+    return MinkowskiVector.from_array(row)
+
+
 def by_mass(surf: SurfaceSample, emb: EmbeddedSurface) -> MinkowskiVector:
     """(1/8 pi) int (H0 - H) X dS."""
-    _check_aligned(surf, emb)
-    dens = (emb.H0 - surf.H)[..., None] * emb.X
-    return (1.0 / (8.0 * np.pi)) * integrate_vector(surf, dens)
+    m_by, _, _, _, bad = mass_vectors([surf], [emb])
+    return mass_vector(m_by[0], bad[0, 0])
 
 
 def hat_mass(surf: SurfaceSample, emb: EmbeddedSurface) -> MinkowskiVector:
@@ -86,21 +126,16 @@ def hat_mass(surf: SurfaceSample, emb: EmbeddedSurface) -> MinkowskiVector:
     _check_aligned(surf, emb)
     if np.min(surf.H) <= MEAN_CURVATURE_FLOOR:
         raise ValueError("mean curvature reaches -2; functional undefined")
-    dens = ((emb.H0 ** 2 - surf.H ** 2) / (surf.H + 2.0))[..., None] * emb.X
-    return (1.0 / (8.0 * np.pi)) * integrate_vector(surf, dens)
+    _, m_hat, _, _, bad = mass_vectors([surf], [emb])
+    return mass_vector(m_hat[0], bad[0, 1])
 
 
 def shitam_alpha_mass(surf: SurfaceSample, emb: EmbeddedSurface, alpha: float) -> MinkowskiVector:
     """int (H - H0) (x, alpha t) dS with X = (x, t); printed normalization,
     so no 1/8 pi factor.  Only the sign against future-causal directions
     is meaningful downstream."""
-    _check_aligned(surf, emb)
-    if alpha < 1.0:
-        raise ValueError("alpha must be at least 1")
-    scaled = emb.X.copy()
-    scaled[..., 3] *= alpha
-    dens = (surf.H - emb.H0)[..., None] * scaled
-    return integrate_vector(surf, dens)
+    _, _, m_alpha, _, bad = mass_vectors([surf], [emb], [alpha])
+    return mass_vector(m_alpha[0], bad[0, 2])
 
 
 def alpha_from_radii(r1: float, r2: float) -> float:

@@ -20,14 +20,11 @@ import functools
 
 import numpy as np
 
-from .lorentz import MinkowskiVector
-
 __all__ = [
     "QuadratureGrid",
     "SurfaceSample",
     "coordinate_sphere",
     "integrate_scalar",
-    "integrate_vector",
     "surface_laplacian",
     "embeddability_check",
     "barycentric_weights",
@@ -263,16 +260,6 @@ def integrate_scalar(surface: SurfaceSample, field) -> float:
         raise ValueError("field has non-finite entries")
     weight = surface.sqrt_det / g.sin_theta[:, None]
     return float(g.w_phi * np.einsum("i,ij->", g.w_theta, f * weight))
-
-
-def integrate_vector(surface: SurfaceSample, field) -> MinkowskiVector:
-    """Componentwise surface integral of a vector-valued field given as an
-    array of shape (n_theta, n_phi, 4)."""
-    arr = np.asarray(field, dtype=float)
-    if arr.shape != surface.grid.shape + (4,):
-        raise ValueError("expected field of shape %r" % (surface.grid.shape + (4,),))
-    comps = [integrate_scalar(surface, arr[..., k]) for k in range(4)]
-    return MinkowskiVector(*comps)
 
 
 def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:

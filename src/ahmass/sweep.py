@@ -2,12 +2,13 @@
 
 Drives the full pipeline over a decreasing list of collar radii: build
 the coordinate spheres, embed them all in one batched call, evaluate the
-mass vectors, fit each component to v_inf + C eps^p, and classify the
-causal character of the fitted limits.  A companion identity verifier
-runs the spinor and surface-geometry property suites on the configured
-family, embedding each sphere once, all in one batched call before any
-suite entry runs.  All outputs are deterministic: closed-form cone
-pairings, seeded random draws, no timestamps.
+mass vectors of every radius in one stacked quadrature (a radius whose
+masses fail records its own error), fit each component to v_inf + C eps^p,
+and classify the causal character of the fitted limits.  A companion
+identity verifier runs the spinor and surface-geometry property suites on
+the configured family, embedding each sphere once, all in one batched
+call before any suite entry runs.  All outputs are deterministic:
+closed-form cone pairings, seeded random draws, no timestamps.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from .quasilocal import (
     MEAN_CURVATURE_FLOOR,
     MassResult,
     alpha_from_radii,
-    by_mass,
     enclosing_radii,
-    hat_mass,
     laplacian_term,
-    shitam_alpha_mass,
+    mass_vector,
+    mass_vectors,
 )
 from .sphere_geometry import (
     QuadratureGrid,
@@ -696,25 +696,40 @@ def _checked_sphere(family: AHFamily, eps: float, grid: QuadratureGrid) -> Surfa
     return surf
 
 
-def _sweep_one(surf: SurfaceSample, emb, cfg: SweepConfig) -> PerEpsRecord:
-    eps = surf.eps
-    m_by = by_mass(surf, emb)
-    m_hat = hat_mass(surf, emb)
-    alpha = radii = m_alpha = None
+def _mass_records(pairs, cfg: SweepConfig, failed) -> list:
+    """The record, or the error, of each embedded (sphere, embedding), with
+    every mass from one mass_vectors call.  A row's error is the one its
+    sphere alone raises: the first of m_BY, m_hat, alpha and m_alpha to
+    fail.  A row whose alpha fails is stacked with a stand-in alpha of 1."""
+    surfs, embs = zip(*pairs)
+    alphas, radii = [None] * len(pairs), [None] * len(pairs)
     if cfg.with_alpha:
-        r1, r2 = enclosing_radii(emb)
-        alpha = alpha_from_radii(r1, r2)
-        m_alpha = shitam_alpha_mass(surf, emb, alpha)
-        radii = (r1, r2)
-    result = MassResult(eps, m_by, m_hat, m_alpha=m_alpha)
-    return PerEpsRecord(
-        eps=eps, result=result, alpha=alpha, radii=radii,
-        area=float(surf.area),
-        h_min=float(np.min(surf.H)), h_max=float(np.max(surf.H)),
-        k_min=float(np.min(surf.K)), k_max=float(np.max(surf.K)),
-        isometry_residual=float(emb.isometry_residual),
-        hyperboloid_defect=emb.hyperboloid_defect,
-    )
+        radii = [enclosing_radii(e) for e in embs]
+        for i, (r1, r2) in enumerate(radii):
+            try:
+                alphas[i] = alpha_from_radii(r1, r2)
+            except failed as exc:
+                alphas[i] = exc
+    stand_in = [1.0 if isinstance(a, Exception) else a for a in alphas]
+    m_by, m_hat, m_alpha, area, bad = mass_vectors(surfs, embs,
+                                                   stand_in if cfg.with_alpha else None)
+    out = []
+    for i, (surf, emb) in enumerate(pairs):
+        try:
+            vecs = [mass_vector(m_by[i], bad[i, 0]), mass_vector(m_hat[i], bad[i, 1])]
+            if cfg.with_alpha:
+                if isinstance(alphas[i], Exception):
+                    raise alphas[i]
+                vecs.append(mass_vector(m_alpha[i], bad[i, 2]))
+            out.append(PerEpsRecord(
+                eps=surf.eps, result=MassResult(surf.eps, *vecs), alpha=alphas[i], radii=radii[i],
+                area=float(area[i]), h_min=float(np.min(surf.H)), h_max=float(np.max(surf.H)),
+                k_min=float(np.min(surf.K)), k_max=float(np.max(surf.K)),
+                isometry_residual=float(emb.isometry_residual),
+                hyperboloid_defect=emb.hyperboloid_defect))
+        except failed as exc:
+            out.append(exc)
+    return out
 
 
 def _gap(rec: PerEpsRecord) -> float:
@@ -725,7 +740,8 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     """Run the mass pipeline over the configured radius list and fit the
     limits.  Per-radius failures are recorded and skipped; at least three
     radii must survive to fit.  Every radius that passes its curvature
-    checks is embedded in one batched call."""
+    checks is embedded in one batched call, and every one embedded gets
+    its masses from one mass_vectors call."""
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
     failed = (EmbeddingError, ValueError, ArithmeticError)
     outcome, surfs = {}, []
@@ -734,11 +750,14 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
             surfs.append(_checked_sphere(cfg.family, eps, grid))
         except failed as exc:
             outcome[eps] = exc
+    pairs = []
     for surf, emb in zip(surfs, embed_surfaces(surfs, cfg.branch)):
-        try:
-            outcome[surf.eps] = emb if isinstance(emb, failed) else _sweep_one(surf, emb, cfg)
-        except failed as exc:
-            outcome[surf.eps] = exc
+        if isinstance(emb, failed):
+            outcome[surf.eps] = emb
+        else:
+            pairs.append((surf, emb))
+    if pairs:
+        outcome.update(zip([s.eps for s, _ in pairs], _mass_records(pairs, cfg, failed)))
     records = []
     for eps in cfg.eps_list:
         got = outcome[eps]

@@ -178,6 +178,23 @@ def test_embed_writes_profile(tmp_path, capsys):
     assert main(["embed", path, "--eps", "0.7"]) == 3
 
 
+@pytest.mark.parametrize("psi, eps, error", [
+    ({"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}, "0.001",
+     "EmbeddingError: rapidity series unresolved at degree 8192"),
+    ({"type": "constant", "value": -40.0}, "0.45",
+     "ValueError: degenerate induced metric"),
+], ids=["unresolved", "degenerate"])
+def test_embed_failure_exits_2(tmp_path, capsys, psi, eps, error):
+    # a sphere that cannot be embedded: one line on stderr, no profile
+    path = write_config(tmp_path, family={"name": "perturbed_round", "psi": psi})
+    assert main(["embed", path, "--eps", eps]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("embed failed: " + error)
+    assert err.count("\n") == 1
+    assert "wrote" not in out
+    assert not (tmp_path / "out").exists()
+
+
 def test_embed_round_dispatch_profile(tmp_path):
     # the closed-form path writes the meridian of its own embedding
     assert main(["embed", write_config(tmp_path)]) == 0
@@ -225,3 +242,43 @@ def test_commands_run_on_numpy_alone(tmp_path):
     # verify may exit 2: on four radii this heavy mass fails area_growth
     assert codes[0] == 0 and codes[1] in (0, 2)
     assert loaded == []
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    # importing the command line builds no parser; the first main call
+    # builds it, and a second call reuses it and writes the same files
+    a = write_config(tmp_path, name="a.json", output={"dir": str(tmp_path / "a")})
+    b = write_config(tmp_path, name="b.json", output={"dir": str(tmp_path / "b")})
+    script = (
+        "import argparse, json, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import ahmass.cli\n"
+        "counts = [len(built)]\n"
+        "codes = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    codes.append(ahmass.cli.main(['sweep', path]))\n"
+        "    counts.append(len(built))\n"
+        "print(json.dumps([codes, counts]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script, a, b], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    codes, counts = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert counts[0] == 0 and counts[1] > 0 and counts[2] == counts[1]
+    for name in ("sweep.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_bad_subcommand_exits_2(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

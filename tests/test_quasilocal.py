@@ -2,6 +2,7 @@
 functional behind the modified mass."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from ahmass import (
     default_schedule,
     embed_round,
     embed_surface,
+    embed_surfaces,
     enclosing_radii,
     hat_mass,
     hopf_eta,
     integrate_scalar,
     lorentz_inner,
     mainhyp_functional,
+    mass_vectors,
     rotation,
     shitam_alpha_mass,
 )
@@ -236,3 +239,98 @@ def test_mass_result_tags():
                       MinkowskiVector(0.0, 0.0, 0.0, 1.0),
                       m_alpha=MinkowskiVector(1.0, 0.0, 0.0, 1.0))
     assert full.tag_alpha is CausalClass.FUTURE_NULL
+
+
+def stand_in_embedding(grid, H0, X):
+    # mass_vectors reads only the grid, H0 and X of an embedding
+    return SimpleNamespace(grid=grid, H0=grid.as_field(H0), X=np.asarray(X, dtype=float))
+
+
+GRID32 = QuadratureGrid(32, 4)
+
+
+def test_mass_vectors_integrate_constant_and_position():
+    # H = 0 and H0 = 1 make 8 pi m_BY the surface integral of X
+    s = SurfaceSample(0.1, 1.0, 0.0, 1.0, GRID32)
+    const = np.broadcast_to(np.array([0.5, -1.0, 2.0, 3.0]), GRID32.shape + (4,))
+    v = 8.0 * np.pi * mass_vectors([s], [stand_in_embedding(GRID32, 1.0, const)])[0][0]
+    assert np.max(np.abs(v - s.area * np.array([0.5, -1.0, 2.0, 3.0]))) < 1e-12 * s.area
+    th, ph = GRID32.theta_mesh, GRID32.phi_mesh
+    omega = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+    field = np.concatenate([omega, np.ones(GRID32.shape + (1,))], axis=-1)
+    v = 8.0 * np.pi * mass_vectors([s], [stand_in_embedding(GRID32, 1.0, field)])[0][0]
+    assert np.max(np.abs(v[:3])) < 1e-13 * s.area
+    assert v[3] == pytest.approx(s.area, rel=1e-13)
+
+
+def test_mass_vectors_reference_difference_vanishes_on_hyperbolic():
+    # H0 = 2 cosh eps and X the geodesic sphere of the same area
+    eps = 0.2
+    s = coordinate_sphere(Hyperbolic(), eps, GRID32)
+    th, ph = GRID32.theta_mesh, GRID32.phi_mesh
+    omega = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+    t = np.full(GRID32.shape + (1,), np.cosh(eps) / np.sinh(eps))
+    x = np.concatenate([omega / np.sinh(eps), t], axis=-1)
+    m_by = mass_vectors([s], [stand_in_embedding(GRID32, 2.0 * np.cosh(eps), x)])[0][0]
+    assert np.max(np.abs(8.0 * np.pi * m_by)) < 1e-10
+
+
+def reference_masses(surf, emb, alpha):
+    """m_BY, m_hat and m_alpha of one sphere as one integrate_scalar call
+    per component, each density built as the functional defines it."""
+    H, H0, X = surf.H, emb.H0, emb.X
+    scaled = X.copy()
+    scaled[..., 3] *= alpha
+    dens = ((H0 - H)[..., None] * X, ((H0 ** 2 - H ** 2) / (H + 2.0))[..., None] * X,
+            (H - H0)[..., None] * scaled)
+    c = 1.0 / (8.0 * np.pi)
+    return [np.array([f * integrate_scalar(surf, d[..., k]) for k in range(4)])
+            for f, d in zip((c, c, 1.0), dens)]
+
+
+@pytest.mark.parametrize("grid", [QuadratureGrid(48, 4), QuadratureGrid(64, 6)])
+def test_mass_stack_matches_integrate_scalar(grid):
+    # AdS spheres take the closed form, poly_cos spheres the quadrature;
+    # every row and every one-sphere functional equals the per-sphere
+    # reference to the bit, with and without alpha
+    surfs = [coordinate_sphere(fam, eps, grid)
+             for fam in (AdSSchwarzschild(1.0), AdSSchwarzschild(3.3),
+                         PerturbedRound(np.polynomial.Polynomial([0.05, -0.08, 0.06])),
+                         PerturbedRound(lambda x: 0.1 * x))
+             for eps in default_schedule(0.2, 2 ** -0.5, 6)]
+    embs = embed_surfaces(surfs, 1)
+    alphas = [alpha_from_radii(*enclosing_radii(e)) for e in embs]
+    m_by, m_hat, m_alpha, area, bad = mass_vectors(surfs, embs, alphas)
+    plain = mass_vectors(surfs, embs)
+    assert plain[2] is None and not bad.any()
+    for got in (m_by, m_hat, m_alpha, area, bad):
+        assert got.shape[0] == len(surfs)
+    for i, (surf, emb, alpha) in enumerate(zip(surfs, embs, alphas)):
+        want = reference_masses(surf, emb, alpha)
+        for got, ref in zip((m_by[i], m_hat[i], m_alpha[i]), want):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(plain[0][i], want[0]) and np.array_equal(plain[1][i], want[1])
+        assert area[i] == surf.area
+        assert np.array_equal(by_mass(surf, emb).as_array(), want[0])
+        assert np.array_equal(hat_mass(surf, emb).as_array(), want[1])
+        assert np.array_equal(shitam_alpha_mass(surf, emb, alpha).as_array(), want[2])
+
+
+def test_mass_vectors_mark_non_finite_rows():
+    surfs = [coordinate_sphere(AdSSchwarzschild(1.0), eps, GRID) for eps in (0.1, 0.05)]
+    embs = embed_surfaces(surfs, 1)
+    X = embs[1].X.copy()
+    X[3, 1, 3] = np.nan
+    broken = stand_in_embedding(GRID, embs[1].H0, X)
+    m_by, _, m_alpha, _, bad = mass_vectors(surfs, [embs[0], broken], [1.5, 1.5])
+    assert bad.tolist() == [[False] * 3, [True] * 3]
+    assert np.array_equal(m_by[0], by_mass(surfs[0], embs[0]).as_array())
+    for fn in (by_mass, hat_mass):
+        with pytest.raises(ValueError, match="field has non-finite entries"):
+            fn(surfs[1], broken)
+    with pytest.raises(ValueError, match="field has non-finite entries"):
+        shitam_alpha_mass(surfs[1], broken, 1.5)
+    with pytest.raises(ValueError, match="alpha must be at least 1"):
+        mass_vectors(surfs, embs, [1.5, 0.99])
+    with pytest.raises(ValueError, match="different grids"):
+        mass_vectors(surfs, [embs[0], embed_round(1.0, QuadratureGrid(32, 4))])

@@ -14,7 +14,6 @@ from ahmass import (
     decay_order,
     embeddability_check,
     integrate_scalar,
-    integrate_vector,
     mass_aspect,
     surface_laplacian,
 )
@@ -113,29 +112,6 @@ def test_odd_field_integrates_to_zero():
     s = round_sample(1.0, GRID)
     w3 = np.cos(GRID.theta)[:, None] * np.ones((1, GRID.n_phi))
     assert abs(integrate_scalar(s, w3)) < 1e-13 * s.area
-
-
-def test_integrate_vector_constant_and_position():
-    s = round_sample(1.0, GRID)
-    v = integrate_vector(s, np.broadcast_to(np.array([0.5, -1.0, 2.0, 3.0]), GRID.shape + (4,)))
-    assert np.max(np.abs(v.as_array() - s.area * np.array([0.5, -1.0, 2.0, 3.0]))) < 1e-12 * s.area
-    th, ph = GRID.theta_mesh, GRID.phi_mesh
-    omega = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-    field = np.concatenate([omega, np.ones(GRID.shape + (1,))], axis=-1)
-    v = integrate_vector(s, field)
-    assert np.max(np.abs(v.spatial)) < 1e-13 * s.area
-    assert v.t == pytest.approx(s.area, rel=1e-13)
-
-
-def test_reference_difference_vanishes_on_hyperbolic():
-    eps = 0.2
-    s = coordinate_sphere(Hyperbolic(), eps, GRID)
-    th, ph = GRID.theta_mesh, GRID.phi_mesh
-    omega = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-    x = np.concatenate([omega / np.sinh(eps), np.full(GRID.shape + (1,), np.cosh(eps) / np.sinh(eps))], axis=-1)
-    integrand = (2.0 * np.cosh(eps) - s.H)[..., None] * x
-    v = integrate_vector(s, integrand)
-    assert np.max(np.abs(v.as_array())) < 1e-10
 
 
 def test_embeddability_check():

@@ -31,6 +31,7 @@ from ahmass import (
 from ahmass import ah_metric
 from ahmass import embed_h3
 from ahmass import killing_spinor
+from ahmass import lorentz
 from ahmass import sphere_geometry
 from ahmass import sweep
 from ahmass.cli import main
@@ -633,6 +634,63 @@ def test_sweep_isolates_radii_past_the_degree_cap(tmp_path, monkeypatch, capsys)
     assert main(["sweep", str(path)]) == 2
     out = capsys.readouterr().out
     assert out.count("FAILED: EmbeddingError: rapidity series unresolved at degree 256") == len(errors)
+
+
+def test_sweep_isolates_a_non_finite_density(tmp_path, monkeypatch, capsys):
+    # a NaN in one radius's H0: only that record fails, with the error its
+    # sphere gets alone; the others equal an unpatched sweep's records
+    cfg = fast_config(tmp_path, family=family_from_spec(POLY_SPEC)[0], eps_list=default_schedule())
+    plain = run_sweep(cfg)
+    target = cfg.eps_list[3]
+    real = sweep.embed_surfaces
+
+    def breaking(surfaces, branch=1):
+        out = []
+        for surf, emb in zip(surfaces, real(surfaces, branch)):
+            if surf.eps == target:
+                h0 = emb.H0.copy()
+                h0[5] = np.nan
+                emb = embed_h3.EmbeddedSurface(emb.grid, emb.X, emb.normal, h0,
+                                               emb.isometry_residual, surf, emb.profile)
+            out.append(emb)
+        return out
+
+    monkeypatch.setattr(sweep, "embed_surfaces", breaking)
+    broken = run_sweep(cfg)
+    for a, b in zip(plain.records, broken.records):
+        if b.eps == target:
+            assert b.error == "ValueError: field has non-finite entries"
+            assert b.result is None
+        else:
+            assert b == a
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": POLY_SPEC, "schedule": {"eps0": 0.2, "ratio": 2 ** -0.5, "count": 8},
+        "grid": {"n_theta": 32, "n_phi": 4}, "tolerances": {},
+        "output": {"dir": str(tmp_path / "out")}}))
+    assert main(["sweep", str(path)]) == 2
+    assert capsys.readouterr().out.count("FAILED: ValueError: field has non-finite entries") == 1
+
+
+def test_sweep_classifies_each_mass_vector_once(tmp_path, monkeypatch):
+    # run_sweep and write_outputs together tag each per-radius vector and
+    # each fitted limit at most once; the records' tags are cached
+    calls = []
+    real = lorentz.causal_classify
+
+    def counting(v, tol=None):
+        calls.append(v)
+        return real(v, tol)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ahmass") and getattr(mod, "causal_classify", None) is real:
+            monkeypatch.setattr(mod, "causal_classify", counting)
+    cfg = fast_config(tmp_path, family=family_from_spec(POLY_SPEC)[0])
+    rec = run_sweep(cfg)
+    write_outputs(rec, cfg)
+    assert calls
+    assert len(calls) <= 3 * len(rec.records) + len(rec.limits)
 
 
 def test_verify_fails_only_entries_that_read_a_failed_sphere(tmp_path, monkeypatch):
