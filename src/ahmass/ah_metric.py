@@ -91,6 +91,9 @@ class Hyperbolic(AHFamily):
         return np.full_like(np.asarray(theta, dtype=float), -6.0)
 
 
+# One config has one mass, and every collar radius of its sweep and
+# verify that misses the transform memo brackets above the same horizon.
+@functools.lru_cache(maxsize=8)
 def _horizon_radius(m: float) -> float:
     # positive root of r^3 + r - 2m = 0
     if m == 0.0:

@@ -21,6 +21,7 @@ from ahmass import (
     scalar_curvature,
     wang_mass,
 )
+from ahmass import ah_metric
 
 GRID = QuadratureGrid(32, 4)
 
@@ -132,6 +133,19 @@ def test_ads_transform_memo_holds_one_config():
     for rho in np.geomspace(0.01, 0.5, 200):
         ads_collar_transform(0.5, float(rho))
     assert ads_collar_transform.cache_info().currsize <= 64
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 3.3])
+def test_horizon_memo_returns_the_uncached_root(m, monkeypatch):
+    # the memo hands every collar radius the same float the cubic gives,
+    # so the brackets and the radii are unchanged to the bit
+    ah_metric._horizon_radius.cache_clear()
+    ads_collar_transform.cache_clear()
+    rhos = [float(rho) for rho in np.geomspace(0.005, 0.3, 7)]
+    cached = [ads_collar_transform(m, rho) for rho in rhos]
+    assert ah_metric._horizon_radius(m) == ah_metric._horizon_radius.__wrapped__(m)
+    monkeypatch.setattr(ah_metric, "_horizon_radius", ah_metric._horizon_radius.__wrapped__)
+    assert [ads_collar_transform.__wrapped__(m, rho) for rho in rhos] == cached
 
 
 def test_ads_transform_rejects_negative_mass():

@@ -156,12 +156,24 @@ def test_verify_notes_unresolved_flat_laplacian_order(tmp_path, capsys):
 
 
 def test_verify_failure_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, tolerances={"spinor_norm": 1e-18})
+    # the round spheres embed in closed form with an isometry residual of
+    # exactly 0, so the hyperboloid defect is the bound that can be undercut
+    path = write_config(tmp_path, tolerances={"hyperboloid": 1e-18})
     assert main(["verify", path]) == 2
     assert "FAIL" in capsys.readouterr().out
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert report["passed"] is False
-    assert report["entries"]["spinor_norm_match"]["passed"] is False
+    assert report["entries"]["embedding_residuals"]["passed"] is False
+
+
+@pytest.mark.parametrize("key", ["spinor_norm", "geodesic_fit", "gradient_identity"])
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_removed_tolerance_keys_exit_3(tmp_path, capsys, command, key):
+    # the spinor checks these bounded read no config and run in the tests
+    assert main([command, write_config(tmp_path, tolerances={key: 1e-10})]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: unknown tolerance %r" % key]
+    assert not (tmp_path / "out").exists()
 
 
 def test_embed_writes_profile(tmp_path, capsys):

@@ -27,6 +27,7 @@ from ahmass import (
     spinor_at,
     spinor_polar_point,
 )
+from ahmass.sweep import DEFAULT_SEED
 
 RNG_SEED = 20240812
 
@@ -228,6 +229,54 @@ def test_gradient_identity():
         assert gradient_identity_residual(field, pts) <= 1e-10 * scale
     unit_time = KillingNormField(MinkowskiVector(0.0, 0.0, 0.0, 1.0))
     assert gradient_identity_residual(unit_time, pts) <= 1e-10 * float(np.max(np.cosh(3.0) ** 2))
+
+
+def unit_spinor(rng):
+    a = rng.standard_normal(4)
+    a = a / float(np.linalg.norm(a))
+    return SpinorParameter(complex(a[0], a[1]), complex(a[2], a[3]))
+
+
+def sheet_points(r, ct, ph):
+    # points at geodesic distance r from the origin, polar cosine ct, azimuth ph
+    st = np.sqrt(1.0 - ct ** 2)
+    omega = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
+    return np.concatenate([np.sinh(r)[:, None] * omega, np.cosh(r)[:, None]], axis=1)
+
+
+def test_verify_draws_at_default_seed():
+    # absolute bounds on the config-independent spinor identities, drawn in
+    # this order from the verify seed: 10 x 1000 norm samples, 100
+    # geodesics, then 2000 gradient points
+    rng = np.random.default_rng(DEFAULT_SEED)
+    worst = 0.0
+    for _ in range(10):
+        z = unit_spinor(rng)
+        field = KillingNormField.from_spinor(z)
+        r = rng.uniform(0.0, 3.0, 1000)
+        th = rng.uniform(0.0, np.pi, 1000)
+        ph = rng.uniform(0.0, 2.0 * np.pi, 1000)
+        f = field.value(spinor_polar_point(r, th, ph))
+        worst = max(worst, float(np.max(np.abs(spinor_at(z, r, th, ph).norm_sq - f))))
+    assert worst <= 1e-12
+
+    fields, r, ct, ph, y = [], [], [], [], []
+    for _ in range(100):  # the draws interleave per geodesic
+        fields.append(KillingNormField.from_spinor(unit_spinor(rng)))
+        r.append(rng.uniform(0.05, 2.0))
+        ct.append(rng.uniform(-1.0, 1.0))
+        ph.append(rng.uniform(0.0, 2.0 * np.pi))
+        y.append(rng.standard_normal(4))
+    x0, y = sheet_points(np.array(r), np.array(ct), np.array(ph)), np.array(y)
+    v = y + lorentz_inner(y, x0)[:, None] * x0
+    v = v / np.sqrt(lorentz_inner(v, v))[:, None]
+    _, _, resid = geodesic_norm_check(fields, x0, v, np.linspace(-1.0, 1.0, 9))
+    assert resid.shape == (100,) and float(np.max(resid)) <= 1e-10
+
+    field = KillingNormField.from_spinor(unit_spinor(rng))
+    pts = sheet_points(rng.uniform(0.05, 2.5, 2000), rng.uniform(-1.0, 1.0, 2000),
+                       rng.uniform(0.0, 2.0 * np.pi, 2000))
+    assert gradient_identity_residual(field, pts) <= 1e-10
 
 
 def test_surface_identity_round_spheres():

@@ -30,7 +30,6 @@ from ahmass import (
 )
 from ahmass import ah_metric
 from ahmass import embed_h3
-from ahmass import killing_spinor
 from ahmass import lorentz
 from ahmass import sphere_geometry
 from ahmass import sweep
@@ -501,6 +500,19 @@ def test_sweep_and_verify_build_one_gauss_legendre_rule(tmp_path, monkeypatch):
     assert calls == [64]
 
 
+def test_sweep_and_verify_find_each_horizon_once(tmp_path):
+    # every collar radius that misses the transform memo brackets above
+    # its mass's horizon, so the cubic is solved once per mass
+    ah_metric._horizon_radius.cache_clear()
+    ah_metric.ads_collar_transform.cache_clear()
+    for m in (0.5, 1.0):
+        cfg = fast_config(tmp_path, family=AdSSchwarzschild(m), eps_list=default_schedule())
+        assert all(r.error is None for r in run_sweep(cfg).records)
+        assert verify_identities(cfg)["passed"]
+    info = ah_metric._horizon_radius.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
+
+
 def test_run_sweep_deterministic(tmp_path):
     cfg_a = fast_config(tmp_path / "a", family=AdSSchwarzschild(1.0))
     cfg_b = fast_config(tmp_path / "b", family=AdSSchwarzschild(1.0))
@@ -541,7 +553,6 @@ def test_verify_identities_fast_pass(tmp_path):
     assert report["passed"] is True
     assert report["seed"] == DEFAULT_SEED
     names = {
-        "spinor_norm_match", "geodesic_restriction", "gradient_identity",
         "surface_identity", "norm_growth", "area_growth", "aspect_recovery",
         "mean_curvature_expansion", "reference_curvature_order",
         "gauss_curvature_order", "flat_laplacian_decay", "embedding_residuals",
@@ -714,24 +725,3 @@ def test_verify_fails_only_entries_that_read_a_failed_sphere(tmp_path, monkeypat
         # an entry reads its radii largest first and stops at the first failure
         first = max(set(reads[name]) & set(errors))
         assert report["entries"][name]["error"] == errors[first]
-
-
-def test_verify_checks_spinors_in_array_calls(tmp_path, monkeypatch):
-    # the spinor norm check takes one array call per spinor, and the
-    # geodesic restriction one batched fit for all its triples
-    counts = {"spinor_at": 0, "spinor_polar_point": 0, "geodesic_norm_check": 0}
-    for name in counts:
-        real = getattr(killing_spinor, name)
-
-        def counting(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("ahmass.") and getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counting)
-    report = verify_identities(fast_config(tmp_path, eps_list=default_schedule()))
-    assert report["passed"] is True
-    assert counts["spinor_at"] <= 10
-    assert counts["spinor_polar_point"] <= 10
-    assert counts["geodesic_norm_check"] <= 1
