@@ -57,6 +57,7 @@ from .embed_h3 import (
 from .quasilocal import (
     MassResult,
     alpha_from_radii,
+    alpha_mass,
     by_mass,
     enclosing_radii,
     hat_mass,
@@ -108,8 +109,9 @@ __all__ = [
     "boost_surface", "dump_profile_csv", "embed_revolution", "embed_round",
     "embed_surface", "embed_surfaces", "mean_curvature_h0",
     # quasilocal
-    "MassResult", "alpha_from_radii", "by_mass", "enclosing_radii",
-    "hat_mass", "mainhyp_functional", "mass_vectors", "shitam_alpha_mass",
+    "MassResult", "alpha_from_radii", "alpha_mass", "by_mass",
+    "enclosing_radii", "hat_mass", "mainhyp_functional", "mass_vectors",
+    "shitam_alpha_mass",
     # killing_spinor
     "KillingNormField", "SpinorValue", "exhaustion_norm_growth",
     "geodesic_norm_check", "gradient_identity_residual",

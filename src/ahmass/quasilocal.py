@@ -3,19 +3,19 @@ sphere.
 
 All functionals compare the physical mean curvature H of the surface with
 the mean curvature H0 of its isometric image in hyperbolic 3-space and
-integrate against the position X of that image in R^{3,1}:
+integrate against the position X = (x, t) of that image in R^{3,1}:
 
     by_mass       (1/8 pi) int (H0 - H) X dS
     hat_mass      (1/8 pi) int (H0^2 - H^2)/(H + 2) X dS
-    alpha mass    int (H - H0) (x, alpha t) dS   (no 1/8 pi, sign as is)
+    alpha mass    (1/8 pi) int (H0 - H) (x, alpha t) dS,  alpha >= 1
 
-The alpha-mass normalization differs from the others on purpose; only its
-sign against future-causal directions is ever consumed.
+alpha is a constant per sphere, so the alpha mass is m_BY with its time
+component stretched by alpha (alpha_mass); it tends to m_BY as alpha -> 1.
 
-mass_vectors computes all three for a stack of spheres, one einsum over the
-stack per component: that sums in integrate_scalar's order, so each row is
-bit-identical to its sphere alone (one einsum over all four components is
-not).  by_mass, hat_mass and shitam_alpha_mass are one-sphere calls of it.
+mass_vectors computes m_BY and m_hat for a stack of spheres, one einsum
+over the stack per component: that sums in integrate_scalar's order, so
+each row is bit-identical to its sphere alone (one einsum over all four
+components is not).  by_mass and hat_mass are one-sphere calls of it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "by_mass",
     "hat_mass",
     "shitam_alpha_mass",
+    "alpha_mass",
     "alpha_from_radii",
     "enclosing_radii",
     "mainhyp_functional",
@@ -55,7 +56,7 @@ class MassResult:
     eps: float
     m_by: MinkowskiVector
     m_hat: MinkowskiVector
-    m_alpha: MinkowskiVector | None = None
+    m_alpha: MinkowskiVector
 
     @functools.cached_property
     def tag_by(self) -> CausalClass:
@@ -66,8 +67,8 @@ class MassResult:
         return causal_classify(self.m_hat)
 
     @functools.cached_property
-    def tag_alpha(self) -> CausalClass | None:
-        return None if self.m_alpha is None else causal_classify(self.m_alpha)
+    def tag_alpha(self) -> CausalClass:
+        return causal_classify(self.m_alpha)
 
 
 def _check_aligned(surf: SurfaceSample, emb: EmbeddedSurface):
@@ -75,37 +76,33 @@ def _check_aligned(surf: SurfaceSample, emb: EmbeddedSurface):
         raise ValueError("surface and embedding live on different grids")
 
 
-def mass_vectors(surfaces, embeddings, alphas=None) -> tuple:
-    """(S, 4) arrays m_by, m_hat (needs H > -2) and m_alpha (None without
-    one alpha >= 1 per sphere) of S spheres, their (S,) areas, and an (S, 2
-    or 3) mask that is True where a vector's density is not finite."""
+def mass_vectors(surfaces, embeddings) -> tuple:
+    """(S, 4) arrays m_by and m_hat (needs H > -2) of S spheres, their (S,)
+    areas, and an (S, 2) mask that is True where a vector's density is not
+    finite."""
+    if len(surfaces) == 0 or len(surfaces) != len(embeddings):
+        raise ValueError("need one embedding per surface, and at least one surface")
     for surf, emb in zip(surfaces, embeddings):
         _check_aligned(surf, emb)
-    if alphas is not None:
-        alphas = np.asarray(alphas, dtype=float)
-        if np.any(alphas < 1.0):
-            raise ValueError("alpha must be at least 1")
     grid = surfaces[0].grid
     H = np.stack([s.H for s in surfaces])
     H0 = np.stack([e.H0 for e in embeddings])
     W = np.stack([s.sqrt_det for s in surfaces]) / grid.sin_theta[:, None]
-    # each density is a scalar factor times X (with alpha t for m_alpha),
-    # formed one component at a time: no (S, n_theta, n_phi, 4) array is
-    # held, so a sweep's peak memory stays that of its embeddings
+    # each density is a scalar factor times X, formed one component at a
+    # time: no (S, n_theta, n_phi, 4) array is held, so a sweep's peak
+    # memory stays that of its embeddings
     factors = [H0 - H, (H0 ** 2 - H ** 2) / (H + 2.0)]
-    if alphas is not None:
-        factors.append(H - H0)
     out = np.empty((len(factors), len(surfaces), 4))
     bad = np.zeros((len(surfaces), len(factors)), dtype=bool)
     for k in range(4):
         xk = np.stack([e.X[..., k] for e in embeddings])
         for j, f in enumerate(factors):
-            d = f * (xk * alphas[:, None, None] if j == 2 and k == 3 else xk)
+            d = f * xk
             bad[:, j] |= ~np.isfinite(d).all(axis=(1, 2))
             out[j, :, k] = grid.w_phi * np.einsum("i,sij->s", grid.w_theta, d * W)
     c = 1.0 / (8.0 * np.pi)
     area = grid.w_phi * np.einsum("i,sij->s", grid.w_theta, W)
-    return c * out[0], c * out[1], out[2] if alphas is not None else None, area, bad
+    return c * out[0], c * out[1], area, bad
 
 
 def mass_vector(row, bad: bool) -> MinkowskiVector:
@@ -117,7 +114,7 @@ def mass_vector(row, bad: bool) -> MinkowskiVector:
 
 def by_mass(surf: SurfaceSample, emb: EmbeddedSurface) -> MinkowskiVector:
     """(1/8 pi) int (H0 - H) X dS."""
-    m_by, _, _, _, bad = mass_vectors([surf], [emb])
+    m_by, _, _, bad = mass_vectors([surf], [emb])
     return mass_vector(m_by[0], bad[0, 0])
 
 
@@ -126,16 +123,21 @@ def hat_mass(surf: SurfaceSample, emb: EmbeddedSurface) -> MinkowskiVector:
     _check_aligned(surf, emb)
     if np.min(surf.H) <= MEAN_CURVATURE_FLOOR:
         raise ValueError("mean curvature reaches -2; functional undefined")
-    _, m_hat, _, _, bad = mass_vectors([surf], [emb])
+    _, m_hat, _, bad = mass_vectors([surf], [emb])
     return mass_vector(m_hat[0], bad[0, 1])
 
 
+def alpha_mass(m_by: MinkowskiVector, alpha: float) -> MinkowskiVector:
+    """The alpha mass from m_BY: (x, t) -> (x, alpha t), for alpha >= 1."""
+    if not alpha >= 1.0:
+        raise ValueError("alpha must be at least 1")
+    return MinkowskiVector(m_by.x1, m_by.x2, m_by.x3, alpha * m_by.t)
+
+
 def shitam_alpha_mass(surf: SurfaceSample, emb: EmbeddedSurface, alpha: float) -> MinkowskiVector:
-    """int (H - H0) (x, alpha t) dS with X = (x, t); printed normalization,
-    so no 1/8 pi factor.  Only the sign against future-causal directions
-    is meaningful downstream."""
-    _, _, m_alpha, _, bad = mass_vectors([surf], [emb], [alpha])
-    return mass_vector(m_alpha[0], bad[0, 2])
+    """(1/8 pi) int (H0 - H) (x, alpha t) dS with X = (x, t) and alpha >= 1:
+    by_mass with its time component stretched by alpha."""
+    return alpha_mass(by_mass(surf, emb), alpha)
 
 
 def alpha_from_radii(r1: float, r2: float) -> float:

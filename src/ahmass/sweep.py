@@ -1,14 +1,15 @@
 """Radius-sweep harness for coordinate exhaustions.
 
 Drives the full pipeline over a decreasing list of collar radii: build
-the coordinate spheres, embed them all in one batched call, evaluate the
-mass vectors of every radius in one stacked quadrature (a radius whose
-masses fail records its own error), fit each component to v_inf + C eps^p,
-and classify the causal character of the fitted limits.  A companion
-identity verifier runs the spinor and surface-geometry property suites
-that depend on the configured family, embedding each sphere once, all in
-one batched call before any suite entry runs.  All outputs are deterministic:
-closed-form cone pairings, seeded random draws, no timestamps.
+the coordinate spheres, embed them all in one batched call, evaluate m_BY
+and m_hat of every radius in one stacked quadrature and m_alpha from m_BY
+(a radius whose masses fail records its own error), fit each component to
+v_inf + C eps^p, and classify the causal character of the fitted limits.
+A companion identity verifier runs the spinor and surface-geometry
+property suites that depend on the configured family, embedding each
+sphere once, all in one batched call before any suite entry runs.  All
+outputs are deterministic: closed-form cone pairings, seeded random
+draws, no timestamps.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .quasilocal import (
     MEAN_CURVATURE_FLOOR,
     MassResult,
     alpha_from_radii,
+    alpha_mass,
     enclosing_radii,
     laplacian_term,
     mass_vector,
@@ -480,7 +482,7 @@ def default_schedule(eps0: float = 0.2, ratio: float = 2.0 ** -0.5,
 
 # Top-level keys SweepConfig.from_dict accepts; any other key is an error.
 _CONFIG_KEYS = frozenset(("family", "epsilons", "schedule", "grid", "tolerances",
-                          "output", "branch", "seed", "alpha"))
+                          "output", "branch", "seed"))
 
 
 @dataclass(frozen=True)
@@ -494,7 +496,6 @@ class SweepConfig:
     branch: int = 1
     tolerances: Mapping = field(default_factory=dict)
     output_dir: str = "out"
-    with_alpha: bool = True
     seed: int = DEFAULT_SEED
     family_label: str = ""
 
@@ -578,9 +579,6 @@ class SweepConfig:
         for key, val in (("branch", branch), ("seed", seed)):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError("%r must be an integer" % (key,))
-        with_alpha = data.get("alpha", True)
-        if not isinstance(with_alpha, bool):
-            raise ConfigError("'alpha' must be a boolean")
         return cls(
             family=fam,
             eps_list=eps,
@@ -589,7 +587,6 @@ class SweepConfig:
             branch=branch,
             tolerances=tol,
             output_dir=str(out["dir"]),
-            with_alpha=with_alpha,
             seed=seed,
             family_label=label,
         )
@@ -624,9 +621,8 @@ class PerEpsRecord:
             out["m_hat"] = list(self.result.m_hat.as_array())
             out["tag_by"] = self.result.tag_by.value
             out["tag_hat"] = self.result.tag_hat.value
-            if self.result.m_alpha is not None:
-                out["m_alpha"] = list(self.result.m_alpha.as_array())
-                out["tag_alpha"] = self.result.tag_alpha.value
+            out["m_alpha"] = list(self.result.m_alpha.as_array())
+            out["tag_alpha"] = self.result.tag_alpha.value
         for name in ("alpha", "area", "h_min", "h_max", "k_min", "k_max",
                      "isometry_residual", "hyperboloid_defect"):
             out[name] = getattr(self, name)
@@ -688,33 +684,23 @@ def _checked_sphere(family: AHFamily, eps: float, grid: QuadratureGrid) -> Surfa
     return surf
 
 
-def _mass_records(pairs, cfg: SweepConfig, failed) -> list:
+def _mass_records(pairs, failed) -> list:
     """The record, or the error, of each embedded (sphere, embedding), with
-    every mass from one mass_vectors call.  A row's error is the one its
-    sphere alone raises: the first of m_BY, m_hat, alpha and m_alpha to
-    fail.  A row whose alpha fails is stacked with a stand-in alpha of 1."""
+    every m_BY and m_hat from one mass_vectors call.  A row's error is the
+    one its sphere alone raises: the first of m_BY, m_hat and alpha to
+    fail."""
     surfs, embs = zip(*pairs)
-    alphas, radii = [None] * len(pairs), [None] * len(pairs)
-    if cfg.with_alpha:
-        radii = [enclosing_radii(e) for e in embs]
-        for i, (r1, r2) in enumerate(radii):
-            try:
-                alphas[i] = alpha_from_radii(r1, r2)
-            except failed as exc:
-                alphas[i] = exc
-    stand_in = [1.0 if isinstance(a, Exception) else a for a in alphas]
-    m_by, m_hat, m_alpha, area, bad = mass_vectors(surfs, embs,
-                                                   stand_in if cfg.with_alpha else None)
+    m_by, m_hat, area, bad = mass_vectors(surfs, embs)
     out = []
     for i, (surf, emb) in enumerate(pairs):
         try:
-            vecs = [mass_vector(m_by[i], bad[i, 0]), mass_vector(m_hat[i], bad[i, 1])]
-            if cfg.with_alpha:
-                if isinstance(alphas[i], Exception):
-                    raise alphas[i]
-                vecs.append(mass_vector(m_alpha[i], bad[i, 2]))
+            by = mass_vector(m_by[i], bad[i, 0])
+            hat = mass_vector(m_hat[i], bad[i, 1])
+            radii = enclosing_radii(emb)
+            alpha = alpha_from_radii(*radii)
             out.append(PerEpsRecord(
-                eps=surf.eps, result=MassResult(surf.eps, *vecs), alpha=alphas[i], radii=radii[i],
+                eps=surf.eps, result=MassResult(surf.eps, by, hat, alpha_mass(by, alpha)),
+                alpha=alpha, radii=radii,
                 area=float(area[i]), h_min=float(np.min(surf.H)), h_max=float(np.max(surf.H)),
                 k_min=float(np.min(surf.K)), k_max=float(np.max(surf.K)),
                 isometry_residual=float(emb.isometry_residual),
@@ -733,7 +719,8 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     limits.  Per-radius failures are recorded and skipped; at least three
     radii must survive to fit.  Every radius that passes its curvature
     checks is embedded in one batched call, and every one embedded gets
-    its masses from one mass_vectors call."""
+    its m_BY and m_hat from one mass_vectors call; m_alpha is its m_BY
+    with the time component stretched by alpha."""
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
     failed = (EmbeddingError, ValueError, ArithmeticError)
     outcome, surfs = {}, []
@@ -749,7 +736,7 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
         else:
             pairs.append((surf, emb))
     if pairs:
-        outcome.update(zip([s.eps for s, _ in pairs], _mass_records(pairs, cfg, failed)))
+        outcome.update(zip([s.eps for s, _ in pairs], _mass_records(pairs, failed)))
     records = []
     for eps in cfg.eps_list:
         got = outcome[eps]
@@ -764,9 +751,7 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     fit_recs = good[:n_fit]
     fit_eps = np.array([r.eps for r in fit_recs])
 
-    names = ["m_by", "m_hat"]
-    if all(r.result.m_alpha is not None for r in good):
-        names.append("m_alpha")
+    names = ("m_by", "m_hat", "m_alpha")
     # one batched fit: four components per mass vector, then the gap
     series = np.array([[x for name in names for x in getattr(r.result, name).as_array()]
                        + [_gap(r)] for r in fit_recs])
@@ -997,8 +982,7 @@ def write_outputs(record: MassSweepRecord, cfg: SweepConfig) -> dict:
     for rec in record.records:
         res = rec.result
         row = [rec.eps]
-        for vec in (res.m_by if res else None, res.m_hat if res else None,
-                    res.m_alpha if res else None):
+        for vec in (res.m_by, res.m_hat, res.m_alpha) if res else (None,) * 3:
             row.extend(list(vec.as_array()) if vec is not None else [None] * 4)
         row.extend([
             rec.alpha, rec.area,
@@ -1006,7 +990,7 @@ def write_outputs(record: MassSweepRecord, cfg: SweepConfig) -> dict:
             rec.isometry_residual, rec.hyperboloid_defect,
             res.tag_by.value if res else None,
             res.tag_hat.value if res else None,
-            res.tag_alpha.value if res and res.tag_alpha else None,
+            res.tag_alpha.value if res else None,
             rec.error,
         ])
         lines.append(",".join(_csv_cell(x) for x in row))

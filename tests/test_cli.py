@@ -81,6 +81,8 @@ def test_config_errors_exit_3(tmp_path, capsys):
     {"tolerances": {"hyperboloid": None}},
     {"tolerances": {"surface_identity": "inf"}},
     {"seed": -1},
+    {"alpha": True},
+    {"alpha": False},
 ])
 @pytest.mark.parametrize("command", ["sweep", "verify"])
 def test_bad_config_values_exit_3(tmp_path, capsys, command, over):

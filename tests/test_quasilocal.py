@@ -19,6 +19,7 @@ from ahmass import (
     SpinorParameter,
     SurfaceSample,
     alpha_from_radii,
+    alpha_mass,
     boost,
     boost_surface,
     by_mass,
@@ -143,9 +144,7 @@ def test_by_mass_time_component_has_no_rounding_floor(cos_theta_by_masses):
 
 def test_alpha_one_matches_scaled_by_mass():
     surf, emb = ads_sphere()
-    got = shitam_alpha_mass(surf, emb, 1.0).as_array()
-    want = -8.0 * np.pi * by_mass(surf, emb).as_array()
-    assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+    assert shitam_alpha_mass(surf, emb, 1.0) == by_mass(surf, emb)
 
 
 def test_alpha_mass_rejects_alpha_below_one():
@@ -154,17 +153,25 @@ def test_alpha_mass_rejects_alpha_below_one():
         shitam_alpha_mass(surf, emb, 0.99)
 
 
+def test_alpha_mass_refuses_nan_alpha():
+    # a NaN alpha fails alpha < 1 too, so the check is written not alpha >= 1
+    surf, emb = ads_sphere()
+    with pytest.raises(ValueError, match="alpha must be at least 1"):
+        alpha_mass(by_mass(surf, emb), float("nan"))
+    with pytest.raises(ValueError, match="alpha must be at least 1"):
+        shitam_alpha_mass(surf, emb, float("nan"))
+
+
 def test_alpha_mass_cone_side():
-    # sign convention: positive mass drives the vector into the past cone,
-    # so its negation is the future-causal representative
+    # on the m_BY scale a positive mass drives the vector into the future cone
     surf, emb = ads_sphere()
     alpha = alpha_from_radii(*enclosing_radii(emb))
-    neg = -shitam_alpha_mass(surf, emb, alpha).as_array()
-    assert causal_classify(MinkowskiVector(*neg)) is CausalClass.FUTURE_TIMELIKE
+    m = shitam_alpha_mass(surf, emb, alpha)
+    assert causal_classify(m) is CausalClass.FUTURE_TIMELIKE
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(100):
         eta = random_null_eta(rng)
-        assert lorentz_inner(neg, eta.as_array()) < 0.0
+        assert lorentz_inner(m.as_array(), eta.as_array()) < 0.0
 
 
 def test_mainhyp_vanishes_on_geodesic_spheres():
@@ -230,15 +237,13 @@ def test_mass_pairing_consistent_with_tag():
 def test_mass_result_tags():
     res = MassResult(0.1,
                      MinkowskiVector(0.0, 0.0, 0.0, 1.0),
-                     MinkowskiVector(0.0, 0.0, 0.0, -1.0))
+                     MinkowskiVector(0.0, 0.0, 0.0, -1.0),
+                     m_alpha=MinkowskiVector(1.0, 0.0, 0.0, 1.0))
     assert res.tag_by is CausalClass.FUTURE_TIMELIKE
     assert res.tag_hat is CausalClass.PAST_TIMELIKE
-    assert res.tag_alpha is None
-    full = MassResult(0.1,
-                      MinkowskiVector(0.0, 0.0, 0.0, 1.0),
-                      MinkowskiVector(0.0, 0.0, 0.0, 1.0),
-                      m_alpha=MinkowskiVector(1.0, 0.0, 0.0, 1.0))
-    assert full.tag_alpha is CausalClass.FUTURE_NULL
+    assert res.tag_alpha is CausalClass.FUTURE_NULL
+    with pytest.raises(TypeError):
+        MassResult(0.1, MinkowskiVector(0.0, 0.0, 0.0, 1.0), MinkowskiVector(0.0, 0.0, 0.0, 1.0))
 
 
 def stand_in_embedding(grid, H0, X):
@@ -282,17 +287,17 @@ def reference_masses(surf, emb, alpha):
     scaled = X.copy()
     scaled[..., 3] *= alpha
     dens = ((H0 - H)[..., None] * X, ((H0 ** 2 - H ** 2) / (H + 2.0))[..., None] * X,
-            (H - H0)[..., None] * scaled)
+            (H0 - H)[..., None] * scaled)
     c = 1.0 / (8.0 * np.pi)
-    return [np.array([f * integrate_scalar(surf, d[..., k]) for k in range(4)])
-            for f, d in zip((c, c, 1.0), dens)]
+    return [np.array([c * integrate_scalar(surf, d[..., k]) for k in range(4)]) for d in dens]
 
 
 @pytest.mark.parametrize("grid", [QuadratureGrid(48, 4), QuadratureGrid(64, 6)])
 def test_mass_stack_matches_integrate_scalar(grid):
     # AdS spheres take the closed form, poly_cos spheres the quadrature;
-    # every row and every one-sphere functional equals the per-sphere
-    # reference to the bit, with and without alpha
+    # every m_BY and m_hat row, area and one-sphere functional equals the
+    # per-sphere reference to the bit, and m_alpha, stretched from m_BY,
+    # matches its own integral to rounding
     surfs = [coordinate_sphere(fam, eps, grid)
              for fam in (AdSSchwarzschild(1.0), AdSSchwarzschild(3.3),
                          PerturbedRound(np.polynomial.Polynomial([0.05, -0.08, 0.06])),
@@ -300,20 +305,19 @@ def test_mass_stack_matches_integrate_scalar(grid):
              for eps in default_schedule(0.2, 2 ** -0.5, 6)]
     embs = embed_surfaces(surfs, 1)
     alphas = [alpha_from_radii(*enclosing_radii(e)) for e in embs]
-    m_by, m_hat, m_alpha, area, bad = mass_vectors(surfs, embs, alphas)
-    plain = mass_vectors(surfs, embs)
-    assert plain[2] is None and not bad.any()
-    for got in (m_by, m_hat, m_alpha, area, bad):
+    m_by, m_hat, area, bad = mass_vectors(surfs, embs)
+    assert bad.shape == (len(surfs), 2) and not bad.any()
+    for got in (m_by, m_hat, area):
         assert got.shape[0] == len(surfs)
     for i, (surf, emb, alpha) in enumerate(zip(surfs, embs, alphas)):
         want = reference_masses(surf, emb, alpha)
-        for got, ref in zip((m_by[i], m_hat[i], m_alpha[i]), want):
-            assert np.array_equal(got, ref)
-        assert np.array_equal(plain[0][i], want[0]) and np.array_equal(plain[1][i], want[1])
+        assert np.array_equal(m_by[i], want[0]) and np.array_equal(m_hat[i], want[1])
         assert area[i] == surf.area
         assert np.array_equal(by_mass(surf, emb).as_array(), want[0])
         assert np.array_equal(hat_mass(surf, emb).as_array(), want[1])
-        assert np.array_equal(shitam_alpha_mass(surf, emb, alpha).as_array(), want[2])
+        got = shitam_alpha_mass(surf, emb, alpha).as_array()
+        assert np.array_equal(got, np.append(m_by[i][:3], alpha * m_by[i][3]))
+        assert np.max(np.abs(got - want[2])) <= 1e-14 * (1.0 + np.max(np.abs(want[2])))
 
 
 def test_mass_vectors_mark_non_finite_rows():
@@ -322,15 +326,17 @@ def test_mass_vectors_mark_non_finite_rows():
     X = embs[1].X.copy()
     X[3, 1, 3] = np.nan
     broken = stand_in_embedding(GRID, embs[1].H0, X)
-    m_by, _, m_alpha, _, bad = mass_vectors(surfs, [embs[0], broken], [1.5, 1.5])
-    assert bad.tolist() == [[False] * 3, [True] * 3]
+    m_by, _, _, bad = mass_vectors(surfs, [embs[0], broken])
+    assert bad.tolist() == [[False] * 2, [True] * 2]
     assert np.array_equal(m_by[0], by_mass(surfs[0], embs[0]).as_array())
     for fn in (by_mass, hat_mass):
         with pytest.raises(ValueError, match="field has non-finite entries"):
             fn(surfs[1], broken)
     with pytest.raises(ValueError, match="field has non-finite entries"):
         shitam_alpha_mass(surfs[1], broken, 1.5)
-    with pytest.raises(ValueError, match="alpha must be at least 1"):
-        mass_vectors(surfs, embs, [1.5, 0.99])
+    # mismatched or empty stacks are refused, not broadcast
+    for stack in ((surfs, embs[:1]), (surfs[:1], embs), ([], [])):
+        with pytest.raises(ValueError, match="one embedding per surface"):
+            mass_vectors(*stack)
     with pytest.raises(ValueError, match="different grids"):
         mass_vectors(surfs, [embs[0], embed_round(1.0, QuadratureGrid(32, 4))])

@@ -393,7 +393,7 @@ def test_from_dict_roundtrip(tmp_path):
     assert cfg.eps_list == (0.2, 0.1, 0.05)
     assert cfg.n_theta == 32
     assert cfg.seed == DEFAULT_SEED
-    assert cfg.with_alpha is True
+    assert not hasattr(cfg, "with_alpha")
 
 
 def test_from_dict_schedule(tmp_path):
@@ -460,6 +460,35 @@ def test_run_sweep_reference_space(tmp_path):
     # fits use the smallest half of the surviving radii, in ascending order
     want_fit = tuple(sorted(cfg.eps_list)[:max(3, math.ceil(len(cfg.eps_list) / 2))])
     assert rec.fit_eps == pytest.approx(want_fit)
+
+
+@pytest.mark.parametrize("family, tag", [
+    (Hyperbolic(), CausalClass.ZERO),
+    (AdSSchwarzschild(1.0), CausalClass.FUTURE_TIMELIKE),
+], ids=["hyperbolic", "ads_m1"])
+def test_alpha_mass_limit_on_the_by_scale(tmp_path, family, tag):
+    # alpha -> 1 on an exhaustion, so m_alpha takes m_BY's tag and its limit
+    # is within the limit tolerance of the reference mass vector
+    cfg = fast_config(tmp_path, family=family, eps_list=default_schedule(), n_theta=64)
+    rec = run_sweep(cfg)
+    assert rec.tags["m_by"]["classify"] is tag
+    assert rec.tags["m_alpha"]["classify"] is tag
+    wang = rec.wang.as_array()
+    bound = cfg.tolerances["limit_rtol"] * (1.0 + np.abs(wang))
+    assert np.all(np.abs(rec.limits["m_alpha"].as_array() - wang) <= bound)
+
+
+def test_sweep_csv_alpha_columns_stretch_by_columns(tmp_path):
+    cfg = fast_config(tmp_path, family=family_from_spec(POLY_SPEC)[0],
+                      eps_list=default_schedule(), n_theta=64)
+    paths = write_outputs(run_sweep(cfg), cfg)
+    with open(paths["csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(cfg.eps_list)
+    for row in rows:
+        for c in ("x1", "x2", "x3"):
+            assert float(row["malpha_" + c]) == float(row["mBY_" + c])
+        assert float(row["malpha_t"]) == float(row["alpha"]) * float(row["mBY_t"])
 
 
 def test_run_sweep_records_per_radius_failure(tmp_path):
