@@ -22,15 +22,16 @@ gives the exact factorization
 
 whose bracket stays bounded away from the difference-of-large-terms trap.
 A, B and E are the grid's own Gauss-Legendre interpolants in x, read at
-x = cos(k pi / 2000) (poles and discriminant probe) by one FFT of their
-Chebyshev coefficients, at the chi' samples by the barycentric formula
-(c @ nodal) / den (Berrut & Trefethen, SIAM Review 2004), with c, den,
-the points and the primitive's exponentials built once per grid size
-and level.  chi' is a Chebyshev series in th on [0, pi], its degree
-doubled on nested points until the tail is negligible (Aurentz &
-Trefethen, ACM TOMS 2017), integrated term by term and summed at the
-nodes in one product; near the poles chi' varies on a th scale of about
-1/max f, which a series in x cannot resolve.  chi'' is in closed form.
+x = cos(k pi / 2000) (poles and discriminant probe) and at the chi'
+samples by the barycentric formula (c @ nodal) / den (Berrut &
+Trefethen, SIAM Review 2004), with c, den, the points and the
+primitive's exponentials built once per grid size and level, so each
+sphere's probe is one product.  chi' is a Chebyshev series in th on
+[0, pi], its degree doubled on nested points until the tail is
+negligible (Aurentz & Trefethen, ACM TOMS 2017), integrated term by term
+and summed at the nodes in one product; near the poles chi' varies on a
+th scale of about 1/max f, which a series in x cannot resolve.  chi'' is
+in closed form.
 
 The quadrature runs on a stack of spheres, a C-contiguous (S, n_theta)
 row each (embed_surfaces): one call per stack for every elementwise
@@ -39,7 +40,9 @@ Matrix products stay per sphere, stacked matmuls whose items are a lone
 sphere's BLAS calls (one product over all spheres changes a column's
 last bits with the column count), as does the 2000-point probe
 (stacked, it holds about 2.5 MB more), so a sphere in a stack is, bit
-for bit, the sphere embedded alone.
+for bit, the sphere embedded alone.  The hyperboloid and unit-normal
+checks of the nodes are one reduction over the stack, and the exactly
+round spheres of a grid are one broadcast of the unit sphere's table.
 
 H0 and the normal are computed in the comoving frame: boosting each
 meridian point by -chi, an isometry, gives
@@ -74,6 +77,8 @@ __all__ = ["RevolutionProfile", "EmbeddedSurface", "EmbeddingError", "embed_roun
 
 # Hyperboloid constraint allowance per node.
 HYPERBOLOID_TOL = 1e-9
+# Allowance of |<<n, n>> - 1| per node for the unit normal.
+UNIT_NORMAL_TOL = 1e-8
 # Isometry residual allowance of embed_revolution, relative to 1 + max E.
 ISOMETRY_RESIDUAL_TOL = 1e-6
 # Relative spread below which a profile counts as exactly round.
@@ -133,17 +138,38 @@ class EmbeddedSurface:
     max |<<X, X>> + 1| over the nodes."""
 
     def __init__(self, grid, X, normal, h0, isometry_residual, surface=None, profile=None):
+        X, normal = np.asarray(X, dtype=float), np.asarray(normal, dtype=float)
+        (defect,), (err,) = _node_checks(X[None], normal[None])
+        if err is not None:
+            raise err
+        self._fill(grid, X, normal, h0, isometry_residual, defect, surface, profile)
+
+    def _fill(self, grid, X, normal, h0, isometry_residual, defect, surface, profile):
         self.grid, self.surface, self.profile = grid, surface, profile
-        self.X, self.normal = np.asarray(X, dtype=float), np.asarray(normal, dtype=float)
-        self.H0 = grid.as_field(h0)
+        self.X, self.normal, self.H0 = X, normal, grid.as_field(h0)
         self.isometry_residual = float(isometry_residual)
-        self.hyperboloid_defect = float(np.max(np.abs(lorentz_inner(self.X, self.X) + 1.0)))
-        if self.hyperboloid_defect > HYPERBOLOID_TOL:
-            raise EmbeddingError("embedded nodes leave the hyperboloid (%.3e)"
-                                 % self.hyperboloid_defect)
-        if np.max(np.abs(lorentz_inner(self.normal, self.normal) - 1.0)) > 1e-8:
-            raise EmbeddingError("normal field is not unit spacelike")
+        self.hyperboloid_defect = float(defect)
         _readonly(self.X, self.normal, self.H0)
+        return self
+
+    @classmethod
+    def _checked(cls, *args) -> EmbeddedSurface:
+        """The surface of _fill's arguments, whose stack passed _node_checks."""
+        return object.__new__(cls)._fill(*args)
+
+
+def _node_checks(X, N) -> tuple:
+    """Per item of a stack of (S, n_theta, n_phi, 4) positions X and
+    normals N: the hyperboloid defect max |<<X, X>> + 1|, and None or the
+    EmbeddingError of the node check it fails, hyperboloid first, then a
+    unit spacelike normal."""
+    defect = np.max(np.abs(lorentz_inner(X, X) + 1.0), axis=(1, 2))
+    unit = np.max(np.abs(lorentz_inner(N, N) - 1.0), axis=(1, 2))
+    return defect, [
+        EmbeddingError("embedded nodes leave the hyperboloid (%.3e)" % d) if d > HYPERBOLOID_TOL
+        else EmbeddingError("normal field is not unit spacelike") if u > UNIT_NORMAL_TOL
+        else None
+        for d, u in zip(defect, unit)]
 
 
 def _readonly(*arrays) -> tuple:
@@ -153,12 +179,36 @@ def _readonly(*arrays) -> tuple:
 
 
 # Tables that depend only on the grid size and the series degree, built on
-# first use and shared read-only; sixteen entries hold two grid sizes.  On
-# 64 nodes they hold about 4.9 MB up to degree 8192, 0.8 MB up to 1024.
+# first use and shared read-only; sixteen entries (two for the probe rows
+# and the unit sphere) hold two grid sizes.  On 64 nodes they hold about
+# 4.9 MB up to degree 8192, 0.8 MB up to 1024, plus 1.0 MB of probe rows.
 @functools.lru_cache(maxsize=1)
 def _probe_x() -> np.ndarray:
     """x = cos(k pi / 2000), k = 0 .. 2000: the poles and the probe."""
     return _readonly(np.cos(np.linspace(0.0, np.pi, 2001)))[0]
+
+
+@functools.lru_cache(maxsize=2)
+def _probe_rows(n_theta: int) -> tuple:
+    """barycentric_rows of the n_theta-node interpolant at _probe_x(); the
+    Gauss-Legendre nodes are interior, so no probe point hits one.  The
+    weights are 1 / prod_k 2 (x_j - x_k) of the nodes as rounded: the
+    grid's closed-form bary_w miss them by about 1e-12 relative, which
+    shows on data of degree near n_theta."""
+    x = QuadratureGrid(n_theta, 1).x
+    d = 2.0 * (x[:, None] - x[None, :])
+    np.fill_diagonal(d, 1.0)
+    return _readonly(*barycentric_rows(x, 1.0 / np.prod(d, axis=1), _probe_x()))
+
+
+@functools.lru_cache(maxsize=2)
+def _omega(n_theta: int, n_phi: int) -> np.ndarray:
+    """The unit sphere (sin th cos phi, sin th sin phi, cos th) at the grid
+    nodes, shape (n_theta, n_phi, 3)."""
+    grid = QuadratureGrid(n_theta, n_phi)
+    return _readonly(np.stack([grid.sin_theta[:, None] * np.cos(grid.phi)[None, :],
+                               grid.sin_theta[:, None] * np.sin(grid.phi)[None, :],
+                               np.broadcast_to(grid.x[:, None], grid.shape)], axis=-1))[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -247,7 +297,8 @@ def _primitive_at(c, n_theta, scl):
 def _embed_rows(E, G, grid, branch) -> list:
     """The rapidity quadrature for a stack of spheres, a row of the
     C-contiguous (S, n_theta) arrays E and G each.  Returns per row its
-    (RevolutionProfile, X, normal, H0) or its EmbeddingError."""
+    EmbeddingError or its (RevolutionProfile, X, normal, H0) with the
+    hyperboloid defect and the error of _node_checks."""
     x, s = grid.x, grid.sin_theta
     s2 = 1.0 - x ** 2
     A = G / s2
@@ -256,9 +307,10 @@ def _embed_rows(E, G, grid, branch) -> list:
     nodal = np.stack([A, B, E, Ax], axis=-1)
     scale = np.max(E, axis=1)
     out = {}
+    probe_rows = _probe_rows(grid.n_theta)
     for i in range(len(E)):
         # at x = cos(k pi / 2000): G/sin^2 meets E at the poles, bracket >= 0
-        probe = grid.interp_uniform_theta(nodal[i], 2000)
+        probe = barycentric_apply(probe_rows, nodal[i])
         if np.max(np.abs(probe[[0, -1], 0] - probe[[0, -1], 2])) > 1e-6 * scale[i]:
             out[i] = EmbeddingError("pole regularity violated: G/sin^2 != E at a pole")
         elif (err := _bracket(_probe_x(), *probe.T)[1][0]) is not None:
@@ -306,11 +358,12 @@ def _embed_rows(E, G, grid, branch) -> list:
                              E[keep], G[keep], [series[i][1] for i in keep],
                              [series[i][2] for i in keep])
     h0, (X, N) = mean_curvature_h0(prof), _profile_nodes(prof)
+    defect, node_errs = _node_checks(X, N)
     for k, i in enumerate(keep):
         res = prof.isometry_residual[k]
         out[i] = (EmbeddingError("isometry residual %.3e exceeds tolerance" % res)
                   if res > ISOMETRY_RESIDUAL_TOL * (1.0 + scale[i])
-                  else (prof.row(k), X[k], N[k], h0[k]))
+                  else (prof.row(k), X[k], N[k], h0[k], defect[k], node_errs[k]))
     return [out[i] for i in range(len(E))]
 
 
@@ -379,22 +432,37 @@ def _profile_nodes(profile: RevolutionProfile):
             revolve(nf, nu * ch + nw * sh, nu * sh + nw * ch))
 
 
+def _round_stack(radii, grid, surfaces) -> list:
+    """Geodesic spheres of the given radii about the origin of the
+    hyperboloid, one broadcast of _omega over the stack:
+    X = (sinh R omega, cosh R), inward normal -(cosh R omega, sinh R),
+    H0 = 2 coth R exactly.  Returns per radius its EmbeddedSurface, with
+    the sample of the same index, or its EmbeddingError."""
+    shs, chs = [math.sinh(R) for R in radii], [math.cosh(R) for R in radii]
+    sh, ch = (np.array(v)[:, None, None] for v in (shs, chs))
+    omega = _omega(grid.n_theta, grid.n_phi)
+    X, N = np.empty((2, len(radii)) + grid.shape + (4,))
+    X[..., :3], X[..., 3] = sh[..., None] * omega, ch
+    N[..., :3], N[..., 3] = -ch[..., None] * omega, -sh
+    defect, errs = _node_checks(X, N)
+    return [err or EmbeddedSurface._checked(grid, X[k], N[k], 2.0 * chs[k] / shs[k], 0.0,
+                                            defect[k], surfaces[k], None)
+            for k, err in enumerate(errs)]
+
+
 def embed_round(R: float, grid: QuadratureGrid,
                 surface: SurfaceSample | None = None) -> EmbeddedSurface:
     """Geodesic sphere of radius R about the origin of the hyperboloid:
-    X = (sinh R omega, cosh R), inward normal -(cosh R omega, sinh R),
-    H0 = 2 coth R exactly."""
+    the one-sphere call of _round_stack."""
     if not (R > 0.0):
         raise ValueError("radius must be positive")
-    sh, ch = math.sinh(R), math.cosh(R)
-    omega = np.stack([grid.sin_theta[:, None] * np.cos(grid.phi)[None, :],
-                      grid.sin_theta[:, None] * np.sin(grid.phi)[None, :],
-                      np.broadcast_to(grid.x[:, None], grid.shape).copy()], axis=-1)
-    X = np.concatenate([sh * omega, np.full(grid.shape + (1,), ch)], axis=-1)
-    N = np.concatenate([-ch * omega, np.full(grid.shape + (1,), -sh)], axis=-1)
     if surface is None:
-        surface = SurfaceSample(R, sh * sh, 2.0 * ch / sh, 1.0 / sh ** 2, grid)
-    return EmbeddedSurface(grid, X, N, 2.0 * ch / sh, 0.0, surface=surface)
+        sh = math.sinh(R)
+        surface = SurfaceSample(R, sh * sh, 2.0 * math.cosh(R) / sh, 1.0 / sh ** 2, grid)
+    emb = _round_stack([R], grid, [surface])[0]
+    if isinstance(emb, EmbeddingError):
+        raise emb
+    return emb
 
 
 def _round_radius(surface: SurfaceSample):
@@ -409,27 +477,28 @@ def embed_surfaces(surfaces, branch: int = 1) -> list:
     """Isometrically embed coordinate-sphere samples (axisymmetric by
     construction) into the hyperboloid in one pass; returns, in order, the
     EmbeddedSurface or the EmbeddingError embed_surface gives for each.
-    Exactly round ones take the closed geodesic-sphere form, about a
-    hundred times cheaper; the others on one grid share one stacked
-    rapidity quadrature."""
-    radii = [_round_radius(surf) for surf in surfaces]
-    if None in radii and branch not in (1, -1):
+    Per grid, the exactly round ones take the closed geodesic-sphere form
+    in one broadcast, about a hundred times cheaper; the others share one
+    stacked rapidity quadrature."""
+    if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
+    radii = [_round_radius(surf) for surf in surfaces]
     out = {}
-    for grid in dict.fromkeys(s.grid for s, r in zip(surfaces, radii) if r is None):
-        idx = [i for i, r in enumerate(radii) if r is None and surfaces[i].grid is grid]
-        E, G = (np.stack([getattr(surfaces[i], a)[:, 0] for i in idx]) for a in "EG")
-        out.update(zip(idx, _embed_rows(E, G, grid, branch)))
-    for i, surf in enumerate(surfaces):
-        try:
-            if radii[i] is not None:
-                out[i] = embed_round(radii[i], surf.grid, surface=surf)
-            elif not isinstance(out[i], EmbeddingError):
-                prof, X, N, h0 = out[i]
-                out[i] = EmbeddedSurface(surf.grid, X, N, h0, prof.isometry_residual,
-                                         surface=surf, profile=prof)
-        except EmbeddingError as exc:
-            out[i] = exc
+    for grid in dict.fromkeys(s.grid for s in surfaces):
+        idx = [i for i, s in enumerate(surfaces) if s.grid is grid]
+        rnd = [i for i in idx if radii[i] is not None]
+        if rnd:
+            out.update(zip(rnd, _round_stack([radii[i] for i in rnd], grid,
+                                             [surfaces[i] for i in rnd])))
+        rev = [i for i in idx if radii[i] is None]
+        if rev:
+            E, G = (np.stack([getattr(surfaces[i], a)[:, 0] for i in rev]) for a in "EG")
+            for i, got in zip(rev, _embed_rows(E, G, grid, branch)):
+                if not isinstance(got, EmbeddingError):
+                    prof, X, N, h0, defect, err = got
+                    got = err or EmbeddedSurface._checked(grid, X, N, h0, prof.isometry_residual,
+                                                          defect, surfaces[i], prof)
+                out[i] = got
     return [out[i] for i in range(len(surfaces))]
 
 

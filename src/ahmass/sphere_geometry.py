@@ -67,10 +67,13 @@ def barycentric_apply(rows, values) -> np.ndarray:
     hit, node, c, den = rows
     values = np.asarray(values, dtype=float)
     lead = (slice(None),) * (values.ndim == 3)  # the stack axis, if any
+    tail = (1,) * (values.ndim - 1 - len(lead))
+    inner = (c @ values) / den.reshape(den.shape + tail)
+    if not node.size:  # no query on a node: nothing to scatter
+        return inner
     out = np.empty(values.shape[:len(lead)] + hit.shape + values.shape[len(lead) + 1:])
     out[lead + (hit,)] = values[lead + (node,)]
-    tail = (1,) * (values.ndim - 1 - len(lead))
-    out[lead + (~hit,)] = (c @ values) / den.reshape(den.shape + tail)
+    out[lead + (~hit,)] = inner
     return out
 
 
@@ -103,20 +106,15 @@ def _barycentric_diff_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _theta_tables(n_theta: int) -> tuple:
     """Read-only theta tables of the n_theta-point grid: the nodes x in
     theta-ascending order, their Gauss-Legendre weights, theta, sin theta,
-    the barycentric weights, the differentiation matrix in x and the
-    Chebyshev coefficient map cheb_x.  Shared by every grid of that size."""
+    the barycentric weights and the differentiation matrix in x.  Shared
+    by every grid of that size."""
     x, w = np.polynomial.legendre.leggauss(n_theta)
     # leggauss returns x ascending; flip so theta = arccos x ascends.
     x = x[::-1].copy()
     w = w[::-1].copy()
     theta = np.arccos(x)
     bary_w = barycentric_weights(x, w)
-    # Chebyshev coefficients in x of the nodal interpolant: the inverse of
-    # T_j(x_i) = cos(j theta_i), whose condition number stays near 3 on
-    # Gauss-Legendre nodes.
-    cheb_x = np.linalg.inv(np.cos(np.outer(theta, np.arange(n_theta))))
-    out = (x, w, theta, np.sqrt(1.0 - x ** 2), bary_w,
-           _barycentric_diff_matrix(x, bary_w), cheb_x)
+    out = (x, w, theta, np.sqrt(1.0 - x ** 2), bary_w, _barycentric_diff_matrix(x, bary_w))
     for a in out:
         a.setflags(write=False)
     return out
@@ -139,7 +137,7 @@ class QuadratureGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         (self.x, self.w_theta, self.theta, self.sin_theta,
-         self.bary_w, self.deriv_x, self.cheb_x) = _theta_tables(self.n_theta)
+         self.bary_w, self.deriv_x) = _theta_tables(self.n_theta)
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self.w_phi = 2.0 * np.pi / self.n_phi
         self.theta_mesh, self.phi_mesh = np.meshgrid(self.theta, self.phi, indexing="ij")
@@ -172,18 +170,6 @@ class QuadratureGrid:
         """Evaluate the interpolant of a theta profile (given at the grid
         nodes, shape (n_theta,) or (n_theta, k)) at arbitrary x = cos theta."""
         return barycentric_interpolate(self.x, self.bary_w, values, x_query)
-
-    def interp_uniform_theta(self, values, n: int) -> np.ndarray:
-        """Evaluate the interpolant of a theta profile (shape (n_theta,) or
-        (n_theta, k)) at the n + 1 points theta = k pi / n, k = 0 .. n,
-        i.e. x = cos(k pi / n) from x = 1 down, with n >= n_theta.  With
-        the Chebyshev coefficients a = cheb_x @ values the values are
-        sum_j a_j cos(j k pi / n): the real part of one zero-padded FFT of
-        length 2n, in O(n log n)."""
-        if n < self.n_theta:
-            raise ValueError("need n >= n_theta")
-        a = self.cheb_x @ np.asarray(values, dtype=float)
-        return np.fft.rfft(a, n=2 * n, axis=0).real
 
     def round_laplacian(self, profile) -> np.ndarray:
         """Laplacian of the unit round sphere applied to an axisymmetric

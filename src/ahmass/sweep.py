@@ -409,11 +409,18 @@ def cone_pairing_report(v) -> float:
 # Configuration
 
 
+def _number(x) -> float:
+    """float(x) of a config value; a JSON boolean is not a number."""
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a number")
+    return float(x)
+
+
 def _config_float(d: Mapping, key: str, where: str) -> float:
     if key not in d:
         raise ConfigError("%s is missing %r" % (where, key))
     try:
-        x = float(d[key])
+        x = _number(d[key])
     except (TypeError, ValueError):
         raise ConfigError("%s key %r must be a number" % (where, key)) from None
     if not math.isfinite(x):
@@ -438,7 +445,7 @@ def _psi_from_spec(spec) -> tuple[np.polynomial.Polynomial, str]:
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ConfigError("poly_cos profile needs a nonempty 'coefficients' list")
         try:
-            cs = [float(c) for c in raw]
+            cs = [_number(c) for c in raw]
         except (TypeError, ValueError):
             raise ConfigError("poly_cos coefficients must be numbers") from None
         if not all(math.isfinite(c) for c in cs):
@@ -548,7 +555,7 @@ class SweepConfig:
             if not isinstance(raw, (list, tuple)) or not raw:
                 raise ConfigError("'epsilons' must be a nonempty list")
             try:
-                eps = tuple(float(e) for e in raw)
+                eps = tuple(_number(e) for e in raw)
             except (TypeError, ValueError):
                 raise ConfigError("'epsilons' entries must be numbers") from None
         else:
@@ -751,15 +758,17 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     fit_recs = good[:n_fit]
     fit_eps = np.array([r.eps for r in fit_recs])
 
-    names = ("m_by", "m_hat", "m_alpha")
-    # one batched fit: four components per mass vector, then the gap
-    series = np.array([[x for name in names for x in getattr(r.result, name).as_array()]
-                       + [_gap(r)] for r in fit_recs])
+    # one batched fit of the distinct columns: m_BY, m_hat, the time
+    # component of m_alpha (its x1..x3 are m_BY's), then the gap
+    series = np.array([[*r.result.m_by.as_array(), *r.result.m_hat.as_array(),
+                        r.result.m_alpha.t, _gap(r)] for r in fit_recs])
     col_fits = fit_limit(series, fit_eps)
+    by_fits = col_fits[:4]
 
     fits, limits, tags = {}, {}, {}
-    for i, name in enumerate(names):
-        comp_fits = dict(zip(_COMPONENTS, col_fits[4 * i:4 * i + 4]))
+    for name, comp in (("m_by", by_fits), ("m_hat", col_fits[4:8]),
+                       ("m_alpha", by_fits[:3] + col_fits[8:9])):
+        comp_fits = dict(zip(_COMPONENTS, comp))
         fits[name] = comp_fits
         vec = MinkowskiVector(*(comp_fits[c].limit for c in _COMPONENTS))
         limits[name] = vec

@@ -83,6 +83,15 @@ def test_config_errors_exit_3(tmp_path, capsys):
     {"seed": -1},
     {"alpha": True},
     {"alpha": False},
+    # a JSON boolean where a number is read
+    {"family": {"name": "ads_schwarzschild", "mass": True}},
+    {"tolerances": {"limit_rtol": True}},
+    {"epsilons": [0.2, True, 0.05]},
+    {"epsilons": None, "schedule": {"eps0": True, "ratio": 0.5, "count": 4}},
+    {"epsilons": None, "schedule": {"eps0": 0.2, "ratio": False, "count": 4}},
+    {"family": {"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": [0.05, True]}}},
+    {"family": {"name": "perturbed_round", "psi": {"type": "cos_theta", "amplitude": False}}},
+    {"family": {"name": "perturbed_round", "psi": {"type": "constant", "value": True}}},
 ])
 @pytest.mark.parametrize("command", ["sweep", "verify"])
 def test_bad_config_values_exit_3(tmp_path, capsys, command, over):

@@ -235,23 +235,34 @@ BENCH_PSI = [
 
 @pytest.mark.parametrize("psi", BENCH_PSI)
 @pytest.mark.parametrize("eps", [0.2, 0.0044])
-def test_discriminant_probe_matches_barycentric(psi, eps):
-    # the probe's FFT values of A, B, E and A_x at x = cos(k pi / 2000)
-    # against the barycentric formula at the same points
+def test_discriminant_probe_matches_barycentric(monkeypatch, psi, eps):
+    # the values of A, B, E and A_x the embedding probes at
+    # x = cos(k pi / 2000), through its cached barycentric rows, against
+    # grid.interp_x at the same points
     fam, _ = family_from_spec({"name": "perturbed_round", "psi": psi})
     grid = QuadratureGrid(64, 4)
     surf = coordinate_sphere(fam, eps, grid)
+    probes = []
+    bracket = embed_h3._bracket
+
+    def spy(xq, *cols):
+        if xq is embed_h3._probe_x():
+            probes.append(np.stack(cols, axis=1))
+        return bracket(xq, *cols)
+
+    monkeypatch.setattr(embed_h3, "_bracket", spy)
+    embed_surface(surf)
+    assert len(probes) == 1
     E, G = surf.E[:, 0], surf.G[:, 0]
-    A = G / grid.sin_theta ** 2
-    B = (E - A) / grid.sin_theta ** 2
-    nodal = np.stack([A, B, E, grid.deriv_x @ A], axis=1)
-    got = grid.interp_uniform_theta(nodal, 2000)
+    s2 = 1.0 - grid.x ** 2  # as embed_revolution forms A and B
+    A = G / s2
+    nodal = np.stack([A, (E - A) / s2, E, grid.deriv_x @ A], axis=1)
     want = grid.interp_x(nodal, np.cos(np.linspace(0.0, np.pi, 2001)))
     # a coordinate sphere is conformally round, so B = (E - A)/sin^2 is
     # rounding noise; it is measured on the scale of A(1 + E) beside it
     scale = np.max(np.abs(want), axis=0)
     scale[1] = scale[0]
-    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+    assert np.all(np.max(np.abs(probes[0] - want), axis=0) <= 1e-13 * scale)
 
 
 def test_primitive_matches_chebint_oracle(monkeypatch):
@@ -284,7 +295,8 @@ def test_primitive_matches_chebint_oracle(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(b))
 
 
-TABLE_CACHES = ("_probe_x", "_level_points", "_level_rows", "_primitive_tables")
+TABLE_CACHES = ("_probe_x", "_probe_rows", "_omega", "_level_points", "_level_rows",
+                "_primitive_tables")
 
 
 def test_cached_rows_give_the_interp_x_samples(monkeypatch):
@@ -326,11 +338,18 @@ def test_cached_rows_give_the_interp_x_samples(monkeypatch):
 
 def test_second_embedding_builds_no_table():
     fam = PerturbedRound(lambda x: 0.1 * x)
-    embed_surface(coordinate_sphere(fam, 0.0125, QuadratureGrid(64, 4)))
+
+    def spheres():
+        # a revolution sphere and a round one on a new grid
+        grid = QuadratureGrid(64, 4)
+        return [coordinate_sphere(fam, 0.0125, grid), coordinate_sphere(Hyperbolic(), 0.1, grid)]
+
+    embed_surfaces(spheres())
     before = {name: getattr(embed_h3, name).cache_info() for name in TABLE_CACHES}
-    # a new grid of the same size, the other branch
-    emb = embed_surface(coordinate_sphere(fam, 0.0125, QuadratureGrid(64, 4)), branch=-1)
+    # new grids of the same size, the other branch
+    emb, rnd = embed_surfaces(spheres(), branch=-1)
     assert emb.profile.cheb_degree > embed_h3.RAPIDITY_MIN_DEGREE
+    assert rnd.profile is None
     for name, old in before.items():
         new = getattr(embed_h3, name).cache_info()
         assert new.misses == old.misses, name
@@ -338,11 +357,12 @@ def test_second_embedding_builds_no_table():
 
 
 def test_tables_are_read_only():
-    tables = [(embed_h3._probe_x(),), embed_h3._level_points(64), embed_h3._level_points(256),
+    tables = [(embed_h3._probe_x(),), embed_h3._probe_rows(64), (embed_h3._omega(64, 4),),
+              embed_h3._level_points(64), embed_h3._level_points(256),
               embed_h3._level_rows(64, 64), embed_h3._level_rows(64, 256),
               embed_h3._primitive_tables(64, 256)]
     arrays = [a for t in tables for a in t]
-    assert len(arrays) == 1 + 3 + 3 + 4 + 4 + 4
+    assert len(arrays) == 1 + 4 + 1 + 3 + 3 + 4 + 4 + 4
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -473,6 +493,7 @@ def assert_twins(got, solo):
     for name in ("X", "normal", "H0"):
         assert np.array_equal(getattr(got, name), getattr(solo, name)), name
     assert got.isometry_residual == solo.isometry_residual
+    assert got.hyperboloid_defect == solo.hyperboloid_defect
     assert (got.profile is None) == (solo.profile is None)
     if solo.profile is not None:
         assert np.array_equal(got.profile.chi, solo.profile.chi)
@@ -481,18 +502,21 @@ def assert_twins(got, solo):
 
 
 def test_embed_surfaces_match_solo(monkeypatch):
-    # a mixed batch: round spheres, non-round ones on two grids at degrees
-    # 128 to 1024, one that fails the discriminant probe, and one that
-    # hits the degree cap; each item equals, bit for bit, its lone twin
+    # a mixed batch: round spheres at several radii on two grids, non-round
+    # ones on the same two grids at degrees 128 to 1024, one that fails
+    # the discriminant probe, and one that hits the degree cap; each item
+    # equals, bit for bit, its lone twin, and embed_round's sphere
     monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 1024)
-    grid = QuadratureGrid(64, 4)
+    grid, small = QuadratureGrid(64, 4), QuadratureGrid(32, 6)
     fam, _ = family_from_spec({"name": "perturbed_round", "psi": BENCH_PSI[1]})
     # E = 0.1 exp(6x) is pole-regular, but its bracket is negative at x = 0
     bad = SurfaceSample(0.1, 0.1 * np.exp(6.0 * grid.x), 2.0, 1.0, grid)
     batch = ([coordinate_sphere(Hyperbolic(), 0.1, grid),
               coordinate_sphere(AdSSchwarzschild(1.0), 0.1, grid), bad]
              + [coordinate_sphere(fam, eps, grid) for eps in (0.2, 0.05, 0.002, 0.0125, 0.0044)]
-             + [coordinate_sphere(fam, 0.05, QuadratureGrid(32, 4))])
+             + [coordinate_sphere(fam, 0.05, small)]
+             + [coordinate_sphere(Hyperbolic(), eps, g) for g in (grid, small) for eps in (0.4, 0.01)]
+             + [coordinate_sphere(AdSSchwarzschild(2.5), eps, small) for eps in (0.3, 0.003)])
     for branch in (1, -1):
         got = embed_surfaces(batch, branch)
         assert len(got) == len(batch)
@@ -501,9 +525,13 @@ def test_embed_surfaces_match_solo(monkeypatch):
             if not isinstance(item, Exception):
                 assert item.surface is surf
         assert [e.profile is None for e in got[:2]] == [True, True]
+        assert all(e.profile is None for e in got[9:])
+        for item, surf in zip(got[9:] + got[:2], batch[9:] + batch[:2]):
+            R = math.asinh(math.sqrt(float(np.mean(surf.E))))
+            assert_twins(item, embed_round(R, surf.grid))
         assert "discriminant negative" in str(got[2])
         assert str(got[5]).startswith("rapidity series unresolved at degree 1024")
-        degrees = [e.profile.cheb_degree for e in got[3:] if not isinstance(e, Exception)]
+        degrees = [e.profile.cheb_degree for e in got[3:9] if not isinstance(e, Exception)]
         assert min(degrees) == 128 and max(degrees) == 1024
         with pytest.raises(EmbeddingError, match="discriminant negative"):
             embed_surface(bad, branch)
@@ -526,3 +554,47 @@ def test_embed_surfaces_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6
+
+
+@pytest.mark.parametrize("tol, message", [("HYPERBOLOID_TOL", "nodes leave the hyperboloid"),
+                                          ("UNIT_NORMAL_TOL", "not unit spacelike")])
+@pytest.mark.parametrize("deep", ["round", "revolution"])
+def test_node_check_failure_stays_in_its_slot(monkeypatch, tol, message, deep):
+    # the node defects grow like 1/eps^2, so a tolerance between the
+    # deepest sphere's defect and the others' fails that sphere alone, in
+    # its slot of the round or of the revolution stack; every other item
+    # is still its solo embedding
+    grid = QuadratureGrid(64, 4)
+    fam, _ = family_from_spec({"name": "perturbed_round", "psi": BENCH_PSI[1]})
+    ads = AdSSchwarzschild(1.0)
+    batch = ([coordinate_sphere(fam, eps, grid) for eps in (0.2, 0.05)]
+             + [coordinate_sphere(ads, eps, grid) for eps in (0.2, 0.02)]
+             + [coordinate_sphere(ads if deep == "round" else fam, 0.005, grid)])
+    ok = embed_surfaces(batch)
+    if tol == "HYPERBOLOID_TOL":
+        defects = [e.hyperboloid_defect for e in ok]
+    else:
+        defects = [float(np.max(np.abs(lorentz_inner(e.normal, e.normal) - 1.0))) for e in ok]
+    assert max(defects[:4]) < defects[4] < 1e-8
+    monkeypatch.setattr(embed_h3, tol, 0.5 * (max(defects[:4]) + defects[4]))
+    got = embed_surfaces(batch)
+    assert isinstance(got[4], EmbeddingError) and message in str(got[4])
+    for item, surf in zip(got, batch):
+        assert_twins(item, embed_surfaces([surf])[0])
+    for item, before in zip(got[:4], ok):
+        assert_twins(item, before)
+    with pytest.raises(EmbeddingError, match=message):
+        embed_surface(batch[4])
+
+
+def test_embed_surfaces_validates_branch_for_every_stack():
+    # the branch is checked before any stack runs, round ones included
+    grid = QuadratureGrid(32, 4)
+    round_sphere = coordinate_sphere(Hyperbolic(), 0.1, grid)
+    other = coordinate_sphere(PerturbedRound(lambda x: 0.1 * x), 0.1, grid)
+    for batch in ([round_sphere], [other], [round_sphere, other], []):
+        for branch in (7, 0, -2):
+            with pytest.raises(ValueError, match="branch must be"):
+                embed_surfaces(batch, branch)
+    with pytest.raises(ValueError, match="branch must be"):
+        embed_surface(round_sphere, branch=7)

@@ -17,6 +17,8 @@ from ahmass import (
     mass_aspect,
     surface_laplacian,
 )
+from ahmass import embed_h3
+from ahmass.sphere_geometry import barycentric_apply
 
 GRID = QuadratureGrid(32, 4)
 
@@ -43,11 +45,11 @@ def test_quadrature_polynomial_exactness():
 
 def test_grids_share_read_only_theta_tables():
     a, b = QuadratureGrid(64, 4), QuadratureGrid(64, 8)
-    assert a.deriv_x is b.deriv_x and a.cheb_x is b.cheb_x
-    for table in (a.deriv_x, a.cheb_x):
+    assert a.deriv_x is b.deriv_x and a.bary_w is b.bary_w
+    for table in (a.deriv_x, a.bary_w):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 0.0
+            table[0] = 0.0
 
 
 def test_barycentric_interpolation():
@@ -76,20 +78,17 @@ def test_barycentric_interpolation():
 
 @pytest.mark.parametrize("n_theta", [48, 64])
 def test_interpolation_at_uniform_theta(n_theta):
-    # the Chebyshev-coefficient FFT path reproduces polynomials of degree
-    # < n_theta at x = cos(k pi / n), from x = 1 down, column by column
+    # the embedding's cached probe rows reproduce polynomials of degree
+    # < n_theta at x = cos(k pi / 2000), from x = 1 down, column by column
     grid = QuadratureGrid(n_theta, 4)
     rng = np.random.default_rng(11)
     coef = rng.standard_normal((n_theta, 3))
     values = np.polynomial.chebyshev.chebval(grid.x, coef).T
-    got = grid.interp_uniform_theta(values, 2000)
+    got = barycentric_apply(embed_h3._probe_rows(n_theta), values)
     xq = np.cos(np.linspace(0.0, np.pi, 2001))
     assert got.shape == (2001, 3)
     want = np.polynomial.chebyshev.chebval(xq, coef).T
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
-    assert grid.interp_uniform_theta(values[:, 0], n_theta).shape == (n_theta + 1,)
-    with pytest.raises(ValueError):
-        grid.interp_uniform_theta(values, n_theta - 1)
 
 
 def test_hyperbolic_sphere_closed_forms():

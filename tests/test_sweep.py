@@ -184,8 +184,9 @@ def test_run_sweep_fits_every_limit_in_one_call(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "fit_limit", counting_fit)
     cfg = fast_config(tmp_path, family=PerturbedRound(lambda x: 0.1 * x))
     rec = run_sweep(cfg)
-    # 12 mass components and the hat-BY gap, on the 3 smallest of 5 radii
-    assert calls == [(3, 13)]
+    # the 8 components of m_BY and m_hat, m_alpha's time component (its
+    # x1..x3 are m_BY's) and the hat-BY gap, on the 3 smallest of 5 radii
+    assert calls == [(3, 10)]
     by_eps = {r.eps: r.result for r in rec.records}
     results = [by_eps[e] for e in rec.fit_eps]
     for name in ("m_by", "m_hat", "m_alpha"):
