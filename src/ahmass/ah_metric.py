@@ -56,6 +56,14 @@ class AHFamily:
     def conformal_factor_drho2(self, rho: float, theta) -> np.ndarray:
         raise NotImplementedError
 
+    def collar_profiles(self, rhos, theta) -> tuple:
+        """u and its rho-derivative at every radius of rhos (each inside the
+        collar range) and at the 1-d theta nodes, as (S, n_theta) arrays,
+        with per radius None or the error its solo profile raises (that
+        row's values are then meaningless).  Each row is, bit for bit,
+        conformal_factor and conformal_factor_drho at its radius."""
+        raise NotImplementedError
+
     def aspect(self, x) -> np.ndarray:
         """rho^3-coefficient profile psi at x = cos theta (aspect = psi h0)."""
         raise NotImplementedError
@@ -83,6 +91,10 @@ class Hyperbolic(AHFamily):
 
     conformal_factor_drho2 = conformal_factor_drho
 
+    def collar_profiles(self, rhos, theta):
+        shape = (len(rhos), np.size(theta))
+        return np.ones(shape), np.zeros(shape), [None] * len(rhos)
+
     def aspect(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -92,7 +104,7 @@ class Hyperbolic(AHFamily):
 
 
 # One config has one mass, and every collar radius of its sweep and
-# verify that misses the transform memo brackets above the same horizon.
+# verify brackets above the same horizon.
 @functools.lru_cache(maxsize=8)
 def _horizon_radius(m: float) -> float:
     # positive root of r^3 + r - 2m = 0
@@ -111,23 +123,79 @@ def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (g.x[::-1] + 1.0), 0.5 * g.w_theta[::-1]
 
 
-def _ads_tail(m: float, r: float) -> float:
-    # integral_r^infty (V^-1/2 - (1+s^2)^-1/2) ds via s = r/x, x in (0, 1];
-    # the integrand is smooth there, ~ m x^2 / r^3 as x -> 0, and the
-    # difference is written as 2m/s / (sqrt(V) sqrt(1+s^2) (sqrt(V) + sqrt(1+s^2)))
-    # so nothing cancels at large s
+def _ads_tails(m: float, r) -> list:
+    # integral_r^infty (V^-1/2 - (1+s^2)^-1/2) ds via s = r/x, x in (0, 1],
+    # for each radius in r; the integrand is smooth there, ~ m x^2 / r^3 as
+    # x -> 0, and the difference is written as
+    # 2m/s / (sqrt(V) sqrt(1+s^2) (sqrt(V) + sqrt(1+s^2))) so nothing
+    # cancels at large s.  The integrand is formed for all radii at once,
+    # and summed by one dot product per radius: a matrix-vector product
+    # would sum in another order.
     x, w = _tail_rule()
+    r = np.array(r, dtype=float)[:, None]
     s = r / x
     a = np.sqrt(1.0 + s * s)
     b = np.sqrt(1.0 + s * s - 2.0 * m / s)
-    return float(w @ ((2.0 * m / s) / (a * b * (a + b)) * r / (x * x)))
+    return [float(w @ row) for row in (2.0 * m / s) / (a * b * (a + b)) * r / (x * x)]
 
 
-# The memo serves repeats within one config: its sweep and its verify ask
-# for the same (mass, rho) pairs, n + 8 distinct ones on n radii (16 on 8,
-# 20 on 12).  64 holds all of them up to about 50 radii; a larger cache
-# only keeps pairs of configs that no later run asks for.
-@functools.lru_cache(maxsize=64)
+def _collar_radii(m: float, rhos) -> list:
+    """ads_collar_transform of every rho in rhos, solved in lockstep: per
+    rho its radius or the ValueError it raises.  Each step evaluates the
+    tail integral of all unfinished radii at once; every radius keeps its
+    own bracket and stop rule, so it is, bit for bit, the radius solved
+    alone."""
+    if m < 0.0:
+        raise ValueError("mass must be nonnegative")
+    out = [ValueError("rho must be positive") if rho <= 0.0 else None for rho in rhos]
+    if m == 0.0:
+        return [err or 1.0 / math.sinh(rho) for err, rho in zip(out, rhos)]
+    todo = [i for i, err in enumerate(out) if err is None]
+    rh = _horizon_radius(m) if todo else 0.0
+    target, lo, hi, r = {}, {}, {}, {}
+    for i in todo:
+        rho = rhos[i]
+        target[i] = -math.log(math.tanh(0.5 * rho))
+        lo[i] = max(0.5 / math.sinh(rho), rh * (1.0 + 1e-10))
+        hi[i] = 3.0 / math.sinh(rho) + 3.0 * m + 3.0
+
+    def f(rows, at):
+        tails = _ads_tails(m, [at[i] for i in rows])
+        return {i: math.asinh(at[i]) - t - target[i] for i, t in zip(rows, tails)}
+
+    f_lo, f_hi = f(todo, lo), f(todo, hi)
+    for i in todo:
+        if f_lo[i] >= 0.0 or f_hi[i] <= 0.0:
+            out[i] = ValueError("no collar radius in bracket; rho too deep for this mass")
+        else:
+            r[i] = min(max(1.0 / math.sinh(rhos[i]), lo[i]), hi[i])
+    todo = [i for i in todo if i in r]
+    for _ in range(100):
+        if not todo:
+            break
+        fr, left = f(todo, r), []
+        for i in todo:
+            if fr[i] == 0.0:
+                out[i] = r[i]
+                continue
+            if fr[i] < 0.0:
+                lo[i] = r[i]
+            else:
+                hi[i] = r[i]
+            nxt = r[i] - fr[i] * math.sqrt(1.0 + r[i] * r[i] - 2.0 * m / r[i])  # F / F' = F sqrt(V)
+            if not lo[i] < nxt < hi[i]:
+                nxt = 0.5 * (lo[i] + hi[i])
+            if abs(nxt - r[i]) <= 4e-16 * r[i]:
+                out[i] = nxt
+                continue
+            r[i] = nxt
+            left.append(i)
+        todo = left
+    for i in todo:
+        out[i] = r[i]
+    return out
+
+
 def ads_collar_transform(m: float, rho: float) -> float:
     """Static area radius r of the coordinate sphere {rho = const} in the
     collar form of the AdS-Schwarzschild metric V^-1 dr^2 + r^2 h0,
@@ -141,40 +209,13 @@ def ads_collar_transform(m: float, rho: float) -> float:
     normalized so m = 0 returns exactly 1/sinh rho.  The tail integral is
     a 64-point Gauss-Legendre rule in x = r/s; the root comes from Newton's
     method with the exact slope F'(r) = V(r)^-1/2, kept inside a sign
-    bracket by bisection whenever a step would leave it.
+    bracket by bisection whenever a step would leave it.  It is the
+    one-radius call of the lockstep solve _collar_radii.
     """
-    if m < 0.0:
-        raise ValueError("mass must be nonnegative")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if m == 0.0:
-        return 1.0 / math.sinh(rho)
-    target = -math.log(math.tanh(0.5 * rho))
-
-    def f(r):
-        return math.asinh(r) - _ads_tail(m, r) - target
-
-    rh = _horizon_radius(m)
-    lo = max(0.5 / math.sinh(rho), rh * (1.0 + 1e-10))
-    hi = 3.0 / math.sinh(rho) + 3.0 * m + 3.0
-    if f(lo) >= 0.0 or f(hi) <= 0.0:
-        raise ValueError("no collar radius in bracket; rho too deep for this mass")
-    r = min(max(1.0 / math.sinh(rho), lo), hi)
-    for _ in range(100):
-        fr = f(r)
-        if fr == 0.0:
-            break
-        if fr < 0.0:
-            lo = r
-        else:
-            hi = r
-        nxt = r - fr * math.sqrt(1.0 + r * r - 2.0 * m / r)  # F / F' = F sqrt(V)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - r) <= 4e-16 * r:
-            return nxt
-        r = nxt
-    return r
+    got = _collar_radii(m, [rho])[0]
+    if isinstance(got, ValueError):
+        raise got
+    return got
 
 
 class AdSSchwarzschild(AHFamily):
@@ -187,13 +228,11 @@ class AdSSchwarzschild(AHFamily):
         self.mass = float(mass)
         self.name = "ads_schwarzschild"
 
-    def _radius(self, rho: float) -> float:
-        return ads_collar_transform(self.mass, rho)
-
-    def _profile(self, rho: float):
+    def _profile(self, rho: float, r: float | None = None):
         # w, w' and w'' from exact differentiation of the defining ODE
-        # r'(rho) = -sqrt(V)/sinh(rho)
-        r = self._radius(rho)
+        # r'(rho) = -sqrt(V)/sinh(rho), r the collar radius at rho
+        if r is None:
+            r = ads_collar_transform(self.mass, rho)
         sh, ch = math.sinh(rho), math.cosh(rho)
         v = 1.0 + r * r - 2.0 * self.mass / r
         sv = math.sqrt(v)
@@ -219,6 +258,16 @@ class AdSSchwarzschild(AHFamily):
         self._check(rho)
         _, _, ddw = self._profile(rho)
         return np.full_like(np.asarray(theta, dtype=float), ddw)
+
+    def collar_profiles(self, rhos, theta):
+        # every collar radius in one lockstep solve; the profile's scalar
+        # arithmetic stays per radius, as its solo call does it
+        u, du = np.full((2, len(rhos), np.size(theta)), np.nan)
+        radii = _collar_radii(self.mass, rhos)
+        for k, (rho, r) in enumerate(zip(rhos, radii)):
+            if not isinstance(r, ValueError):
+                u[k], du[k], _ = self._profile(rho, r)
+        return u, du, [r if isinstance(r, ValueError) else None for r in radii]
 
     def aspect(self, x):
         # u = (r sinh rho)^2 = 1 + 2m rho^3 / 3 + O(rho^4): the aspect is 2m h0
@@ -270,6 +319,13 @@ class PerturbedRound(AHFamily):
     def conformal_factor_drho2(self, rho, theta):
         self._check(rho)
         return 2.0 * rho * self.aspect(np.cos(theta))
+
+    def collar_profiles(self, rhos, theta):
+        # psi once for the stack; the powers of rho per radius, formed as
+        # the solo calls form them (an array power can differ in the last bit)
+        psi = self.aspect(np.cos(theta))
+        cube, square = (np.array([rho ** p for rho in rhos])[:, None] for p in (3, 2))
+        return 1.0 + cube * psi / 3.0, square * psi, [None] * len(rhos)
 
     def scalar_curvature(self, rho, theta):
         self._check(rho)

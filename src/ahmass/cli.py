@@ -127,6 +127,33 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _report_lines(data) -> list:
+    lines = ["family: %s" % data.get("family", "?"),
+             "radii: %s" % ", ".join("%g" % e for e in data.get("epsilons", []))]
+    for rec in data["records"]:
+        if rec.get("error"):
+            lines.append("  eps=%-10.6g FAILED: %s" % (rec["epsilon"], rec["error"]))
+        elif "m_by" in rec:
+            lines.append("  eps=%-10.6g m_BY=%s [%s]"
+                         % (rec["epsilon"], _fmt_vec(rec["m_by"]), rec.get("tag_by", "?")))
+    limits = data.get("limits", {})
+    tags = data.get("tags", {})
+    fits = data.get("fits", {})
+    for name, comps in limits.items():
+        tag = tags.get(name, {})
+        t_fit = fits.get(name, {}).get("t", {})
+        lines.append("  limit %-8s %s [%s] t-order %s"
+                     % (name, _fmt_vec(comps), tag.get("classify", "?"),
+                        t_fit.get("order", "?")))
+    if "wang_reference" in data:
+        lines.append("  reference mass vector: %s" % _fmt_vec(data["wang_reference"]))
+    gap = fits.get("hat_by_gap", {})
+    if gap:
+        lines.append("  |m_hat - m_BY| decay order %s (monotone: %s)"
+                     % (gap.get("order", "?"), data.get("gap_monotone", "?")))
+    return lines
+
+
 def _cmd_report(args) -> int:
     try:
         with open(args.record) as fh:
@@ -135,31 +162,12 @@ def _cmd_report(args) -> int:
         raise ConfigError("cannot read record %s: %s" % (args.record, exc)) from None
     except json.JSONDecodeError as exc:
         raise ConfigError("record %s is not valid JSON: %s" % (args.record, exc)) from None
-    if not isinstance(data, dict) or "records" not in data:
-        raise ConfigError("%s does not look like a sweep summary" % args.record)
-    print("family: %s" % data.get("family", "?"))
-    print("radii: %s" % ", ".join("%g" % e for e in data.get("epsilons", [])))
-    for rec in data["records"]:
-        if rec.get("error"):
-            print("  eps=%-10.6g FAILED: %s" % (rec["epsilon"], rec["error"]))
-        elif "m_by" in rec:
-            print("  eps=%-10.6g m_BY=%s [%s]"
-                  % (rec["epsilon"], _fmt_vec(rec["m_by"]), rec.get("tag_by", "?")))
-    limits = data.get("limits", {})
-    tags = data.get("tags", {})
-    fits = data.get("fits", {})
-    for name, comps in limits.items():
-        tag = tags.get(name, {})
-        t_fit = fits.get(name, {}).get("t", {})
-        print("  limit %-8s %s [%s] t-order %s"
-              % (name, _fmt_vec(comps), tag.get("classify", "?"),
-                 t_fit.get("order", "?")))
-    if "wang_reference" in data:
-        print("  reference mass vector: %s" % _fmt_vec(data["wang_reference"]))
-    gap = fits.get("hat_by_gap", {})
-    if gap:
-        print("  |m_hat - m_BY| decay order %s (monotone: %s)"
-              % (gap.get("order", "?"), data.get("gap_monotone", "?")))
+    try:
+        # a value of the wrong type anywhere fails here, before any output
+        lines = _report_lines(data)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ConfigError("%s does not look like a sweep summary" % args.record) from None
+    print("\n".join(lines))
     return 0
 
 

@@ -22,16 +22,17 @@ gives the exact factorization
 
 whose bracket stays bounded away from the difference-of-large-terms trap.
 A, B and E are the grid's own Gauss-Legendre interpolants in x, read at
-x = cos(k pi / 2000) (poles and discriminant probe) and at the chi'
-samples by the barycentric formula (c @ nodal) / den (Berrut &
-Trefethen, SIAM Review 2004), with c, den, the points and the
-primitive's exponentials built once per grid size and level, so each
-sphere's probe is one product.  chi' is a Chebyshev series in th on
-[0, pi], its degree doubled on nested points until the tail is
-negligible (Aurentz & Trefethen, ACM TOMS 2017), integrated term by term
-and summed at the nodes in one product; near the poles chi' varies on a
-th scale of about 1/max f, which a series in x cannot resolve.  chi'' is
-in closed form.
+the chi' samples by the barycentric formula (c @ nodal) / den (Berrut &
+Trefethen, SIAM Review 2004), and at x = cos(k pi / 2000) (poles and
+discriminant probe) through the same terms with 1/den folded in: one
+C-contiguous (n_theta, 2001) table, so each sphere's probe is the one
+product nodal.T @ table.  The rows, the table, the points and the
+primitive's exponentials are built once per grid size and level.  chi'
+is a Chebyshev series in th on [0, pi], its degree doubled on nested
+points until the tail is negligible (Aurentz & Trefethen, ACM TOMS
+2017), integrated term by term and summed at the nodes in one product;
+near the poles chi' varies on a th scale of about 1/max f, which a
+series in x cannot resolve.  chi'' is in closed form.
 
 The quadrature runs on a stack of spheres, a C-contiguous (S, n_theta)
 row each (embed_surfaces): one call per stack for every elementwise
@@ -179,9 +180,9 @@ def _readonly(*arrays) -> tuple:
 
 
 # Tables that depend only on the grid size and the series degree, built on
-# first use and shared read-only; sixteen entries (two for the probe rows
+# first use and shared read-only; sixteen entries (two for the probe table
 # and the unit sphere) hold two grid sizes.  On 64 nodes they hold about
-# 4.9 MB up to degree 8192, 0.8 MB up to 1024, plus 1.0 MB of probe rows.
+# 4.9 MB up to degree 8192, 0.8 MB up to 1024, plus 1.0 MB of probe table.
 @functools.lru_cache(maxsize=1)
 def _probe_x() -> np.ndarray:
     """x = cos(k pi / 2000), k = 0 .. 2000: the poles and the probe."""
@@ -189,16 +190,20 @@ def _probe_x() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _probe_rows(n_theta: int) -> tuple:
-    """barycentric_rows of the n_theta-node interpolant at _probe_x(); the
-    Gauss-Legendre nodes are interior, so no probe point hits one.  The
-    weights are 1 / prod_k 2 (x_j - x_k) of the nodes as rounded: the
+def _probe_table(n_theta: int) -> np.ndarray:
+    """The C-contiguous (n_theta, 2001) matrix T that takes nodal values
+    v to the n_theta-node interpolant at _probe_x() as v.T @ T: the
+    barycentric terms w_j / (x_q - x_j) over their sum, built in this
+    layout (the product with a transposed view is about 3 times slower).
+    The Gauss-Legendre nodes are interior, so no probe point hits one.
+    The weights are 1 / prod_k 2 (x_j - x_k) of the nodes as rounded: the
     grid's closed-form bary_w miss them by about 1e-12 relative, which
     shows on data of degree near n_theta."""
     x = QuadratureGrid(n_theta, 1).x
     d = 2.0 * (x[:, None] - x[None, :])
     np.fill_diagonal(d, 1.0)
-    return _readonly(*barycentric_rows(x, 1.0 / np.prod(d, axis=1), _probe_x()))
+    c = (1.0 / np.prod(d, axis=1))[:, None] / (_probe_x()[None, :] - x[:, None])
+    return _readonly(c / np.sum(c, axis=0))[0]
 
 
 @functools.lru_cache(maxsize=2)
@@ -307,13 +312,13 @@ def _embed_rows(E, G, grid, branch) -> list:
     nodal = np.stack([A, B, E, Ax], axis=-1)
     scale = np.max(E, axis=1)
     out = {}
-    probe_rows = _probe_rows(grid.n_theta)
+    table = _probe_table(grid.n_theta)
     for i in range(len(E)):
         # at x = cos(k pi / 2000): G/sin^2 meets E at the poles, bracket >= 0
-        probe = barycentric_apply(probe_rows, nodal[i])
-        if np.max(np.abs(probe[[0, -1], 0] - probe[[0, -1], 2])) > 1e-6 * scale[i]:
+        probe = nodal[i].T @ table
+        if np.max(np.abs(probe[0, [0, -1]] - probe[2, [0, -1]])) > 1e-6 * scale[i]:
             out[i] = EmbeddingError("pole regularity violated: G/sin^2 != E at a pole")
-        elif (err := _bracket(_probe_x(), *probe.T)[1][0]) is not None:
+        elif (err := _bracket(_probe_x(), *probe)[1][0]) is not None:
             out[i] = err
     # branch +1 = north pole up after centering = rapidity decreasing in theta
     sig = -branch

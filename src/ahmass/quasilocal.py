@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import CausalClass, MinkowskiVector, causal_classify
-from .sphere_geometry import SurfaceSample, integrate_scalar, surface_laplacian
+from .sphere_geometry import SurfaceSample, integrate_scalar, surface_laplacians
 from .embed_h3 import EmbeddedSurface
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "enclosing_radii",
     "mainhyp_functional",
     "laplacian_term",
+    "laplacian_terms",
     "MEAN_CURVATURE_FLOOR",
 ]
 
@@ -158,10 +159,16 @@ def enclosing_radii(emb: EmbeddedSurface) -> tuple:
     return float(np.arccosh(np.min(t))), float(np.arccosh(np.max(t)))
 
 
+def laplacian_terms(surfaces, fields) -> list:
+    """int lap_S F / (H + 2) dS of each surface and its scalar field F,
+    the Laplacians in one surface_laplacians pass over the stack."""
+    laps = surface_laplacians(surfaces, fields)
+    return [integrate_scalar(surf, lap / (surf.H + 2.0)) for surf, lap in zip(surfaces, laps)]
+
+
 def laplacian_term(surf: SurfaceSample, F) -> float:
-    """int lap_S F / (H + 2) dS for a scalar field F on the surface."""
-    lap = surface_laplacian(surf, F)
-    return integrate_scalar(surf, lap / (surf.H + 2.0))
+    """The one-surface call of laplacian_terms."""
+    return laplacian_terms([surf], [F])[0]
 
 
 def mainhyp_functional(surf: SurfaceSample, emb: EmbeddedSurface, F) -> float:

@@ -12,6 +12,14 @@ conformally round, so its Gauss curvature follows from the conformal
 factor and the round Laplacian of its logarithm, to near machine
 precision, which the fifth-order curvature expansions need.  The FFT in
 phi serves only surface_laplacian, which acts on fields that vary in phi.
+
+A command's spheres are one stack: coordinate_spheres builds every
+radius as an (S, n_theta) row, each sample's fields read-only broadcasts
+of its rows over phi, and surface_laplacians takes a stack of surfaces
+in one pass.  Elementwise steps run once per stack; matrix products are
+stacked matmuls whose items are a lone sphere's products, and per-radius
+scalars are numpy scalars as a lone sphere forms them, so every item is,
+bit for bit, its one-item call (coordinate_sphere, surface_laplacian).
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ __all__ = [
     "QuadratureGrid",
     "SurfaceSample",
     "coordinate_sphere",
+    "coordinate_spheres",
     "integrate_scalar",
     "surface_laplacian",
+    "surface_laplacians",
     "embeddability_check",
     "barycentric_weights",
     "barycentric_interpolate",
@@ -175,9 +185,21 @@ class QuadratureGrid:
         """Laplacian of the unit round sphere applied to an axisymmetric
         theta profile: (1 - x^2) f_xx - 2 x f_x in x = cos theta.  Both
         derivatives are taken by deriv_x; this non-divergence form keeps
-        the rounding near machine precision at the poles."""
-        fx = self.deriv_x @ np.asarray(profile, dtype=float)
-        return (1.0 - self.x ** 2) * (self.deriv_x @ fx) - 2.0 * self.x * fx
+        the rounding near machine precision at the poles.  A stack of
+        profiles, shape (S, n_theta), takes one matrix-vector product per
+        row, so each row is the profile's own Laplacian to the bit."""
+        def dx(f):
+            return (self.deriv_x @ f[..., None])[..., 0]
+
+        fx = dx(np.asarray(profile, dtype=float))
+        return (1.0 - self.x ** 2) * dx(fx) - 2.0 * self.x * fx
+
+
+def _fields(grid, *rows) -> np.ndarray:
+    """The (S, n_theta) arrays rows, each broadcast over phi: a read-only
+    view of shape (len(rows), S, n_theta, n_phi), one broadcast per stack."""
+    stack = np.stack([np.atleast_2d(r) for r in rows])
+    return np.broadcast_to(stack[..., None], stack.shape + (grid.n_phi,))
 
 
 class SurfaceSample:
@@ -188,53 +210,84 @@ class SurfaceSample:
     vary in phi): the first fundamental form is E dth^2 + G dphi^2 with
     G = E sin^2 th, H the mean curvature (sum-of-principal-curvatures
     convention, normal pointing away from infinity) and K the Gauss
-    curvature.  All are stored as read-only grid fields.
+    curvature.  All are stored as read-only grid fields, each a broadcast
+    of its theta profile over phi.
     """
 
     def __init__(self, eps, E, H, K, grid: QuadratureGrid):
-        self.eps = float(eps)
-        self.grid = grid
         for a in (E, H, K):
             # scalars and theta profiles are constant in phi by shape
             if np.ndim(a) == 2 and np.any(np.ptp(a, axis=1) > 0.0):
                 raise ValueError("surface fields must not vary in phi")
-        self.E = grid.as_field(E)
-        self.H = grid.as_field(H)
-        self.K = grid.as_field(K)
-        if np.any(self.E <= 0.0):
+        E, H, K = (grid.as_field(a)[:, 0] for a in (E, H, K))
+        if np.any(E <= 0.0):
             raise ValueError("degenerate induced metric sample")
-        self.G = self.E * (grid.sin_theta ** 2)[:, None]
-        self.sqrt_det = np.sqrt(self.E * self.G)
-        for a in (self.E, self.G, self.H, self.K, self.sqrt_det):
-            a.setflags(write=False)
+        G = E * grid.sin_theta ** 2
+        self._fill(eps, grid, _fields(grid, E, G, H, K, np.sqrt(E * G))[:, 0])
+
+    def _fill(self, eps, grid, fields) -> SurfaceSample:
+        # fields: E, G, H, K and sqrt_det as grid-shaped read-only views
+        self.eps, self.grid = float(eps), grid
+        self.E, self.G, self.H, self.K, self.sqrt_det = fields
+        return self
 
     @property
     def area(self) -> float:
         return integrate_scalar(self, 1.0)
 
 
-def coordinate_sphere(family, eps: float, grid: QuadratureGrid) -> SurfaceSample:
-    """Level set {rho = eps} of a collar family, with its induced metric,
-    area element, mean curvature and Gauss curvature.
+def coordinate_spheres(family, eps_list, grid: QuadratureGrid) -> list:
+    """Level sets {rho = eps} of a collar family for every eps in eps_list,
+    with their induced metric, area element, mean curvature and Gauss
+    curvature: per radius its SurfaceSample or the ValueError it fails
+    with.
 
-    The family must expose rho_max, conformal_factor(rho, theta) and
-    conformal_factor_drho(rho, theta); the collar metric is
-    sinh^-2 rho (drho^2 + u(rho, theta) h0).  The normal underlying H
-    points away from infinity (toward increasing rho), which makes
-    geodesic spheres of the reference metric have H = 2 cosh eps > 0.
+    The family must expose rho_max and collar_profiles(rhos, theta), the
+    conformal profile u and its rho-derivative of a stack of radii; the
+    collar metric is sinh^-2 rho (drho^2 + u(rho, theta) h0).  The normal
+    underlying H points away from infinity (toward increasing rho), which
+    makes geodesic spheres of the reference metric have H = 2 cosh eps > 0.
     The sphere carries the conformally round metric (u / sinh^2 eps) h0,
     so K = sinh^2 eps (1 - lap0(log u) / 2) / u, exactly sinh^2 eps
     where u is constant.
+
+    The spheres are one (S, n_theta) stack: one call per elementwise step,
+    one matrix-vector product per row for lap0.  sinh eps, cosh eps and
+    sinh^2 eps are formed per radius as numpy scalars, since an array
+    power can differ from the scalar one in the last bit; so every sample
+    is, bit for bit, coordinate_sphere at its radius.
     """
-    if not (0.0 < eps <= family.rho_max):
-        raise ValueError("eps=%g outside the collar range (0, %g]" % (eps, family.rho_max))
-    u = np.asarray(family.conformal_factor(eps, grid.theta), dtype=float)
-    du = np.asarray(family.conformal_factor_drho(eps, grid.theta), dtype=float)
-    if np.any(u <= 0.0):
-        raise ValueError("degenerate induced metric: conformal factor <= 0")
-    sh, ch = np.sinh(eps), np.cosh(eps)
-    K = sh ** 2 * (1.0 - 0.5 * grid.round_laplacian(np.log(u))) / u
-    return SurfaceSample(eps, u / sh ** 2, 2.0 * ch - sh * du / u, K, grid)
+    out = [None if 0.0 < eps <= family.rho_max else ValueError(
+        "eps=%g outside the collar range (0, %g]" % (eps, family.rho_max)) for eps in eps_list]
+    rows = [i for i, err in enumerate(out) if err is None]
+    u, du, errs = family.collar_profiles([eps_list[i] for i in rows], grid.theta)
+    for i, err, ui in zip(rows, errs, u):
+        if err is None and np.any(ui <= 0.0):
+            err = ValueError("degenerate induced metric: conformal factor <= 0")
+        out[i] = err
+    keep = [k for k, i in enumerate(rows) if out[i] is None]
+    rows = [rows[k] for k in keep]
+    u, du = u[keep], du[keep]
+    sh, ch = ([f(eps_list[i]) for i in rows] for f in (np.sinh, np.cosh))
+    sh2 = np.array([v ** 2 for v in sh])[:, None]
+    sh, ch = np.array(sh)[:, None], np.array(ch)[:, None]
+    K = sh2 * (1.0 - 0.5 * grid.round_laplacian(np.log(u))) / u
+    E = u / sh2
+    H = 2.0 * ch - sh * du / u
+    G = E * grid.sin_theta ** 2
+    fields = _fields(grid, E, G, H, K, np.sqrt(E * G))
+    for k, i in enumerate(rows):
+        # E = u / sinh^2 eps > 0: the constructor's E <= 0 check cannot fail
+        out[i] = object.__new__(SurfaceSample)._fill(eps_list[i], grid, fields[:, k])
+    return out
+
+
+def coordinate_sphere(family, eps: float, grid: QuadratureGrid) -> SurfaceSample:
+    """The one-radius call of coordinate_spheres, raising its error."""
+    got = coordinate_spheres(family, [eps], grid)[0]
+    if isinstance(got, ValueError):
+        raise got
+    return got
 
 
 def integrate_scalar(surface: SurfaceSample, field) -> float:
@@ -248,9 +301,10 @@ def integrate_scalar(surface: SurfaceSample, field) -> float:
     return float(g.w_phi * np.einsum("i,ij->", g.w_theta, f * weight))
 
 
-def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:
-    """Laplace-Beltrami operator of the surface metric E dth^2 + G dphi^2
-    applied to a scalar field, which may vary in phi.
+def surface_laplacians(surfaces, fields) -> np.ndarray:
+    """Laplace-Beltrami operator of each surface's metric
+    E dth^2 + G dphi^2 applied to its scalar field, which may vary in phi,
+    for a stack of surfaces on one grid: shape (S, n_theta, n_phi).
 
     Works modewise in phi.  Each Fourier mode is factored as
     sin^p th * (smooth function of cos th), p the mode parity, so every
@@ -258,32 +312,41 @@ def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:
     accuracy through the poles.  The even and the odd modes go through
     the theta-derivative together, as real and imaginary columns of one
     real matrix product: a real-by-complex product stalls in a threaded
-    BLAS on small hosts.
+    BLAS on small hosts.  The products are stacked matmuls whose items
+    are a lone surface's products, so each item is, bit for bit, the
+    surface's own Laplacian.
     """
-    g = surface.grid
-    f = g.as_field(field)
+    g = surfaces[0].grid
+    if any(surf.grid is not g for surf in surfaces):
+        raise ValueError("surfaces live on different grids")
+    f = np.stack([g.as_field(v) for v in fields])
 
     x = g.x[:, None]
     s = g.sin_theta[:, None]
     s2 = 1.0 - x ** 2
-    E = surface.E[:, :1]
-    A = surface.G[:, :1] / s2  # pole-regular angular coefficient
-    j = np.sqrt(E * A)         # area element = sin th * j
+    E = np.stack([surf.E[:, :1] for surf in surfaces])
+    A = np.stack([surf.G[:, :1] for surf in surfaces]) / s2  # pole-regular angular coefficient
+    j = np.sqrt(E * A)  # area element = sin th * j
 
     def d(modes):
         re = np.ascontiguousarray(modes).view(float)
         return (g.deriv_x @ re).view(complex)
 
-    fh = np.fft.rfft(f, axis=1)
+    fh = np.fft.rfft(f, axis=-1)
     out = np.empty_like(fh)
-    afn = -s2 * (j / E) * d(fh[:, 0::2])
-    out[:, 0::2] = -d(afn) / j
-    gm = fh[:, 1::2] / s
+    afn = -s2 * (j / E) * d(fh[..., 0::2])
+    out[..., 0::2] = -d(afn) / j
+    gm = fh[..., 1::2] / s
     b = (j / E) * (x * gm - s2 * d(gm))
-    out[:, 1::2] = (x * b - s2 * d(b)) / (s * j)
-    m = np.arange(1, fh.shape[1])
-    out[:, 1:] -= (m * m) * fh[:, 1:] / (A * s2)
-    return np.fft.irfft(out, n=g.n_phi, axis=1)
+    out[..., 1::2] = (x * b - s2 * d(b)) / (s * j)
+    m = np.arange(1, fh.shape[-1])
+    out[..., 1:] -= (m * m) * fh[..., 1:] / (A * s2)
+    return np.fft.irfft(out, n=g.n_phi, axis=-1)
+
+
+def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:
+    """The one-surface call of surface_laplacians."""
+    return surface_laplacians([surface], [field])[0]
 
 
 def embeddability_check(surface: SurfaceSample, margin: float = EMBEDDABILITY_MARGIN) -> bool:

@@ -1,14 +1,16 @@
 """Radius-sweep harness for coordinate exhaustions.
 
 Drives the full pipeline over a decreasing list of collar radii: build
-the coordinate spheres, embed them all in one batched call, evaluate m_BY
-and m_hat of every radius in one stacked quadrature and m_alpha from m_BY
-(a radius whose masses fail records its own error), fit each component to
-v_inf + C eps^p, and classify the causal character of the fitted limits.
-A companion identity verifier runs the spinor and surface-geometry
-property suites that depend on the configured family, embedding each
-sphere once, all in one batched call before any suite entry runs.  All
-outputs are deterministic: closed-form cone pairings, seeded random
+the coordinate spheres in one stacked call, embed them all in one
+batched call, evaluate m_BY and m_hat of every radius in one stacked
+quadrature and m_alpha from m_BY (a radius whose masses fail records its
+own error), fit each component to v_inf + C eps^p, and classify the
+causal character of the fitted limits.  A companion identity verifier
+runs the spinor and surface-geometry property suites that depend on the
+configured family, building and embedding each sphere once, in one
+stacked and one batched call before any suite entry runs; the
+flat-Laplacian entry takes its eight Laplacians in one stacked pass.
+All outputs are deterministic: closed-form cone pairings, seeded random
 draws, no timestamps.
 """
 
@@ -47,14 +49,14 @@ from .quasilocal import (
     alpha_from_radii,
     alpha_mass,
     enclosing_radii,
-    laplacian_term,
+    laplacian_terms,
     mass_vector,
     mass_vectors,
 )
 from .sphere_geometry import (
     QuadratureGrid,
     SurfaceSample,
-    coordinate_sphere,
+    coordinate_spheres,
     embeddability_check,
 )
 
@@ -531,6 +533,8 @@ class SweepConfig:
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError("unknown tolerance %r" % (key,))
             merged[key] = _config_float(self.tolerances, key, "tolerances")
+            if merged[key] < 0.0:
+                raise ConfigError("tolerance %r must be nonnegative" % (key,))
         label = self.family_label or getattr(self.family, "name", type(self.family).__name__)
         object.__setattr__(self, "eps_list", eps)
         object.__setattr__(self, "tolerances", merged)
@@ -682,8 +686,11 @@ class MassSweepRecord:
         }
 
 
-def _checked_sphere(family: AHFamily, eps: float, grid: QuadratureGrid) -> SurfaceSample:
-    surf = coordinate_sphere(family, eps, grid)
+def _checked_sphere(surf) -> SurfaceSample:
+    """A coordinate_spheres item that passes the K and H checks; raises its
+    error, or the check it fails."""
+    if isinstance(surf, Exception):
+        raise surf
     if not embeddability_check(surf):
         raise EmbeddingError("Gauss curvature does not clear the K > -1 margin")
     if float(np.min(surf.H)) <= MEAN_CURVATURE_FLOOR:
@@ -731,9 +738,9 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
     failed = (EmbeddingError, ValueError, ArithmeticError)
     outcome, surfs = {}, []
-    for eps in cfg.eps_list:
+    for eps, surf in zip(cfg.eps_list, coordinate_spheres(cfg.family, cfg.eps_list, grid)):
         try:
-            surfs.append(_checked_sphere(cfg.family, eps, grid))
+            surfs.append(_checked_sphere(surf))
         except failed as exc:
             outcome[eps] = exc
     pairs = []
@@ -821,16 +828,13 @@ def verify_identities(cfg: SweepConfig) -> dict:
     entries = {}
 
     # every sphere an entry reads, the configured radii and the
-    # flat-Laplacian radii, embedded in one batched call; a failed sphere
-    # holds its error, raised in the entry that reads it
+    # flat-Laplacian radii, built in one stacked call and embedded in one
+    # batched call; a failed sphere holds its error, raised in the entry
+    # that reads it
     hi = min(0.3, float(fam.rho_max))
-    eps_fun = np.geomspace(hi, 0.025 * hi, 8)
-    spheres = {}
-    for eps in dict.fromkeys(cfg.eps_list + tuple(float(e) for e in eps_fun)):
-        try:
-            spheres[eps] = coordinate_sphere(fam, eps, grid)
-        except Exception as exc:
-            spheres[eps] = exc
+    eps_fun = [float(e) for e in np.geomspace(hi, 0.025 * hi, 8)]
+    radii = list(dict.fromkeys(cfg.eps_list + tuple(eps_fun)))
+    spheres = dict(zip(radii, coordinate_spheres(fam, radii, grid)))
     surfs = [s for s in spheres.values() if isinstance(s, SurfaceSample)]
     for surf, emb in zip(surfs, embed_surfaces(surfs, cfg.branch)):
         spheres[surf.eps] = emb if isinstance(emb, EmbeddingError) else (surf, emb)
@@ -917,11 +921,9 @@ def verify_identities(cfg: SweepConfig) -> dict:
 
     def e_flat_laplacian_decay():
         fld = KillingNormField.from_spinor(_random_unit_spinor(rng))
-        vals = []
-        for eps in eps_fun:
-            surf, emb = sphere_at(float(eps))
-            vals.append(abs(laplacian_term(surf, fld.value_on(emb))))
-        return judge_flat_laplacian(vals, eps_fun, tol)
+        surfs, embs = zip(*(sphere_at(eps) for eps in eps_fun))
+        vals = laplacian_terms(surfs, [fld.value_on(emb) for emb in embs])
+        return judge_flat_laplacian([abs(v) for v in vals], eps_fun, tol)
 
     def e_embedding():
         worst_iso = worst_defect = 0.0

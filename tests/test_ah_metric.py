@@ -114,25 +114,41 @@ def test_ads_transform_rejects_radius_below_horizon(m, rho):
 @pytest.mark.parametrize("m", [3.05, 3.3])
 def test_ads_transform_does_not_warn(m):
     # rho = 0.3 is the radius of verify's flat_laplacian_decay entry
-    ads_collar_transform.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = ads_collar_transform(m, 0.3)
     assert r > 1.0 / math.sinh(0.3)
 
 
-def test_ads_transform_memo_holds_one_config():
-    # a 12-radius sweep and verify ask for 20 distinct (m, rho) pairs,
-    # each twice or more; the memo keeps them all but no run's pairs beyond
-    ads_collar_transform.cache_clear()
-    rhos = list(np.geomspace(0.002, 0.2, 20))
-    for rho in rhos + rhos:
-        ads_collar_transform(1.0, float(rho))
-    info = ads_collar_transform.cache_info()
-    assert (info.misses, info.hits) == (20, 20)
-    for rho in np.geomspace(0.01, 0.5, 200):
-        ads_collar_transform(0.5, float(rho))
-    assert ads_collar_transform.cache_info().currsize <= 64
+@pytest.mark.parametrize("m", [0.0, 0.5, 3.3, 100.0])
+def test_lockstep_collar_radii_match_solo(m):
+    # the lockstep solve of a radius list gives each radius, bit for bit,
+    # the radius or the error that radius gets alone; the list mixes the
+    # 8- and 12-radius schedules with verify's radii, rho <= 0 and, for
+    # m = 100, rho too deep for the bracket
+    rhos = ([0.2 * 2 ** -0.5 * k for k in range(1, 4)] + [float(r) for r in np.geomspace(
+        0.002, 0.5, 13)] + [0.0, -0.1, 0.3, 0.0075])
+    got = ah_metric._collar_radii(m, rhos)
+    assert len(got) == len(rhos)
+    for rho, r in zip(rhos, got):
+        try:
+            want = ads_collar_transform(m, rho)
+        except ValueError as exc:
+            assert type(r) is ValueError and str(r) == str(exc)
+        else:
+            assert type(r) is float and r == want
+    errors = [str(r) for r in got if isinstance(r, ValueError)]
+    assert errors.count("rho must be positive") == 2
+    assert (m == 100.0) == ("no collar radius in bracket; rho too deep for this mass" in errors)
+    # the AdS family's stacked profile rows are its solo profiles
+    if m > 0.0:
+        fam = AdSSchwarzschild(m)
+        ok = [rho for rho, r in zip(rhos, got) if isinstance(r, float) and rho <= fam.rho_max]
+        u, du, errs = fam.collar_profiles(ok, GRID.theta)
+        assert errs == [None] * len(ok)
+        for k, rho in enumerate(ok):
+            assert np.array_equal(u[k], fam.conformal_factor(rho, GRID.theta))
+            assert np.array_equal(du[k], fam.conformal_factor_drho(rho, GRID.theta))
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 3.3])
@@ -140,12 +156,11 @@ def test_horizon_memo_returns_the_uncached_root(m, monkeypatch):
     # the memo hands every collar radius the same float the cubic gives,
     # so the brackets and the radii are unchanged to the bit
     ah_metric._horizon_radius.cache_clear()
-    ads_collar_transform.cache_clear()
     rhos = [float(rho) for rho in np.geomspace(0.005, 0.3, 7)]
     cached = [ads_collar_transform(m, rho) for rho in rhos]
     assert ah_metric._horizon_radius(m) == ah_metric._horizon_radius.__wrapped__(m)
     monkeypatch.setattr(ah_metric, "_horizon_radius", ah_metric._horizon_radius.__wrapped__)
-    assert [ads_collar_transform.__wrapped__(m, rho) for rho in rhos] == cached
+    assert [ads_collar_transform(m, rho) for rho in rhos] == cached
 
 
 def test_ads_transform_rejects_negative_mass():

@@ -92,11 +92,20 @@ def test_config_errors_exit_3(tmp_path, capsys):
     {"family": {"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": [0.05, True]}}},
     {"family": {"name": "perturbed_round", "psi": {"type": "cos_theta", "amplitude": False}}},
     {"family": {"name": "perturbed_round", "psi": {"type": "constant", "value": True}}},
+    # a negative tolerance: no check could pass, or none could fail
+    {"tolerances": {"isometry": -1}},
+    {"tolerances": {"h0_order": -4.0}},
+    {"tolerances": {"gauss_order": -1e-300}},
+    {"tolerances": {"funclim_atol": -1e-8}},
 ])
 @pytest.mark.parametrize("command", ["sweep", "verify"])
 def test_bad_config_values_exit_3(tmp_path, capsys, command, over):
     assert main([command, write_config(tmp_path, **over)]) == 3
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for key, val in over.get("tolerances", {}).items():
+        if isinstance(val, (int, float)) and not isinstance(val, bool) and val < 0:
+            assert err == "config error: tolerance %r must be nonnegative\n" % key
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -244,6 +253,28 @@ def test_report_rejects_non_summary(tmp_path):
     other.write_text(json.dumps({"hello": 1}))
     assert main(["report", str(other)]) == 3
     assert main(["report", str(tmp_path / "none.json")]) == 3
+
+
+@pytest.mark.parametrize("over", [
+    {"records": "abc"},
+    {"records": [1, 2]},
+    {"epsilons": ["a"]},
+    {"records": [{"epsilon": 0.1, "m_by": ["x", 0, 0, 0]}]},
+    {"limits": [1, 2]},
+    {"fits": {"m_by": 3}},
+    [],
+])
+def test_report_refuses_malformed_summary(tmp_path, capsys, over):
+    # one stderr line and exit 3, never a traceback or partial output
+    assert main(["sweep", write_config(tmp_path)]) == 0
+    path = tmp_path / "out" / "summary.json"
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(data, **over) if over else over))
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s does not look like a sweep summary\n" % path
 
 
 def test_commands_run_on_numpy_alone(tmp_path):

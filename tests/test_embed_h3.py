@@ -295,7 +295,7 @@ def test_primitive_matches_chebint_oracle(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(b))
 
 
-TABLE_CACHES = ("_probe_x", "_probe_rows", "_omega", "_level_points", "_level_rows",
+TABLE_CACHES = ("_probe_x", "_probe_table", "_omega", "_level_points", "_level_rows",
                 "_primitive_tables")
 
 
@@ -357,12 +357,12 @@ def test_second_embedding_builds_no_table():
 
 
 def test_tables_are_read_only():
-    tables = [(embed_h3._probe_x(),), embed_h3._probe_rows(64), (embed_h3._omega(64, 4),),
+    tables = [(embed_h3._probe_x(),), (embed_h3._probe_table(64),), (embed_h3._omega(64, 4),),
               embed_h3._level_points(64), embed_h3._level_points(256),
               embed_h3._level_rows(64, 64), embed_h3._level_rows(64, 256),
               embed_h3._primitive_tables(64, 256)]
     arrays = [a for t in tables for a in t]
-    assert len(arrays) == 1 + 4 + 1 + 3 + 3 + 4 + 4 + 4
+    assert len(arrays) == 1 + 1 + 1 + 3 + 3 + 4 + 4 + 4
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

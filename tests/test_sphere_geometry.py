@@ -6,19 +6,23 @@ import pytest
 from ahmass import (
     AdSSchwarzschild,
     Hyperbolic,
+    KillingNormField,
     MinkowskiVector,
     PerturbedRound,
     QuadratureGrid,
+    SpinorParameter,
     SurfaceSample,
     coordinate_sphere,
     decay_order,
+    embed_surfaces,
     embeddability_check,
     integrate_scalar,
     mass_aspect,
     surface_laplacian,
 )
-from ahmass import embed_h3
-from ahmass.sphere_geometry import barycentric_apply
+from ahmass import embed_h3, family_from_spec
+from ahmass.quasilocal import laplacian_term, laplacian_terms
+from ahmass.sphere_geometry import coordinate_spheres, surface_laplacians
 
 GRID = QuadratureGrid(32, 4)
 
@@ -78,13 +82,15 @@ def test_barycentric_interpolation():
 
 @pytest.mark.parametrize("n_theta", [48, 64])
 def test_interpolation_at_uniform_theta(n_theta):
-    # the embedding's cached probe rows reproduce polynomials of degree
+    # the embedding's cached probe table reproduces polynomials of degree
     # < n_theta at x = cos(k pi / 2000), from x = 1 down, column by column
     grid = QuadratureGrid(n_theta, 4)
     rng = np.random.default_rng(11)
     coef = rng.standard_normal((n_theta, 3))
     values = np.polynomial.chebyshev.chebval(grid.x, coef).T
-    got = barycentric_apply(embed_h3._probe_rows(n_theta), values)
+    table = embed_h3._probe_table(n_theta)
+    assert table.shape == (n_theta, 2001) and table.flags.c_contiguous
+    got = (values.T @ table).T
     xq = np.cos(np.linspace(0.0, np.pi, 2001))
     assert got.shape == (2001, 3)
     want = np.polynomial.chebyshev.chebval(xq, coef).T
@@ -229,3 +235,78 @@ def test_coordinate_sphere_range_checks():
         coordinate_sphere(Hyperbolic(), 0.7, GRID)
     with pytest.raises(ValueError):
         coordinate_sphere(Hyperbolic(), 0.0, GRID)
+
+
+def scalar_sphere(family, eps, grid):
+    # coordinate_sphere's formulas at one radius in their scalar form: the
+    # family's solo profiles, numpy scalars for sinh and cosh, and plain
+    # matrix-vector products for lap0
+    u = np.asarray(family.conformal_factor(eps, grid.theta), dtype=float)
+    du = np.asarray(family.conformal_factor_drho(eps, grid.theta), dtype=float)
+    sh, ch = np.sinh(eps), np.cosh(eps)
+    log_u_x = grid.deriv_x @ np.log(u)
+    lap0 = (1.0 - grid.x ** 2) * (grid.deriv_x @ log_u_x) - 2.0 * grid.x * log_u_x
+    K = sh ** 2 * (1.0 - 0.5 * lap0) / u
+    return SurfaceSample(eps, u / sh ** 2, 2.0 * ch - sh * du / u, K, grid)
+
+
+def poly_family(*coefficients):
+    spec = {"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": list(coefficients)}}
+    return family_from_spec(spec)[0]
+
+
+# 0.22500000000000006 ** 3 and sinh(0.3181980515339464) ** 2 differ in the
+# last bit between the scalar power and numpy's array power
+TRAP_RADII = [0.3181980515339464, 0.22500000000000006]
+
+
+@pytest.mark.parametrize("family, radii, n_errors", [
+    (Hyperbolic(), [0.4, 0.3, 0.01, 0.7, 0.0], 2),  # out of range
+    (AdSSchwarzschild(1.0), TRAP_RADII + [0.1, 0.003], 0),
+    # 0.5 and 0.3: no collar radius in bracket; 0.6: out of range
+    (AdSSchwarzschild(100.0), [0.5, 0.3, 0.2, 0.1, 0.05, 0.6], 3),
+    (poly_family(0.0, 0.0, -20.0), TRAP_RADII + [0.2, 0.05, 0.0044], 0),
+    (poly_family(0.05, -0.08, 0.06), [0.2, 0.1414213562373095, 0.0044, -0.1], 1),
+    # 0.45: u <= 0; just above 0.5: out of range
+    (poly_family(-40.0), [0.45, 0.4, 0.3, 0.05, 0.5 + 1e-12], 2),
+])
+@pytest.mark.parametrize("grid", [QuadratureGrid(64, 4), QuadratureGrid(96, 6)])
+def test_coordinate_spheres_match_solo(family, radii, n_errors, grid):
+    # every row of the stack is, bit for bit, the sphere built alone and
+    # the scalar formulas; every error sits in its own slot
+    stack = coordinate_spheres(family, radii, grid)
+    assert len(stack) == len(radii)
+    errors = 0
+    for eps, got in zip(radii, stack):
+        try:
+            alone = coordinate_sphere(family, eps, grid)
+        except ValueError as exc:
+            assert type(got) is ValueError and str(got) == str(exc)
+            errors += 1
+            continue
+        assert isinstance(got, SurfaceSample) and got.eps == eps and got.grid is grid
+        want = scalar_sphere(family, eps, grid)
+        for name in ("E", "H", "K", "G", "sqrt_det"):
+            field = getattr(got, name)
+            assert field.shape == grid.shape and not field.flags.writeable
+            assert np.array_equal(field, getattr(alone, name)), name
+            assert np.array_equal(field, getattr(want, name)), name
+    assert errors == n_errors
+
+
+@pytest.mark.parametrize("n_phi", [4, 5])
+def test_stacked_flat_laplacian_matches_solo(n_phi):
+    # verify's 8 flat-Laplacian spheres in one surface_laplacians pass: each
+    # value equals laplacian_term on that sphere alone
+    grid = QuadratureGrid(64, n_phi)
+    radii = [float(e) for e in np.geomspace(0.3, 0.0075, 8)]
+    surfs = coordinate_spheres(poly_family(0.05, -0.08, 0.06), radii, grid)
+    embs = embed_surfaces(surfs)
+    fld = KillingNormField.from_spinor(SpinorParameter(0.6 + 0.2j, -0.3 + 0.7j))
+    fields = [fld.value_on(emb) for emb in embs]
+    assert np.ptp(fields[0], axis=1).max() > 0.0  # the fields vary in phi
+    got = laplacian_terms(surfs, fields)
+    assert [laplacian_term(s, f) for s, f in zip(surfs, fields)] == got
+    laps = surface_laplacians(surfs, fields)
+    for s, f, lap in zip(surfs, fields, laps):
+        assert np.array_equal(surface_laplacian(s, f), lap)

@@ -523,24 +523,34 @@ def test_sweep_and_verify_build_one_gauss_legendre_rule(tmp_path, monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     sphere_geometry._theta_tables.cache_clear()
     ah_metric._tail_rule.cache_clear()
-    ah_metric.ads_collar_transform.cache_clear()
     cfg = fast_config(tmp_path, family=AdSSchwarzschild(1.0), n_theta=64)
     assert all(r.error is None for r in run_sweep(cfg).records)
     assert verify_identities(cfg)["passed"]
     assert calls == [64]
 
 
-def test_sweep_and_verify_find_each_horizon_once(tmp_path):
-    # every collar radius that misses the transform memo brackets above
-    # its mass's horizon, so the cubic is solved once per mass
+def test_sweep_and_verify_find_each_horizon_once(tmp_path, monkeypatch):
+    # every collar radius brackets above its mass's horizon, so the cubic
+    # is solved once per mass; the sweep and the verify each solve all
+    # their collar radii in one lockstep call
     ah_metric._horizon_radius.cache_clear()
-    ah_metric.ads_collar_transform.cache_clear()
+    solves = []
+    collar_radii = ah_metric._collar_radii
+
+    def counting(m, rhos):
+        solves.append(len(rhos))
+        return collar_radii(m, rhos)
+
+    monkeypatch.setattr(ah_metric, "_collar_radii", counting)
     for m in (0.5, 1.0):
         cfg = fast_config(tmp_path, family=AdSSchwarzschild(m), eps_list=default_schedule())
         assert all(r.error is None for r in run_sweep(cfg).records)
         assert verify_identities(cfg)["passed"]
     info = ah_metric._horizon_radius.cache_info()
     assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
+    # per mass: the 8 sweep radii, the 16 verify radii, and one radius
+    # that verify's aspect_recovery entry reads through conformal_factor
+    assert solves == [8, 16, 1] * 2
 
 
 def test_run_sweep_deterministic(tmp_path):
