@@ -25,25 +25,30 @@ A, B and E are the grid's own Gauss-Legendre interpolants in x, read at
 the chi' samples by the barycentric formula (c @ nodal) / den (Berrut &
 Trefethen, SIAM Review 2004), and at x = cos(k pi / 2000) (poles and
 discriminant probe) through the same terms with 1/den folded in: one
-C-contiguous (n_theta, 2001) table, so each sphere's probe is the one
-product nodal.T @ table.  The rows, the table, the points and the
-primitive's exponentials are built once per grid size and level.  chi'
-is a Chebyshev series in th on [0, pi], its degree doubled on nested
-points until the tail is negligible (Aurentz & Trefethen, ACM TOMS
-2017), integrated term by term and summed at the nodes in one product;
-near the poles chi' varies on a th scale of about 1/max f, which a
-series in x cannot resolve.  chi'' is in closed form.
+C-contiguous (n_theta, 2001) table.  The rows, the table, the points and
+the primitive's exponentials are built once per grid size and level.
+chi' is a Chebyshev series in th on [0, pi], its degree doubled on
+nested points until the tail is negligible (Aurentz & Trefethen, ACM
+TOMS 2017), integrated term by term and summed at the nodes in one
+product; near the poles chi' varies on a th scale of about 1/max f,
+which a series in x cannot resolve.  chi'' is in closed form.
 
 The quadrature runs on a stack of spheres, a C-contiguous (S, n_theta)
-row each (embed_surfaces): one call per stack for every elementwise
-step and row reduction, one DCT-I over the rows per doubling level.
-Matrix products stay per sphere, stacked matmuls whose items are a lone
-sphere's BLAS calls (one product over all spheres changes a column's
-last bits with the column count), as does the 2000-point probe
-(stacked, it holds about 2.5 MB more), so a sphere in a stack is, bit
-for bit, the sphere embedded alone.  The hyperboloid and unit-normal
-checks of the nodes are one reduction over the stack, and the exactly
-round spheres of a grid are one broadcast of the unit sphere's table.
+row each (embed_surfaces), with no loop over the spheres: one call per
+stack for every elementwise step and row reduction, one DCT-I over the
+rows per doubling level.  The probe is one product of the stack's nodal
+rows with each block of PROBE_BLOCK table columns and a running minimum
+of the bracket, so the stack reads the table once and never holds all
+2001 points; it is the only step whose values may differ from a lone
+sphere's in the last bits, and only its pass or fail and its printed
+minimum leave it.  Every other matrix product is a stacked matmul whose
+items are a lone sphere's BLAS calls (one product over all spheres
+changes a column's last bits with the column count), and the primitive
+is one such product per series degree, so a sphere in a stack is, bit
+for bit, the sphere embedded alone.  The round test, the hyperboloid
+and unit-normal checks of the nodes are one reduction over the stack,
+and the exactly round spheres of a grid are one broadcast of the unit
+sphere's table.
 
 H0 and the normal are computed in the comoving frame: boosting each
 meridian point by -chi, an isometry, gives
@@ -90,6 +95,9 @@ ROUND_DISPATCH_TOL = 1e-11
 RAPIDITY_MIN_DEGREE = 64
 RAPIDITY_MAX_DEGREE = 8192
 RAPIDITY_TAIL_TOL = 1e-14
+# Points per block of the discriminant probe: a stack of S spheres holds
+# S * 4 * PROBE_BLOCK floats of probe values at a time.
+PROBE_BLOCK = 512
 
 
 class EmbeddingError(RuntimeError):
@@ -191,10 +199,11 @@ def _probe_x() -> np.ndarray:
 
 @functools.lru_cache(maxsize=2)
 def _probe_table(n_theta: int) -> np.ndarray:
-    """The C-contiguous (n_theta, 2001) matrix T that takes nodal values
-    v to the n_theta-node interpolant at _probe_x() as v.T @ T: the
-    barycentric terms w_j / (x_q - x_j) over their sum, built in this
-    layout (the product with a transposed view is about 3 times slower).
+    """The C-contiguous (n_theta, 2001) matrix T that takes rows v of
+    nodal values to the n_theta-node interpolant at _probe_x() as v @ T,
+    a block of columns at a time in _probe: the barycentric terms
+    w_j / (x_q - x_j) over their sum, built in this layout (the product
+    with a transposed view is about 3 times slower).
     The Gauss-Legendre nodes are interior, so no probe point hits one.
     The weights are 1 / prod_k 2 (x_j - x_k) of the nodes as rounded: the
     grid's closed-form bary_w miss them by about 1e-12 relative, which
@@ -243,13 +252,39 @@ def _primitive_tables(n_theta: int, degree: int) -> tuple:
                      np.exp(32j * phi * np.arange(q)), np.exp(1j * phi * np.arange(32)))
 
 
-def _bracket(xq, a, b, e, ax) -> tuple:
-    """The bracket of D / sin^2 th (module docstring) at the points xq, and
-    per row of the last axis None or the EmbeddingError of its minimum."""
-    d = b + a * (1.0 + e) + xq * ax - (1.0 - xq ** 2) * ax ** 2 / (4.0 * a)
-    return d, [EmbeddingError("discriminant negative (min %.3e): metric not realizable as a "
-                              "revolution surface in this gauge" % m) if m < 0.0 else None
-               for m in np.min(d, axis=-1).reshape(-1)]
+def _bracket(xq, a, b, e, ax) -> np.ndarray:
+    """The bracket of D / sin^2 th (module docstring) at the points xq."""
+    return b + a * (1.0 + e) + xq * ax - (1.0 - xq ** 2) * ax ** 2 / (4.0 * a)
+
+
+def _negative(low) -> list:
+    """Per bracket minimum in low, None or the EmbeddingError of a
+    negative one."""
+    return [EmbeddingError("discriminant negative (min %.3e): metric not realizable as a "
+                           "revolution surface in this gauge" % m) if m < 0.0 else None
+            for m in low]
+
+
+def _probe(nodal, scale) -> list:
+    """Per row of the (S, n_theta, 4) stack nodal of A, B, E and A_x, None
+    or the EmbeddingError of its poles (G/sin^2 meets E there, to 1e-6 of
+    scale) or else of its bracket at x = cos(k pi / 2000).  One product of
+    the stack's (4 S, n_theta) rows (the S rows of A, then those of B, E
+    and A_x) with each block of PROBE_BLOCK columns of _probe_table, and a
+    running minimum of the bracket over the blocks; the poles are the
+    first and the last column."""
+    S, n_theta = nodal.shape[:2]
+    rows = np.ascontiguousarray(nodal.transpose(2, 0, 1)).reshape(4 * S, n_theta)
+    table, xq = _probe_table(n_theta), _probe_x()
+    low = np.full(S, np.inf)
+    for lo in range(0, xq.size, PROBE_BLOCK):
+        at = (rows @ table[:, lo:lo + PROBE_BLOCK]).reshape(4, S, -1)
+        if lo == 0:
+            north = at[..., 0]
+        low = np.minimum(low, np.min(_bracket(xq[lo:lo + PROBE_BLOCK], *at), axis=1))
+    gap = np.maximum(np.abs(north[0] - north[2]), np.abs(at[0, :, -1] - at[2, :, -1]))
+    return [EmbeddingError("pole regularity violated: G/sin^2 != E at a pole") if g > 1e-6 * s
+            else err for g, s, err in zip(gap, scale, _negative(low))]
 
 
 def _theta_series(sample, rows) -> dict:
@@ -281,22 +316,30 @@ def _theta_series(sample, rows) -> dict:
     return out
 
 
-def _primitive_at(c, n_theta, scl):
+def _primitives(cs, n_theta, scl) -> np.ndarray:
     """Values at the n_theta grid nodes, t = 2 th / pi - 1, of scl times
-    the primitive of the Chebyshev series c that vanishes at t = -1, with
-    no loop over the degree.  The primitive has the coefficients
-    b_k = scl (c_{k-1} - c_{k+1}) / (2k), k >= 1 (c_0 counted twice, c zero
-    beyond its degree), and b_0 = -sum_k (-1)^k b_k.  With
-    T_k(t) = Re z^k, z = exp(i arccos t), and k = 32 q + r,
-    sum_k b_k z^k = sum_q z^(32 q) sum_r b_(32 q + r) z^r: one product."""
-    two_k, sign, zq, zr = _primitive_tables(n_theta, c.size - 1)
-    lo = np.concatenate([[2.0 * c[0]], c[1:]])
-    hi = np.concatenate([c[2:], [0.0, 0.0]])
-    b = np.zeros((zq.shape[1], 32))  # b_0 .. b_degree+1, then zeros
-    bk = b.reshape(-1)[:c.size + 1]
-    bk[1:] = scl * (lo - hi) / two_k
-    bk[0] = -np.sum(sign * bk[1:])
-    return np.sum(zq * (zr @ b.T), axis=1).real
+    the primitive that vanishes at t = -1 of each Chebyshev series, the
+    rows of cs, all of one degree, with no loop over the degree.  The
+    primitive has the coefficients b_k = scl (c_{k-1} - c_{k+1}) / (2k),
+    k >= 1 (c_0 counted twice, c zero beyond its degree), and
+    b_0 = -sum_k (-1)^k b_k.  With T_k(t) = Re z^k, z = exp(i arccos t),
+    and k = 32 q + r, sum_k b_k z^k = sum_q z^(32 q) sum_r b_(32 q + r) z^r:
+    one stacked product whose items are a lone series' products, so each
+    row is, bit for bit, its series' _primitive_at."""
+    cs = np.asarray(cs, dtype=float)
+    two_k, sign, zq, zr = _primitive_tables(n_theta, cs.shape[1] - 1)
+    lo = np.concatenate([2.0 * cs[:, :1], cs[:, 1:]], axis=1)
+    hi = np.concatenate([cs[:, 2:], np.zeros((len(cs), 2))], axis=1)
+    b = np.zeros((len(cs), zq.shape[1], 32))  # b_0 .. b_degree+1, then zeros
+    bk = b.reshape(len(cs), -1)[:, :cs.shape[1] + 1]
+    bk[:, 1:] = scl * (lo - hi) / two_k
+    bk[:, 0] = -np.sum(sign * bk[:, 1:], axis=1)
+    return np.sum(zq * (zr @ b.transpose(0, 2, 1)), axis=-1).real
+
+
+def _primitive_at(c, n_theta, scl) -> np.ndarray:
+    """The one-series call of _primitives."""
+    return _primitives(np.asarray(c, dtype=float)[None], n_theta, scl)[0]
 
 
 def _embed_rows(E, G, grid, branch) -> list:
@@ -311,27 +354,21 @@ def _embed_rows(E, G, grid, branch) -> list:
     Ax = (grid.deriv_x @ A[..., None])[..., 0]
     nodal = np.stack([A, B, E, Ax], axis=-1)
     scale = np.max(E, axis=1)
-    out = {}
-    table = _probe_table(grid.n_theta)
-    for i in range(len(E)):
-        # at x = cos(k pi / 2000): G/sin^2 meets E at the poles, bracket >= 0
-        probe = nodal[i].T @ table
-        if np.max(np.abs(probe[0, [0, -1]] - probe[2, [0, -1]])) > 1e-6 * scale[i]:
-            out[i] = EmbeddingError("pole regularity violated: G/sin^2 != E at a pole")
-        elif (err := _bracket(_probe_x(), *probe)[1][0]) is not None:
-            out[i] = err
+    out = {i: err for i, err in enumerate(_probe(nodal, scale)) if err is not None}
     # branch +1 = north pole up after centering = rapidity decreasing in theta
     sig = -branch
 
     def chi_prime(n, rows):
         _, xq, sq = _level_points(n)
         at = barycentric_apply(_level_rows(grid.n_theta, n), nodal[rows])
-        d, errs = _bracket(xq, *np.moveaxis(at, -1, 0))
+        d = _bracket(xq, *np.moveaxis(at, -1, 0))
+        errs = _negative(np.min(d, axis=-1))
         with np.errstate(invalid="ignore"):  # a failed row leaves the series
             return sig * sq * np.sqrt(d) / (1.0 + sq * sq * at[..., 0]), errs
 
     series = _theta_series(chi_prime, [i for i in range(len(E)) if i not in out])
-    dt, dt_errs = _bracket(x, A, B, E, Ax)
+    dt = _bracket(x, A, B, E, Ax)
+    dt_errs = _negative(np.min(dt, axis=-1))
     for i, got in series.items():
         if isinstance(got, EmbeddingError) or dt_errs[i] is not None:
             out[i] = got if isinstance(got, EmbeddingError) else dt_errs[i]
@@ -353,8 +390,12 @@ def _embed_rows(E, G, grid, branch) -> list:
     chipp = sig * d_s_sqrtD / rho2 - chip * 2.0 * f * fp / rho2
     # Centering shift, applied twice: the moments grow like rho^2 at small
     # radii, so one pass leaves a rounding residue the second removes.
-    chi = np.array([_primitive_at(series[i][0], grid.n_theta, 0.5 * np.pi)
-                    for i in keep]).reshape(-1, grid.n_theta)
+    chi = np.empty((len(keep), grid.n_theta))
+    by_degree = {}
+    for k, i in enumerate(keep):
+        by_degree.setdefault(series[i][1], []).append(k)
+    for ks in by_degree.values():
+        chi[ks] = _primitives([series[keep[k]][0] for k in ks], grid.n_theta, 0.5 * np.pi)
     for _ in range(2):
         iu = np.sum(grid.w_theta * rho * np.sinh(chi) * f / s, axis=1)
         iw = np.sum(grid.w_theta * rho * np.cosh(chi) * f / s, axis=1)
@@ -470,14 +511,6 @@ def embed_round(R: float, grid: QuadratureGrid,
     return emb
 
 
-def _round_radius(surface: SurfaceSample):
-    """Radius R when the induced metric is exactly sinh^2 R h0, else None."""
-    E = surface.E
-    if np.max(E) - np.min(E) > ROUND_DISPATCH_TOL * float(np.max(E)):
-        return None
-    return math.asinh(math.sqrt(float(np.mean(E))))
-
-
 def embed_surfaces(surfaces, branch: int = 1) -> list:
     """Isometrically embed coordinate-sphere samples (axisymmetric by
     construction) into the hyperboloid in one pass; returns, in order, the
@@ -487,18 +520,22 @@ def embed_surfaces(surfaces, branch: int = 1) -> list:
     stacked rapidity quadrature."""
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    radii = [_round_radius(surf) for surf in surfaces]
     out = {}
     for grid in dict.fromkeys(s.grid for s in surfaces):
         idx = [i for i, s in enumerate(surfaces) if s.grid is grid]
-        rnd = [i for i in idx if radii[i] is not None]
+        # exactly round: E = sinh^2 R, its spread within ROUND_DISPATCH_TOL
+        E = np.stack([surfaces[i].E[:, 0] for i in idx])
+        top = np.max(E, axis=1)
+        is_rev = top - np.min(E, axis=1) > ROUND_DISPATCH_TOL * top
+        rnd = [i for i, r in zip(idx, is_rev) if not r]
         if rnd:
-            out.update(zip(rnd, _round_stack([radii[i] for i in rnd], grid,
-                                             [surfaces[i] for i in rnd])))
-        rev = [i for i in idx if radii[i] is None]
+            # R from the mean of the whole grid field, as a lone sphere reads it
+            radii = [math.asinh(math.sqrt(float(np.mean(surfaces[i].E)))) for i in rnd]
+            out.update(zip(rnd, _round_stack(radii, grid, [surfaces[i] for i in rnd])))
+        rev = [i for i, r in zip(idx, is_rev) if r]
         if rev:
-            E, G = (np.stack([getattr(surfaces[i], a)[:, 0] for i in rev]) for a in "EG")
-            for i, got in zip(rev, _embed_rows(E, G, grid, branch)):
+            G = np.stack([surfaces[i].G[:, 0] for i in rev])
+            for i, got in zip(rev, _embed_rows(E[is_rev], G, grid, branch)):
                 if not isinstance(got, EmbeddingError):
                     prof, X, N, h0, defect, err = got
                     got = err or EmbeddedSurface._checked(grid, X, N, h0, prof.isometry_residual,

@@ -30,7 +30,7 @@ from .lorentz import (
     hopf_eta,
     lorentz_inner,
 )
-from .sphere_geometry import surface_laplacian
+from .sphere_geometry import surface_laplacians
 from .embed_h3 import EmbeddedSurface
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "geodesic_norm_check",
     "gradient_identity_residual",
     "minkowski_identity_residual",
+    "minkowski_identity_residuals",
     "exhaustion_norm_growth",
 ]
 
@@ -197,19 +198,31 @@ def gradient_identity_residual(field: KillingNormField, points) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def minkowski_identity_residual(field: KillingNormField, emb: EmbeddedSurface) -> float:
+def minkowski_identity_residuals(fields, embs) -> list:
     """Max-node residual of the surface identity
 
         lap_S F = 2 F + H0 * dF/dnu,
 
     with dF/dnu = -<<nu, eta>> the derivative along the inward unit
-    normal of the embedded surface."""
-    if emb.surface is None:
+    normal of the embedded surface, for each field and embedding of one
+    grid, the Laplacians in one surface_laplacians pass: each item is, bit
+    for bit, minkowski_identity_residual of its pair."""
+    if any(emb.surface is None for emb in embs):
         raise ValueError("embedding lacks its source surface sample")
-    f = field.value_on(emb)
-    lap = surface_laplacian(emb.surface, f)
-    nu_f = -lorentz_inner(emb.normal, field.eta.as_array())
-    return float(np.max(np.abs(lap - 2.0 * f - emb.H0 * nu_f)))
+    if not embs:
+        return []
+    fs = [field.value_on(emb) for field, emb in zip(fields, embs)]
+    laps = surface_laplacians([emb.surface for emb in embs], fs)
+    out = []
+    for field, emb, f, lap in zip(fields, embs, fs, laps):
+        nu_f = -lorentz_inner(emb.normal, field.eta.as_array())
+        out.append(float(np.max(np.abs(lap - 2.0 * f - emb.H0 * nu_f))))
+    return out
+
+
+def minkowski_identity_residual(field: KillingNormField, emb: EmbeddedSurface) -> float:
+    """The one-pair call of minkowski_identity_residuals."""
+    return minkowski_identity_residuals([field], [emb])[0]
 
 
 def exhaustion_norm_growth(field: KillingNormField, embeddings) -> float:

@@ -36,7 +36,7 @@ from .embed_h3 import EmbeddingError, embed_surfaces
 from .killing_spinor import (
     KillingNormField,
     exhaustion_norm_growth,
-    minkowski_identity_residual,
+    minkowski_identity_residuals,
 )
 from .lorentz import (
     MinkowskiVector,
@@ -853,11 +853,11 @@ def verify_identities(cfg: SweepConfig) -> dict:
 
     def e_surface_identity():
         eps_sel = {cfg.eps_list[0], cfg.eps_list[len(cfg.eps_list) // 2], cfg.eps_list[-1]}
-        worst = 0.0
+        flds, embs = [], []
         for eps in sorted(eps_sel, reverse=True):
-            surf, emb = sphere_at(eps)
-            fld = KillingNormField.from_spinor(_random_unit_spinor(rng))
-            worst = max(worst, minkowski_identity_residual(fld, emb))
+            embs.append(sphere_at(eps)[1])
+            flds.append(KillingNormField.from_spinor(_random_unit_spinor(rng)))
+        worst = max([0.0] + minkowski_identity_residuals(flds, embs))
         return {"passed": worst <= tol["surface_identity"], "residual": worst,
                 "tolerance": tol["surface_identity"]}
 

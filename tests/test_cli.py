@@ -227,6 +227,21 @@ def test_embed_failure_exits_2(tmp_path, capsys, psi, eps, error):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("c2, low", [(-20.0, "-5.129e-01"), (-30.0, "-8.349e+00")])
+def test_embed_negative_discriminant_line(tmp_path, capsys, c2, low):
+    # the probe's running minimum over its point blocks, pinned to the
+    # digits it printed as one 2001-point product: at -20 the minimum sits
+    # on a pole, the last probe point, at -30 inside the last block
+    psi = {"type": "poly_cos", "coefficients": [0.0, 0.0, c2]}
+    path = write_config(tmp_path, family={"name": "perturbed_round", "psi": psi},
+                        grid={"n_theta": 64, "n_phi": 4})
+    assert main(["embed", path, "--eps", "0.45"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ("embed failed: EmbeddingError: discriminant negative (min %s): metric not "
+                   "realizable as a revolution surface in this gauge\n" % low)
+    assert out == ""
+
+
 def test_embed_round_dispatch_profile(tmp_path):
     # the closed-form path writes the meridian of its own embedding
     assert main(["embed", write_config(tmp_path)]) == 0

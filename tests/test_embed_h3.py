@@ -237,38 +237,42 @@ BENCH_PSI = [
 @pytest.mark.parametrize("eps", [0.2, 0.0044])
 def test_discriminant_probe_matches_barycentric(monkeypatch, psi, eps):
     # the values of A, B, E and A_x the embedding probes at
-    # x = cos(k pi / 2000), through its cached barycentric rows, against
-    # grid.interp_x at the same points
+    # x = cos(k pi / 2000), in blocks of PROBE_BLOCK points, each one
+    # product of the stack with its block of the cached table, against
+    # grid.interp_x at all 2001 points, for every sphere of a stack
     fam, _ = family_from_spec({"name": "perturbed_round", "psi": psi})
     grid = QuadratureGrid(64, 4)
-    surf = coordinate_sphere(fam, eps, grid)
-    probes = []
+    surfs = [coordinate_sphere(fam, e, grid) for e in (eps, 0.05, 0.0125)]
+    blocks = []
     bracket = embed_h3._bracket
 
     def spy(xq, *cols):
-        if xq is embed_h3._probe_x():
-            probes.append(np.stack(cols, axis=1))
+        if np.shares_memory(xq, embed_h3._probe_x()):
+            blocks.append((xq, np.stack(cols, axis=-1)))
         return bracket(xq, *cols)
 
     monkeypatch.setattr(embed_h3, "_bracket", spy)
-    embed_surface(surf)
-    assert len(probes) == 1
-    E, G = surf.E[:, 0], surf.G[:, 0]
-    s2 = 1.0 - grid.x ** 2  # as embed_revolution forms A and B
-    A = G / s2
-    nodal = np.stack([A, (E - A) / s2, E, grid.deriv_x @ A], axis=1)
-    want = grid.interp_x(nodal, np.cos(np.linspace(0.0, np.pi, 2001)))
-    # a coordinate sphere is conformally round, so B = (E - A)/sin^2 is
-    # rounding noise; it is measured on the scale of A(1 + E) beside it
-    scale = np.max(np.abs(want), axis=0)
-    scale[1] = scale[0]
-    assert np.all(np.max(np.abs(probes[0] - want), axis=0) <= 1e-13 * scale)
+    embed_surfaces(surfs)
+    assert [xq.size for xq, _ in blocks] == [512, 512, 512, 465]
+    assert np.array_equal(np.concatenate([xq for xq, _ in blocks]), embed_h3._probe_x())
+    probes = np.concatenate([cols for _, cols in blocks], axis=1)
+    assert probes.shape == (3, 2001, 4)
+    for surf, probe in zip(surfs, probes):
+        E, G = surf.E[:, 0], surf.G[:, 0]
+        s2 = 1.0 - grid.x ** 2  # as embed_revolution forms A and B
+        A = G / s2
+        nodal = np.stack([A, (E - A) / s2, E, grid.deriv_x @ A], axis=1)
+        want = grid.interp_x(nodal, np.cos(np.linspace(0.0, np.pi, 2001)))
+        # a coordinate sphere is conformally round, so B = (E - A)/sin^2 is
+        # rounding noise; it is measured on the scale of A(1 + E) beside it
+        scale = np.max(np.abs(want), axis=0)
+        scale[1] = scale[0]
+        assert np.all(np.max(np.abs(probe - want), axis=0) <= 1e-13 * scale)
 
 
-def test_primitive_matches_chebint_oracle(monkeypatch):
-    # the loop-free primitive of the rapidity series at the nodes against
-    # numpy's chebint + chebval, on the series the bench profiles choose
-    # (degrees 128 to 1024) and on a degree-64 one
+def bench_series(monkeypatch):
+    # the rapidity series the bench profiles choose (degrees 128 to 1024),
+    # several of each degree, and a degree-64 one
     series = []
 
     def spy(sample, rows):
@@ -286,13 +290,36 @@ def test_primitive_matches_chebint_oracle(monkeypatch):
     series.append(theta_series(sampled(lambda th: np.exp(np.cos(th)) * np.sin(th)), [0])[0][0])
     degrees = sorted({c.size - 1 for c in series})
     assert degrees[0] == 64 and degrees[-1] == 1024
+    return grid, series
 
+
+def test_primitive_matches_chebint_oracle(monkeypatch):
+    # the loop-free primitive of the rapidity series at the nodes against
+    # numpy's chebint + chebval
+    grid, series = bench_series(monkeypatch)
     t = 2.0 * grid.theta / np.pi - 1.0
     for c in series:
         b = cheb.chebint(c, scl=0.5 * np.pi, lbnd=-1.0)
         want = cheb.chebval(t, b)
         got = embed_h3._primitive_at(c, grid.n_theta, 0.5 * np.pi)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(b))
+
+
+def test_grouped_primitives_match_solo(monkeypatch):
+    # one stacked call per degree, as a stack's embedding makes it: every
+    # row is its series' lone _primitive_at, bit for bit, whatever the
+    # group's size and order
+    grid, series = bench_series(monkeypatch)
+    groups = {}
+    for c in series:
+        groups.setdefault(c.size, []).append(c)
+    assert max(len(g) for g in groups.values()) >= 2
+    for group in groups.values():
+        for rows in (group, group[::-1], group[:1], group * 8):
+            got = embed_h3._primitives(np.stack(rows), grid.n_theta, 0.5 * np.pi)
+            assert got.shape == (len(rows), grid.n_theta)
+            for row, c in zip(got, rows):
+                assert np.array_equal(row, embed_h3._primitive_at(c, grid.n_theta, 0.5 * np.pi))
 
 
 TABLE_CACHES = ("_probe_x", "_probe_table", "_omega", "_level_points", "_level_rows",
@@ -540,7 +567,9 @@ def test_embed_surfaces_match_solo(monkeypatch):
 
 def test_embed_surfaces_peak_memory():
     # the 16 spheres of a verify run on poly_cos, tables warm: the probe
-    # runs per sphere, so the batch holds little more than its results
+    # runs over the stack in blocks of PROBE_BLOCK points (about 0.26 MB of
+    # probe values at a time), so the batch holds little more than its
+    # results
     grid = QuadratureGrid(64, 4)
     fam, _ = family_from_spec({"name": "perturbed_round", "psi": BENCH_PSI[1]})
     eps = list(default_schedule()) + [float(e) for e in np.geomspace(0.3, 0.0075, 8)]

@@ -26,8 +26,10 @@ from ahmass import (
     minkowski_identity_residual,
     spinor_at,
     spinor_polar_point,
+    surface_laplacian,
 )
-from ahmass.sweep import DEFAULT_SEED
+from ahmass.killing_spinor import minkowski_identity_residuals
+from ahmass.sweep import DEFAULT_SEED, family_from_spec
 
 RNG_SEED = 20240812
 
@@ -300,6 +302,29 @@ def test_surface_identity_refinement_floor():
     for n_theta in (16, 24, 32, 40):
         emb = embed_surface(coordinate_sphere(fam, 0.1, QuadratureGrid(n_theta, 4)))
         assert minkowski_identity_residual(field, emb) <= 1e-8
+
+
+def test_stacked_surface_identity_matches_solo():
+    # verify's surface_identity stack: round and non-round spheres of one
+    # grid, each with its own field; every item is the one-pair call and
+    # the pre-stack formula (one surface_laplacian per sphere), bit for bit
+    grid = QuadratureGrid(64, 4)
+    fam, _ = family_from_spec({"name": "perturbed_round",
+                               "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}})
+    surfs = ([coordinate_sphere(fam, eps, grid) for eps in (0.2, 0.05, 0.0044)]
+             + [coordinate_sphere(Hyperbolic(), eps, grid) for eps in (0.3, 0.01)])
+    embs = [embed_surface(s) for s in surfs]
+    rng = np.random.default_rng(RNG_SEED + 7)
+    fields = [KillingNormField.from_spinor(random_spinor(rng)) for _ in embs]
+    got = minkowski_identity_residuals(fields, embs)
+    assert len(got) == len(embs) and all(type(r) is float for r in got)
+    for r, field, emb in zip(got, fields, embs):
+        assert r == minkowski_identity_residual(field, emb)
+        f = field.value_on(emb)
+        nu_f = -lorentz_inner(emb.normal, field.eta.as_array())
+        lap = surface_laplacian(emb.surface, f)
+        assert r == float(np.max(np.abs(lap - 2.0 * f - emb.H0 * nu_f)))
+    assert minkowski_identity_residuals([], []) == []
 
 
 def test_exhaustion_growth_order():

@@ -37,6 +37,44 @@ def test_inner_product_signature():
     assert lorentz_inner(e[0], e[3]) == 0.0
 
 
+def sum_form_inner(a, b):
+    # the pairing as numpy's sum over the spatial axis, which lorentz_inner
+    # unrolls
+    return np.sum(a[..., :3] * b[..., :3], axis=-1) - a[..., 3] * b[..., 3]
+
+
+@pytest.mark.parametrize("shape", [(4,), (9, 4), (64, 4, 4), (5, 64, 4, 4)])
+def test_inner_product_equals_sum_form(shape):
+    # bit for bit, signed zeros included, on every shape lorentz_inner
+    # takes, with a full second operand and a broadcast eta; entries mix
+    # +-0, +-inf and huge and tiny magnitudes so the additions overflow,
+    # underflow and cancel to signed zeros
+    rng = np.random.default_rng(RNG_SEED)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300,
+                        5e-324, 1.0, -1.0, 1e16])
+
+    def draw(shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        pick = rng.random(shape) < 0.3
+        x[pick] = rng.choice(special, int(pick.sum()))
+        return x
+
+    for _ in range(50):
+        a = draw(shape)
+        for b in (draw(shape), draw((4,))):
+            with np.errstate(all="ignore"):
+                got, want = lorentz_inner(a, b), sum_form_inner(a, b)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True)
+            real = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got)[real], np.signbit(want)[real])
+    zeros = np.array(np.meshgrid(*[[0.0, -0.0, 1.0]] * 8)).reshape(8, -1).T
+    a, b = zeros[:, :4], zeros[:, 4:]
+    got, want = lorentz_inner(a, b), sum_form_inner(a, b)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert type(lorentz_inner(a[0], b[0])) is float
+
+
 def test_vector_array_roundtrip():
     v = MinkowskiVector(1.5, -2.0, 0.25, 3.0)
     assert np.array_equal(v.as_array(), [1.5, -2.0, 0.25, 3.0])
