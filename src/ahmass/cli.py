@@ -64,8 +64,7 @@ def _cmd_sweep(args) -> int:
             continue
         res = rec.result
         print("  eps=%-10.6g m_BY=%s [%s]  |m_hat-m_BY|=%.3e"
-              % (rec.eps, _fmt_vec(res.m_by.as_array()), res.tag_by.value,
-                 float(np.max(np.abs(res.m_hat.as_array() - res.m_by.as_array())))))
+              % (rec.eps, _fmt_vec(res.m_by.as_array()), res.tag_by.value, rec.gap))
     print("fitted limits (from eps = %s):"
           % ", ".join("%g" % e for e in record.fit_eps))
     for name, vec in record.limits.items():

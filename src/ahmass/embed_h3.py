@@ -301,7 +301,11 @@ def _theta_series(sample, rows) -> dict:
     rows = np.asarray(rows, dtype=int)
     while rows.size:
         new, errs = sample(n, rows)
-        y = new if y is None else np.insert(y, np.arange(1, y.shape[1]), new, axis=1)
+        if y is None:
+            y = new
+        else:  # the new points fall between the old ones
+            y, old = np.empty((len(y), 2 * y.shape[1] - 1)), y
+            y[:, 0::2], y[:, 1::2] = old, new
         out.update((i, err) for i, err in zip(rows, errs) if err is not None)
         ok = np.array([err is None for err in errs], dtype=bool)
         rows, y = rows[ok], y[ok]

@@ -18,6 +18,7 @@ Everything in this module is immutable and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,7 @@ class MinkowskiVector:
 
     def __post_init__(self):
         for name in ("x1", "x2", "x3", "t"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError("MinkowskiVector component %s is not finite" % name)
 
     @classmethod
@@ -156,10 +156,13 @@ def lorentz_inner(a, b):
     return out
 
 
+def _tolerance_at(top: float) -> float:
+    return 1e-9 * (1.0 + top)
+
+
 def causal_tolerance(v) -> float:
     """Default absolute tolerance 1e-9 * (1 + max|component|)."""
-    arr = _as_array4(v)
-    return 1e-9 * (1.0 + float(np.max(np.abs(arr))))
+    return _tolerance_at(float(np.max(np.abs(_as_array4(v)))))
 
 
 def causal_classify(v, tol: float | None = None) -> CausalClass:
@@ -172,9 +175,10 @@ def causal_classify(v, tol: float | None = None) -> CausalClass:
     arr = _as_array4(v)
     if arr.ndim != 1:
         raise ValueError("causal_classify takes a single vector")
+    top = float(np.max(np.abs(arr)))
     if tol is None:
-        tol = causal_tolerance(arr)
-    if np.max(np.abs(arr)) <= tol:
+        tol = _tolerance_at(top)
+    if top <= tol:
         return CausalClass.ZERO
     q = float(np.dot(arr[:3], arr[:3]) - arr[3] ** 2)
     t = float(arr[3])

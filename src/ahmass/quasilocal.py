@@ -40,6 +40,7 @@ __all__ = [
     "alpha_mass",
     "alpha_from_radii",
     "enclosing_radii",
+    "enclosing_radii_stack",
     "mainhyp_functional",
     "laplacian_term",
     "laplacian_terms",
@@ -152,11 +153,18 @@ def alpha_from_radii(r1: float, r2: float) -> float:
     return math.cosh(r1) / s1 + math.sqrt(ratio) / s1
 
 
+def enclosing_radii_stack(embeddings) -> np.ndarray:
+    """(S, 2) geodesic distances from the hyperboloid origin to the nearest
+    and farthest node of each of S embeddings: cosh of the distance is the
+    time component of X.  One min and one max over the stack, then one
+    arccosh over the array, which equals the scalar arccosh of each value."""
+    t = np.stack([e.X[..., 3] for e in embeddings])
+    return np.arccosh(np.stack([np.min(t, axis=(1, 2)), np.max(t, axis=(1, 2))], axis=1))
+
+
 def enclosing_radii(emb: EmbeddedSurface) -> tuple:
-    """Geodesic distances from the hyperboloid origin to the nearest and
-    farthest node: cosh of the distance is the time component of X."""
-    t = emb.X[..., 3]
-    return float(np.arccosh(np.min(t))), float(np.arccosh(np.max(t)))
+    """The one-embedding call of enclosing_radii_stack, as two floats."""
+    return tuple(enclosing_radii_stack([emb])[0].tolist())
 
 
 def laplacian_terms(surfaces, fields) -> list:

@@ -1,15 +1,17 @@
 """Radius-sweep harness for coordinate exhaustions.
 
 Drives the full pipeline over a decreasing list of collar radii: build
-the coordinate spheres in one stacked call, embed them all in one
-batched call, evaluate m_BY and m_hat of every radius in one stacked
-quadrature and m_alpha from m_BY (a radius whose masses fail records its
-own error), fit each component to v_inf + C eps^p, and classify the
-causal character of the fitted limits.  A companion identity verifier
-runs the spinor and surface-geometry property suites that depend on the
-configured family, building and embedding each sphere once, in one
-stacked and one batched call before any suite entry runs; the
-flat-Laplacian entry takes its eight Laplacians in one stacked pass.
+the coordinate spheres in one stacked call, check their H and K extrema
+from one reduction over the stack, embed them all in one batched call,
+evaluate m_BY and m_hat of every radius in one stacked quadrature, the
+enclosing radii and hat-BY gaps in one pass over the stack, and m_alpha
+from m_BY (a radius whose masses fail records its own error), fit each
+component to v_inf + C eps^p, and classify the causal character of the
+fitted limits.  A companion identity verifier runs the spinor and
+surface-geometry property suites that depend on the configured family,
+building and embedding each sphere once, in one stacked and one batched
+call before any suite entry runs; the flat-Laplacian entry takes its
+eight Laplacians in one stacked pass.
 All outputs are deterministic: closed-form cone pairings, seeded random
 draws, no timestamps.
 """
@@ -48,12 +50,13 @@ from .quasilocal import (
     MassResult,
     alpha_from_radii,
     alpha_mass,
-    enclosing_radii,
+    enclosing_radii_stack,
     laplacian_terms,
     mass_vector,
     mass_vectors,
 )
 from .sphere_geometry import (
+    EMBEDDABILITY_MARGIN,
     QuadratureGrid,
     SurfaceSample,
     coordinate_spheres,
@@ -610,7 +613,9 @@ class SweepConfig:
 @dataclass(frozen=True)
 class PerEpsRecord:
     """Everything measured at one sweep radius; error set when the
-    pipeline failed there (the sweep continues with a gap)."""
+    pipeline failed there (the sweep continues with a gap).  gap is
+    max|m_hat - m_BY| over the components, which the fits and the CLI
+    read; the output files do not carry it."""
 
     eps: float
     result: MassResult | None = None
@@ -624,6 +629,7 @@ class PerEpsRecord:
     isometry_residual: float | None = None
     hyperboloid_defect: float | None = None
     error: str | None = None
+    gap: float | None = None
 
     def to_dict(self) -> dict:
         out = {"epsilon": self.eps, "error": self.error}
@@ -686,71 +692,78 @@ class MassSweepRecord:
         }
 
 
-def _checked_sphere(surf) -> SurfaceSample:
-    """A coordinate_spheres item that passes the K and H checks; raises its
-    error, or the check it fails."""
-    if isinstance(surf, Exception):
-        raise surf
-    if not embeddability_check(surf):
-        raise EmbeddingError("Gauss curvature does not clear the K > -1 margin")
-    if float(np.min(surf.H)) <= MEAN_CURVATURE_FLOOR:
-        raise ValueError("mean curvature reaches the H = -2 floor")
-    return surf
+def _curvature_extrema(surfs) -> list:
+    """h_min, h_max, k_min, k_max of each sphere, from one min and one max
+    over the stack's H and K rows (a sample's fields do not vary in phi)."""
+    if not surfs:
+        return []
+    hk = np.array([(s.H[:, 0], s.K[:, 0]) for s in surfs])
+    lo, hi = np.min(hk, axis=2), np.max(hk, axis=2)
+    return np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1).tolist()
 
 
-def _mass_records(pairs, failed) -> list:
-    """The record, or the error, of each embedded (sphere, embedding), with
-    every m_BY and m_hat from one mass_vectors call.  A row's error is the
-    one its sphere alone raises: the first of m_BY, m_hat and alpha to
-    fail."""
-    surfs, embs = zip(*pairs)
+def _mass_records(triples, failed) -> list:
+    """The record, or the error, of each embedded (sphere, embedding,
+    curvature extrema), with every m_BY and m_hat from one mass_vectors
+    call and every enclosing radius and hat-BY gap from one pass over the
+    stack.  A row's error is the one its sphere alone raises: the first of
+    m_BY, m_hat and alpha to fail."""
+    surfs, embs, _ = zip(*triples)
     m_by, m_hat, area, bad = mass_vectors(surfs, embs)
+    radii = enclosing_radii_stack(embs).tolist()
+    with np.errstate(invalid="ignore"):  # a row that is not finite fails below
+        gaps = np.max(np.abs(m_hat - m_by), axis=1).tolist()
     out = []
-    for i, (surf, emb) in enumerate(pairs):
+    for i, (surf, emb, (h_min, h_max, k_min, k_max)) in enumerate(triples):
         try:
             by = mass_vector(m_by[i], bad[i, 0])
             hat = mass_vector(m_hat[i], bad[i, 1])
-            radii = enclosing_radii(emb)
-            alpha = alpha_from_radii(*radii)
+            alpha = alpha_from_radii(*radii[i])
             out.append(PerEpsRecord(
                 eps=surf.eps, result=MassResult(surf.eps, by, hat, alpha_mass(by, alpha)),
-                alpha=alpha, radii=radii,
-                area=float(area[i]), h_min=float(np.min(surf.H)), h_max=float(np.max(surf.H)),
-                k_min=float(np.min(surf.K)), k_max=float(np.max(surf.K)),
-                isometry_residual=float(emb.isometry_residual),
-                hyperboloid_defect=emb.hyperboloid_defect))
+                alpha=alpha, radii=tuple(radii[i]), area=float(area[i]),
+                h_min=h_min, h_max=h_max, k_min=k_min, k_max=k_max,
+                isometry_residual=emb.isometry_residual,
+                hyperboloid_defect=emb.hyperboloid_defect, gap=gaps[i]))
         except failed as exc:
             out.append(exc)
     return out
 
 
-def _gap(rec: PerEpsRecord) -> float:
-    return float(np.max(np.abs(rec.result.m_hat.as_array() - rec.result.m_by.as_array())))
+def _comps(v: MinkowskiVector) -> tuple:
+    return v.x1, v.x2, v.x3, v.t
 
 
 def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     """Run the mass pipeline over the configured radius list and fit the
     limits.  Per-radius failures are recorded and skipped; at least three
-    radii must survive to fit.  Every radius that passes its curvature
+    radii must survive to fit.  The spheres' H and K extrema are one
+    reduction over the stack, every radius that passes its curvature
     checks is embedded in one batched call, and every one embedded gets
     its m_BY and m_hat from one mass_vectors call; m_alpha is its m_BY
     with the time component stretched by alpha."""
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
     failed = (EmbeddingError, ValueError, ArithmeticError)
-    outcome, surfs = {}, []
-    for eps, surf in zip(cfg.eps_list, coordinate_spheres(cfg.family, cfg.eps_list, grid)):
-        try:
-            surfs.append(_checked_sphere(surf))
-        except failed as exc:
-            outcome[eps] = exc
-    pairs = []
-    for surf, emb in zip(surfs, embed_surfaces(surfs, cfg.branch)):
+    spheres = coordinate_spheres(cfg.family, cfg.eps_list, grid)
+    outcome = {eps: s for eps, s in zip(cfg.eps_list, spheres) if isinstance(s, Exception)}
+    built = [s for s in spheres if isinstance(s, SurfaceSample)]
+    checked = []
+    for surf, ext in zip(built, _curvature_extrema(built)):
+        h_min, _, k_min, _ = ext
+        if not k_min > -1.0 + EMBEDDABILITY_MARGIN:  # the K margin before the H floor
+            outcome[surf.eps] = EmbeddingError("Gauss curvature does not clear the K > -1 margin")
+        elif h_min <= MEAN_CURVATURE_FLOOR:
+            outcome[surf.eps] = ValueError("mean curvature reaches the H = -2 floor")
+        else:
+            checked.append((surf, ext))
+    triples = []
+    for (surf, ext), emb in zip(checked, embed_surfaces([s for s, _ in checked], cfg.branch)):
         if isinstance(emb, failed):
             outcome[surf.eps] = emb
         else:
-            pairs.append((surf, emb))
-    if pairs:
-        outcome.update(zip([s.eps for s, _ in pairs], _mass_records(pairs, failed)))
+            triples.append((surf, emb, ext))
+    if triples:
+        outcome.update(zip([s.eps for s, _, _ in triples], _mass_records(triples, failed)))
     records = []
     for eps in cfg.eps_list:
         got = outcome[eps]
@@ -767,8 +780,8 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
 
     # one batched fit of the distinct columns: m_BY, m_hat, the time
     # component of m_alpha (its x1..x3 are m_BY's), then the gap
-    series = np.array([[*r.result.m_by.as_array(), *r.result.m_hat.as_array(),
-                        r.result.m_alpha.t, _gap(r)] for r in fit_recs])
+    series = np.array([[*_comps(r.result.m_by), *_comps(r.result.m_hat),
+                        r.result.m_alpha.t, r.gap] for r in fit_recs])
     col_fits = fit_limit(series, fit_eps)
     by_fits = col_fits[:4]
 
@@ -782,7 +795,7 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
         tags[name] = {"classify": causal_classify(vec),
                       "cone_max": cone_pairing_report(vec)}
     fits["hat_by_gap"] = col_fits[-1]
-    gaps_desc = [_gap(r) for r in sorted(good, key=lambda r: -r.eps)]
+    gaps_desc = [r.gap for r in good[::-1]]
     slack = 1e-12 + 1e-9 * max(gaps_desc)
     gap_monotone = all(b <= a + slack for a, b in zip(gaps_desc, gaps_desc[1:]))
 
@@ -974,12 +987,17 @@ _CSV_HEADER = (
 )
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
+def _csv_row(rec: PerEpsRecord) -> str:
+    """One sweep.csv row: float cells in repr, a failed radius's cells
+    empty but its epsilon and error."""
+    res = rec.result
+    if res is None:
+        return float.__repr__(rec.eps) + "," * (len(_CSV_HEADER) - 1) + rec.error
+    cells = (rec.eps, *_comps(res.m_by), *_comps(res.m_hat), *_comps(res.m_alpha),
+             rec.alpha, rec.area, rec.h_min, rec.h_max, rec.k_min, rec.k_max,
+             rec.isometry_residual, rec.hyperboloid_defect)
+    return "%s,%s,%s,%s," % (",".join(map(float.__repr__, cells)), res.tag_by.value,
+                             res.tag_hat.value, res.tag_alpha.value)
 
 
 def write_outputs(record: MassSweepRecord, cfg: SweepConfig) -> dict:
@@ -989,22 +1007,7 @@ def write_outputs(record: MassSweepRecord, cfg: SweepConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     csv_path = out / "sweep.csv"
-    lines = [",".join(_CSV_HEADER)]
-    for rec in record.records:
-        res = rec.result
-        row = [rec.eps]
-        for vec in (res.m_by, res.m_hat, res.m_alpha) if res else (None,) * 3:
-            row.extend(list(vec.as_array()) if vec is not None else [None] * 4)
-        row.extend([
-            rec.alpha, rec.area,
-            rec.h_min, rec.h_max, rec.k_min, rec.k_max,
-            rec.isometry_residual, rec.hyperboloid_defect,
-            res.tag_by.value if res else None,
-            res.tag_hat.value if res else None,
-            res.tag_alpha.value if res else None,
-            rec.error,
-        ])
-        lines.append(",".join(_csv_cell(x) for x in row))
+    lines = [",".join(_CSV_HEADER)] + [_csv_row(rec) for rec in record.records]
     csv_path.write_text("\n".join(lines) + "\n")
 
     summary = record.to_dict()

@@ -96,6 +96,75 @@ def test_classify_examples(comps, want):
     assert causal_classify(MinkowskiVector(*comps)) is want
 
 
+def two_pass_classify(v, tol=None):
+    # the classifier with max|v| taken twice: for the default tolerance
+    # and again for the zero test
+    arr = v.as_array() if isinstance(v, MinkowskiVector) else np.asarray(v, dtype=float)
+    if tol is None:
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(arr))))
+    if np.max(np.abs(arr)) <= tol:
+        return CausalClass.ZERO
+    q = float(np.dot(arr[:3], arr[:3]) - arr[3] ** 2)
+    t = float(arr[3])
+    if abs(q) <= tol:
+        if t > tol:
+            return CausalClass.FUTURE_NULL
+        if t < -tol:
+            return CausalClass.PAST_NULL
+        return CausalClass.ZERO
+    if q < 0.0:
+        return CausalClass.FUTURE_TIMELIKE if t > 0 else CausalClass.PAST_TIMELIKE
+    return CausalClass.SPACELIKE
+
+
+def classify_cases():
+    up, down = np.nextafter(0.3125, 1.0), np.nextafter(0.3125, 0.0)
+    cases = [((0.0, 0.0, 0.0, 0.0), None), ((-0.0, 0.0, -0.0, -0.0), None),
+             ((0.0, -0.0, 0.0, -0.0), 0.0), ((-0.0, -0.0, -0.0, 0.0), 1e-3)]
+    # components exactly at and just past the tolerance from zero
+    for t in (1e-3, -1e-3, np.nextafter(1e-3, 1.0), -np.nextafter(1e-3, 1.0)):
+        cases += [((0.0, 0.0, 0.0, t), 1e-3), ((t, 0.0, 0.0, 0.0), 1e-3),
+                  ((0.0, -t, 0.0, 0.5 * t), 1e-3)]
+    # <<v, v>> = +-0.3125 exactly, against tolerances at, above and below it
+    for x, t in ((0.75, 0.5), (0.5, 0.75), (0.5, -0.75), (-0.75, -0.5), (0.0, 0.75)):
+        for tol in (0.3125, up, down, None):
+            cases += [((x, 0.0, 0.0, t), tol), ((0.0, x, 0.0, t), tol), ((0.0, 0.0, x, t), tol)]
+    # a default tolerance that sits exactly on the time component
+    for t in (1e-9 / (1.0 - 1e-9), -1e-9 / (1.0 - 1e-9)):
+        cases.append(((0.0, 0.0, 0.0, t), None))
+    # huge components: the squares overflow, and the tolerance is huge
+    big = np.finfo(float).max
+    for comps in ((1e154, 0.0, 0.0, 1e154), (big, 0.0, 0.0, big), (big, -big, 0.0, 1.0),
+                  (1.0, 0.0, 0.0, -big), (1e300, 1e300, 1e300, 2e300), (0.0, 0.0, 1e200, 1e200)):
+        cases += [(comps, None), (comps, 1.0), (comps, 1e299)]
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(300):
+        v = rng.standard_normal(4) * 10.0 ** rng.integers(-12, 12)
+        if rng.random() < 0.5:  # onto the cone, up to rounding
+            v[3] = np.copysign(np.linalg.norm(v[:3]), v[3])
+        cases += [(tuple(v), None), (tuple(v), float(abs(v[3]) * rng.random()))]
+    return cases
+
+
+def test_classify_equals_two_pass_form():
+    for comps, tol in classify_cases():
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = two_pass_classify(np.array(comps), tol)
+            assert causal_classify(MinkowskiVector(*comps), tol) is want, (comps, tol)
+            assert causal_classify(np.array(comps), tol) is want, (comps, tol)
+
+
+def test_minkowski_vector_rejects_nonfinite():
+    for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.inf):
+        for slot in range(4):
+            comps = [1.0, 2.0, 3.0, 4.0]
+            comps[slot] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                MinkowskiVector(*comps)
+    v = MinkowskiVector(np.float64(1.5), np.float64(-0.0), 2, np.float64(3.0))
+    assert v.as_array().tolist() == [1.5, -0.0, 2.0, 3.0]
+
+
 def test_classify_tag_strings():
     assert CausalClass.FUTURE_TIMELIKE.value == "future-timelike"
     assert CausalClass.ZERO.value == "zero"

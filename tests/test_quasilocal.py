@@ -39,6 +39,7 @@ from ahmass import (
     rotation,
     shitam_alpha_mass,
 )
+from ahmass.quasilocal import enclosing_radii_stack
 
 GRID = QuadratureGrid(48, 4)
 RNG_SEED = 20240813
@@ -112,6 +113,23 @@ def test_enclosing_radii():
     q1, q2 = enclosing_radii(emb2)
     assert q1 < q2
     assert alpha_from_radii(q1, q2) > 1.0
+
+
+def test_enclosing_radii_stack_equals_scalar_arccosh():
+    # one arccosh over the stack's extrema equals each embedding's scalar
+    # arccosh of its own extrema, to the bit; the one-item call is a row
+    fams = [Hyperbolic(), AdSSchwarzschild(1.0), PerturbedRound(lambda x: 0.1 * x),
+            PerturbedRound(lambda x: 0.05 - 0.08 * x + 0.06 * x ** 2)]
+    embs = [embed_surface(coordinate_sphere(fam, eps, GRID))
+            for fam in fams for eps in default_schedule(count=12)]
+    got = enclosing_radii_stack(embs)
+    assert got.shape == (len(embs), 2)
+    for row, emb in zip(got, embs):
+        t = emb.X[..., 3]
+        want = (float(np.arccosh(np.min(t))), float(np.arccosh(np.max(t))))
+        assert tuple(row.tolist()) == want
+        assert enclosing_radii(emb) == want
+        assert all(type(r) is float for r in enclosing_radii(emb))
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,11 @@
 radius-sweep driver."""
 
 import csv
+import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,17 +632,34 @@ def test_verify_embeds_each_sphere_once(tmp_path, monkeypatch):
 
 
 def test_sweep_embeds_in_one_call(tmp_path, monkeypatch):
-    # one call holds every radius that passed the K and H checks; the
-    # radius that fails them is never embedded
+    # one call holds every radius that passed the K and H checks; a radius
+    # that fails them is never embedded.  One node of the second radius
+    # sits on K = -1, of the third on H = -2, of the fourth on both: the
+    # K margin is checked first
     calls = count_embed_calls(monkeypatch)
-    cfg = fast_config(tmp_path, family=PerturbedRound(lambda x: 0.1 * x))
-    real_check = sweep.embeddability_check
-    monkeypatch.setattr(sweep, "embeddability_check",
-                        lambda surf: surf.eps != cfg.eps_list[1] and real_check(surf))
+    cfg = fast_config(tmp_path, family=PerturbedRound(lambda x: 0.1 * x),
+                      eps_list=default_schedule(count=7))
+    real_spheres = sweep.coordinate_spheres
+
+    def bent(family, eps_list, grid):
+        out = real_spheres(family, eps_list, grid)
+        for i, (h, k) in ((1, (None, -1.0)), (2, (-2.0, None)), (3, (-2.0, -1.0))):
+            s = out[i]
+            H, K = s.H[:, 0].copy(), s.K[:, 0].copy()
+            if h is not None:
+                H[7] = h
+            if k is not None:
+                K[11] = k
+            out[i] = sphere_geometry.SurfaceSample(s.eps, s.E[:, 0], H, K, grid)
+        return out
+
+    monkeypatch.setattr(sweep, "coordinate_spheres", bent)
     rec = run_sweep(cfg)
-    assert calls == [[(eps, cfg.branch) for eps in cfg.eps_list if eps != cfg.eps_list[1]]]
-    assert rec.records[1].error == "EmbeddingError: Gauss curvature does not clear the K > -1 margin"
-    assert all(r.error is None for i, r in enumerate(rec.records) if i != 1)
+    assert calls == [[(eps, cfg.branch) for eps in cfg.eps_list if eps not in cfg.eps_list[1:4]]]
+    k_error = "EmbeddingError: Gauss curvature does not clear the K > -1 margin"
+    h_error = "ValueError: mean curvature reaches the H = -2 floor"
+    assert [r.error for r in rec.records[1:4]] == [k_error, h_error, k_error]
+    assert all(r.error is None for i, r in enumerate(rec.records) if i not in (1, 2, 3))
 
 
 POLY_SPEC = {"name": "perturbed_round",
@@ -742,6 +761,85 @@ def test_sweep_classifies_each_mass_vector_once(tmp_path, monkeypatch):
     write_outputs(rec, cfg)
     assert calls
     assert len(calls) <= 3 * len(rec.records) + len(rec.limits)
+
+
+def per_record_gap(res):
+    # the hat-BY gap as each record formed it before the stack did
+    return float(np.max(np.abs(res.m_hat.as_array() - res.m_by.as_array())))
+
+
+M40_SPEC = {"name": "perturbed_round", "psi": {"type": "constant", "value": -40.0}}
+ADS100_SPEC = {"name": "ads_schwarzschild", "mass": 100.0}
+ADS100_EPS = (0.5, 0.4, 0.3, 0.2, 0.1, 0.07, 0.05)
+POLY_M20_SPEC = {"name": "perturbed_round",
+                 "psi": {"type": "poly_cos", "coefficients": [0.0, 0.0, -20.0]}}
+DEEP_EPS = (0.45, 0.3, 0.2, 0.12, 0.08, 0.05)
+
+
+@pytest.mark.parametrize("spec, eps, n_failed", [
+    (POLY_SPEC, default_schedule(), 0),
+    ({"name": "ads_schwarzschild", "mass": 1.0}, default_schedule(), 0),
+    (ADS100_SPEC, ADS100_EPS, 3),
+    ("hyperbolic", default_schedule(), 0),
+    (M40_SPEC, (0.45, 0.12, 0.08, 0.05), 1),
+], ids=["poly_cos", "ads_m1", "ads_m100", "hyperbolic", "constant_m40"])
+def test_stacked_tail_equals_per_record_forms(tmp_path, spec, eps, n_failed):
+    # the H and K extrema, the enclosing radii and the hat-BY gap of every
+    # record, taken once per stack, equal the per-record forms to the bit
+    cfg = fast_config(tmp_path, family=family_from_spec(spec)[0], eps_list=eps, n_theta=64)
+    rec = run_sweep(cfg)
+    grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
+    good = [r for r in rec.records if r.error is None]
+    assert len(rec.records) - len(good) == n_failed
+    for r in good:
+        surf = sphere_geometry.coordinate_sphere(cfg.family, r.eps, grid)
+        t = embed_h3.embed_surface(surf, cfg.branch).X[..., 3]
+        assert (r.h_min, r.h_max) == (np.min(surf.H), np.max(surf.H))
+        assert (r.k_min, r.k_max) == (np.min(surf.K), np.max(surf.K))
+        assert r.radii == (float(np.arccosh(np.min(t))), float(np.arccosh(np.max(t))))
+        assert r.gap == per_record_gap(r.result)
+    gaps = [per_record_gap(r.result) for r in good]
+    slack = 1e-12 + 1e-9 * max(gaps)
+    assert rec.gap_monotone == all(b <= a + slack for a, b in zip(gaps, gaps[1:]))
+
+
+def per_record_csv(record) -> str:
+    # sweep.csv as the per-cell formatter wrote it
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, float):
+            return repr(float(x))
+        return str(x)
+
+    lines = [",".join(sweep._CSV_HEADER)]
+    for rec in record.records:
+        res = rec.result
+        row = [rec.eps]
+        for vec in (res.m_by, res.m_hat, res.m_alpha) if res else (None,) * 3:
+            row.extend(list(vec.as_array()) if vec is not None else [None] * 4)
+        row.extend([rec.alpha, rec.area, rec.h_min, rec.h_max, rec.k_min, rec.k_max,
+                    rec.isometry_residual, rec.hyperboloid_defect,
+                    res.tag_by.value if res else None, res.tag_hat.value if res else None,
+                    res.tag_alpha.value if res else None, rec.error])
+        lines.append(",".join(cell(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec, eps", [
+    (M40_SPEC, (0.45, 0.12, 0.08, 0.05)),
+    (ADS100_SPEC, ADS100_EPS),
+    (POLY_M20_SPEC, DEEP_EPS),
+], ids=["constant_m40", "ads_m100", "poly_cos_m20"])
+def test_sweep_csv_equals_per_cell_formatter(tmp_path, spec, eps):
+    cfg = fast_config(tmp_path, family=family_from_spec(spec)[0], eps_list=eps, n_theta=64)
+    rec = run_sweep(cfg)
+    assert any(r.error is not None for r in rec.records)
+    data = Path(write_outputs(rec, cfg)["csv"]).read_text()
+    assert data == per_record_csv(rec)
+    rows = list(csv.reader(io.StringIO(data)))
+    assert len(rows) == 1 + len(eps)
+    assert all(len(row) == 25 for row in rows)
 
 
 def test_verify_fails_only_entries_that_read_a_failed_sphere(tmp_path, monkeypatch):
