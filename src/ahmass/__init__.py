@@ -86,6 +86,7 @@ from .sweep import (
     default_schedule,
     family_from_spec,
     fit_limit,
+    read_sweep_csv,
     run_sweep,
     verify_identities,
     write_outputs,
@@ -119,6 +120,6 @@ __all__ = [
     # sweep
     "ConfigError", "FitResult", "MassSweepRecord", "PerEpsRecord",
     "SweepConfig", "cone_pairing_report", "decay_order", "default_schedule",
-    "family_from_spec", "fit_limit", "run_sweep", "verify_identities",
-    "write_outputs",
+    "family_from_spec", "fit_limit", "read_sweep_csv", "run_sweep",
+    "verify_identities", "write_outputs",
 ]

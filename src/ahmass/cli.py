@@ -4,15 +4,18 @@ Subcommands:
   sweep <config>    run the radius sweep, write sweep.csv / summary.json
   verify <config>   run the identity suites, write verify.json
   embed <config>    embed one coordinate sphere, dump its profile CSV
-  report <summary>  pretty-print a summary.json written by sweep
+  report <summary>  pretty-print a summary.json written by sweep, with the
+                    per-radius rows of the sweep.csv beside it
 
 Exit codes: 0 all asserted checks passed, 2 identity, sweep or embed
-failure, 3 configuration error.
+failure, 3 configuration error (also an output directory that cannot be
+written, or a report input that cannot be read).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -26,6 +29,7 @@ from .sphere_geometry import QuadratureGrid, coordinate_sphere
 from .sweep import (
     ConfigError,
     SweepConfig,
+    read_sweep_csv,
     run_sweep,
     verify_identities,
     write_outputs,
@@ -45,6 +49,16 @@ def _load_config(path: str) -> SweepConfig:
     return SweepConfig.from_dict(data)
 
 
+@contextlib.contextmanager
+def _writing_outputs(cfg: SweepConfig):
+    """Yield the output directory; an OSError while creating it or writing
+    into it is a config error, one stderr line and exit 3."""
+    try:
+        yield Path(cfg.output_dir)
+    except OSError as exc:
+        raise ConfigError("cannot write outputs to %s: %s" % (cfg.output_dir, exc)) from None
+
+
 def _fmt_vec(comps) -> str:
     return "(" + ", ".join("%+.6e" % c for c in comps) + ")"
 
@@ -56,7 +70,8 @@ def _cmd_sweep(args) -> int:
     except RuntimeError as exc:
         print("sweep failed: %s" % exc, file=sys.stderr)
         return 2
-    paths = write_outputs(record, cfg)
+    with _writing_outputs(cfg):
+        paths = write_outputs(record, cfg)
     print("family: %s" % record.family_label)
     for rec in record.records:
         if rec.error is not None:
@@ -79,10 +94,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     report = verify_identities(cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "verify.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with _writing_outputs(cfg) as out:
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / "verify.json"
+        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     print("family: %s" % report["family"])
     for name, entry in report["entries"].items():
         status = "PASS" if entry.get("passed") else "FAIL"
@@ -112,45 +127,42 @@ def _cmd_embed(args) -> int:
     except (EmbeddingError, ValueError, ArithmeticError) as exc:
         print("embed failed: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
+    with _writing_outputs(cfg) as out:
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / ("profile_eps_%g.csv" % eps)
+        dump_profile_csv(emb, path)
     print("family: %s  eps=%g" % (cfg.family_label, eps))
     print("  area              %.12g" % surf.area)
     print("  radii             [%.12g, %.12g]" % (r1, r2))
     print("  H0 range          [%.12g, %.12g]"
           % (float(np.min(emb.H0)), float(np.max(emb.H0))))
     print("  isometry residual %.3e" % emb.isometry_residual)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / ("profile_eps_%g.csv" % eps)
-    dump_profile_csv(emb, path)
     print("wrote %s" % path)
     return 0
 
 
-def _report_lines(data) -> list:
-    lines = ["family: %s" % data.get("family", "?"),
-             "radii: %s" % ", ".join("%g" % e for e in data.get("epsilons", []))]
-    for rec in data["records"]:
-        if rec.get("error"):
-            lines.append("  eps=%-10.6g FAILED: %s" % (rec["epsilon"], rec["error"]))
-        elif "m_by" in rec:
-            lines.append("  eps=%-10.6g m_BY=%s [%s]"
-                         % (rec["epsilon"], _fmt_vec(rec["m_by"]), rec.get("tag_by", "?")))
+def _summary_lines(data) -> tuple:
+    """The report lines of a summary before and after its per-radius
+    lines."""
+    head = ["family: %s" % data.get("family", "?"),
+            "radii: %s" % ", ".join("%g" % e for e in data["epsilons"])]
+    tail = []
     limits = data.get("limits", {})
     tags = data.get("tags", {})
     fits = data.get("fits", {})
     for name, comps in limits.items():
         tag = tags.get(name, {})
         t_fit = fits.get(name, {}).get("t", {})
-        lines.append("  limit %-8s %s [%s] t-order %s"
+        tail.append("  limit %-8s %s [%s] t-order %s"
                      % (name, _fmt_vec(comps), tag.get("classify", "?"),
                         t_fit.get("order", "?")))
     if "wang_reference" in data:
-        lines.append("  reference mass vector: %s" % _fmt_vec(data["wang_reference"]))
+        tail.append("  reference mass vector: %s" % _fmt_vec(data["wang_reference"]))
     gap = fits.get("hat_by_gap", {})
     if gap:
-        lines.append("  |m_hat - m_BY| decay order %s (monotone: %s)"
+        tail.append("  |m_hat - m_BY| decay order %s (monotone: %s)"
                      % (gap.get("order", "?"), data.get("gap_monotone", "?")))
-    return lines
+    return head, tail
 
 
 def _cmd_report(args) -> int:
@@ -163,10 +175,19 @@ def _cmd_report(args) -> int:
         raise ConfigError("record %s is not valid JSON: %s" % (args.record, exc)) from None
     try:
         # a value of the wrong type anywhere fails here, before any output
-        lines = _report_lines(data)
+        head, tail = _summary_lines(data)
     except (AttributeError, KeyError, TypeError, ValueError):
         raise ConfigError("%s does not look like a sweep summary" % args.record) from None
-    print("\n".join(lines))
+    csv_path = Path(args.record).with_name("sweep.csv")
+    rows = read_sweep_csv(csv_path)
+    if [r["epsilon"] for r in rows] != list(data["epsilons"]):
+        raise ConfigError("the epsilon column of %s differs from the epsilons of %s"
+                          % (csv_path, args.record))
+    for r in rows:
+        m_by = (r["mBY_x1"], r["mBY_x2"], r["mBY_x3"], r["mBY_t"])
+        head.append("  eps=%-10.6g FAILED: %s" % (r["epsilon"], r["error"]) if r["error"] else
+                    "  eps=%-10.6g m_BY=%s [%s]" % (r["epsilon"], _fmt_vec(m_by), r["tag_by"]))
+    print("\n".join(head + tail))
     return 0
 
 
@@ -192,8 +213,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="collar radius (default: largest configured)")
     p.set_defaults(fn=_cmd_embed)
 
-    p = sub.add_parser("report", help="pretty-print a summary.json")
-    p.add_argument("record", help="summary.json written by sweep")
+    p = sub.add_parser("report", help="pretty-print a summary.json and its sweep.csv")
+    p.add_argument("record", help="summary.json written by sweep, beside its sweep.csv")
     p.set_defaults(fn=_cmd_report)
     return parser
 

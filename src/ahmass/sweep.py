@@ -7,7 +7,9 @@ evaluate m_BY and m_hat of every radius in one stacked quadrature, the
 enclosing radii and hat-BY gaps in one pass over the stack, and m_alpha
 from m_BY (a radius whose masses fail records its own error), fit each
 component to v_inf + C eps^p, and classify the causal character of the
-fitted limits.  A companion identity verifier runs the spinor and
+fitted limits.  The per-radius numbers go to sweep.csv, one row per
+radius written by _csv_row; summary.json holds the radii, the fits, the
+limits and their tags.  A companion identity verifier runs the spinor and
 surface-geometry property suites that depend on the configured family,
 building and embedding each sphere once, in one stacked and one batched
 call before any suite entry runs; the flat-Laplacian entry takes its
@@ -41,6 +43,7 @@ from .killing_spinor import (
     minkowski_identity_residuals,
 )
 from .lorentz import (
+    CausalClass,
     MinkowskiVector,
     SpinorParameter,
     causal_classify,
@@ -77,6 +80,7 @@ __all__ = [
     "run_sweep",
     "verify_identities",
     "write_outputs",
+    "read_sweep_csv",
     "DEFAULT_TOLERANCES",
     "DEFAULT_SEED",
     "ORDER_RANGE",
@@ -433,6 +437,13 @@ def _config_float(d: Mapping, key: str, where: str) -> float:
     return x
 
 
+def _check_keys(d: Mapping, allowed, where: str) -> None:
+    """Refuse any key of a config object outside allowed."""
+    unknown = sorted(str(k) for k in d if k not in allowed)
+    if unknown:
+        raise ConfigError("unknown %s key(s): %s" % (where, ", ".join(unknown)))
+
+
 def _psi_from_spec(spec) -> tuple[np.polynomial.Polynomial, str]:
     """Named boundary profiles buildable from plain config, as polynomials
     in x = cos theta."""
@@ -440,12 +451,15 @@ def _psi_from_spec(spec) -> tuple[np.polynomial.Polynomial, str]:
         raise ConfigError("psi profile must be an object with a 'type'")
     kind = spec["type"]
     if kind == "cos_theta":
+        _check_keys(spec, ("type", "amplitude"), "psi profile")
         a = _config_float(spec, "amplitude", "psi profile")
         return np.polynomial.Polynomial([0.0, a]), "cos_theta(%g)" % a
     if kind == "constant":
+        _check_keys(spec, ("type", "value"), "psi profile")
         c = _config_float(spec, "value", "psi profile")
         return np.polynomial.Polynomial([c]), "constant(%g)" % c
     if kind == "poly_cos":
+        _check_keys(spec, ("type", "coefficients"), "psi profile")
         raw = spec.get("coefficients")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ConfigError("poly_cos profile needs a nonempty 'coefficients' list")
@@ -468,13 +482,16 @@ def family_from_spec(spec) -> tuple[AHFamily, str]:
         raise ConfigError("family must be a name or an object with 'name'")
     name = str(spec["name"]).lower().replace("-", "_")
     if name == "hyperbolic":
+        _check_keys(spec, ("name",), "family")
         return Hyperbolic(), "hyperbolic"
     if name in ("ads_schwarzschild", "adsschwarzschild"):
+        _check_keys(spec, ("name", "mass"), "family")
         m = _config_float(spec, "mass", "family")
         if not m > 0.0:
             raise ConfigError("family mass must be positive")
         return AdSSchwarzschild(m), "ads_schwarzschild(m=%g)" % m
     if name in ("perturbed_round", "perturbedround"):
+        _check_keys(spec, ("name", "psi"), "family")
         psi, label = _psi_from_spec(spec.get("psi"))
         return PerturbedRound(psi), "perturbed_round(psi=%s)" % label
     raise ConfigError("unknown family %r" % (spec["name"],))
@@ -548,9 +565,7 @@ class SweepConfig:
     def from_dict(cls, data) -> "SweepConfig":
         if not isinstance(data, Mapping):
             raise ConfigError("config root must be an object")
-        unknown = sorted(str(k) for k in data if k not in _CONFIG_KEYS)
-        if unknown:
-            raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
+        _check_keys(data, _CONFIG_KEYS, "config")
         for key in ("family", "grid", "tolerances", "output"):
             if key not in data:
                 raise ConfigError("config is missing required key %r" % (key,))
@@ -569,6 +584,7 @@ class SweepConfig:
             sch = data["schedule"]
             if not isinstance(sch, Mapping):
                 raise ConfigError("'schedule' must be an object")
+            _check_keys(sch, ("eps0", "ratio", "count"), "schedule")
             count = sch.get("count", 8)
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ConfigError("schedule count must be an integer")
@@ -577,6 +593,7 @@ class SweepConfig:
         grid = data["grid"]
         if not isinstance(grid, Mapping):
             raise ConfigError("'grid' must be an object")
+        _check_keys(grid, ("n_theta", "n_phi"), "grid")
         for key in ("n_theta", "n_phi"):
             if key not in grid:
                 raise ConfigError("grid is missing %r" % (key,))
@@ -588,6 +605,7 @@ class SweepConfig:
         out = data["output"]
         if not isinstance(out, Mapping) or "dir" not in out:
             raise ConfigError("'output' must be an object with a 'dir'")
+        _check_keys(out, ("dir",), "output")
         branch = data.get("branch", 1)
         seed = data.get("seed", DEFAULT_SEED)
         for key, val in (("branch", branch), ("seed", seed)):
@@ -612,10 +630,10 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class PerEpsRecord:
-    """Everything measured at one sweep radius; error set when the
-    pipeline failed there (the sweep continues with a gap).  gap is
-    max|m_hat - m_BY| over the components, which the fits and the CLI
-    read; the output files do not carry it."""
+    """Everything measured at one sweep radius, one sweep.csv row
+    (_csv_row); error set when the pipeline failed there (the sweep
+    continues with a gap).  gap is max|m_hat - m_BY| over the components,
+    which the fits and the CLI read; the output files do not carry it."""
 
     eps: float
     result: MassResult | None = None
@@ -631,30 +649,16 @@ class PerEpsRecord:
     error: str | None = None
     gap: float | None = None
 
-    def to_dict(self) -> dict:
-        out = {"epsilon": self.eps, "error": self.error}
-        if self.result is not None:
-            out["m_by"] = list(self.result.m_by.as_array())
-            out["m_hat"] = list(self.result.m_hat.as_array())
-            out["tag_by"] = self.result.tag_by.value
-            out["tag_hat"] = self.result.tag_hat.value
-            out["m_alpha"] = list(self.result.m_alpha.as_array())
-            out["tag_alpha"] = self.result.tag_alpha.value
-        for name in ("alpha", "area", "h_min", "h_max", "k_min", "k_max",
-                     "isometry_residual", "hyperboloid_defect"):
-            out[name] = getattr(self, name)
-        out["radii"] = list(self.radii) if self.radii is not None else None
-        return out
-
 
 _COMPONENTS = ("x1", "x2", "x3", "t")
 
 
 @dataclass(frozen=True)
 class MassSweepRecord:
-    """Per-radius measurements plus fitted limits, convergence orders,
-    and causal tags; radii stored largest first, fits taken from the
-    smallest half (never fewer than three)."""
+    """Per-radius records plus fitted limits, convergence orders, and
+    causal tags; radii stored largest first, fits taken from the smallest
+    half (never fewer than three).  to_dict leaves the records out: they
+    are sweep.csv's rows."""
 
     family_label: str
     eps_list: tuple
@@ -677,7 +681,6 @@ class MassSweepRecord:
             "family": self.family_label,
             "epsilons": list(self.eps_list),
             "fit_epsilons": list(self.fit_eps),
-            "records": [r.to_dict() for r in self.records],
             "fits": fits,
             "limits": {k: list(v.as_array()) for k, v in self.limits.items()},
             "tags": {
@@ -981,7 +984,7 @@ _CSV_HEADER = (
     + ["mBY_%s" % c for c in _COMPONENTS]
     + ["mhat_%s" % c for c in _COMPONENTS]
     + ["malpha_%s" % c for c in _COMPONENTS]
-    + ["alpha", "area", "h_min", "h_max", "k_min", "k_max",
+    + ["alpha", "radius_min", "radius_max", "area", "h_min", "h_max", "k_min", "k_max",
        "isometry_residual", "hyperboloid_defect", "tag_by", "tag_hat",
        "tag_alpha", "error"]
 )
@@ -994,10 +997,53 @@ def _csv_row(rec: PerEpsRecord) -> str:
     if res is None:
         return float.__repr__(rec.eps) + "," * (len(_CSV_HEADER) - 1) + rec.error
     cells = (rec.eps, *_comps(res.m_by), *_comps(res.m_hat), *_comps(res.m_alpha),
-             rec.alpha, rec.area, rec.h_min, rec.h_max, rec.k_min, rec.k_max,
+             rec.alpha, *rec.radii, rec.area, rec.h_min, rec.h_max, rec.k_min, rec.k_max,
              rec.isometry_residual, rec.hyperboloid_defect)
     return "%s,%s,%s,%s," % (",".join(map(float.__repr__, cells)), res.tag_by.value,
                              res.tag_hat.value, res.tag_alpha.value)
+
+
+def _csv_value(column: str, cell: str, failed: bool):
+    """The value of one sweep.csv cell, as _csv_row writes it: a float, a
+    causal tag's value, or None for the empty cells of a failed radius.
+    ValueError for a cell _csv_row does not write."""
+    if failed and column != "epsilon":
+        if cell:
+            raise ValueError(cell)
+        return None
+    if column.startswith("tag_"):
+        return CausalClass(cell).value
+    return float(cell)
+
+
+def read_sweep_csv(path) -> list:
+    """The rows of a sweep.csv, each a dict from column to _csv_value, with
+    the error text ("" when the radius succeeded).  A file that cannot be
+    read, or a cell _csv_row does not write, is a ConfigError."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc)) from None
+    if not lines or lines[0] != ",".join(_CSV_HEADER):
+        raise ConfigError("%s has no sweep.csv header" % path)
+    rows = []
+    for num, line in enumerate(lines[1:], 2):
+        # the error is the last cell, the one that may hold commas
+        cells = line.split(",", len(_CSV_HEADER) - 1)
+        if len(cells) != len(_CSV_HEADER):
+            raise ConfigError("%s line %d has %d cells, not %d"
+                              % (path, num, len(cells), len(_CSV_HEADER)))
+        row, failed = {}, cells[-1] != ""
+        for column, cell in zip(_CSV_HEADER[:-1], cells):
+            try:
+                row[column] = _csv_value(column, cell, failed)
+            except ValueError:
+                raise ConfigError("%s line %d: malformed %s cell %r"
+                                  % (path, num, column, cell)) from None
+        row["error"] = cells[-1]
+        rows.append(row)
+    return rows
 
 
 def write_outputs(record: MassSweepRecord, cfg: SweepConfig) -> dict:

@@ -1,5 +1,6 @@
 """Command-line driver: config loading, subcommands, exit codes, outputs."""
 
+import csv
 import json
 import os
 import subprocess
@@ -58,9 +59,13 @@ def test_sweep_reports_radius_failures(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAILED" in out
     # outputs are still written, with the error recorded per radius
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["records"][0]["error"]
-    assert summary["records"][1]["error"] is None
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["error"].startswith("ValueError: ")
+    assert [r["error"] for r in rows[1:]] == ["", "", ""]
+    assert main(["report", str(tmp_path / "out" / "summary.json")]) == 0
+    out = capsys.readouterr().out
+    assert "  eps=0.45       FAILED: %s" % rows[0]["error"] in out.splitlines()
 
 
 def test_config_errors_exit_3(tmp_path, capsys):
@@ -106,6 +111,47 @@ def test_bad_config_values_exit_3(tmp_path, capsys, command, over):
     for key, val in over.get("tolerances", {}).items():
         if isinstance(val, (int, float)) and not isinstance(val, bool) and val < 0:
             assert err == "config error: tolerance %r must be nonnegative\n" % key
+
+
+@pytest.mark.parametrize("over, unknown", [
+    ({"schedule": {"eps0": 0.2, "ratio": 0.7, "cout": 12}, "epsilons": None}, "schedule key(s): cout"),
+    ({"family": {"name": "ads_schwarzschild", "mass": 1, "charge": 0.6}}, "family key(s): charge"),
+    ({"family": {"name": "hyperbolic", "mass": 1}}, "family key(s): mass"),
+    ({"family": {"name": "perturbed_round", "psi": {"type": "constant", "value": 0.1},
+                 "mass": 1}}, "family key(s): mass"),
+    ({"family": {"name": "perturbed_round", "psi": {"type": "cos_theta", "amplitude": 0.1,
+                                                    "amplitud": 0.2}}}, "psi profile key(s): amplitud"),
+    ({"family": {"name": "perturbed_round", "psi": {"type": "constant", "value": 0.1,
+                                                    "amplitude": 0.2}}}, "psi profile key(s): amplitude"),
+    ({"family": {"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": [0.1],
+                                                    "degree": 1}}}, "psi profile key(s): degree"),
+    ({"grid": {"n_theta": 32, "n_phi": 4, "n_thetaa": 64}}, "grid key(s): n_thetaa"),
+    ({"output": {"dir": "out", "fmt": "csv"}}, "output key(s): fmt"),
+], ids=["schedule", "family_ads", "family_hyperbolic", "family_perturbed", "psi_cos_theta",
+        "psi_constant", "psi_poly_cos", "grid", "output"])
+@pytest.mark.parametrize("command", ["sweep", "verify", "embed"])
+def test_unknown_nested_config_key_exits_3(tmp_path, capsys, command, over, unknown):
+    # a misspelt or unsupported key in any config object is refused, never
+    # silently dropped
+    assert main([command, write_config(tmp_path, **over)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: unknown " + unknown]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify", "embed"])
+def test_unwritable_output_dir_exits_3(tmp_path, capsys, command):
+    # output.dir names an existing file: one stderr line, no traceback,
+    # nothing on stdout
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory\n")
+    assert main([command, write_config(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: cannot write outputs to %s: " % blocker)
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -271,10 +317,10 @@ def test_report_rejects_non_summary(tmp_path):
 
 
 @pytest.mark.parametrize("over", [
-    {"records": "abc"},
-    {"records": [1, 2]},
+    {"epsilons": None},
+    {"epsilons": 0.2},
     {"epsilons": ["a"]},
-    {"records": [{"epsilon": 0.1, "m_by": ["x", 0, 0, 0]}]},
+    {"wang_reference": ["x", 0, 0, 0]},
     {"limits": [1, 2]},
     {"fits": {"m_by": 3}},
     [],
@@ -290,6 +336,79 @@ def test_report_refuses_malformed_summary(tmp_path, capsys, over):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: %s does not look like a sweep summary\n" % path
+
+
+def _csv_lines(path):
+    return path.read_text().splitlines()
+
+
+def _set_cell(lines, row, column, value):
+    header = lines[0].split(",")
+    cells = lines[row].split(",", len(header) - 1)
+    cells[header.index(column)] = value
+    lines[row] = ",".join(cells)
+    return lines
+
+
+def _drop_radius_cells(lines):
+    # the layout before sweep.csv carried the enclosing radii
+    out = []
+    for line in lines:
+        cells = line.split(",", 26)
+        out.append(",".join(cells[:14] + cells[16:]))
+    return out
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("missing", "cannot read {csv}: [Errno 2] No such file or directory: '{csv}'"),
+    ("directory", "cannot read {csv}: [Errno 21] Is a directory: '{csv}'"),
+    (lambda ls: _set_cell(ls, 1, "epsilon", "0.3"),
+     "the epsilon column of {csv} differs from the epsilons of {summary}"),
+    (lambda ls: ls[:-1],
+     "the epsilon column of {csv} differs from the epsilons of {summary}"),
+    (lambda ls: _set_cell(ls, 2, "mBY_t", "abc"), "{csv} line 3: malformed mBY_t cell 'abc'"),
+    (lambda ls: _set_cell(ls, 1, "mBY_x1", ""), "{csv} line 2: malformed mBY_x1 cell ''"),
+    (lambda ls: _set_cell(ls, 1, "epsilon", "x"), "{csv} line 2: malformed epsilon cell 'x'"),
+    (lambda ls: _set_cell(ls, 4, "tag_by", "timelike"),
+     "{csv} line 5: malformed tag_by cell 'timelike'"),
+    (lambda ls: _set_cell(_set_cell(ls, 1, "mBY_x1", "1.5"), 1, "error", "ValueError: x"),
+     "{csv} line 2: malformed mBY_x1 cell '1.5'"),
+    (lambda ls: ls[:2] + [ls[2].rsplit(",", 3)[0]] + ls[3:], "{csv} line 3 has 24 cells, not 27"),
+    (_drop_radius_cells, "{csv} has no sweep.csv header"),
+], ids=["missing", "directory", "epsilon_changed", "row_dropped", "mby_not_a_number",
+        "mby_empty", "epsilon_not_a_number", "unknown_tag", "failed_row_with_numbers",
+        "short_row", "old_layout"])
+def test_report_refuses_malformed_sweep_csv(tmp_path, capsys, edit, message):
+    # report reads its per-radius lines from the sweep.csv beside the
+    # summary; anything there that sweep does not write is one stderr line
+    # and exit 3, with nothing on stdout
+    assert main(["sweep", write_config(tmp_path)]) == 0
+    summary = tmp_path / "out" / "summary.json"
+    path = tmp_path / "out" / "sweep.csv"
+    if edit in ("missing", "directory"):
+        path.unlink()
+        if edit == "directory":
+            path.mkdir()
+    else:
+        path.write_text("\n".join(edit(_csv_lines(path))) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(summary)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s\n" % message.format(csv=path, summary=summary)
+
+
+def test_report_reads_an_error_with_commas(tmp_path, capsys):
+    # the error is the last cell and may hold commas
+    assert main(["sweep", write_config(tmp_path)]) == 0
+    path = tmp_path / "out" / "sweep.csv"
+    lines = _csv_lines(path)
+    cells = lines[1].split(",")
+    lines[1] = cells[0] + "," * 26 + "ValueError: a, b, c"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out" / "summary.json")]) == 0
+    assert "  eps=0.2        FAILED: ValueError: a, b, c" in capsys.readouterr().out.splitlines()
 
 
 def test_commands_run_on_numpy_alone(tmp_path):

@@ -26,6 +26,7 @@ from ahmass import (
     default_schedule,
     family_from_spec,
     fit_limit,
+    read_sweep_csv,
     run_sweep,
     verify_identities,
     write_outputs,
@@ -33,6 +34,7 @@ from ahmass import (
 from ahmass import ah_metric
 from ahmass import embed_h3
 from ahmass import lorentz
+from ahmass import quasilocal
 from ahmass import sphere_geometry
 from ahmass import sweep
 from ahmass.cli import main
@@ -584,9 +586,10 @@ def test_write_outputs_files(tmp_path):
                 float(cell)
     with open(paths["summary"]) as fh:
         summary = json.load(fh)
-    for key in ("family", "epsilons", "fit_epsilons", "records", "fits",
-                "limits", "tags", "wang_reference", "gap_monotone", "config"):
-        assert key in summary
+    # the per-radius numbers live in sweep.csv only
+    assert sorted(summary) == sorted(("family", "epsilons", "fit_epsilons", "fits", "limits",
+                                      "tags", "wang_reference", "gap_monotone", "config"))
+    assert "records" not in summary
     assert summary["tags"]["m_by"]["classify"] == "zero"
 
 
@@ -694,7 +697,7 @@ def test_sweep_isolates_radii_past_the_degree_cap(tmp_path, monkeypatch, capsys)
             assert b.error == errors[b.eps]
             assert b.error.startswith("EmbeddingError: rapidity series unresolved at degree 256")
         else:
-            assert b.to_dict() == a.to_dict()
+            assert sweep._csv_row(b) == sweep._csv_row(a)
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -818,7 +821,7 @@ def per_record_csv(record) -> str:
         row = [rec.eps]
         for vec in (res.m_by, res.m_hat, res.m_alpha) if res else (None,) * 3:
             row.extend(list(vec.as_array()) if vec is not None else [None] * 4)
-        row.extend([rec.alpha, rec.area, rec.h_min, rec.h_max, rec.k_min, rec.k_max,
+        row.extend([rec.alpha, *(rec.radii or (None, None)), rec.area, rec.h_min, rec.h_max, rec.k_min, rec.k_max,
                     rec.isometry_residual, rec.hyperboloid_defect,
                     res.tag_by.value if res else None, res.tag_hat.value if res else None,
                     res.tag_alpha.value if res else None, rec.error])
@@ -839,7 +842,39 @@ def test_sweep_csv_equals_per_cell_formatter(tmp_path, spec, eps):
     assert data == per_record_csv(rec)
     rows = list(csv.reader(io.StringIO(data)))
     assert len(rows) == 1 + len(eps)
-    assert all(len(row) == 25 for row in rows)
+    assert all(len(row) == 27 for row in rows)
+    # and read_sweep_csv gives every value back bit for bit
+    for r, row in zip(rec.records, read_sweep_csv(Path(cfg.output_dir) / "sweep.csv")):
+        assert (row["epsilon"], row["error"]) == (r.eps, r.error or "")
+        values = [v for k, v in row.items() if k not in ("epsilon", "error")]
+        if r.result is None:
+            assert values == [None] * 25
+        else:
+            res = r.result
+            assert values == [*res.m_by.as_array(), *res.m_hat.as_array(), *res.m_alpha.as_array(),
+                              r.alpha, *r.radii, r.area, r.h_min, r.h_max, r.k_min, r.k_max,
+                              r.isometry_residual, r.hyperboloid_defect, res.tag_by.value,
+                              res.tag_hat.value, res.tag_alpha.value]
+
+
+@pytest.mark.parametrize("spec, eps", [
+    (POLY_SPEC, default_schedule()),
+    (ADS100_SPEC, ADS100_EPS),
+    (M40_SPEC, (0.45, 0.12, 0.08, 0.05)),
+], ids=["poly_cos", "ads_m100", "constant_m40"])
+def test_sweep_csv_radius_cells_are_enclosing_radii(tmp_path, spec, eps):
+    # radius_min and radius_max of each embedded sphere are the repr of
+    # enclosing_radii_stack's values; a failed radius leaves them empty
+    cfg = fast_config(tmp_path, family=family_from_spec(spec)[0], eps_list=eps, n_theta=64)
+    with open(write_outputs(run_sweep(cfg), cfg)["csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["epsilon"]) for r in rows] == list(cfg.eps_list)
+    good = [float(r["epsilon"]) for r in rows if not r["error"]]
+    surfs = sphere_geometry.coordinate_spheres(cfg.family, good, QuadratureGrid(cfg.n_theta, cfg.n_phi))
+    radii = dict(zip(good, quasilocal.enclosing_radii_stack(embed_h3.embed_surfaces(surfs)).tolist()))
+    for r in rows:
+        want = [float.__repr__(x) for x in radii[float(r["epsilon"])]] if not r["error"] else ["", ""]
+        assert [r["radius_min"], r["radius_max"]] == want
 
 
 def test_verify_fails_only_entries_that_read_a_failed_sphere(tmp_path, monkeypatch):
