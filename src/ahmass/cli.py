@@ -129,7 +129,8 @@ def _cmd_embed(args) -> int:
         return 2
     with _writing_outputs(cfg) as out:
         out.mkdir(parents=True, exist_ok=True)
-        path = out / ("profile_eps_%g.csv" % eps)
+        # repr keeps radii apart that %g would round to one name
+        path = out / ("profile_eps_%r.csv" % eps)
         dump_profile_csv(emb, path)
     print("family: %s  eps=%g" % (cfg.family_label, eps))
     print("  area              %.12g" % surf.area)

@@ -43,6 +43,8 @@ __all__ = [
     "minkowski_identity_residual",
     "minkowski_identity_residuals",
     "exhaustion_norm_growth",
+    "log_log_slope",
+    "values_on",
 ]
 
 # How far off the hyperboloid a query point may sit.
@@ -85,7 +87,8 @@ class KillingNormField:
         return -lorentz_inner(X, self.eta.as_array())
 
     def value_on(self, emb: EmbeddedSurface) -> np.ndarray:
-        return -lorentz_inner(emb.X, self.eta.as_array())
+        """F on the nodes of an embedding: the one-pair call of values_on."""
+        return values_on([self], [emb])[0]
 
 
 def spinor_at(z: SpinorParameter, r, theta, phi) -> SpinorValue:
@@ -198,6 +201,20 @@ def gradient_identity_residual(field: KillingNormField, points) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _etas(fields) -> np.ndarray:
+    """The eta of each field, shaped (S, 1, 1, 4) to pair with a stack of
+    node arrays."""
+    return np.array([f.eta.as_array() for f in fields])[:, None, None, :]
+
+
+def values_on(fields, embs) -> np.ndarray:
+    """F of each field on the nodes of its embedding, shape (S, n_theta,
+    n_phi): one lorentz_inner over the stack with one eta per item.  It is
+    elementwise, so each item is, bit for bit, the field's value at the
+    embedding's nodes alone."""
+    return -lorentz_inner(np.stack([emb.X for emb in embs]), _etas(fields))
+
+
 def minkowski_identity_residuals(fields, embs) -> list:
     """Max-node residual of the surface identity
 
@@ -205,19 +222,18 @@ def minkowski_identity_residuals(fields, embs) -> list:
 
     with dF/dnu = -<<nu, eta>> the derivative along the inward unit
     normal of the embedded surface, for each field and embedding of one
-    grid, the Laplacians in one surface_laplacians pass: each item is, bit
-    for bit, minkowski_identity_residual of its pair."""
+    grid: F and dF/dnu in one stacked lorentz_inner each, the Laplacians
+    in one surface_laplacians pass and the maxima in one reduction, so
+    each item is, bit for bit, minkowski_identity_residual of its pair."""
     if any(emb.surface is None for emb in embs):
         raise ValueError("embedding lacks its source surface sample")
     if not embs:
         return []
-    fs = [field.value_on(emb) for field, emb in zip(fields, embs)]
-    laps = surface_laplacians([emb.surface for emb in embs], fs)
-    out = []
-    for field, emb, f, lap in zip(fields, embs, fs, laps):
-        nu_f = -lorentz_inner(emb.normal, field.eta.as_array())
-        out.append(float(np.max(np.abs(lap - 2.0 * f - emb.H0 * nu_f))))
-    return out
+    f = values_on(fields, embs)
+    nu_f = -lorentz_inner(np.stack([emb.normal for emb in embs]), _etas(fields))
+    lap = surface_laplacians([emb.surface for emb in embs], f)
+    h0 = np.stack([emb.H0 for emb in embs])
+    return np.max(np.abs(lap - 2.0 * f - h0 * nu_f), axis=(1, 2)).tolist()
 
 
 def minkowski_identity_residual(field: KillingNormField, emb: EmbeddedSurface) -> float:
@@ -225,16 +241,22 @@ def minkowski_identity_residual(field: KillingNormField, emb: EmbeddedSurface) -
     return minkowski_identity_residuals([field], [emb])[0]
 
 
+def log_log_slope(x, y) -> float:
+    """Least-squares slope of log y against log x (positive samples)."""
+    x = np.asarray(x, dtype=float)
+    basis = np.stack([np.ones_like(x), np.log(x)], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, np.log(y), rcond=None)
+    return float(coef[1])
+
+
 def exhaustion_norm_growth(field: KillingNormField, embeddings) -> float:
     """Fitted order p of the peak field value against 1/eps along a
     coordinate exhaustion, max F ~ C eps^{-p}, from embedded coordinate
-    spheres (each radius read from its source surface sample)."""
+    spheres (each radius read from its source surface sample).  The peaks
+    are one reduction over values_on of the stack."""
     if len(embeddings) < 2:
         raise ValueError("need at least two radii to fit a growth order")
     if any(emb.surface is None for emb in embeddings):
         raise ValueError("embedding lacks its source surface sample")
-    eps = np.array([emb.surface.eps for emb in embeddings])
-    peaks = [float(np.max(field.value_on(emb))) for emb in embeddings]
-    basis = np.stack([np.ones_like(eps), np.log(eps)], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, np.log(peaks), rcond=None)
-    return float(-coef[1])
+    peaks = np.max(values_on([field] * len(embeddings), embeddings), axis=(1, 2))
+    return -log_log_slope([emb.surface.eps for emb in embeddings], peaks)

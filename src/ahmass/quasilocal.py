@@ -27,7 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import CausalClass, MinkowskiVector, causal_classify
-from .sphere_geometry import SurfaceSample, integrate_scalar, surface_laplacians
+from .sphere_geometry import (
+    SurfaceSample,
+    integrate_scalar,
+    integrate_scalars,
+    surface_laplacians,
+)
 from .embed_h3 import EmbeddedSurface
 
 __all__ = [
@@ -169,9 +174,10 @@ def enclosing_radii(emb: EmbeddedSurface) -> tuple:
 
 def laplacian_terms(surfaces, fields) -> list:
     """int lap_S F / (H + 2) dS of each surface and its scalar field F,
-    the Laplacians in one surface_laplacians pass over the stack."""
+    the Laplacians in one surface_laplacians pass and the integrals in one
+    integrate_scalars pass over the stack."""
     laps = surface_laplacians(surfaces, fields)
-    return [integrate_scalar(surf, lap / (surf.H + 2.0)) for surf, lap in zip(surfaces, laps)]
+    return integrate_scalars(surfaces, laps / (np.stack([s.H for s in surfaces]) + 2.0)).tolist()
 
 
 def laplacian_term(surf: SurfaceSample, F) -> float:

@@ -34,6 +34,7 @@ __all__ = [
     "coordinate_sphere",
     "coordinate_spheres",
     "integrate_scalar",
+    "integrate_scalars",
     "surface_laplacian",
     "surface_laplacians",
     "embeddability_check",
@@ -290,15 +291,26 @@ def coordinate_sphere(family, eps: float, grid: QuadratureGrid) -> SurfaceSample
     return got
 
 
-def integrate_scalar(surface: SurfaceSample, field) -> float:
-    """Integral of a scalar field over the surface against its area
-    element."""
-    g = surface.grid
-    f = g.as_field(field)
+def integrate_scalars(surfaces, fields) -> np.ndarray:
+    """Integral of each surface's scalar field (a constant, a theta
+    profile or a grid array) against its area element, for a stack of
+    surfaces on one grid: shape (S,).  One einsum over the stack sums
+    each item in the order of a lone surface's einsum, so each item is, bit
+    for bit, the integral over that surface alone.  ValueError when any
+    field has non-finite entries."""
+    g = surfaces[0].grid
+    if any(surf.grid is not g for surf in surfaces):
+        raise ValueError("surfaces live on different grids")
+    f = np.stack([g.as_field(v) for v in fields])
     if not np.all(np.isfinite(f)):
         raise ValueError("field has non-finite entries")
-    weight = surface.sqrt_det / g.sin_theta[:, None]
-    return float(g.w_phi * np.einsum("i,ij->", g.w_theta, f * weight))
+    weight = np.stack([s.sqrt_det for s in surfaces]) / g.sin_theta[:, None]
+    return g.w_phi * np.einsum("i,sij->s", g.w_theta, f * weight)
+
+
+def integrate_scalar(surface: SurfaceSample, field) -> float:
+    """The one-surface call of integrate_scalars."""
+    return float(integrate_scalars([surface], [field])[0])
 
 
 def surface_laplacians(surfaces, fields) -> np.ndarray:

@@ -12,8 +12,8 @@ radius written by _csv_row; summary.json holds the radii, the fits, the
 limits and their tags.  A companion identity verifier runs the spinor and
 surface-geometry property suites that depend on the configured family,
 building and embedding each sphere once, in one stacked and one batched
-call before any suite entry runs; the flat-Laplacian entry takes its
-eight Laplacians in one stacked pass.
+call before any suite entry runs; each entry reads its spheres in one
+pass over their stack.
 All outputs are deterministic: closed-form cone pairings, seeded random
 draws, no timestamps.
 """
@@ -40,7 +40,9 @@ from .embed_h3 import EmbeddingError, embed_surfaces
 from .killing_spinor import (
     KillingNormField,
     exhaustion_norm_growth,
+    log_log_slope,
     minkowski_identity_residuals,
+    values_on,
 )
 from .lorentz import (
     CausalClass,
@@ -63,7 +65,7 @@ from .sphere_geometry import (
     QuadratureGrid,
     SurfaceSample,
     coordinate_spheres,
-    embeddability_check,
+    integrate_scalars,
 )
 
 __all__ = [
@@ -128,14 +130,7 @@ class FitResult:
     order_trusted: bool
 
     def to_dict(self) -> dict:
-        return {
-            "limit": _jsonable(self.limit),
-            "coefficient": _jsonable(self.coefficient),
-            "order": _jsonable(self.order),
-            "residual": _jsonable(self.residual),
-            "limit_stderr": _jsonable(self.limit_stderr),
-            "order_trusted": self.order_trusted,
-        }
+        return {name: _jsonable(value) for name, value in vars(self).items()}
 
 
 def _jsonable(x):
@@ -155,32 +150,30 @@ def _tail_monotone(v, vinf):
 def _sum_last(a):
     """Sum over the last axis, left to right.  numpy's own reductions
     change their summation order with the array's shape, so a column's
-    fit would depend on what else shares its batch."""
-    s = a[..., 0]
-    for i in range(1, a.shape[-1]):
-        s = s + a[..., i]
-    return s
+    fit would depend on what else shares its batch; an accumulate adds
+    one element at a time to the running sum whatever the shape."""
+    return np.add.accumulate(a, axis=-1)[..., -1]
 
 
 def _powers(eps, p):
     """eps_i^p_j as a (p.size, eps.size) array.  Both operands are
-    materialised in full: numpy takes another pow loop for a broadcast
-    exponent, on some shapes only, and a column's fit would then depend on
-    what else shares its batch."""
-    shape = (p.size, eps.size)
-    return np.power(np.broadcast_to(eps, shape).copy(),
-                    np.broadcast_to(p[:, None], shape).copy())
+    materialised in full (tile, repeat): numpy takes another pow loop for
+    a broadcast exponent, on some shapes only, and a column's fit would
+    then depend on what else shares its batch."""
+    return np.power(np.tile(eps, (p.size, 1)), np.repeat(p[:, None], eps.size, axis=1))
 
 
-def _line_fit(x, v):
+def _centred(a):
+    """Mean along the last axis and the deviations from it."""
+    m = _sum_last(a) / a.shape[-1]
+    return m, a - m[..., None]
+
+
+def _line_fit(x, vm, dv):
     """Closed-form least squares of v = v_inf + C x along the last axis,
-    from centred sums (x and v broadcast).  Returns v_inf, C, the SSR and
-    the residuals, fit minus data."""
-    n = x.shape[-1]
-    xm = _sum_last(x) / n
-    vm = _sum_last(v) / n
-    dx = x - xm[..., None]
-    dv = v - vm[..., None]
+    from centred sums, vm, dv = _centred(v) (x and v broadcast).  Returns
+    v_inf, C, the SSR and the residuals, fit minus data."""
+    xm, dx = _centred(x)
     c = _sum_last(dx * dv) / _sum_last(dx * dx)
     r = c[..., None] * dx - dv
     return vm - c * xm, c, _sum_last(r * r), r
@@ -215,39 +208,48 @@ def _illinois_roots(slope, a, b):
     from - at a to + at b.  A column stops when two successive estimates
     agree to 1e-9 relative (the noise floor of the slope is reached well
     before), on an exact zero, when the secant leaves its bracket, or
-    after 100 steps.  a and b are overwritten."""
+    after 100 steps.  Only the slope is evaluated in numpy, once per step
+    over the active columns; each column's bracket, end slopes, side and
+    root are Python floats, and the secant, halving and stop tests are the
+    IEEE operations of an elementwise array form in its order, so every
+    value is that form's to the bit (a zero denominator gives NaN, which
+    leaves the bracket as the array form's inf or NaN does)."""
     cols = np.arange(a.size)
-    ga, gb = slope(a, cols), slope(b, cols)
-    root = np.full(a.shape, np.nan)
-    side = np.zeros(a.shape)
-    act = np.flatnonzero((ga < 0.0) & (gb > 0.0))
+    ends = [[lo, hi] for lo, hi in zip(a.tolist(), b.tolist())]
+    ends_g = [[ga, gb] for ga, gb in zip(slope(a, cols).tolist(), slope(b, cols).tolist())]
+    root, side = [math.nan] * a.size, [None] * a.size
+    act = [j for j, (ga, gb) in enumerate(ends_g) if ga < 0.0 < gb]
     for _ in range(100):
-        q = (a[act] * gb[act] - b[act] * ga[act]) / (gb[act] - ga[act])
-        inside = (a[act] < q) & (q < b[act])
-        act, q = act[inside], q[inside]
-        if act.size == 0:
+        step = []
+        for j in act:
+            (lo, hi), (ga, gb) = ends[j], ends_g[j]
+            q = (lo * gb - hi * ga) / (gb - ga) if gb != ga else math.nan
+            if lo < q < hi:
+                step.append((j, q))
+        if not step:
             break
-        gq = slope(q, act)
-        settled = np.abs(q - root[act]) <= 1e-9 * q  # False while root is NaN
-        root[act] = q
-        go = ~settled & (gq != 0.0)
-        act, q, gq = act[go], q[go], gq[go]
-        neg = gq < 0.0
-        lo, hi = act[neg], act[~neg]
-        a[lo], ga[lo] = q[neg], gq[neg]
-        gb[lo[side[lo] < 0]] *= 0.5
-        side[lo] = -1
-        b[hi], gb[hi] = q[~neg], gq[~neg]
-        ga[hi[side[hi] > 0]] *= 0.5
-        side[hi] = 1
-    return root
+        gq = slope(np.array([q for _, q in step]), np.array([j for j, _ in step]))
+        act = []
+        for (j, q), g in zip(step, gq.tolist()):
+            settled = abs(q - root[j]) <= 1e-9 * q  # False while root is NaN
+            root[j] = q
+            if settled or g == 0.0:
+                continue
+            act.append(j)
+            k = 0 if g < 0.0 else 1  # the end that q replaces
+            ends[j][k], ends_g[j][k] = q, g
+            if side[j] == k:  # the same end twice running: halve the other's slope
+                ends_g[j][1 - k] *= 0.5
+            side[j] = k
+    return np.array(root)
 
 
 def _free_order_fit(vs, eps):
     """p, v_inf, C, SSR and v_inf standard error per row of vs, with p
     free inside ORDER_RANGE (see fit_limit)."""
     scan = np.linspace(ORDER_RANGE[0], ORDER_RANGE[1], 23)
-    vinf, c, ssr, _ = _line_fit(_powers(eps, scan)[:, None, :], vs)
+    vm, dv = _centred(vs)
+    vinf, c, ssr, _ = _line_fit(_powers(eps, scan)[:, None, :], vm, dv)
     best = np.argmin(ssr, axis=0)
     cols = np.arange(vs.shape[0])
     p, vinf, c, ssr = scan[best], vinf[best, cols], c[best, cols], ssr[best, cols]
@@ -257,14 +259,14 @@ def _free_order_fit(vs, eps):
     def slope(q, rows):
         # half the derivative in p of the SSR with v_inf and C profiled out
         x = _powers(eps, q)
-        _, cq, _, r = _line_fit(x, vs[rows])
+        _, cq, _, r = _line_fit(x, vm[rows], dv[rows])
         return cq * _sum_last(r * (x * log_eps))
 
     h = float(scan[1] - scan[0])
     root = _illinois_roots(slope, np.maximum(p - h, ORDER_RANGE[0]),
                            np.minimum(p + h, ORDER_RANGE[1]))
     has = np.flatnonzero(~np.isnan(root))
-    vq, cq, sq, _ = _line_fit(_powers(eps, root[has]), vs[has])
+    vq, cq, sq, _ = _line_fit(_powers(eps, root[has]), vm[has], dv[has])
     better = sq <= ssr[has]
     take = has[better]
     p[take], vinf[take], c[take], ssr[take] = root[take], vq[better], cq[better], sq[better]
@@ -318,7 +320,7 @@ def fit_limit(values, eps_list, known_order: float | None = None):
     vl = vs[live]
     if known_order is not None:
         x = eps ** float(known_order)
-        vinf, c, ssr, _ = _line_fit(x, vl)
+        vinf, c, ssr, _ = _line_fit(x, *_centred(vl))
         gram = np.array([[[eps.size, x.sum()], [x.sum(), x @ x]]])
         stderr = _stderr(np.repeat(_inv00(gram), live.size), ssr,
                          max(eps.size - 2, 1))
@@ -355,9 +357,7 @@ def decay_order(values, eps_list, floor=1e-13) -> float:
     keep = v > np.broadcast_to(np.asarray(floor, dtype=float), v.shape)
     if int(keep.sum()) < 2:
         return math.inf
-    basis = np.stack([np.ones(int(keep.sum())), np.log(eps[keep])], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, np.log(v[keep]), rcond=None)
-    return float(coef[1])
+    return log_log_slope(eps[keep], v[keep])
 
 
 # |int lap f / (H + 2) dS| on coordinate spheres: lap f sees only the
@@ -846,7 +846,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
     # every sphere an entry reads, the configured radii and the
     # flat-Laplacian radii, built in one stacked call and embedded in one
     # batched call; a failed sphere holds its error, raised in the entry
-    # that reads it
+    # that reads it (stack_at: the first failure of a list of radii)
     hi = min(0.3, float(fam.rho_max))
     eps_fun = [float(e) for e in np.geomspace(hi, 0.025 * hi, 8)]
     radii = list(dict.fromkeys(cfg.eps_list + tuple(eps_fun)))
@@ -859,6 +859,9 @@ def verify_identities(cfg: SweepConfig) -> dict:
         if isinstance(spheres[eps], Exception):
             raise spheres[eps]
         return spheres[eps]
+
+    def stack_at(radii):  # (surfaces, embeddings)
+        return tuple(zip(*(sphere_at(eps) for eps in radii)))
 
     def run_entry(name, fn):
         try:
@@ -879,15 +882,14 @@ def verify_identities(cfg: SweepConfig) -> dict:
 
     def e_norm_growth():
         fld = KillingNormField.from_spinor(_random_unit_spinor(rng))
-        p = exhaustion_norm_growth(fld, [sphere_at(e)[1] for e in cfg.eps_list[:6]])
+        p = exhaustion_norm_growth(fld, stack_at(cfg.eps_list[:6])[1])
         return {"passed": abs(p - 1.0) <= tol["growth_exponent"], "exponent": p,
                 "tolerance": tol["growth_exponent"]}
 
     def e_area_growth():
-        values = []
-        for eps in cfg.eps_list:
-            surf, _ = sphere_at(eps)
-            values.append(eps ** 2 * surf.area)
+        surfs, _ = stack_at(cfg.eps_list)
+        areas = integrate_scalars(surfs, [1.0] * len(surfs)).tolist()
+        values = [eps ** 2 * area for eps, area in zip(cfg.eps_list, areas)]
         # fit only the smallest radii, same convention as the mass sweep:
         # higher-order terms at the large end bias the free exponent
         n_fit = max(3, math.ceil(len(values) / 2))
@@ -916,19 +918,18 @@ def verify_identities(cfg: SweepConfig) -> dict:
         return {"passed": resid <= bound, "residual": resid, "tolerance": bound}
 
     def e_h0_order():
-        values = []
-        for eps in cfg.eps_list:
-            _, emb = sphere_at(eps)
-            values.append(float(np.max(np.abs(emb.H0 - 2.0 * math.cosh(eps)))))
+        _, embs = stack_at(cfg.eps_list)
+        ref = np.array([2.0 * math.cosh(eps) for eps in cfg.eps_list])[:, None, None]
+        values = np.max(np.abs(np.stack([e.H0 for e in embs]) - ref), axis=(1, 2)).tolist()
         p = decay_order(values, cfg.eps_list, floor=1e-11)
         return {"passed": p >= tol["h0_order"], "order": _jsonable(p),
                 "tolerance": tol["h0_order"], "values": values}
 
     def e_gauss_order():
-        values = []
-        for eps in cfg.eps_list:
-            surf, _ = sphere_at(eps)
-            values.append(float(np.max(np.abs(surf.K - math.sinh(eps) ** 2))))
+        surfs, _ = stack_at(cfg.eps_list)
+        ref = np.array([math.sinh(eps) ** 2 for eps in cfg.eps_list])[:, None]
+        # a sample's K does not vary in phi: its theta rows hold every value
+        values = np.max(np.abs(np.stack([s.K[:, 0] for s in surfs]) - ref), axis=1).tolist()
         # curvature roundoff scales with the sinh^2 target, not absolutely
         floor = 1e-11 * np.sinh(np.asarray(cfg.eps_list)) ** 2
         p = decay_order(values, cfg.eps_list, floor=floor)
@@ -937,19 +938,18 @@ def verify_identities(cfg: SweepConfig) -> dict:
 
     def e_flat_laplacian_decay():
         fld = KillingNormField.from_spinor(_random_unit_spinor(rng))
-        surfs, embs = zip(*(sphere_at(eps) for eps in eps_fun))
-        vals = laplacian_terms(surfs, [fld.value_on(emb) for emb in embs])
+        surfs, embs = stack_at(eps_fun)
+        vals = laplacian_terms(surfs, values_on([fld] * len(embs), embs))
         return judge_flat_laplacian([abs(v) for v in vals], eps_fun, tol)
 
     def e_embedding():
-        worst_iso = worst_defect = 0.0
-        h_ok = k_ok = True
-        for eps in cfg.eps_list:
-            surf, emb = sphere_at(eps)
-            worst_iso = max(worst_iso, emb.isometry_residual)
-            worst_defect = max(worst_defect, emb.hyperboloid_defect)
-            k_ok = k_ok and embeddability_check(surf)
-            h_ok = h_ok and float(np.min(surf.H)) > MEAN_CURVATURE_FLOOR
+        surfs, embs = stack_at(cfg.eps_list)
+        # max() over a list keeps its first maximum, as a running max does
+        worst_iso = max([0.0] + [e.isometry_residual for e in embs])
+        worst_defect = max([0.0] + [e.hyperboloid_defect for e in embs])
+        h_min, _, k_min, _ = zip(*_curvature_extrema(surfs))
+        k_ok = all(k > -1.0 + EMBEDDABILITY_MARGIN for k in k_min)
+        h_ok = all(h > MEAN_CURVATURE_FLOOR for h in h_min)
         ok = (worst_iso <= tol["isometry"] and worst_defect <= tol["hyperboloid"]
               and h_ok and k_ok)
         return {"passed": ok, "isometry_residual": worst_iso,

@@ -49,6 +49,19 @@ def test_sweep_reruns_identical(tmp_path):
     assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("family", [
+    {"name": "perturbed_round",
+     "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}},
+    {"name": "ads_schwarzschild", "mass": 1.0},
+], ids=["poly_cos", "ads"])
+def test_verify_reruns_identical(tmp_path, family):
+    a = write_config(tmp_path, name="a.json", family=family, output={"dir": str(tmp_path / "a")})
+    b = write_config(tmp_path, name="b.json", family=family, output={"dir": str(tmp_path / "b")})
+    assert main(["verify", a]) == 0
+    assert main(["verify", b]) == 0
+    assert (tmp_path / "a" / "verify.json").read_bytes() == (tmp_path / "b" / "verify.json").read_bytes()
+
+
 def test_sweep_reports_radius_failures(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -254,6 +267,17 @@ def test_embed_writes_profile(tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == "theta,f,u,w,H0"
     assert "isometry residual" in capsys.readouterr().out
     assert main(["embed", path, "--eps", "0.7"]) == 3
+
+
+def test_embed_keeps_radii_apart_that_agree_to_six_digits(tmp_path, capsys):
+    # %g would name both profile_eps_0.1.csv; the second would overwrite
+    path = write_config(tmp_path)
+    assert main(["embed", path, "--eps", "0.1"]) == 0
+    assert main(["embed", path, "--eps", "0.1000001"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "profile_eps_0.1.csv", "profile_eps_0.1000001.csv"]
+    out = capsys.readouterr().out
+    assert "wrote %s" % (tmp_path / "out" / "profile_eps_0.1000001.csv") in out
 
 
 @pytest.mark.parametrize("psi, eps, error", [

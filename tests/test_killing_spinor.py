@@ -28,7 +28,9 @@ from ahmass import (
     spinor_polar_point,
     surface_laplacian,
 )
-from ahmass.killing_spinor import minkowski_identity_residuals
+from ahmass.killing_spinor import minkowski_identity_residuals, values_on
+from ahmass.sphere_geometry import coordinate_spheres
+from ahmass.embed_h3 import embed_surfaces
 from ahmass.sweep import DEFAULT_SEED, family_from_spec
 
 RNG_SEED = 20240812
@@ -338,6 +340,26 @@ def test_exhaustion_growth_order():
     timelike = KillingNormField(MinkowskiVector(0.1, -0.2, 0.0, 2.0))
     p2 = exhaustion_norm_growth(timelike, embs)
     assert abs(p2 - 1.0) <= 0.05
+
+
+def test_exhaustion_growth_matches_per_embedding_peaks():
+    # the stacked peaks and the shared log-log fit against a loop over the
+    # embeddings with its own least-squares call, bit for bit
+    grid = QuadratureGrid(64, 5)
+    fam, _ = family_from_spec({"name": "perturbed_round",
+                               "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}})
+    embs = embed_surfaces(coordinate_spheres(fam, [0.2, 0.14, 0.1, 0.07, 0.05, 0.035], grid))
+    rng = np.random.default_rng(RNG_SEED + 11)
+    fields = [KillingNormField.from_spinor(random_spinor(rng)),
+              KillingNormField(MinkowskiVector(0.1, -0.2, 0.0, 2.0))]
+    assert np.array_equal(values_on(fields * 3, embs),
+                          np.stack([f.value(e.X) for f, e in zip(fields * 3, embs)]))
+    for field in fields:
+        peaks = [float(np.max(field.value(emb.X))) for emb in embs]
+        eps = np.array([emb.surface.eps for emb in embs])
+        basis = np.stack([np.ones_like(eps), np.log(eps)], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, np.log(peaks), rcond=None)
+        assert exhaustion_norm_growth(field, embs) == float(-coef[1])
 
 
 def test_exhaustion_growth_needs_two_radii():

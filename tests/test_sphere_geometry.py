@@ -22,7 +22,8 @@ from ahmass import (
 )
 from ahmass import embed_h3, family_from_spec
 from ahmass.quasilocal import laplacian_term, laplacian_terms
-from ahmass.sphere_geometry import coordinate_spheres, surface_laplacians
+from ahmass.killing_spinor import values_on
+from ahmass.sphere_geometry import coordinate_spheres, integrate_scalars, surface_laplacians
 
 GRID = QuadratureGrid(32, 4)
 
@@ -305,8 +306,41 @@ def test_stacked_flat_laplacian_matches_solo(n_phi):
     fld = KillingNormField.from_spinor(SpinorParameter(0.6 + 0.2j, -0.3 + 0.7j))
     fields = [fld.value_on(emb) for emb in embs]
     assert np.ptp(fields[0], axis=1).max() > 0.0  # the fields vary in phi
+    assert np.array_equal(values_on([fld] * len(embs), embs),
+                          np.stack([fld.value(emb.X) for emb in embs]))
     got = laplacian_terms(surfs, fields)
     assert [laplacian_term(s, f) for s, f in zip(surfs, fields)] == got
     laps = surface_laplacians(surfs, fields)
-    for s, f, lap in zip(surfs, fields, laps):
+    for s, f, lap, value in zip(surfs, fields, laps, got):
         assert np.array_equal(surface_laplacian(s, f), lap)
+        # the per-surface integral of the pre-stack form
+        assert value == solo_integral(s, surface_laplacian(s, f) / (s.H + 2.0))
+
+
+def solo_integral(surf, field):
+    """One surface's quadrature as one einsum over its grid."""
+    g = surf.grid
+    weight = surf.sqrt_det / g.sin_theta[:, None]
+    return float(g.w_phi * np.einsum("i,ij->", g.w_theta, g.as_field(field) * weight))
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(32, 4), (64, 5), (48, 6)])
+def test_integrate_scalars_rows_match_integrate_scalar(n_theta, n_phi):
+    # a stack of round and non-round spheres, with constants, theta
+    # profiles and fields that vary in phi: each row is the one-surface
+    # integral, bit for bit
+    grid = QuadratureGrid(n_theta, n_phi)
+    surfs = (coordinate_spheres(poly_family(0.05, -0.08, 0.06), [0.3, 0.1, 0.02], grid)
+             + coordinate_spheres(AdSSchwarzschild(2.0), [0.2, 0.05], grid)
+             + [round_sample(1.3, grid)])
+    th, ph = grid.theta_mesh, grid.phi_mesh
+    fields = [1.0, np.cos(grid.theta), np.sin(th) ** 2 * np.cos(2 * ph) + np.cos(th), -2.5,
+              np.exp(np.cos(th)) * np.sin(ph), np.cos(3 * th)]
+    got = integrate_scalars(surfs, fields)
+    assert got.shape == (len(surfs),)
+    for value, surf, field in zip(got.tolist(), surfs, fields):
+        assert value == integrate_scalar(surf, field) == solo_integral(surf, field)
+    assert integrate_scalars(surfs, [1.0] * len(surfs)).tolist() == [s.area for s in surfs]
+    fields[3] = np.full(grid.shape, np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_scalars(surfs, fields)

@@ -206,6 +206,19 @@ def test_decay_order_cubic():
     assert decay_order(4.0 * eps ** 3, eps) == pytest.approx(3.0, abs=1e-8)
 
 
+def test_decay_order_is_the_least_squares_slope_of_kept_samples():
+    # decay_order's shared log-log helper makes the same lstsq call as the
+    # inline form it replaced, so the bits do not change
+    eps = np.geomspace(0.2, 0.004, 11)
+    values = -3.0 * eps ** 4.2 * (1.0 + 0.3 * np.cos(7.0 * eps))
+    floor = 1e-4 * np.sinh(eps) ** 2  # drops the two smallest radii
+    keep = np.abs(values) > floor
+    assert keep.sum() == eps.size - 2
+    basis = np.stack([np.ones(int(keep.sum())), np.log(eps[keep])], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, np.log(np.abs(values)[keep]), rcond=None)
+    assert decay_order(values, eps, floor=floor) == float(coef[1])
+
+
 def test_decay_order_floor():
     eps = np.array([0.2, 0.1, 0.05])
     assert decay_order([1e-15, 2e-16, 5e-16], eps) == math.inf
