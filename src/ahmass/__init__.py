@@ -28,7 +28,6 @@ from .sphere_geometry import (
     QuadratureGrid,
     SurfaceSample,
     coordinate_sphere,
-    embeddability_check,
     integrate_scalar,
     surface_laplacian,
 )
@@ -100,7 +99,7 @@ __all__ = [
     "hyperboloid_point", "lorentz_inner", "rotation", "sphere_direction",
     # sphere_geometry
     "QuadratureGrid", "SurfaceSample", "coordinate_sphere",
-    "embeddability_check", "integrate_scalar", "surface_laplacian",
+    "integrate_scalar", "surface_laplacian",
     # ah_metric
     "AdSSchwarzschild", "AHFamily", "Hyperbolic", "PerturbedRound",
     "ads_collar_transform", "mass_aspect",

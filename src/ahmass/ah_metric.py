@@ -16,6 +16,13 @@ Families:
   AdSSchwarzschild(m)  u = (r(rho) sinh rho)^2 with r the static area
                        radius; obtained from the collar transform below.
   PerturbedRound(psi)  u = 1 + rho^3 psi(cos theta)/3.
+
+A family computes its profile in one place, collar_profiles(rhos, theta):
+u, u_rho and u_rhorho of a stack of radii as (S, n_theta) rows, with one
+error slot per radius.  coordinate_spheres reads u and u_rho from it, and
+scalar_curvature reads all three through the one formula
+conformal_collar_scalar_curvature; a one-radius question is a stack of
+one.
 """
 
 from __future__ import annotations
@@ -41,39 +48,24 @@ __all__ = [
 ]
 
 class AHFamily:
-    """Base class for collar-form families; subclasses provide the
-    conformal profile u and its first two radial derivatives."""
+    """Base class for collar-form families.  A subclass provides the mass
+    aspect and collar_profiles, the only place it computes its conformal
+    profile u."""
 
     name = "abstract"
     rho_max = 0.5
 
-    def conformal_factor(self, rho: float, theta) -> np.ndarray:
-        raise NotImplementedError
-
-    def conformal_factor_drho(self, rho: float, theta) -> np.ndarray:
-        raise NotImplementedError
-
-    def conformal_factor_drho2(self, rho: float, theta) -> np.ndarray:
-        raise NotImplementedError
-
     def collar_profiles(self, rhos, theta) -> tuple:
-        """u and its rho-derivative at every radius of rhos (each inside the
+        """u, u_rho and u_rhorho at every radius of rhos (each inside the
         collar range) and at the 1-d theta nodes, as (S, n_theta) arrays,
-        with per radius None or the error its solo profile raises (that
-        row's values are then meaningless).  Each row is, bit for bit,
-        conformal_factor and conformal_factor_drho at its radius."""
+        and per radius None or the ValueError that radius fails with (that
+        row's values are then meaningless).  Each row is, bit for bit, the
+        one-radius call's row at its radius."""
         raise NotImplementedError
 
     def aspect(self, x) -> np.ndarray:
         """rho^3-coefficient profile psi at x = cos theta (aspect = psi h0)."""
         raise NotImplementedError
-
-    def scalar_curvature(self, rho: float, theta) -> np.ndarray:
-        raise NotImplementedError
-
-    def _check(self, rho):
-        if not (0.0 < rho <= self.rho_max):
-            raise ValueError("rho outside collar range")
 
 
 class Hyperbolic(AHFamily):
@@ -81,26 +73,12 @@ class Hyperbolic(AHFamily):
 
     name = "hyperbolic"
 
-    def conformal_factor(self, rho, theta):
-        self._check(rho)
-        return np.ones_like(np.asarray(theta, dtype=float))
-
-    def conformal_factor_drho(self, rho, theta):
-        self._check(rho)
-        return np.zeros_like(np.asarray(theta, dtype=float))
-
-    conformal_factor_drho2 = conformal_factor_drho
-
     def collar_profiles(self, rhos, theta):
         shape = (len(rhos), np.size(theta))
-        return np.ones(shape), np.zeros(shape), [None] * len(rhos)
+        return np.ones(shape), np.zeros(shape), np.zeros(shape), [None] * len(rhos)
 
     def aspect(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    def scalar_curvature(self, rho, theta):
-        self._check(rho)
-        return np.full_like(np.asarray(theta, dtype=float), -6.0)
 
 
 # One config has one mass, and every collar radius of its sweep and
@@ -228,55 +206,26 @@ class AdSSchwarzschild(AHFamily):
         self.mass = float(mass)
         self.name = "ads_schwarzschild"
 
-    def _profile(self, rho: float, r: float | None = None):
-        # w, w' and w'' from exact differentiation of the defining ODE
-        # r'(rho) = -sqrt(V)/sinh(rho), r the collar radius at rho
-        if r is None:
-            r = ads_collar_transform(self.mass, rho)
-        sh, ch = math.sinh(rho), math.cosh(rho)
-        v = 1.0 + r * r - 2.0 * self.mass / r
-        sv = math.sqrt(v)
-        p = r * sh
-        dp = r * ch - sv
-        ddp = -sv * ch / sh + r * sh + (2.0 * r + 2.0 * self.mass / r ** 2) / (2.0 * sh)
-        w = p * p
-        dw = 2.0 * p * dp
-        ddw = 2.0 * (dp * dp + p * ddp)
-        return w, dw, ddw
-
-    def conformal_factor(self, rho, theta):
-        self._check(rho)
-        w, _, _ = self._profile(rho)
-        return np.full_like(np.asarray(theta, dtype=float), w)
-
-    def conformal_factor_drho(self, rho, theta):
-        self._check(rho)
-        _, dw, _ = self._profile(rho)
-        return np.full_like(np.asarray(theta, dtype=float), dw)
-
-    def conformal_factor_drho2(self, rho, theta):
-        self._check(rho)
-        _, _, ddw = self._profile(rho)
-        return np.full_like(np.asarray(theta, dtype=float), ddw)
-
     def collar_profiles(self, rhos, theta):
-        # every collar radius in one lockstep solve; the profile's scalar
-        # arithmetic stays per radius, as its solo call does it
-        u, du = np.full((2, len(rhos), np.size(theta)), np.nan)
+        # every collar radius in one lockstep solve; w, w' and w'' per
+        # radius in scalar arithmetic, so a row does not depend on the
+        # stack, from exact differentiation of the defining ODE
+        # r'(rho) = -sqrt(V)/sinh(rho), r the collar radius at rho
+        u, du, ddu = np.full((3, len(rhos), np.size(theta)), np.nan)
         radii = _collar_radii(self.mass, rhos)
         for k, (rho, r) in enumerate(zip(rhos, radii)):
-            if not isinstance(r, ValueError):
-                u[k], du[k], _ = self._profile(rho, r)
-        return u, du, [r if isinstance(r, ValueError) else None for r in radii]
+            if isinstance(r, ValueError):
+                continue
+            sh, ch = math.sinh(rho), math.cosh(rho)
+            sv = math.sqrt(1.0 + r * r - 2.0 * self.mass / r)
+            p, dp = r * sh, r * ch - sv
+            ddp = -sv * ch / sh + r * sh + (2.0 * r + 2.0 * self.mass / r ** 2) / (2.0 * sh)
+            u[k], du[k], ddu[k] = p * p, 2.0 * p * dp, 2.0 * (dp * dp + p * ddp)
+        return u, du, ddu, [r if isinstance(r, ValueError) else None for r in radii]
 
     def aspect(self, x):
         # u = (r sinh rho)^2 = 1 + 2m rho^3 / 3 + O(rho^4): the aspect is 2m h0
         return np.full_like(np.asarray(x, dtype=float), 2.0 * self.mass)
-
-    def scalar_curvature(self, rho, theta):
-        self._check(rho)
-        # Einstein with the curvature normalization of the reference space
-        return np.full_like(np.asarray(theta, dtype=float), -6.0)
 
 
 def conformal_collar_scalar_curvature(rho, u, u_rho, u_rho2, lap0_log_u):
@@ -308,37 +257,13 @@ class PerturbedRound(AHFamily):
     def aspect(self, x):
         return np.asarray(self.psi(x), dtype=float)
 
-    def conformal_factor(self, rho, theta):
-        self._check(rho)
-        return 1.0 + rho ** 3 * self.aspect(np.cos(theta)) / 3.0
-
-    def conformal_factor_drho(self, rho, theta):
-        self._check(rho)
-        return rho ** 2 * self.aspect(np.cos(theta))
-
-    def conformal_factor_drho2(self, rho, theta):
-        self._check(rho)
-        return 2.0 * rho * self.aspect(np.cos(theta))
-
     def collar_profiles(self, rhos, theta):
         # psi once for the stack; the powers of rho per radius, formed as
-        # the solo calls form them (an array power can differ in the last bit)
+        # scalars (an array power can differ in the last bit)
         psi = self.aspect(np.cos(theta))
         cube, square = (np.array([rho ** p for rho in rhos])[:, None] for p in (3, 2))
-        return 1.0 + cube * psi / 3.0, square * psi, [None] * len(rhos)
-
-    def scalar_curvature(self, rho, theta):
-        self._check(rho)
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        u = self.conformal_factor(rho, th)
-        du = self.conformal_factor_drho(rho, th)
-        ddu = self.conformal_factor_drho2(rho, th)
-        # lap0 log u spectrally on internal nodes, interpolated to theta
-        g = QuadratureGrid(128, 1)
-        lap_nodes = g.round_laplacian(np.log(self.conformal_factor(rho, g.theta)))
-        lap = np.atleast_1d(g.interp_x(lap_nodes, np.cos(th)))
-        out = conformal_collar_scalar_curvature(rho, u, du, ddu, lap)
-        return out if np.asarray(theta).ndim else float(out[0])
+        twice = 2.0 * np.array(rhos, dtype=float)[:, None]
+        return 1.0 + cube * psi / 3.0, square * psi, twice * psi, [None] * len(rhos)
 
 
 def mass_aspect(family: AHFamily, grid: QuadratureGrid) -> np.ndarray:
@@ -366,5 +291,19 @@ def wang_mass(psi, grid: QuadratureGrid) -> MinkowskiVector:
 
 
 def scalar_curvature(family: AHFamily, rho: float, theta):
-    """Scalar curvature of the family metric at collar position (rho, theta)."""
-    return family.scalar_curvature(rho, theta)
+    """Scalar curvature of the family metric at collar position (rho, theta),
+    from one collar_profiles call at rho on the query theta and on the
+    128 nodes where lap0 log u is taken spectrally, then interpolated to
+    theta.  ValueError when rho is outside the collar range or the
+    family's profile fails there."""
+    if not 0.0 < rho <= family.rho_max:
+        raise ValueError("rho outside collar range")
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    g = QuadratureGrid(128, 1)
+    (u,), (du,), (ddu,), (err,) = family.collar_profiles([rho], np.concatenate([th, g.theta]))
+    if err is not None:
+        raise err
+    n = th.size
+    lap = g.interp_x(g.round_laplacian(np.log(u[n:])), np.cos(th))
+    out = conformal_collar_scalar_curvature(rho, u[:n], du[:n], ddu[:n], lap)
+    return out if np.asarray(theta).ndim else float(out[0])

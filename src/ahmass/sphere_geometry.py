@@ -14,7 +14,8 @@ precision, which the fifth-order curvature expansions need.  The FFT in
 phi serves only surface_laplacian, which acts on fields that vary in phi.
 
 A command's spheres are one stack: coordinate_spheres builds every
-radius as an (S, n_theta) row, each sample's fields read-only broadcasts
+radius as an (S, n_theta) row from the family's collar_profiles, each
+sample's fields (its collar profile u among them) read-only broadcasts
 of its rows over phi, and surface_laplacians takes a stack of surfaces
 in one pass.  Elementwise steps run once per stack; matrix products are
 stacked matmuls whose items are a lone sphere's products, and per-radius
@@ -37,7 +38,6 @@ __all__ = [
     "integrate_scalars",
     "surface_laplacian",
     "surface_laplacians",
-    "embeddability_check",
     "barycentric_weights",
     "barycentric_interpolate",
     "barycentric_rows",
@@ -45,7 +45,8 @@ __all__ = [
     "EMBEDDABILITY_MARGIN",
 ]
 
-# Margin above K = -1 demanded by embeddability_check.
+# Margin above K = -1 that a sphere's Gauss curvature must clear before
+# a sweep or a verify embeds it.
 EMBEDDABILITY_MARGIN = 1e-8
 
 
@@ -212,7 +213,9 @@ class SurfaceSample:
     G = E sin^2 th, H the mean curvature (sum-of-principal-curvatures
     convention, normal pointing away from infinity) and K the Gauss
     curvature.  All are stored as read-only grid fields, each a broadcast
-    of its theta profile over phi.
+    of its theta profile over phi.  A sample from coordinate_spheres also
+    keeps the collar profile u of its radius, the same kind of field; a
+    sample built by hand has u = None.
     """
 
     def __init__(self, eps, E, H, K, grid: QuadratureGrid):
@@ -226,9 +229,9 @@ class SurfaceSample:
         G = E * grid.sin_theta ** 2
         self._fill(eps, grid, _fields(grid, E, G, H, K, np.sqrt(E * G))[:, 0])
 
-    def _fill(self, eps, grid, fields) -> SurfaceSample:
+    def _fill(self, eps, grid, fields, u=None) -> SurfaceSample:
         # fields: E, G, H, K and sqrt_det as grid-shaped read-only views
-        self.eps, self.grid = float(eps), grid
+        self.eps, self.grid, self.u = float(eps), grid, u
         self.E, self.G, self.H, self.K, self.sqrt_det = fields
         return self
 
@@ -241,13 +244,13 @@ def coordinate_spheres(family, eps_list, grid: QuadratureGrid) -> list:
     """Level sets {rho = eps} of a collar family for every eps in eps_list,
     with their induced metric, area element, mean curvature and Gauss
     curvature: per radius its SurfaceSample or the ValueError it fails
-    with.
+    with.  Each sample keeps its collar profile u as the field sample.u.
 
-    The family must expose rho_max and collar_profiles(rhos, theta), the
-    conformal profile u and its rho-derivative of a stack of radii; the
-    collar metric is sinh^-2 rho (drho^2 + u(rho, theta) h0).  The normal
-    underlying H points away from infinity (toward increasing rho), which
-    makes geodesic spheres of the reference metric have H = 2 cosh eps > 0.
+    The family must expose rho_max and collar_profiles(rhos, theta), whose
+    u and u_rho of the stack this reads; the collar metric is
+    sinh^-2 rho (drho^2 + u(rho, theta) h0).  The normal underlying H
+    points away from infinity (toward increasing rho), which makes
+    geodesic spheres of the reference metric have H = 2 cosh eps > 0.
     The sphere carries the conformally round metric (u / sinh^2 eps) h0,
     so K = sinh^2 eps (1 - lap0(log u) / 2) / u, exactly sinh^2 eps
     where u is constant.
@@ -261,7 +264,7 @@ def coordinate_spheres(family, eps_list, grid: QuadratureGrid) -> list:
     out = [None if 0.0 < eps <= family.rho_max else ValueError(
         "eps=%g outside the collar range (0, %g]" % (eps, family.rho_max)) for eps in eps_list]
     rows = [i for i, err in enumerate(out) if err is None]
-    u, du, errs = family.collar_profiles([eps_list[i] for i in rows], grid.theta)
+    u, du, _, errs = family.collar_profiles([eps_list[i] for i in rows], grid.theta)
     for i, err, ui in zip(rows, errs, u):
         if err is None and np.any(ui <= 0.0):
             err = ValueError("degenerate induced metric: conformal factor <= 0")
@@ -276,10 +279,10 @@ def coordinate_spheres(family, eps_list, grid: QuadratureGrid) -> list:
     E = u / sh2
     H = 2.0 * ch - sh * du / u
     G = E * grid.sin_theta ** 2
-    fields = _fields(grid, E, G, H, K, np.sqrt(E * G))
+    fields = _fields(grid, E, G, H, K, np.sqrt(E * G), u)
     for k, i in enumerate(rows):
         # E = u / sinh^2 eps > 0: the constructor's E <= 0 check cannot fail
-        out[i] = object.__new__(SurfaceSample)._fill(eps_list[i], grid, fields[:, k])
+        out[i] = object.__new__(SurfaceSample)._fill(eps_list[i], grid, fields[:5, k], fields[5, k])
     return out
 
 
@@ -360,8 +363,3 @@ def surface_laplacian(surface: SurfaceSample, field) -> np.ndarray:
     """The one-surface call of surface_laplacians."""
     return surface_laplacians([surface], [field])[0]
 
-
-def embeddability_check(surface: SurfaceSample, margin: float = EMBEDDABILITY_MARGIN) -> bool:
-    """True when the Gauss curvature clears the hyperboloid threshold
-    K > -1 by the given margin at every node."""
-    return bool(np.min(surface.K) > -1.0 + margin)

@@ -315,7 +315,8 @@ def fit_limit(values, eps_list, known_order: float | None = None):
     # one row per column, smallest radius first
     vs = np.ascontiguousarray(v.reshape(eps.size, -1)[order].T)
 
-    flat = np.ptp(vs, axis=1) <= 1e-13 * (1.0 + np.max(np.abs(vs), axis=1))
+    spread = np.ptp(vs, axis=1)
+    flat = spread <= 1e-13 * (1.0 + np.max(np.abs(vs), axis=1))
     live = np.flatnonzero(~flat)
     vl = vs[live]
     if known_order is not None:
@@ -331,8 +332,9 @@ def fit_limit(values, eps_list, known_order: float | None = None):
         trusted = (_tail_monotone(vl, vinf) & (p > ORDER_RANGE[0] + 1e-9)
                    & (p < ORDER_RANGE[1] - 1e-9))
 
-    fits = [FitResult(float(np.mean(row)), 0.0, 0.0, float(np.ptp(row)), 0.0, False)
-            if is_flat else None for row, is_flat in zip(vs, flat)]
+    means = iter(np.mean(vs[flat], axis=1).tolist())  # the flat rows' means, in order
+    fits = [FitResult(next(means), 0.0, 0.0, ptp, 0.0, False) if is_flat else None
+            for is_flat, ptp in zip(flat, spread.tolist())]
     for i, j in enumerate(live):
         fits[j] = FitResult(float(vinf[i]), float(c[i]), float(p[i]), math.sqrt(ssr[i]),
                             float(stderr[i]), bool(trusted[i]))
@@ -506,6 +508,8 @@ def default_schedule(eps0: float = 0.2, ratio: float = 2.0 ** -0.5,
         raise ConfigError("schedule eps0 must be positive")
     if count < 1:
         raise ConfigError("schedule count must be at least 1")
+    if not eps0 * ratio ** (count - 1) > 0.0:  # checked before the list is built
+        raise ConfigError("schedule count %d underflows its smallest radius to 0" % count)
     return tuple(eps0 * ratio ** k for k in range(count))
 
 
@@ -705,6 +709,14 @@ def _curvature_extrema(surfs) -> list:
     return np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1).tolist()
 
 
+def _curvature_ok(extrema) -> tuple:
+    """Whether a sphere's curvature extrema (h_min, h_max, k_min, k_max)
+    let it be embedded: (K clears the K > -1 margin, H stays above the
+    H = -2 floor).  A NaN clears neither."""
+    h_min, _, k_min, _ = extrema
+    return k_min > -1.0 + EMBEDDABILITY_MARGIN, h_min > MEAN_CURVATURE_FLOOR
+
+
 def _mass_records(triples, failed) -> list:
     """The record, or the error, of each embedded (sphere, embedding,
     curvature extrema), with every m_BY and m_hat from one mass_vectors
@@ -752,10 +764,10 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     built = [s for s in spheres if isinstance(s, SurfaceSample)]
     checked = []
     for surf, ext in zip(built, _curvature_extrema(built)):
-        h_min, _, k_min, _ = ext
-        if not k_min > -1.0 + EMBEDDABILITY_MARGIN:  # the K margin before the H floor
+        k_ok, h_ok = _curvature_ok(ext)
+        if not k_ok:  # the K margin before the H floor
             outcome[surf.eps] = EmbeddingError("Gauss curvature does not clear the K > -1 margin")
-        elif h_min <= MEAN_CURVATURE_FLOOR:
+        elif not h_ok:
             outcome[surf.eps] = ValueError("mean curvature reaches the H = -2 floor")
         else:
             checked.append((surf, ext))
@@ -851,6 +863,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
     eps_fun = [float(e) for e in np.geomspace(hi, 0.025 * hi, 8)]
     radii = list(dict.fromkeys(cfg.eps_list + tuple(eps_fun)))
     spheres = dict(zip(radii, coordinate_spheres(fam, radii, grid)))
+    deepest = spheres[cfg.eps_list[-1]]  # aspect_recovery reads its u, embedded or not
     surfs = [s for s in spheres.values() if isinstance(s, SurfaceSample)]
     for surf, emb in zip(surfs, embed_surfaces(surfs, cfg.branch)):
         spheres[surf.eps] = emb if isinstance(emb, EmbeddingError) else (surf, emb)
@@ -901,8 +914,9 @@ def verify_identities(cfg: SweepConfig) -> dict:
                 "target": target, "tolerance": tol["area_limit_rtol"]}
 
     def e_aspect_recovery():
-        eps = cfg.eps_list[-1]
-        u = fam.conformal_factor(eps, grid.theta)
+        if isinstance(deepest, Exception):
+            raise deepest
+        eps, u = deepest.eps, deepest.u[:, 0]
         psi = mass_aspect(fam, grid)
         resid = float(np.max(np.abs(3.0 * (u - 1.0) / eps ** 3 - psi)))
         bound = tol["aspect_rtol"] * (1.0 + float(np.max(np.abs(psi))))
@@ -947,9 +961,8 @@ def verify_identities(cfg: SweepConfig) -> dict:
         # max() over a list keeps its first maximum, as a running max does
         worst_iso = max([0.0] + [e.isometry_residual for e in embs])
         worst_defect = max([0.0] + [e.hyperboloid_defect for e in embs])
-        h_min, _, k_min, _ = zip(*_curvature_extrema(surfs))
-        k_ok = all(k > -1.0 + EMBEDDABILITY_MARGIN for k in k_min)
-        h_ok = all(h > MEAN_CURVATURE_FLOOR for h in h_min)
+        checks = [_curvature_ok(ext) for ext in _curvature_extrema(surfs)]
+        k_ok, h_ok = (all(col) for col in zip(*checks))
         ok = (worst_iso <= tol["isometry"] and worst_defect <= tol["hyperboloid"]
               and h_ok and k_ok)
         return {"passed": ok, "isometry_residual": worst_iso,

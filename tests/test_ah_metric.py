@@ -47,22 +47,28 @@ CURVATURE_ORACLE_B = {
 
 
 def test_conformal_factor_hyperbolic_is_one():
-    assert np.array_equal(Hyperbolic().conformal_factor(0.3, GRID.theta), np.ones(GRID.n_theta))
+    u, du, ddu, errs = Hyperbolic().collar_profiles([0.3, 0.01], GRID.theta)
+    assert np.array_equal(u, np.ones((2, GRID.n_theta))) and errs == [None, None]
+    assert np.array_equal(du, np.zeros((2, GRID.n_theta)))
+    assert np.array_equal(ddu, np.zeros((2, GRID.n_theta)))
 
 
 def test_conformal_factor_perturbed_round_definitional():
     rho = 0.2
-    fam = PerturbedRound(lambda x: 0.1 * x)
-    u = fam.conformal_factor(rho, GRID.theta)
-    want = 1.0 + rho ** 3 * (0.1 * np.cos(GRID.theta)) / 3.0
-    assert np.max(np.abs(u - want)) < 1e-15
+    psi = 0.1 * np.cos(GRID.theta)
+    (u,), (du,), (ddu,), errs = PerturbedRound(lambda x: 0.1 * x).collar_profiles([rho], GRID.theta)
+    assert errs == [None]
+    assert np.max(np.abs(u - (1.0 + rho ** 3 * psi / 3.0))) < 1e-15
+    assert np.max(np.abs(du - rho ** 2 * psi)) < 1e-15
+    assert np.max(np.abs(ddu - 2.0 * rho * psi)) < 1e-15
 
 
 def test_conformal_factor_ads_matches_collar_transform():
     rho = 0.1
-    u = AdSSchwarzschild(1.0).conformal_factor(rho, GRID.theta)
+    (u,), _, _, errs = AdSSchwarzschild(1.0).collar_profiles([rho], GRID.theta)
     r = ads_collar_transform(1.0, rho)
     want = (r * math.sinh(rho)) ** 2
+    assert errs == [None]
     assert np.max(np.abs(u - want)) < 1e-10 * want
 
 
@@ -140,15 +146,54 @@ def test_lockstep_collar_radii_match_solo(m):
     errors = [str(r) for r in got if isinstance(r, ValueError)]
     assert errors.count("rho must be positive") == 2
     assert (m == 100.0) == ("no collar radius in bracket; rho too deep for this mass" in errors)
-    # the AdS family's stacked profile rows are its solo profiles
-    if m > 0.0:
-        fam = AdSSchwarzschild(m)
-        ok = [rho for rho, r in zip(rhos, got) if isinstance(r, float) and rho <= fam.rho_max]
-        u, du, errs = fam.collar_profiles(ok, GRID.theta)
-        assert errs == [None] * len(ok)
-        for k, rho in enumerate(ok):
-            assert np.array_equal(u[k], fam.conformal_factor(rho, GRID.theta))
-            assert np.array_equal(du[k], fam.conformal_factor_drho(rho, GRID.theta))
+
+
+FAMILY_SPECS = [
+    "hyperbolic",
+    {"name": "ads_schwarzschild", "mass": 0.5},
+    {"name": "ads_schwarzschild", "mass": 3.3},
+    # 0.5 and 0.3 have no collar radius in bracket
+    {"name": "ads_schwarzschild", "mass": 100.0},
+    {"name": "perturbed_round", "psi": {"type": "cos_theta", "amplitude": 0.1}},
+    {"name": "perturbed_round", "psi": {"type": "constant", "value": -40.0}},
+    {"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}},
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+@pytest.mark.parametrize("n_theta", [64, 96])
+def test_collar_profiles_rows_are_one_radius_calls(spec, n_theta):
+    # every row of a stacked collar_profiles call is, bit for bit, the
+    # one-radius call at its radius: u, u_rho, u_rhorho and the error; the
+    # radii mix the 8- and 12-radius schedules with verify's radii
+    fam, _ = family_from_spec(spec)
+    theta = QuadratureGrid(n_theta, 4).theta
+    rhos = ([0.2 * 2 ** -0.5 * k for k in range(1, 4)] + [float(r) for r in np.geomspace(
+        0.002, 0.5, 13)] + [0.3, 0.0075])
+    u, du, ddu, errs = fam.collar_profiles(rhos, theta)
+    assert u.shape == du.shape == ddu.shape == (len(rhos), n_theta) and len(errs) == len(rhos)
+    for k, rho in enumerate(rhos):
+        (u1,), (du1,), (ddu1,), (err,) = fam.collar_profiles([rho], theta)
+        if err is not None:
+            assert type(errs[k]) is type(err) and str(errs[k]) == str(err)
+            continue
+        assert errs[k] is None
+        for got, want in ((u[k], u1), (du[k], du1), (ddu[k], ddu1)):
+            assert np.array_equal(got, want)
+    assert (spec == FAMILY_SPECS[3]) == any(e is not None for e in errs)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS[:3] + FAMILY_SPECS[4:])
+def test_collar_profiles_second_derivative_is_the_slope_of_the_first(spec):
+    # u_rhorho against a centred rho-difference of u_rho: AdS's w'' comes
+    # from differentiating the collar ODE, and nothing else reads it but R
+    fam, _ = family_from_spec(spec)
+    h = 1e-4
+    for rho in (0.01, 0.1, 0.3, 0.45):
+        _, du, ddu, errs = fam.collar_profiles([rho - h, rho, rho + h], GRID.theta)
+        assert errs == [None] * 3
+        slope = (du[2] - du[0]) / (2.0 * h)
+        assert np.max(np.abs(slope - ddu[1])) <= 1e-7 * (1.0 + np.max(np.abs(ddu[1])))
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 3.3])
@@ -196,7 +241,8 @@ def test_ads_aspect_is_twice_the_mass():
     m = 2.0
     fam = AdSSchwarzschild(m)
     rhos = np.geomspace(0.02, 0.1, 12)
-    y = np.array([3.0 * (fam.conformal_factor(r, 0.0) - 1.0) / r ** 3 for r in rhos])
+    u = fam.collar_profiles(list(rhos), np.array([0.0]))[0][:, 0]
+    y = 3.0 * (u - 1.0) / rhos ** 3
     basis = np.stack([np.ones_like(rhos), rhos ** 2, rhos ** 3], axis=1)
     intercept = np.linalg.lstsq(basis, y, rcond=None)[0][0]
     assert abs(intercept - 2.0 * m) <= 1e-6 * 2.0 * m
@@ -243,9 +289,16 @@ def test_wang_mass_positive_trace_future_component():
 
 
 def test_scalar_curvature_exact_families():
-    th = np.linspace(0.2, 2.9, 7)
-    assert np.array_equal(scalar_curvature(Hyperbolic(), 0.3, th), np.full(7, -6.0))
-    assert np.array_equal(scalar_curvature(AdSSchwarzschild(1.5), 0.3, th), np.full(7, -6.0))
+    # hyperbolic space and the AdS-Schwarzschild slices are Einstein with
+    # R = -6 exactly; the one curvature formula reads their profiles
+    th = np.linspace(0.0, np.pi, 7)
+    rhos = [float(r) for r in np.geomspace(0.003, 0.5, 12)]
+    for fam in [Hyperbolic()] + [AdSSchwarzschild(m) for m in (0.5, 1.5, 3.3, 100.0)]:
+        radii = [r for r, err in zip(rhos, fam.collar_profiles(rhos, th)[3]) if err is None]
+        assert len(radii) >= 8
+        worst = max(np.max(np.abs(scalar_curvature(fam, rho, th) + 6.0)) for rho in radii)
+        assert worst <= 1e-11, (fam.name, worst)
+        assert scalar_curvature(fam, radii[-1], 1.0) == pytest.approx(-6.0, abs=1e-11)
 
 
 def test_scalar_curvature_conformal_oracle():
@@ -269,16 +322,20 @@ def test_high_degree_profiles_evaluate_at_the_poles():
     # stands between a profile and its family
     fam, _ = family_from_spec({"name": "perturbed_round",
                                "psi": {"type": "poly_cos", "coefficients": [0] * 30 + [3]}})
-    assert fam.conformal_factor(0.1, np.array([0.0, np.pi])) == pytest.approx(1.0 + 1e-3)
+    poles = np.array([0.0, np.pi])
+    assert fam.collar_profiles([0.1], poles)[0][0] == pytest.approx(1.0 + 1e-3)
     fam = PerturbedRound(Polynomial([0.0] * 60 + [50.0]))
-    assert fam.conformal_factor(0.1, np.array([0.0, np.pi])) == pytest.approx(1.0 + 50e-3 / 3)
+    assert fam.collar_profiles([0.1], poles)[0][0] == pytest.approx(1.0 + 50e-3 / 3)
 
 
 def test_collar_range_validation():
-    with pytest.raises(ValueError):
-        Hyperbolic().conformal_factor(0.6, GRID.theta)
-    with pytest.raises(ValueError):
-        PerturbedRound(lambda x: 0.1 * x).conformal_factor(-0.1, GRID.theta)
+    with pytest.raises(ValueError, match="outside collar range"):
+        scalar_curvature(Hyperbolic(), 0.6, GRID.theta)
+    with pytest.raises(ValueError, match="outside collar range"):
+        scalar_curvature(PerturbedRound(lambda x: 0.1 * x), -0.1, GRID.theta)
+    # a radius inside the range whose profile fails raises the profile's error
+    with pytest.raises(ValueError, match="no collar radius in bracket"):
+        scalar_curvature(AdSSchwarzschild(100.0), 0.5, GRID.theta)
 
 
 def test_collar_sample_rejects_nonpositive_metric():

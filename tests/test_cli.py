@@ -115,6 +115,8 @@ def test_config_errors_exit_3(tmp_path, capsys):
     {"tolerances": {"h0_order": -4.0}},
     {"tolerances": {"gauss_order": -1e-300}},
     {"tolerances": {"funclim_atol": -1e-8}},
+    # a schedule whose smallest radius underflows, refused before it is built
+    {"epsilons": None, "schedule": {"eps0": 0.2, "ratio": 0.5, "count": 10 ** 12}},
 ])
 @pytest.mark.parametrize("command", ["sweep", "verify"])
 def test_bad_config_values_exit_3(tmp_path, capsys, command, over):

@@ -1,6 +1,7 @@
 """Oracle test of the limit fit's exponent search: the array form of the
 search, kept here as the reference, and the fit in ahmass.sweep return
-equal FitResults on drawn batches."""
+equal FitResults on drawn batches, and each flat column is its row's own
+mean and spread."""
 
 import math
 from unittest import mock
@@ -105,7 +106,7 @@ RADII = st.lists(st.floats(1e-3, 0.5), min_size=3, max_size=12, unique=True)
 # sign change of the slope in the bracket)
 POWER = st.tuples(st.just("power"), st.floats(-1e3, 1e3), st.floats(-10.0, 10.0),
                   st.one_of(st.floats(0.6, 5.9), st.sampled_from([0.5, 6.0, 0.3, 7.5])))
-FLAT = st.tuples(st.just("flat"), st.floats(-1e3, 1e3), st.sampled_from([0.0, 1e-15]),
+FLAT = st.tuples(st.just("flat"), st.floats(-1e3, 1e3), st.sampled_from([0.0, 1e-15, 3e-14]),
                  st.just(0.0))
 NOISE = st.tuples(st.just("noise"), st.floats(-10.0, 10.0), st.floats(1e-6, 1.0),
                   st.integers(0, 2 ** 31))
@@ -130,8 +131,14 @@ def test_fit_limit_equals_array_form_search(radii, cols):
     with mock.patch.object(sweep, "_free_order_fit", ref_free_order_fit):
         want = fit_limit(series, eps)
     assert got == want
-    # the pieces the known-order fit shares with the free one
+    # a flat column, reduced with the batch's other flat columns, is the
+    # mean and spread of its row alone, order 0, untrusted
     vs = np.ascontiguousarray(series[np.argsort(eps)].T)
+    for row, fit in zip(vs, got):
+        if np.ptp(row) <= 1e-13 * (1.0 + np.max(np.abs(row))):
+            assert fit == sweep.FitResult(float(np.mean(row)), 0.0, 0.0, float(np.ptp(row)),
+                                          0.0, False)
+    # the pieces the known-order fit shares with the free one
     x = np.sort(eps) ** 2.0
     assert np.array_equal(sweep._sum_last(vs), ref_sum_last(vs))
     for a, b in zip(sweep._line_fit(x, *sweep._centred(vs)), ref_line_fit(x, vs)):
@@ -155,3 +162,4 @@ def test_drawn_kinds_reach_every_search_outcome(monkeypatch):
     assert math.isnan(root[2])
     flat = fit_limit(column(eps, ("flat", 3.0, 1e-15, 0.0)), eps)
     assert flat.order == 0.0 and not flat.order_trusted
+

@@ -15,7 +15,6 @@ from ahmass import (
     coordinate_sphere,
     decay_order,
     embed_surfaces,
-    embeddability_check,
     integrate_scalar,
     mass_aspect,
     surface_laplacian,
@@ -118,14 +117,6 @@ def test_odd_field_integrates_to_zero():
     s = round_sample(1.0, GRID)
     w3 = np.cos(GRID.theta)[:, None] * np.ones((1, GRID.n_phi))
     assert abs(integrate_scalar(s, w3)) < 1e-13 * s.area
-
-
-def test_embeddability_check():
-    assert embeddability_check(coordinate_sphere(Hyperbolic(), 0.1, GRID))
-    assert embeddability_check(coordinate_sphere(PerturbedRound(lambda x: 0.1 * x), 0.2, GRID))
-    s = round_sample(1.0, GRID)
-    flat = SurfaceSample(0.1, s.E, s.H, np.full(GRID.shape, -1.0), GRID)
-    assert not embeddability_check(flat)
 
 
 def test_gauss_curvature_closed_form():
@@ -240,15 +231,14 @@ def test_coordinate_sphere_range_checks():
 
 def scalar_sphere(family, eps, grid):
     # coordinate_sphere's formulas at one radius in their scalar form: the
-    # family's solo profiles, numpy scalars for sinh and cosh, and plain
-    # matrix-vector products for lap0
-    u = np.asarray(family.conformal_factor(eps, grid.theta), dtype=float)
-    du = np.asarray(family.conformal_factor_drho(eps, grid.theta), dtype=float)
+    # family's one-radius profiles, numpy scalars for sinh and cosh, and
+    # plain matrix-vector products for lap0
+    (u,), (du,), _, _ = family.collar_profiles([eps], grid.theta)
     sh, ch = np.sinh(eps), np.cosh(eps)
     log_u_x = grid.deriv_x @ np.log(u)
     lap0 = (1.0 - grid.x ** 2) * (grid.deriv_x @ log_u_x) - 2.0 * grid.x * log_u_x
     K = sh ** 2 * (1.0 - 0.5 * lap0) / u
-    return SurfaceSample(eps, u / sh ** 2, 2.0 * ch - sh * du / u, K, grid)
+    return SurfaceSample(eps, u / sh ** 2, 2.0 * ch - sh * du / u, K, grid), u
 
 
 def poly_family(*coefficients):
@@ -286,12 +276,14 @@ def test_coordinate_spheres_match_solo(family, radii, n_errors, grid):
             errors += 1
             continue
         assert isinstance(got, SurfaceSample) and got.eps == eps and got.grid is grid
-        want = scalar_sphere(family, eps, grid)
-        for name in ("E", "H", "K", "G", "sqrt_det"):
+        want, u = scalar_sphere(family, eps, grid)
+        assert want.u is None  # a sample built by hand has no collar profile
+        for name in ("E", "H", "K", "G", "sqrt_det", "u"):
             field = getattr(got, name)
             assert field.shape == grid.shape and not field.flags.writeable
             assert np.array_equal(field, getattr(alone, name)), name
-            assert np.array_equal(field, getattr(want, name)), name
+            scalar = grid.as_field(u) if name == "u" else getattr(want, name)
+            assert np.array_equal(field, scalar), name
     assert errors == n_errors
 
 

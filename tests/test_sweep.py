@@ -332,7 +332,7 @@ def test_psi_profile_types_give_identical_conformal_factors(n_theta):
 
     def u(psi, rho):
         fam, _ = family_from_spec({"name": "perturbed_round", "psi": psi})
-        return fam.conformal_factor(rho, theta)
+        return fam.collar_profiles([rho], theta)[0][0]
 
     for rho in (0.2, 0.0125):
         for a in (0.1, -0.37):
@@ -375,6 +375,11 @@ def test_default_schedule():
         default_schedule(eps0=-0.1)
     with pytest.raises(ConfigError):
         default_schedule(count=0)
+    # a count whose smallest radius underflows is refused before the list
+    # of 10^12 radii is built
+    with pytest.raises(ConfigError, match="underflows"):
+        default_schedule(count=10 ** 12)
+    assert len(default_schedule(count=2000)) == 2000
 
 
 def test_sweep_config_validation(tmp_path):
@@ -565,9 +570,9 @@ def test_sweep_and_verify_find_each_horizon_once(tmp_path, monkeypatch):
         assert verify_identities(cfg)["passed"]
     info = ah_metric._horizon_radius.cache_info()
     assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
-    # per mass: the 8 sweep radii, the 16 verify radii, and one radius
-    # that verify's aspect_recovery entry reads through conformal_factor
-    assert solves == [8, 16, 1] * 2
+    # per mass: the 8 sweep radii and the 16 verify radii; aspect_recovery
+    # reads u from its sphere
+    assert solves == [8, 16] * 2
 
 
 def test_run_sweep_deterministic(tmp_path):
@@ -678,6 +683,18 @@ def test_sweep_embeds_in_one_call(tmp_path, monkeypatch):
     assert all(r.error is None for i, r in enumerate(rec.records) if i not in (1, 2, 3))
 
 
+def test_curvature_rule_gates_sweep_and_verify_alike():
+    # run_sweep and verify's embedding_residuals read one rule: K must
+    # clear -1 by the margin and H the floor, strictly; a NaN clears neither
+    k_edge = -1.0 + sphere_geometry.EMBEDDABILITY_MARGIN
+    h_edge = quasilocal.MEAN_CURVATURE_FLOOR
+    assert sweep._curvature_ok((2.0, 2.1, 0.0, 0.1)) == (True, True)
+    assert sweep._curvature_ok((h_edge, 2.1, k_edge, 0.1)) == (False, False)
+    assert sweep._curvature_ok((np.nextafter(h_edge, 0.0), 2.1, np.nextafter(k_edge, 0.0), 0.1)) \
+        == (True, True)
+    assert sweep._curvature_ok((math.nan, 2.1, math.nan, 0.1)) == (False, False)
+
+
 POLY_SPEC = {"name": "perturbed_round",
              "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}}
 
@@ -757,6 +774,32 @@ def test_sweep_isolates_a_non_finite_density(tmp_path, monkeypatch, capsys):
         "output": {"dir": str(tmp_path / "out")}}))
     assert main(["sweep", str(path)]) == 2
     assert capsys.readouterr().out.count("FAILED: ValueError: field has non-finite entries") == 1
+
+
+def test_aspect_recovery_reads_u_from_the_deepest_sphere(tmp_path, monkeypatch):
+    # the entry reads u off the deepest configured sphere as it was built:
+    # a failed embedding leaves it its value, a failed sphere its error
+    cfg = fast_config(tmp_path, family=family_from_spec(POLY_SPEC)[0], eps_list=default_schedule())
+    plain = verify_identities(cfg)["entries"]
+    deepest = cfg.eps_list[-1]
+    real_spheres, real_embed = sweep.coordinate_spheres, sweep.embed_surfaces
+
+    def unembedded(surfaces, branch=1):
+        return [embed_h3.EmbeddingError("cannot embed") if s.eps == deepest else emb
+                for s, emb in zip(surfaces, real_embed(surfaces, branch))]
+
+    monkeypatch.setattr(sweep, "embed_surfaces", unembedded)
+    entries = verify_identities(cfg)["entries"]
+    assert entries["aspect_recovery"] == plain["aspect_recovery"]
+    assert entries["mean_curvature_expansion"]["error"] == "EmbeddingError: cannot embed"
+
+    def unbuilt(family, eps_list, grid):
+        return [ValueError("no sphere") if eps == deepest else s
+                for eps, s in zip(eps_list, real_spheres(family, eps_list, grid))]
+
+    monkeypatch.setattr(sweep, "coordinate_spheres", unbuilt)
+    entries = verify_identities(cfg)["entries"]
+    assert entries["aspect_recovery"] == {"passed": False, "error": "ValueError: no sphere"}
 
 
 def test_sweep_classifies_each_mass_vector_once(tmp_path, monkeypatch):
