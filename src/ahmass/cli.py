@@ -122,7 +122,7 @@ def _cmd_embed(args) -> int:
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
     try:
         surf = coordinate_sphere(cfg.family, float(eps), grid)
-        emb = embed_surface(surf, branch=cfg.branch)
+        emb = embed_surface(surf)
         r1, r2 = enclosing_radii(emb)
     except (EmbeddingError, ValueError, ArithmeticError) as exc:
         print("embed failed: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -10,9 +10,9 @@ realized as a surface of revolution
 which lies on the hyperboloid <<X, X>> = -1 for every rapidity chi(th).
 Matching E = f'^2 + u'^2 - w'^2 = f'^2 / rho^2 + rho^2 chi'^2 gives
 
-    chi' = s sqrt(D) / (1 + f^2),   D = (1 + f^2) E - f'^2,
+    chi' = -sqrt(D) / (1 + f^2),   D = (1 + f^2) E - f'^2,
 
-with branch sign s, so chi is a plain integral.  Near the poles D and
+so chi is a plain integral, decreasing in th.  Near the poles D and
 f'^2 cancel catastrophically in floating point, so D is never formed
 directly: writing A = G/sin^2, B = (E - A)/sin^2 (both pole-regular)
 gives the exact factorization
@@ -63,8 +63,8 @@ only to place it on the grid.
 The translation gauge along the axis is fixed by the boost that zeroes
 the first axial moment (integral of u f dth).  Along the axis a boost is
 the constant shift chi -> chi + c with tanh c = -int rho f sinh chi /
-int rho f cosh chi; branch +1 then has the north pole (th = 0) on the
-positive axis.
+int rho f cosh chi; the north pole (th = 0) then lies on the positive
+axis.
 """
 
 from __future__ import annotations
@@ -108,13 +108,13 @@ class RevolutionProfile:
     """Meridian samples at the grid theta-nodes: f, rho = sqrt(1 + f^2)
     and the rapidity chi with exact first and second derivatives, the
     ambient u, w, u', w' (the isometry residual compares f'^2 + u'^2 - w'^2
-    and f^2 with the target), the branch sign, and the degree and relative
-    tail of the Chebyshev series that resolved the rapidity, for a stack
-    of spheres, a row each; row(i) is sphere i's own profile."""
+    and f^2 with the target), and the degree and relative tail of the
+    Chebyshev series that resolved the rapidity, for a stack of spheres, a
+    row each; row(i) is sphere i's own profile."""
 
-    def __init__(self, grid, branch, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
+    def __init__(self, grid, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
                  E_target, G_target, cheb_degree, cheb_tail):
-        self.grid, self.branch = grid, int(branch)
+        self.grid = grid
         self.f, self.fp, self.fpp = f, fp, fpp
         self.rho, self.rhop, self.rhopp = rho, rhop, rhopp
         self.chi, self.chip, self.chipp = chi, chip, chipp
@@ -130,7 +130,7 @@ class RevolutionProfile:
     def row(self, i) -> RevolutionProfile:
         """Sphere i of a stacked profile; its arrays are views of row i."""
         out = object.__new__(RevolutionProfile)
-        out.__dict__ = {k: v if k in ("grid", "branch") else v[i] for k, v in vars(self).items()}
+        out.__dict__ = {k: v if k == "grid" else v[i] for k, v in vars(self).items()}
         out.isometry_residual = float(out.isometry_residual)
         return out
 
@@ -346,7 +346,7 @@ def _primitive_at(c, n_theta, scl) -> np.ndarray:
     return _primitives(np.asarray(c, dtype=float)[None], n_theta, scl)[0]
 
 
-def _embed_rows(E, G, grid, branch) -> list:
+def _embed_rows(E, G, grid) -> list:
     """The rapidity quadrature for a stack of spheres, a row of the
     C-contiguous (S, n_theta) arrays E and G each.  Returns per row its
     EmbeddingError or its (RevolutionProfile, X, normal, H0) with the
@@ -359,16 +359,15 @@ def _embed_rows(E, G, grid, branch) -> list:
     nodal = np.stack([A, B, E, Ax], axis=-1)
     scale = np.max(E, axis=1)
     out = {i: err for i, err in enumerate(_probe(nodal, scale)) if err is not None}
-    # branch +1 = north pole up after centering = rapidity decreasing in theta
-    sig = -branch
 
+    # north pole up after centering = rapidity decreasing in theta
     def chi_prime(n, rows):
         _, xq, sq = _level_points(n)
         at = barycentric_apply(_level_rows(grid.n_theta, n), nodal[rows])
         d = _bracket(xq, *np.moveaxis(at, -1, 0))
         errs = _negative(np.min(d, axis=-1))
         with np.errstate(invalid="ignore"):  # a failed row leaves the series
-            return sig * sq * np.sqrt(d) / (1.0 + sq * sq * at[..., 0]), errs
+            return -sq * np.sqrt(d) / (1.0 + sq * sq * at[..., 0]), errs
 
     series = _theta_series(chi_prime, [i for i in range(len(E)) if i not in out])
     dt = _bracket(x, A, B, E, Ax)
@@ -390,8 +389,8 @@ def _embed_rows(E, G, grid, branch) -> list:
     rhopp = (fp ** 2 + f * fpp - rhop ** 2) / rho
     sqrt_dt = np.sqrt(dt)
     d_s_sqrtD = (2.0 * x * dt - s ** 2 * (grid.deriv_x @ dt[..., None])[..., 0]) / (2.0 * sqrt_dt)
-    chip = sig * s * sqrt_dt / rho2
-    chipp = sig * d_s_sqrtD / rho2 - chip * 2.0 * f * fp / rho2
+    chip = -s * sqrt_dt / rho2
+    chipp = -d_s_sqrtD / rho2 - chip * 2.0 * f * fp / rho2
     # Centering shift, applied twice: the moments grow like rho^2 at small
     # radii, so one pass leaves a rounding residue the second removes.
     chi = np.empty((len(keep), grid.n_theta))
@@ -404,7 +403,7 @@ def _embed_rows(E, G, grid, branch) -> list:
         iu = np.sum(grid.w_theta * rho * np.sinh(chi) * f / s, axis=1)
         iw = np.sum(grid.w_theta * rho * np.cosh(chi) * f / s, axis=1)
         chi = chi + np.array([math.atanh(-a / b) for a, b in zip(iu, iw)])[:, None]
-    prof = RevolutionProfile(grid, branch, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
+    prof = RevolutionProfile(grid, f, fp, fpp, rho, rhop, rhopp, chi, chip, chipp,
                              E[keep], G[keep], [series[i][1] for i in keep],
                              [series[i][2] for i in keep])
     h0, (X, N) = mean_curvature_h0(prof), _profile_nodes(prof)
@@ -417,25 +416,22 @@ def _embed_rows(E, G, grid, branch) -> list:
     return [out[i] for i in range(len(E))]
 
 
-def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionProfile:
+def embed_revolution(E, G, grid: QuadratureGrid) -> RevolutionProfile:
     """Embed the axisymmetric metric E dth^2 + G dphi^2 (theta profiles on
     the grid nodes) as a surface of revolution about the x3-axis of the
-    hyperboloid, centered so the axial moment of u vanishes.  branch +1
-    puts the theta = 0 pole on the positive axis; -1 is the mirror image.
-    Raises EmbeddingError when the discriminant goes negative (not
-    realizable in this gauge), when the poles fail to close, when the
-    rapidity series does not converge by RAPIDITY_MAX_DEGREE, or when the
-    recomputed metric misses the target by more than
-    ISOMETRY_RESIDUAL_TOL relative to 1 + max E.
+    hyperboloid, centered so the axial moment of u vanishes, with the
+    theta = 0 pole on the positive axis.  Raises EmbeddingError when the
+    discriminant goes negative (not realizable in this gauge), when the
+    poles fail to close, when the rapidity series does not converge by
+    RAPIDITY_MAX_DEGREE, or when the recomputed metric misses the target
+    by more than ISOMETRY_RESIDUAL_TOL relative to 1 + max E.
     """
     E, G = np.asarray(E, dtype=float), np.asarray(G, dtype=float)
     if E.shape != (grid.n_theta,) or G.shape != (grid.n_theta,):
         raise ValueError("E and G must be theta profiles on the grid nodes")
     if np.any(E <= 0.0) or np.any(G <= 0.0):
         raise EmbeddingError("metric profiles must be positive")
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    got = _embed_rows(E[None], G[None], grid, branch)[0]
+    got = _embed_rows(E[None], G[None], grid)[0]
     if isinstance(got, EmbeddingError):
         raise got
     return got[0]
@@ -443,12 +439,12 @@ def embed_revolution(E, G, grid: QuadratureGrid, branch: int = 1) -> RevolutionP
 
 def _comoving_normal(profile: RevolutionProfile):
     """Squared meridian speed e = rho^2 chi'^2 + f'^2 / rho^2 and inward
-    unit normal n = -branch (-rho^2 chi', f'/rho, -f rho chi') / sqrt(e)
+    unit normal n = -(-rho^2 chi', f'/rho, -f rho chi') / sqrt(e)
     (f, u, w components) in the comoving frame, where the point is
-    (f, 0, rho); chi' has sign -branch, so -n_f/f is positive."""
+    (f, 0, rho); chi' is negative, so -n_f/f is positive."""
     p = profile
     e = (p.rho * p.chip) ** 2 + (p.fp / p.rho) ** 2
-    scale = -p.branch / np.sqrt(e)
+    scale = -1.0 / np.sqrt(e)
     return e, (-p.rho ** 2 * p.chip * scale, p.fp / p.rho * scale,
                -p.f * p.rho * p.chip * scale)
 
@@ -515,15 +511,13 @@ def embed_round(R: float, grid: QuadratureGrid,
     return emb
 
 
-def embed_surfaces(surfaces, branch: int = 1) -> list:
+def embed_surfaces(surfaces) -> list:
     """Isometrically embed coordinate-sphere samples (axisymmetric by
     construction) into the hyperboloid in one pass; returns, in order, the
     EmbeddedSurface or the EmbeddingError embed_surface gives for each.
     Per grid, the exactly round ones take the closed geodesic-sphere form
     in one broadcast, about a hundred times cheaper; the others share one
     stacked rapidity quadrature."""
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
     out = {}
     for grid in dict.fromkeys(s.grid for s in surfaces):
         idx = [i for i, s in enumerate(surfaces) if s.grid is grid]
@@ -539,7 +533,7 @@ def embed_surfaces(surfaces, branch: int = 1) -> list:
         rev = [i for i, r in zip(idx, is_rev) if r]
         if rev:
             G = np.stack([surfaces[i].G[:, 0] for i in rev])
-            for i, got in zip(rev, _embed_rows(E[is_rev], G, grid, branch)):
+            for i, got in zip(rev, _embed_rows(E[is_rev], G, grid)):
                 if not isinstance(got, EmbeddingError):
                     prof, X, N, h0, defect, err = got
                     got = err or EmbeddedSurface._checked(grid, X, N, h0, prof.isometry_residual,
@@ -548,9 +542,9 @@ def embed_surfaces(surfaces, branch: int = 1) -> list:
     return [out[i] for i in range(len(surfaces))]
 
 
-def embed_surface(surface: SurfaceSample, branch: int = 1) -> EmbeddedSurface:
+def embed_surface(surface: SurfaceSample) -> EmbeddedSurface:
     """embed_surfaces of the one sample, raising its EmbeddingError."""
-    emb = embed_surfaces([surface], branch)[0]
+    emb = embed_surfaces([surface])[0]
     if isinstance(emb, EmbeddingError):
         raise emb
     return emb

@@ -142,8 +142,12 @@ def test_bad_config_values_exit_3(tmp_path, capsys, command, over):
                                                     "degree": 1}}}, "psi profile key(s): degree"),
     ({"grid": {"n_theta": 32, "n_phi": 4, "n_thetaa": 64}}, "grid key(s): n_thetaa"),
     ({"output": {"dir": "out", "fmt": "csv"}}, "output key(s): fmt"),
+    # former keys: the meridian branch and verify's seed are fixed now
+    ({"branch": 1}, "config key(s): branch"),
+    ({"branch": -1}, "config key(s): branch"),
+    ({"seed": 94211}, "config key(s): seed"),
 ], ids=["schedule", "family_ads", "family_hyperbolic", "family_perturbed", "psi_cos_theta",
-        "psi_constant", "psi_poly_cos", "grid", "output"])
+        "psi_constant", "psi_poly_cos", "grid", "output", "branch", "branch_mirror", "seed"])
 @pytest.mark.parametrize("command", ["sweep", "verify", "embed"])
 def test_unknown_nested_config_key_exits_3(tmp_path, capsys, command, over, unknown):
     # a misspelt or unsupported key in any config object is refused, never
@@ -438,14 +442,16 @@ def test_report_reads_an_error_with_commas(tmp_path, capsys):
 
 
 def test_commands_run_on_numpy_alone(tmp_path):
-    # a fresh interpreter runs sweep and verify without importing scipy
+    # a fresh interpreter runs sweep and verify without importing scipy,
+    # or the numpy submodules neither computes with: numpy.random, numpy.ma
     path = write_config(tmp_path, family={"name": "ads_schwarzschild", "mass": 3.3},
                         epsilons=[0.2, 0.14, 0.1, 0.07])
     script = (
         "import json, sys\n"
         "from ahmass.cli import main\n"
         "codes = [main(['sweep', sys.argv[1]]), main(['verify', sys.argv[1]])]\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "                or m in ('numpy.random', 'numpy.ma'))\n"
         "print(json.dumps([codes, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))

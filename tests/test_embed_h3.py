@@ -82,34 +82,15 @@ def test_revolution_round_trip():
         assert np.max(np.abs(mean_curvature_h0(prof) - 2.0 * ch / sh)) < 1e-8
 
 
-def test_revolution_branch_mirror():
-    E, G = round_profiles(0.9, GRID)
-    plus = embed_revolution(E, G, GRID)
-    minus = embed_revolution(E, G, GRID, branch=-1)
-    assert np.max(np.abs(minus.u + plus.u)) < 1e-10
-    assert np.max(np.abs(minus.f - plus.f)) < 1e-12
-    assert plus.u[0] > 0 > minus.u[0]
-
-
-def test_branches_give_the_same_h0():
-    # the normal's orientation follows the branch: chi' flips sign with
-    # it, and H0 is the same on both mirror images
-    fam, _ = family_from_spec({"name": "perturbed_round",
-                               "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}})
-    grid = QuadratureGrid(64, 4)
-    surf = coordinate_sphere(fam, 0.0125, grid)
-    plus, minus = embed_surface(surf, branch=1), embed_surface(surf, branch=-1)
-    assert plus.profile is not None
-    assert np.array_equal(plus.H0, minus.H0)
-    assert np.min(plus.H0) > 2.0
+def test_axis_shift_keeps_the_bulk_h0():
     # psi = a cos(theta) shifts the sphere along the axis, so
-    # H0 = 2 cosh(eps) + O(eps^8): each branch reaches it to rounding
+    # H0 = 2 cosh(eps) + O(eps^8), reached to rounding
+    grid = QuadratureGrid(64, 4)
     fam = PerturbedRound(lambda x: 0.1 * x)
     for eps in (0.0125, 0.0044):
-        surf = coordinate_sphere(fam, eps, grid)
-        for branch in (1, -1):
-            h0 = embed_surface(surf, branch=branch).H0
-            assert np.max(np.abs(h0 - 2.0 * math.cosh(eps))) <= 1e-14
+        emb = embed_surface(coordinate_sphere(fam, eps, grid))
+        assert emb.profile is not None
+        assert np.max(np.abs(emb.H0 - 2.0 * math.cosh(eps))) <= 1e-14
 
 
 def test_hyperbolic_sphere_reference_curvature_matches_bulk():
@@ -373,8 +354,8 @@ def test_second_embedding_builds_no_table():
 
     embed_surfaces(spheres())
     before = {name: getattr(embed_h3, name).cache_info() for name in TABLE_CACHES}
-    # new grids of the same size, the other branch
-    emb, rnd = embed_surfaces(spheres(), branch=-1)
+    # new grids of the same size
+    emb, rnd = embed_surfaces(spheres())
     assert emb.profile.cheb_degree > embed_h3.RAPIDITY_MIN_DEGREE
     assert rnd.profile is None
     for name, old in before.items():
@@ -482,8 +463,6 @@ def test_embed_revolution_validation():
     E, G = round_profiles(1.0, GRID)
     with pytest.raises(ValueError):
         embed_revolution(E[:-1], G, GRID)
-    with pytest.raises(ValueError):
-        embed_revolution(E, G, GRID, branch=2)
     with pytest.raises(EmbeddingError):
         embed_revolution(-E, G, GRID)
 
@@ -544,24 +523,23 @@ def test_embed_surfaces_match_solo(monkeypatch):
              + [coordinate_sphere(fam, 0.05, small)]
              + [coordinate_sphere(Hyperbolic(), eps, g) for g in (grid, small) for eps in (0.4, 0.01)]
              + [coordinate_sphere(AdSSchwarzschild(2.5), eps, small) for eps in (0.3, 0.003)])
-    for branch in (1, -1):
-        got = embed_surfaces(batch, branch)
-        assert len(got) == len(batch)
-        for item, surf in zip(got, batch):
-            assert_twins(item, embed_surfaces([surf], branch)[0])
-            if not isinstance(item, Exception):
-                assert item.surface is surf
-        assert [e.profile is None for e in got[:2]] == [True, True]
-        assert all(e.profile is None for e in got[9:])
-        for item, surf in zip(got[9:] + got[:2], batch[9:] + batch[:2]):
-            R = math.asinh(math.sqrt(float(np.mean(surf.E))))
-            assert_twins(item, embed_round(R, surf.grid))
-        assert "discriminant negative" in str(got[2])
-        assert str(got[5]).startswith("rapidity series unresolved at degree 1024")
-        degrees = [e.profile.cheb_degree for e in got[3:9] if not isinstance(e, Exception)]
-        assert min(degrees) == 128 and max(degrees) == 1024
-        with pytest.raises(EmbeddingError, match="discriminant negative"):
-            embed_surface(bad, branch)
+    got = embed_surfaces(batch)
+    assert len(got) == len(batch)
+    for item, surf in zip(got, batch):
+        assert_twins(item, embed_surfaces([surf])[0])
+        if not isinstance(item, Exception):
+            assert item.surface is surf
+    assert [e.profile is None for e in got[:2]] == [True, True]
+    assert all(e.profile is None for e in got[9:])
+    for item, surf in zip(got[9:] + got[:2], batch[9:] + batch[:2]):
+        R = math.asinh(math.sqrt(float(np.mean(surf.E))))
+        assert_twins(item, embed_round(R, surf.grid))
+    assert "discriminant negative" in str(got[2])
+    assert str(got[5]).startswith("rapidity series unresolved at degree 1024")
+    degrees = [e.profile.cheb_degree for e in got[3:9] if not isinstance(e, Exception)]
+    assert min(degrees) == 128 and max(degrees) == 1024
+    with pytest.raises(EmbeddingError, match="discriminant negative"):
+        embed_surface(bad)
     assert embed_surfaces([]) == []
 
 
@@ -614,16 +592,3 @@ def test_node_check_failure_stays_in_its_slot(monkeypatch, tol, message, deep):
         assert_twins(item, before)
     with pytest.raises(EmbeddingError, match=message):
         embed_surface(batch[4])
-
-
-def test_embed_surfaces_validates_branch_for_every_stack():
-    # the branch is checked before any stack runs, round ones included
-    grid = QuadratureGrid(32, 4)
-    round_sphere = coordinate_sphere(Hyperbolic(), 0.1, grid)
-    other = coordinate_sphere(PerturbedRound(lambda x: 0.1 * x), 0.1, grid)
-    for batch in ([round_sphere], [other], [round_sphere, other], []):
-        for branch in (7, 0, -2):
-            with pytest.raises(ValueError, match="branch must be"):
-                embed_surfaces(batch, branch)
-    with pytest.raises(ValueError, match="branch must be"):
-        embed_surface(round_sphere, branch=7)

@@ -321,7 +321,7 @@ def test_mass_stack_matches_integrate_scalar(grid):
                          PerturbedRound(np.polynomial.Polynomial([0.05, -0.08, 0.06])),
                          PerturbedRound(lambda x: 0.1 * x))
              for eps in default_schedule(0.2, 2 ** -0.5, 6)]
-    embs = embed_surfaces(surfs, 1)
+    embs = embed_surfaces(surfs)
     alphas = [alpha_from_radii(*enclosing_radii(e)) for e in embs]
     m_by, m_hat, area, bad = mass_vectors(surfs, embs)
     assert bad.shape == (len(surfs), 2) and not bad.any()
@@ -340,7 +340,7 @@ def test_mass_stack_matches_integrate_scalar(grid):
 
 def test_mass_vectors_mark_non_finite_rows():
     surfs = [coordinate_sphere(AdSSchwarzschild(1.0), eps, GRID) for eps in (0.1, 0.05)]
-    embs = embed_surfaces(surfs, 1)
+    embs = embed_surfaces(surfs)
     X = embs[1].X.copy()
     X[3, 1, 3] = np.nan
     broken = stand_in_embedding(GRID, embs[1].H0, X)

@@ -38,7 +38,13 @@ from ahmass import quasilocal
 from ahmass import sphere_geometry
 from ahmass import sweep
 from ahmass.cli import main
-from ahmass.sweep import DEFAULT_SEED, DEFAULT_TOLERANCES, ORDER_RANGE, judge_flat_laplacian
+from ahmass.sweep import (
+    DEFAULT_TOLERANCES,
+    MAX_SCHEDULE_COUNT,
+    ORDER_RANGE,
+    VERIFY_SPINORS,
+    judge_flat_laplacian,
+)
 
 EPS8 = np.geomspace(0.2, 0.02, 8)
 EPS_FIT4 = np.array(default_schedule(0.2, 2 ** -0.5, 8)[-4:])
@@ -107,6 +113,14 @@ def test_fit_limit_validation():
         fit_limit([1.0, 2.0, 3.0], [0.1, 0.1, 0.2])
     with pytest.raises(ValueError):
         fit_limit([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
+    # as np.unique counts them, NaN radii are one radius and infinite ones equal
+    for eps in ([math.nan, math.nan, 0.1], [math.inf, math.inf, 0.1],
+                [0.1, math.nan, 0.2, math.nan]):
+        with pytest.raises(ValueError, match="positive and distinct"):
+            fit_limit(np.ones(len(eps)), eps)
+    with np.errstate(all="ignore"):
+        fit = fit_limit([1.0, 2.0, 3.0], [math.nan, 0.2, 0.1])
+    assert math.isnan(fit.limit)
 
 
 # Columns of one fit batch on EPS_FIT4: flat data, exponents pinned at
@@ -231,7 +245,7 @@ def test_decay_order_floor():
 
 
 # |int lap f / (H + 2) dS| of the perturbed-round case poly_cos [-0.146918,
-# -0.00012, -0.132763] (8 radii, 64x4, default seed): it rises over the
+# -0.00012, -0.132763] (8 radii, 64x4): it rises over the
 # first step, then decays as eps^2
 FLAT_LAP_RADII = np.geomspace(0.3, 0.0075, 8)
 FLAT_LAP_RISING = [5.660467896027572e-07, 9.789295754576514e-07, 4.0274528674355853e-07,
@@ -282,7 +296,7 @@ def test_cone_pairing_exact_values():
 def test_cone_pairing_tag_matches_classifier():
     # the slice supremum is the sup of <<v, eta>> over sampled null eta,
     # and its sign encodes the tag for clear-cut vectors
-    rng = np.random.default_rng(DEFAULT_SEED)
+    rng = np.random.default_rng(94211)
     dirs = rng.normal(size=(4096, 3))
     etas = np.column_stack([dirs / np.linalg.norm(dirs, axis=1)[:, None], np.ones(len(dirs))])
     for _ in range(50):
@@ -380,6 +394,12 @@ def test_default_schedule():
     with pytest.raises(ConfigError, match="underflows"):
         default_schedule(count=10 ** 12)
     assert len(default_schedule(count=2000)) == 2000
+    # a ratio just below 1 never underflows: the count cap refuses it
+    # before the list is built
+    with pytest.raises(ConfigError, match="schedule count %d exceeds %d"
+                       % (MAX_SCHEDULE_COUNT + 1, MAX_SCHEDULE_COUNT)):
+        default_schedule(ratio=1 - 2 ** -53, count=MAX_SCHEDULE_COUNT + 1)
+    assert len(default_schedule(ratio=0.999, count=MAX_SCHEDULE_COUNT)) == MAX_SCHEDULE_COUNT
 
 
 def test_sweep_config_validation(tmp_path):
@@ -391,8 +411,6 @@ def test_sweep_config_validation(tmp_path):
         fast_config(tmp_path, eps_list=())
     with pytest.raises(ConfigError):
         fast_config(tmp_path, n_theta=12)
-    with pytest.raises(ConfigError):
-        fast_config(tmp_path, branch=0)
     with pytest.raises(ConfigError):
         fast_config(tmp_path, tolerances={"unknown_key": 1.0})
     cfg = fast_config(tmp_path, tolerances={"isometry": 1e-7})
@@ -415,8 +433,8 @@ def test_from_dict_roundtrip(tmp_path):
     assert isinstance(cfg.family, Hyperbolic)
     assert cfg.eps_list == (0.2, 0.1, 0.05)
     assert cfg.n_theta == 32
-    assert cfg.seed == DEFAULT_SEED
-    assert not hasattr(cfg, "with_alpha")
+    for gone in ("with_alpha", "branch", "seed"):
+        assert not hasattr(cfg, gone)
 
 
 def test_from_dict_schedule(tmp_path):
@@ -457,11 +475,7 @@ def test_from_dict_errors(tmp_path):
     d["alpha"] = "yes"
     with pytest.raises(ConfigError):
         SweepConfig.from_dict(d)
-    d = base_dict(tmp_path)
-    d["seed"] = 1.5
-    with pytest.raises(ConfigError):
-        SweepConfig.from_dict(d)
-    for key in ("brnach", "eta_samples"):
+    for key in ("brnach", "eta_samples", "branch", "seed"):
         d = base_dict(tmp_path)
         d[key] = -1
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -614,7 +628,7 @@ def test_write_outputs_files(tmp_path):
 def test_verify_identities_fast_pass(tmp_path):
     report = verify_identities(fast_config(tmp_path))
     assert report["passed"] is True
-    assert report["seed"] == DEFAULT_SEED
+    assert sorted(report) == ["entries", "family", "passed"]
     names = {
         "surface_identity", "norm_growth", "area_growth", "aspect_recovery",
         "mean_curvature_expansion", "reference_curvature_order",
@@ -625,15 +639,27 @@ def test_verify_identities_fast_pass(tmp_path):
         assert entry["passed"], name
 
 
+def test_verify_spinors_are_the_seed_94211_draws():
+    # the fixed spinors are, bit for bit, the first five normalized
+    # standard_normal(4) draws of default_rng(94211), which verify drew
+    # before its spinors were fixed
+    rng = np.random.default_rng(94211)
+    assert len(VERIFY_SPINORS) == 5
+    for z in VERIFY_SPINORS:
+        a = rng.standard_normal(4)
+        a = a / float(np.linalg.norm(a))
+        assert z == lorentz.SpinorParameter(complex(a[0], a[1]), complex(a[2], a[3]))
+
+
 def count_embed_calls(monkeypatch):
     # every module-level lookup of embed_surfaces is counted, embed_surface
     # included, so a sphere embedded on its own shows up as a call
     real = embed_h3.embed_surfaces
     calls = []
 
-    def counting(surfaces, branch=1):
-        calls.append([(s.eps, branch) for s in surfaces])
-        return real(surfaces, branch)
+    def counting(surfaces):
+        calls.append([s.eps for s in surfaces])
+        return real(surfaces)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("ahmass.") and getattr(mod, "embed_surfaces", None) is real:
@@ -643,13 +669,12 @@ def count_embed_calls(monkeypatch):
 
 def test_verify_embeds_each_sphere_once(tmp_path, monkeypatch):
     calls = count_embed_calls(monkeypatch)
-    cfg = fast_config(tmp_path, eps_list=default_schedule(), branch=-1)
+    cfg = fast_config(tmp_path, eps_list=default_schedule())
     verify_identities(cfg)
     assert len(calls) == 1
     spheres = calls[0]
     assert len(spheres) == 16
     assert len(set(spheres)) == len(spheres)
-    assert all(branch == cfg.branch for _, branch in spheres)
 
 
 def test_sweep_embeds_in_one_call(tmp_path, monkeypatch):
@@ -676,7 +701,7 @@ def test_sweep_embeds_in_one_call(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweep, "coordinate_spheres", bent)
     rec = run_sweep(cfg)
-    assert calls == [[(eps, cfg.branch) for eps in cfg.eps_list if eps not in cfg.eps_list[1:4]]]
+    assert calls == [[eps for eps in cfg.eps_list if eps not in cfg.eps_list[1:4]]]
     k_error = "EmbeddingError: Gauss curvature does not clear the K > -1 margin"
     h_error = "ValueError: mean curvature reaches the H = -2 floor"
     assert [r.error for r in rec.records[1:4]] == [k_error, h_error, k_error]
@@ -747,9 +772,9 @@ def test_sweep_isolates_a_non_finite_density(tmp_path, monkeypatch, capsys):
     target = cfg.eps_list[3]
     real = sweep.embed_surfaces
 
-    def breaking(surfaces, branch=1):
+    def breaking(surfaces):
         out = []
-        for surf, emb in zip(surfaces, real(surfaces, branch)):
+        for surf, emb in zip(surfaces, real(surfaces)):
             if surf.eps == target:
                 h0 = emb.H0.copy()
                 h0[5] = np.nan
@@ -784,9 +809,9 @@ def test_aspect_recovery_reads_u_from_the_deepest_sphere(tmp_path, monkeypatch):
     deepest = cfg.eps_list[-1]
     real_spheres, real_embed = sweep.coordinate_spheres, sweep.embed_surfaces
 
-    def unembedded(surfaces, branch=1):
+    def unembedded(surfaces):
         return [embed_h3.EmbeddingError("cannot embed") if s.eps == deepest else emb
-                for s, emb in zip(surfaces, real_embed(surfaces, branch))]
+                for s, emb in zip(surfaces, real_embed(surfaces))]
 
     monkeypatch.setattr(sweep, "embed_surfaces", unembedded)
     entries = verify_identities(cfg)["entries"]
@@ -852,7 +877,7 @@ def test_stacked_tail_equals_per_record_forms(tmp_path, spec, eps, n_failed):
     assert len(rec.records) - len(good) == n_failed
     for r in good:
         surf = sphere_geometry.coordinate_sphere(cfg.family, r.eps, grid)
-        t = embed_h3.embed_surface(surf, cfg.branch).X[..., 3]
+        t = embed_h3.embed_surface(surf).X[..., 3]
         assert (r.h_min, r.h_max) == (np.min(surf.H), np.max(surf.H))
         assert (r.k_min, r.k_max) == (np.min(surf.K), np.max(surf.K))
         assert r.radii == (float(np.arccosh(np.min(t))), float(np.arccosh(np.max(t))))
