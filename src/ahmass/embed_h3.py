@@ -25,13 +25,30 @@ A, B and E are the grid's own Gauss-Legendre interpolants in x, read at
 the chi' samples by the barycentric formula (c @ nodal) / den (Berrut &
 Trefethen, SIAM Review 2004), and at x = cos(k pi / 2000) (poles and
 discriminant probe) through the same terms with 1/den folded in: one
-C-contiguous (n_theta, 2001) table.  The rows, the table, the points and
-the primitive's exponentials are built once per grid size and level.
-chi' is a Chebyshev series in th on [0, pi], its degree doubled on
-nested points until the tail is negligible (Aurentz & Trefethen, ACM
-TOMS 2017), integrated term by term and summed at the nodes in one
-product; near the poles chi' varies on a th scale of about 1/max f,
-which a series in x cannot resolve.  chi'' is in closed form.
+C-contiguous (n_theta, 2001) table, built once per grid size.
+
+chi is integrated in the rapidity phi of the geodesic sphere of radius
+R, sinh^2 R = max A over the nodes: x = tanh phi / tanh R, phi in
+[-R, R], where
+
+    dchi/dphi = sqrt(bracket) sech^2 phi / (tanh R (1 + A sin^2 th)),
+    sin^2 th = sinh(R - phi) sinh(R + phi) / (sinh^2 R cosh^2 phi),
+
+which is exactly 1 on that sphere (chi = phi = atanh(tanh R cos th), the
+closed form).  In th, chi' has near-poles at th = +-i/sinh R off each
+pole, so a series in th needed a degree of about 1/eps; the map moves
+them off the interval (the conformal-map idea of Hale & Trefethen, SIAM
+J. Numer. Anal. 2008), and the near-round spheres of a collar resolve at
+RAPIDITY_MIN_DEGREE at every radius.  sin^2 th is formed as that
+product, not as 1 - x^2, which loses about 1e-12 near the interval ends
+once A is large.  dchi/dphi is a Chebyshev series in t = phi / R on
+[-1, 1], its degree doubled on nested points until the tail is
+negligible (Aurentz & Trefethen, ACM TOMS 2017), integrated term by term
+and summed at the nodes t_j = atanh(tanh R x_j) / R by Clenshaw's
+recurrence.  chi'' is in closed form.  What limits the depth is rounding:
+the node defect |<<X, X>> + 1| grows like 1/eps^2 and passes
+HYPERBOLOID_TOL at eps = 7.8e-4 on 64 nodes but not at 6e-4, and the
+rounding of the mass vectors grows like 1/eps^3.
 
 The quadrature runs on a stack of spheres, a C-contiguous (S, n_theta)
 row each (embed_surfaces), with no loop over the spheres: one call per
@@ -43,12 +60,14 @@ of the bracket, so the stack reads the table once and never holds all
 sphere's in the last bits, and only its pass or fail and its printed
 minimum leave it.  Every other matrix product is a stacked matmul whose
 items are a lone sphere's BLAS calls (one product over all spheres
-changes a column's last bits with the column count), and the primitive
-is one such product per series degree, so a sphere in a stack is, bit
-for bit, the sphere embedded alone.  The round test, the hyperboloid
-and unit-normal checks of the nodes are one reduction over the stack,
-and the exactly round spheres of a grid are one broadcast of the unit
-sphere's table.
+changes a column's last bits with the column count): the barycentric
+rows of each level are a sphere's own, since its points depend on its
+R.  The Clenshaw pass runs on the stack's series zero-padded to the
+largest degree, whose exact zeros leave each row its lone value, so a
+sphere in a stack is, bit for bit, the sphere embedded alone.  The round
+test, the hyperboloid and unit-normal checks of the nodes are one
+reduction over the stack, and the exactly round spheres of a grid are
+one broadcast of the unit sphere's table.
 
 H0 and the normal are computed in the comoving frame: boosting each
 meridian point by -chi, an isometry, gives
@@ -75,7 +94,7 @@ import math
 import numpy as np
 
 from .lorentz import LorentzMap, lorentz_inner
-from .sphere_geometry import QuadratureGrid, SurfaceSample, barycentric_apply, barycentric_rows
+from .sphere_geometry import QuadratureGrid, SurfaceSample, barycentric_rows
 
 __all__ = ["RevolutionProfile", "EmbeddedSurface", "EmbeddingError", "embed_round",
            "embed_revolution", "embed_surface", "embed_surfaces", "mean_curvature_h0",
@@ -187,10 +206,9 @@ def _readonly(*arrays) -> tuple:
     return arrays
 
 
-# Tables that depend only on the grid size and the series degree, built on
-# first use and shared read-only; sixteen entries (two for the probe table
-# and the unit sphere) hold two grid sizes.  On 64 nodes they hold about
-# 4.9 MB up to degree 8192, 0.8 MB up to 1024, plus 1.0 MB of probe table.
+# Tables that depend only on the grid size, built on first use and shared
+# read-only; five entries (two each for the probe table and the unit
+# sphere) hold two grid sizes.  On 64 nodes the probe table is 1.0 MB.
 @functools.lru_cache(maxsize=1)
 def _probe_x() -> np.ndarray:
     """x = cos(k pi / 2000), k = 0 .. 2000: the poles and the probe."""
@@ -223,33 +241,6 @@ def _omega(n_theta: int, n_phi: int) -> np.ndarray:
     return _readonly(np.stack([grid.sin_theta[:, None] * np.cos(grid.phi)[None, :],
                                grid.sin_theta[:, None] * np.sin(grid.phi)[None, :],
                                np.broadcast_to(grid.x[:, None], grid.shape)], axis=-1))[0]
-
-
-@functools.lru_cache(maxsize=8)
-def _level_points(n: int) -> tuple:
-    """theta, cos theta and sin theta at th = pi/2 (1 + cos(k pi / n)) for
-    k = 0 .. n at RAPIDITY_MIN_DEGREE, for the n/2 odd k at a doubling."""
-    k = np.arange(n + 1) if n == RAPIDITY_MIN_DEGREE else np.arange(1, n, 2)
-    theta = 0.5 * np.pi * (1.0 + np.cos(np.pi * k / n))
-    return _readonly(theta, np.cos(theta), np.sin(theta))
-
-
-@functools.lru_cache(maxsize=16)
-def _level_rows(n_theta: int, n: int) -> tuple:
-    """barycentric_rows of the n_theta-node interpolant at _level_points(n)."""
-    grid = QuadratureGrid(n_theta, 1)
-    return _readonly(*barycentric_rows(grid.x, grid.bary_w, _level_points(n)[1]))
-
-
-@functools.lru_cache(maxsize=16)
-def _primitive_tables(n_theta: int, degree: int) -> tuple:
-    """2k and (-1)^k, k = 1 .. degree + 1, and at phi = arccos(2 th / pi - 1)
-    exp(32 i phi q) for the series' blocks q and exp(i phi r), r < 32."""
-    k = np.arange(1, degree + 2)
-    q = -(-(degree + 2) // 32)
-    phi = np.arccos(2.0 * QuadratureGrid(n_theta, 1).theta / np.pi - 1.0)[:, None]
-    return _readonly(2.0 * k, (-1.0) ** k,
-                     np.exp(32j * phi * np.arange(q)), np.exp(1j * phi * np.arange(32)))
 
 
 def _bracket(xq, a, b, e, ax) -> np.ndarray:
@@ -288,19 +279,21 @@ def _probe(nodal, scale) -> list:
 
 
 def _theta_series(sample, rows) -> dict:
-    """Chebyshev series in t = 2 th / pi - 1 of functions on [0, pi], one per
-    index in rows, in lockstep, each degree n doubling from
-    RAPIDITY_MIN_DEGREE until the last eighth of the coefficients is below
-    RAPIDITY_TAIL_TOL of the largest.  sample(n, rows) gives the functions
-    at the points _level_points(n) adds (those of degree n are the even
-    points of degree 2n), a row each, and per row None or an EmbeddingError
-    that ends its series.  The coefficients are one DCT-I over the rows, the
-    FFT of each even extension.  Returns per index (coefficients, degree,
-    tail) or its EmbeddingError."""
+    """Chebyshev series in t on [-1, 1] of functions, one per index in
+    rows, in lockstep, each degree n doubling from RAPIDITY_MIN_DEGREE
+    until the last eighth of the coefficients is below RAPIDITY_TAIL_TOL of
+    the largest.  sample(t, rows) gives the functions at the points
+    t = cos(k pi / n) the level adds (every k at the first degree, the odd
+    k at a doubling: the points of degree n are the even points of degree
+    2n), a row each, and per row None or an EmbeddingError that ends its
+    series.  The coefficients are one DCT-I over the rows, the FFT of each
+    even extension.  Returns per index (coefficients, degree, tail) or its
+    EmbeddingError."""
     out, y, n = {}, None, RAPIDITY_MIN_DEGREE
     rows = np.asarray(rows, dtype=int)
     while rows.size:
-        new, errs = sample(n, rows)
+        k = np.arange(n + 1) if y is None else np.arange(1, n, 2)
+        new, errs = sample(np.cos(np.pi * k / n), rows)
         if y is None:
             y = new
         else:  # the new points fall between the old ones
@@ -320,30 +313,28 @@ def _theta_series(sample, rows) -> dict:
     return out
 
 
-def _primitives(cs, n_theta, scl) -> np.ndarray:
-    """Values at the n_theta grid nodes, t = 2 th / pi - 1, of scl times
-    the primitive that vanishes at t = -1 of each Chebyshev series, the
-    rows of cs, all of one degree, with no loop over the degree.  The
-    primitive has the coefficients b_k = scl (c_{k-1} - c_{k+1}) / (2k),
-    k >= 1 (c_0 counted twice, c zero beyond its degree), and
-    b_0 = -sum_k (-1)^k b_k.  With T_k(t) = Re z^k, z = exp(i arccos t),
-    and k = 32 q + r, sum_k b_k z^k = sum_q z^(32 q) sum_r b_(32 q + r) z^r:
-    one stacked product whose items are a lone series' products, so each
-    row is, bit for bit, its series' _primitive_at."""
-    cs = np.asarray(cs, dtype=float)
-    two_k, sign, zq, zr = _primitive_tables(n_theta, cs.shape[1] - 1)
-    lo = np.concatenate([2.0 * cs[:, :1], cs[:, 1:]], axis=1)
-    hi = np.concatenate([cs[:, 2:], np.zeros((len(cs), 2))], axis=1)
-    b = np.zeros((len(cs), zq.shape[1], 32))  # b_0 .. b_degree+1, then zeros
-    bk = b.reshape(len(cs), -1)[:, :cs.shape[1] + 1]
-    bk[:, 1:] = scl * (lo - hi) / two_k
-    bk[:, 0] = -np.sum(sign * bk[:, 1:], axis=1)
-    return np.sum(zq * (zr @ b.transpose(0, 2, 1)), axis=-1).real
-
-
-def _primitive_at(c, n_theta, scl) -> np.ndarray:
-    """The one-series call of _primitives."""
-    return _primitives(np.asarray(c, dtype=float)[None], n_theta, scl)[0]
+def _primitives(cs, t) -> np.ndarray:
+    """Values at the points t, a row of the (S, m) array t per series, of
+    the primitive that vanishes at t = 1 of each Chebyshev series in the
+    list cs.  The primitive has the coefficients
+    b_k = (c_{k-1} - c_{k+1}) / (2k), k >= 1 (c_0 counted twice, c zero
+    beyond its degree); one Clenshaw pass over the stack sums
+    sum_k b_k T_k at t and at t = 1.  The series are zero-padded to the
+    largest degree, and the exact zeros leave each row, bit for bit, its
+    series' lone call."""
+    n = max(map(len, cs), default=0)
+    c = np.zeros((len(cs), n + 2))
+    for row, ci in zip(c, cs):
+        row[:len(ci)] = ci
+    c[:, 0] *= 2.0
+    b = (c[:, :n] - c[:, 2:]) / (2.0 * np.arange(1, n + 1))  # b_1 .. b_n
+    tt = np.concatenate([t, np.ones((len(t), 1))], axis=1)
+    two_t = 2.0 * tt
+    u1 = u2 = np.zeros_like(tt)
+    for k in range(n - 1, -1, -1):
+        u1, u2 = b[:, k, None] + two_t * u1 - u2, u1
+    p = tt * u1 - u2
+    return p[:, :-1] - p[:, -1:]
 
 
 def _embed_rows(E, G, grid) -> list:
@@ -360,14 +351,25 @@ def _embed_rows(E, G, grid) -> list:
     scale = np.max(E, axis=1)
     out = {i: err for i, err in enumerate(_probe(nodal, scale)) if err is not None}
 
-    # north pole up after centering = rapidity decreasing in theta
-    def chi_prime(n, rows):
-        _, xq, sq = _level_points(n)
-        at = barycentric_apply(_level_rows(grid.n_theta, n), nodal[rows])
+    # The rapidity of the geodesic sphere of radius R, sinh^2 R = max A,
+    # phi = R t in [-R, R] with x = tanh phi / tanh R; north pole up after
+    # centering = chi increasing in phi.
+    sh_R = np.sqrt(np.max(A, axis=1))[:, None]
+    R = np.arcsinh(sh_R)
+    th_R = np.tanh(R)
+
+    def chi_prime(t, rows):
+        r, sh, th = R[rows], sh_R[rows], th_R[rows]
+        phi = r * t
+        xq = np.tanh(phi) / th
+        ch2 = np.cosh(phi) ** 2
+        sq2 = np.sinh(r - phi) * np.sinh(r + phi) / (sh * sh * ch2)  # sin^2 th, not 1 - xq^2
+        c, den = barycentric_rows(x, grid.bary_w, xq)
+        at = (c @ nodal[rows]) / den[..., None]
         d = _bracket(xq, *np.moveaxis(at, -1, 0))
         errs = _negative(np.min(d, axis=-1))
         with np.errstate(invalid="ignore"):  # a failed row leaves the series
-            return -sq * np.sqrt(d) / (1.0 + sq * sq * at[..., 0]), errs
+            return np.sqrt(d) / (th * ch2 * (1.0 + sq2 * at[..., 0])), errs
 
     series = _theta_series(chi_prime, [i for i in range(len(E)) if i not in out])
     dt = _bracket(x, A, B, E, Ax)
@@ -391,14 +393,11 @@ def _embed_rows(E, G, grid) -> list:
     d_s_sqrtD = (2.0 * x * dt - s ** 2 * (grid.deriv_x @ dt[..., None])[..., 0]) / (2.0 * sqrt_dt)
     chip = -s * sqrt_dt / rho2
     chipp = -d_s_sqrtD / rho2 - chip * 2.0 * f * fp / rho2
-    # Centering shift, applied twice: the moments grow like rho^2 at small
-    # radii, so one pass leaves a rounding residue the second removes.
-    chi = np.empty((len(keep), grid.n_theta))
-    by_degree = {}
-    for k, i in enumerate(keep):
-        by_degree.setdefault(series[i][1], []).append(k)
-    for ks in by_degree.values():
-        chi[ks] = _primitives([series[keep[k]][0] for k in ks], grid.n_theta, 0.5 * np.pi)
+    # chi at the nodes, phi_j = atanh(tanh R x_j).  Centering shift, applied
+    # twice: the moments grow like rho^2 at small radii, so one pass leaves
+    # a rounding residue the second removes.
+    r = R[keep]
+    chi = r * _primitives([series[i][0] for i in keep], np.arctanh(th_R[keep] * x) / r)
     for _ in range(2):
         iu = np.sum(grid.w_theta * rho * np.sinh(chi) * f / s, axis=1)
         iw = np.sum(grid.w_theta * rho * np.cosh(chi) * f / s, axis=1)

@@ -41,7 +41,6 @@ __all__ = [
     "barycentric_weights",
     "barycentric_interpolate",
     "barycentric_rows",
-    "barycentric_apply",
     "EMBEDDABILITY_MARGIN",
 ]
 
@@ -60,43 +59,31 @@ def barycentric_weights(x: np.ndarray, gl_weights: np.ndarray) -> np.ndarray:
 
 def barycentric_rows(x_nodes, weights, x_query) -> tuple:
     """The part of the barycentric formula that depends only on the nodes
-    and the query points x_query (a 1-d array): a mask of exact node hits,
-    the node each hit lands on, and for the other points the rows
-    c = weights / (x_q - x_nodes) with their sums den.  barycentric_apply
-    turns them into values; one set of rows serves any nodal data."""
-    diff = x_query[:, None] - x_nodes[None, :]
+    and the query points x_query, of any shape (..., m): the rows
+    c = weights / (x_q - x_nodes), shape (..., m, n), with their sums den,
+    a query on a node (within 1e-15) getting that node's unit row.  Then
+    (c @ values) / den is the interpolant, one set of rows serving any
+    nodal data, and a stack of queries (S, m) with values (S, n, k) is one
+    product per item."""
+    diff = x_query[..., None] - x_nodes
     exact = np.abs(diff) < 1e-15
-    hit = exact.any(axis=1)
-    c = weights[None, :] / diff[~hit]
-    return hit, exact[hit].argmax(axis=1), c, c.sum(axis=1)
-
-
-def barycentric_apply(rows, values) -> np.ndarray:
-    """Interpolant values at the query points of barycentric_rows: exact
-    node hits read their node, the rest are (c @ values) / den.  values of
-    shape (n,) or (n, k) give (m,) or (m, k) for m query points; a stack
-    of shape (S, n, k) gives (S, m, k), one product per item."""
-    hit, node, c, den = rows
-    values = np.asarray(values, dtype=float)
-    lead = (slice(None),) * (values.ndim == 3)  # the stack axis, if any
-    tail = (1,) * (values.ndim - 1 - len(lead))
-    inner = (c @ values) / den.reshape(den.shape + tail)
-    if not node.size:  # no query on a node: nothing to scatter
-        return inner
-    out = np.empty(values.shape[:len(lead)] + hit.shape + values.shape[len(lead) + 1:])
-    out[lead + (hit,)] = values[lead + (node,)]
-    out[lead + (~hit,)] = inner
-    return out
+    hit = exact.any(axis=-1)
+    with np.errstate(divide="ignore"):
+        c = weights / diff
+    c[hit] = exact[hit]
+    return c, c.sum(axis=-1)
 
 
 def barycentric_interpolate(x_nodes, weights, values, x_query):
     """Evaluate the polynomial interpolant of (x_nodes, values) at x_query
-    using the barycentric formula; exact node hits are returned directly.
+    using the barycentric formula; exact node hits return the node value.
     values of shape (n,) or (n, k) give (m,) or (m, k) for m query points,
     one weight matrix serving all k columns; a scalar query on (n,) values
-    gives a float.  It is barycentric_rows followed by barycentric_apply."""
+    gives a float."""
     xq = np.atleast_1d(np.asarray(x_query, dtype=float))
-    out = barycentric_apply(barycentric_rows(x_nodes, weights, xq), values)
+    values = np.asarray(values, dtype=float)
+    c, den = barycentric_rows(x_nodes, weights, xq)
+    out = (c @ values) / den.reshape(den.shape + (1,) * (values.ndim - 1))
     if np.asarray(x_query).ndim == 0:
         return float(out[0]) if out.ndim == 1 else out[0]
     return out

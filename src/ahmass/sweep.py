@@ -825,10 +825,11 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
 # Identity verification
 
 
-# The unit spinors of verify's Killing norm fields, taken in turn: one per
-# surface_identity radius (up to three), then one each for norm_growth
-# and flat_laplacian_decay; an entry that fails before taking its spinor
-# leaves it to the next.  The identities are linear in the field, so any
+# The unit spinors of verify's Killing norm fields, read by position:
+# surface_identity's k-th radius, largest first, reads VERIFY_SPINORS[k]
+# (up to three), norm_growth reads [3] and flat_laplacian_decay [4], so
+# no entry's spinor depends on how many radii another read or whether it
+# failed.  The identities are linear in the field, so any
 # fixed set serves; these are the first five normalized standard_normal(4)
 # draws of numpy's default_rng(94211).
 VERIFY_SPINORS = (
@@ -855,7 +856,6 @@ def verify_identities(cfg: SweepConfig) -> dict:
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
     fam = cfg.family
     tol = cfg.tolerances
-    spinors = iter(VERIFY_SPINORS)
     entries = {}
 
     # every sphere an entry reads, the configured radii and the
@@ -888,16 +888,14 @@ def verify_identities(cfg: SweepConfig) -> dict:
 
     def e_surface_identity():
         eps_sel = {cfg.eps_list[0], cfg.eps_list[len(cfg.eps_list) // 2], cfg.eps_list[-1]}
-        flds, embs = [], []
-        for eps in sorted(eps_sel, reverse=True):
-            embs.append(sphere_at(eps)[1])
-            flds.append(KillingNormField.from_spinor(next(spinors)))
+        embs = [sphere_at(eps)[1] for eps in sorted(eps_sel, reverse=True)]
+        flds = [KillingNormField.from_spinor(z) for z in VERIFY_SPINORS[:len(embs)]]
         worst = max([0.0] + minkowski_identity_residuals(flds, embs))
         return {"passed": worst <= tol["surface_identity"], "residual": worst,
                 "tolerance": tol["surface_identity"]}
 
     def e_norm_growth():
-        fld = KillingNormField.from_spinor(next(spinors))
+        fld = KillingNormField.from_spinor(VERIFY_SPINORS[3])
         p = exhaustion_norm_growth(fld, stack_at(cfg.eps_list[:6])[1])
         return {"passed": abs(p - 1.0) <= tol["growth_exponent"], "exponent": p,
                 "tolerance": tol["growth_exponent"]}
@@ -954,7 +952,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
                 "tolerance": tol["gauss_order"], "values": values}
 
     def e_flat_laplacian_decay():
-        fld = KillingNormField.from_spinor(next(spinors))
+        fld = KillingNormField.from_spinor(VERIFY_SPINORS[4])
         surfs, embs = stack_at(eps_fun)
         vals = laplacian_terms(surfs, values_on([fld] * len(embs), embs))
         return judge_flat_laplacian([abs(v) for v in vals], eps_fun, tol)

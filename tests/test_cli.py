@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ahmass import embed_h3
 from ahmass.cli import main
 
 FAST_EPS = [0.2, 0.14, 0.1, 0.07, 0.05]
@@ -286,14 +287,20 @@ def test_embed_keeps_radii_apart_that_agree_to_six_digits(tmp_path, capsys):
     assert "wrote %s" % (tmp_path / "out" / "profile_eps_0.1000001.csv") in out
 
 
-@pytest.mark.parametrize("psi, eps, error", [
-    ({"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}, "0.001",
+@pytest.mark.parametrize("psi, eps, tail_tol, error", [
+    ({"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}, "0.001", 0.0,
      "EmbeddingError: rapidity series unresolved at degree 8192"),
-    ({"type": "constant", "value": -40.0}, "0.45",
+    ({"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}, "0.0001", None,
+     "EmbeddingError: embedded nodes leave the hyperboloid"),
+    ({"type": "constant", "value": -40.0}, "0.45", None,
      "ValueError: degenerate induced metric"),
-], ids=["unresolved", "degenerate"])
-def test_embed_failure_exits_2(tmp_path, capsys, psi, eps, error):
-    # a sphere that cannot be embedded: one line on stderr, no profile
+], ids=["unresolved", "hyperboloid", "degenerate"])
+def test_embed_failure_exits_2(tmp_path, capsys, monkeypatch, psi, eps, tail_tol, error):
+    # a sphere that cannot be embedded: one line on stderr, no profile.
+    # Every sphere above the hyperboloid floor resolves its rapidity at the
+    # first degree, so the cap is reached with the chop disabled
+    if tail_tol is not None:
+        monkeypatch.setattr(embed_h3, "RAPIDITY_TAIL_TOL", tail_tol)
     path = write_config(tmp_path, family={"name": "perturbed_round", "psi": psi})
     assert main(["embed", path, "--eps", eps]) == 2
     out, err = capsys.readouterr()

@@ -38,6 +38,11 @@ from ahmass import quasilocal
 from ahmass import sphere_geometry
 from ahmass import sweep
 from ahmass.cli import main
+from ahmass.killing_spinor import (
+    KillingNormField,
+    exhaustion_norm_growth,
+    minkowski_identity_residuals,
+)
 from ahmass.sweep import (
     DEFAULT_TOLERANCES,
     MAX_SCHEDULE_COUNT,
@@ -651,6 +656,19 @@ def test_verify_spinors_are_the_seed_94211_draws():
         assert z == lorentz.SpinorParameter(complex(a[0], a[1]), complex(a[2], a[3]))
 
 
+def test_verify_reads_its_spinors_by_position(tmp_path):
+    # with two radii surface_identity reads VERIFY_SPINORS[0] and [1], and
+    # norm_growth still reads [3] on the same spheres, not the next in turn
+    cfg = fast_config(tmp_path, family=family_from_spec(POLY_SPEC)[0], eps_list=(0.2, 0.1))
+    entries = verify_identities(cfg)["entries"]
+    grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
+    embs = embed_h3.embed_surfaces(sphere_geometry.coordinate_spheres(cfg.family, [0.2, 0.1], grid))
+    fields = [KillingNormField.from_spinor(z) for z in VERIFY_SPINORS]
+    assert entries["norm_growth"]["exponent"] == exhaustion_norm_growth(fields[3], embs)
+    assert entries["surface_identity"]["residual"] == max(
+        [0.0] + minkowski_identity_residuals(fields[:2], embs))
+
+
 def count_embed_calls(monkeypatch):
     # every module-level lookup of embed_surfaces is counted, embed_surface
     # included, so a sphere embedded on its own shows up as a call
@@ -724,7 +742,7 @@ POLY_SPEC = {"name": "perturbed_round",
              "psi": {"type": "poly_cos", "coefficients": [0.05, -0.08, 0.06]}}
 
 
-def capped_embedding_errors(cfg, radii):
+def lone_embedding_errors(cfg, radii):
     # the error text each radius gets when embedded alone
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
     errors = {}
@@ -736,21 +754,23 @@ def capped_embedding_errors(cfg, radii):
     return errors
 
 
-def test_sweep_isolates_radii_past_the_degree_cap(tmp_path, monkeypatch, capsys):
-    # with the degree cap at 256 only the deepest radii fail, each with the
-    # error it gets alone; the other rows are those of an uncapped sweep
+def test_sweep_isolates_radii_past_the_hyperboloid_floor(tmp_path, monkeypatch, capsys):
+    # the node defects grow like 1/eps^2 (1.4e-12 at eps = 0.018, 3.6e-12
+    # at 0.0125), so with the hyperboloid allowance at 2e-12 only the
+    # deepest radii fail, each with the error it gets alone; the other rows
+    # are those of an unpatched sweep
     cfg = fast_config(tmp_path, family=family_from_spec(POLY_SPEC)[0],
                       eps_list=default_schedule(count=12), n_theta=64)
     plain = run_sweep(cfg)
-    monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 256)
-    errors = capped_embedding_errors(cfg, cfg.eps_list)
+    monkeypatch.setattr(embed_h3, "HYPERBOLOID_TOL", 2e-12)
+    errors = lone_embedding_errors(cfg, cfg.eps_list)
     assert set(errors) == set(cfg.eps_list[-len(errors):])
     assert 3 <= len(errors) <= len(cfg.eps_list) - 3
-    capped = run_sweep(cfg)
-    for a, b in zip(plain.records, capped.records):
+    floored = run_sweep(cfg)
+    for a, b in zip(plain.records, floored.records):
         if b.eps in errors:
             assert b.error == errors[b.eps]
-            assert b.error.startswith("EmbeddingError: rapidity series unresolved at degree 256")
+            assert b.error.startswith("EmbeddingError: embedded nodes leave the hyperboloid")
         else:
             assert sweep._csv_row(b) == sweep._csv_row(a)
 
@@ -761,7 +781,7 @@ def test_sweep_isolates_radii_past_the_degree_cap(tmp_path, monkeypatch, capsys)
         "output": {"dir": str(tmp_path / "out")}}))
     assert main(["sweep", str(path)]) == 2
     out = capsys.readouterr().out
-    assert out.count("FAILED: EmbeddingError: rapidity series unresolved at degree 256") == len(errors)
+    assert out.count("FAILED: EmbeddingError: embedded nodes leave the hyperboloid") == len(errors)
 
 
 def test_sweep_isolates_a_non_finite_density(tmp_path, monkeypatch, capsys):
@@ -969,8 +989,8 @@ def test_verify_fails_only_entries_that_read_a_failed_sphere(tmp_path, monkeypat
              "reference_curvature_order": eps, "gauss_curvature_order": eps,
              "flat_laplacian_decay": eps_fun, "embedding_residuals": eps}
     assert verify_identities(cfg)["passed"] is True
-    monkeypatch.setattr(embed_h3, "RAPIDITY_MAX_DEGREE", 256)
-    errors = capped_embedding_errors(cfg, eps + eps_fun)
+    monkeypatch.setattr(embed_h3, "HYPERBOLOID_TOL", 2e-12)
+    errors = lone_embedding_errors(cfg, eps + eps_fun)
     report = verify_identities(cfg)
     failed = {name for name, entry in report["entries"].items() if not entry["passed"]}
     assert failed == {name for name, radii in reads.items() if set(radii) & set(errors)}
