@@ -60,3 +60,15 @@ def test_workload_configs_are_perfbench_cases():
     configs = load_tool()._workload_configs("round", 5, 3)
     assert [name for name, _ in configs] == ["round-s5-c000", "round-s5-c001", "round-s5-c002"]
     assert all(cfg["grid"] == {"n_theta": 64, "n_phi": 4} for _, cfg in configs)
+
+
+def test_smallest_radius_parses_the_config():
+    # the radius of embed --eps comes from the config as ahmass reads it: a
+    # schedule without a count has the default 8 radii, and a config ahmass
+    # rejects still gets a radius
+    tool = load_tool()
+    base = {"family": {"name": "hyperbolic"}, "grid": {"n_theta": 32, "n_phi": 4}, "tolerances": {}}
+    assert tool._smallest_radius(dict(base, epsilons=[0.3, 0.1, 0.05])) == 0.05
+    assert tool._smallest_radius(dict(base, schedule={"eps0": 0.2, "ratio": 0.5})) == 0.2 * 0.5 ** 7
+    assert tool._smallest_radius(dict(base, schedule={"eps0": 0.2, "ratio": 0.5, "count": 3})) == 0.05
+    assert tool._smallest_radius(dict(base, epsilons=[0.1], branch=1)) == 0.1

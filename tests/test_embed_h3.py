@@ -525,8 +525,10 @@ def assert_twins(got, solo):
 def test_embed_surfaces_match_solo():
     # a mixed batch: round spheres at several radii on two grids, non-round
     # ones on the same two grids, one that fails the discriminant probe,
-    # and one past the hyperboloid floor; each item equals, bit for bit,
-    # its lone twin, and embed_round's sphere
+    # one past the hyperboloid floor, and hand-made small spheres
+    # E = c exp(x) whose series resolve at degrees 256 and 1024 or fail at
+    # the degree cap beside them; each item equals, bit for bit, its lone
+    # twin, and embed_round's sphere
     grid, small = QuadratureGrid(64, 4), QuadratureGrid(32, 6)
     fam, _ = family_from_spec({"name": "perturbed_round", "psi": BENCH_PSI[1]})
     # E = 0.1 exp(6x) is pole-regular, but its bracket is negative at x = 0
@@ -535,6 +537,7 @@ def test_embed_surfaces_match_solo():
               coordinate_sphere(AdSSchwarzschild(1.0), 0.1, grid), bad]
              + [coordinate_sphere(fam, eps, grid) for eps in (0.2, 0.05, 2.5e-4, 0.0125, 0.0044)]
              + [coordinate_sphere(fam, 0.05, small)]
+             + [SurfaceSample(c, c * np.exp(grid.x), 2.0, 1.0, grid) for c in (0.01, 1e-3, 1e-6)]
              + [coordinate_sphere(Hyperbolic(), eps, g) for g in (grid, small) for eps in (0.4, 0.01)]
              + [coordinate_sphere(AdSSchwarzschild(2.5), eps, small) for eps in (0.3, 0.003)])
     got = embed_surfaces(batch)
@@ -544,13 +547,16 @@ def test_embed_surfaces_match_solo():
         if not isinstance(item, Exception):
             assert item.surface is surf
     assert [e.profile is None for e in got[:2]] == [True, True]
-    assert all(e.profile is None for e in got[9:])
-    for item, surf in zip(got[9:] + got[:2], batch[9:] + batch[:2]):
+    assert all(e.profile is None for e in got[12:])
+    for item, surf in zip(got[12:] + got[:2], batch[12:] + batch[:2]):
         R = math.asinh(math.sqrt(float(np.mean(surf.E))))
         assert_twins(item, embed_round(R, surf.grid))
     assert "discriminant negative" in str(got[2])
     assert str(got[5]).startswith("embedded nodes leave the hyperboloid")
+    assert str(got[11]).startswith("rapidity series unresolved at degree %d"
+                                   % embed_h3.RAPIDITY_MAX_DEGREE)
     assert {e.profile.cheb_degree for e in got[3:9] if not isinstance(e, Exception)} == {64}
+    assert [got[i].profile.cheb_degree for i in (9, 10)] == [256, 1024]
     with pytest.raises(EmbeddingError, match="discriminant negative"):
         embed_surface(bad)
     assert embed_surfaces([]) == []

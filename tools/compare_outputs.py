@@ -4,7 +4,7 @@
     python tools/compare_outputs.py OLD_TREE NEW_TREE --workload pert_sweep --seed 7 --cases 8
 
 For each config it runs ``sweep``, ``verify``, ``embed`` and ``embed --eps E``
-(E the config's smallest radius unless ``--eps`` is given) as one fresh
+(E the config's smallest radius, as this checkout parses it) as one fresh
 ``python -m ahmass`` process per command and tree, with the tree's ``src`` on
 PYTHONPATH and ``OPENBLAS_NUM_THREADS=1``.  It then compares every output file
 and each command's stdout, stderr and exit code; the output root is replaced
@@ -32,6 +32,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+from ahmass.sweep import ConfigError, SweepConfig  # noqa: E402
+
 SHOWN = 5  # non-numeric differences and stream lines shown per item
 
 
@@ -45,10 +48,12 @@ def _workload_configs(workload, seed, cases) -> list:
 
 
 def _smallest_radius(cfg) -> float:
-    if "epsilons" in cfg:
-        return min(cfg["epsilons"])
-    s = cfg["schedule"]
-    return s["eps0"] * s["ratio"] ** (s["count"] - 1)
+    """The config's smallest radius as this checkout parses it; a config
+    it rejects gets 0.1, since embed rejects it at every radius."""
+    try:
+        return min(SweepConfig.from_dict(dict(cfg, output={"dir": "."})).eps_list)
+    except ConfigError:
+        return 0.1
 
 
 def _run(tree, out, name, cfg, eps) -> tuple:
@@ -146,13 +151,13 @@ def _stream_diff(a, b) -> list:
     return ["    " + ln for ln in diff[:2 * SHOWN]] + (["    ... %d more" % extra] if extra > 0 else [])
 
 
-def compare(old_tree, new_tree, configs, eps=None) -> bool:
+def compare(old_tree, new_tree, configs) -> bool:
     """Print the comparison of every config; True when all is identical."""
     same = True
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         for name, cfg in configs:
-            e = eps if eps is not None else _smallest_radius(cfg)
-            (ra, fa), (rb, fb) = (_run(tree, Path(tmp) / side, name, cfg, e)
+            eps = _smallest_radius(cfg)
+            (ra, fa), (rb, fb) = (_run(tree, Path(tmp) / side, name, cfg, eps)
                                   for tree, side in ((old_tree, "old"), (new_tree, "new")))
             print("%s:" % name)
             for cmd in ra:
@@ -184,14 +189,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", help="generate configs of this perfbench workload")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cases", type=int, default=8)
-    parser.add_argument("--eps", type=float, help="radius of the second embed (default: smallest)")
     args = parser.parse_args(argv)
     configs = [(Path(p).stem, json.loads(Path(p).read_text())) for p in args.configs]
     if args.workload:
         configs += _workload_configs(args.workload, args.seed, args.cases)
     if not configs:
         parser.error("give config files or --workload")
-    return 0 if compare(args.old_tree, args.new_tree, configs, args.eps) else 1
+    return 0 if compare(args.old_tree, args.new_tree, configs) else 1
 
 
 if __name__ == "__main__":
