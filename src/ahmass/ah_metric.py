@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .lorentz import MinkowskiVector, sphere_direction
+from .lorentz import MinkowskiVector
 from .sphere_geometry import QuadratureGrid
 
 __all__ = [
@@ -258,12 +258,10 @@ class PerturbedRound(AHFamily):
         return np.asarray(self.psi(x), dtype=float)
 
     def collar_profiles(self, rhos, theta):
-        # psi once for the stack; the powers of rho per radius, formed as
-        # scalars (an array power can differ in the last bit)
+        # psi once for the stack, times the powers of the (S, 1) radius column
         psi = self.aspect(np.cos(theta))
-        cube, square = (np.array([rho ** p for rho in rhos])[:, None] for p in (3, 2))
-        twice = 2.0 * np.array(rhos, dtype=float)[:, None]
-        return 1.0 + cube * psi / 3.0, square * psi, twice * psi, [None] * len(rhos)
+        r = np.array(rhos, dtype=float)[:, None]
+        return 1.0 + r ** 3 * psi / 3.0, r ** 2 * psi, 2.0 * r * psi, [None] * len(rhos)
 
 
 def mass_aspect(family: AHFamily, grid: QuadratureGrid) -> np.ndarray:
@@ -277,17 +275,16 @@ def mass_aspect(family: AHFamily, grid: QuadratureGrid) -> np.ndarray:
 
 def wang_mass(psi, grid: QuadratureGrid) -> MinkowskiVector:
     """Mass vector (1/16 pi) (int omega tr dmu0, int tr dmu0) of the aspect
-    psi h0, whose trace against the round metric is tr = 2 psi; psi is a
-    theta profile on the grid's nodes, omega the unit position on the
-    round sphere."""
+    psi h0, whose trace against the round metric is tr = 2 psi, omega the
+    unit position on the round sphere.  psi is a theta profile, shape
+    (n_theta,), so the phi integral leaves one theta quadrature:
+    t = sum_i w_i psi_i / 4, x3 = sum_i w_i x_i psi_i / 4, x1 = x2 = 0.0."""
     if grid.n_theta < 16:
         raise ValueError("need n_theta >= 16 to resolve the aspect integrals")
-    tr = grid.as_field(2.0 * np.asarray(psi, dtype=float))
-    omega = sphere_direction(grid.theta_mesh, grid.phi_mesh)
-    c = 1.0 / (16.0 * np.pi)
-    comps = [c * grid.integrate_round(omega[..., k] * tr) for k in range(3)]
-    comps.append(c * grid.integrate_round(tr))
-    return MinkowskiVector(*comps)
+    if np.shape(psi) != (grid.n_theta,):
+        raise ValueError("mass aspect of shape %r is not a theta profile" % (np.shape(psi),))
+    wpsi = grid.w_theta * np.asarray(psi, dtype=float)
+    return MinkowskiVector(0.0, 0.0, float(grid.x @ wpsi) / 4.0, float(np.sum(wpsi)) / 4.0)
 
 
 def scalar_curvature(family: AHFamily, rho: float, theta):

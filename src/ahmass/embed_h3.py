@@ -220,16 +220,11 @@ def _probe_table(n_theta: int) -> np.ndarray:
     """The C-contiguous (n_theta, 2001) matrix T that takes rows v of
     nodal values to the n_theta-node interpolant at _probe_x() as v @ T,
     a block of columns at a time in _probe: the barycentric terms
-    w_j / (x_q - x_j) over their sum, built in this layout (the product
-    with a transposed view is about 3 times slower).
-    The Gauss-Legendre nodes are interior, so no probe point hits one.
-    The weights are 1 / prod_k 2 (x_j - x_k) of the nodes as rounded: the
-    grid's closed-form bary_w miss them by about 1e-12 relative, which
-    shows on data of degree near n_theta."""
-    x = QuadratureGrid(n_theta, 1).x
-    d = 2.0 * (x[:, None] - x[None, :])
-    np.fill_diagonal(d, 1.0)
-    c = (1.0 / np.prod(d, axis=1))[:, None] / (_probe_x()[None, :] - x[:, None])
+    bary_w_j / (x_q - x_j) over their sum, built in this layout (a product
+    with a transposed view is about 3 times slower).  The Gauss-Legendre
+    nodes are interior, so no probe point hits one."""
+    grid = QuadratureGrid(n_theta, 1)
+    c = grid.bary_w[:, None] / (_probe_x()[None, :] - grid.x[:, None])
     return _readonly(c / np.sum(c, axis=0))[0]
 
 

@@ -101,6 +101,13 @@ ORDER_RANGE = (0.5, 6.0)
 # check at any count.
 MAX_SCHEDULE_COUNT = 10_000
 
+# Largest grid a config may ask for: the theta tables are (n_theta,
+# n_theta) matrices, 8 MB at the cap.
+MAX_GRID_THETA = 1024
+MAX_GRID_PHI = 64
+
+# Verify bounds, except limit_rtol: no ahmass code reads it; summary.json
+# reports it for outside checks of the fitted limits against wang_reference.
 DEFAULT_TOLERANCES = {
     "limit_rtol": 0.01,
     "isometry": 1e-6,
@@ -548,10 +555,9 @@ class SweepConfig:
                 raise ConfigError("radius %g outside the collar range (0, %g]" % (e, rho_max))
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ConfigError("radius list must be strictly decreasing")
-        if self.n_theta < 16:
-            raise ConfigError("grid.n_theta must be at least 16")
-        if self.n_phi < 4:
-            raise ConfigError("grid.n_phi must be at least 4")
+        for key, low, high in (("n_theta", 16, MAX_GRID_THETA), ("n_phi", 4, MAX_GRID_PHI)):
+            if not low <= getattr(self, key) <= high:
+                raise ConfigError("grid.%s must lie in [%d, %d]" % (key, low, high))
         merged = dict(DEFAULT_TOLERANCES)
         for key in self.tolerances:
             if key not in DEFAULT_TOLERANCES:

@@ -249,26 +249,34 @@ def test_ads_aspect_is_twice_the_mass():
     assert np.all(fam.aspect(GRID.x) == 2.0 * m)
 
 
+def axial_wang_mass(psi):
+    # the boundary mass vector of a theta profile, whose x1 and x2 are 0.0
+    # exactly: the theta quadrature never forms them
+    v = wang_mass(psi, GRID)
+    assert v.x1 == 0.0 and v.x2 == 0.0
+    return v
+
+
 def test_wang_mass_zero_aspect():
-    v = wang_mass(mass_aspect(Hyperbolic(), GRID), GRID)
+    v = axial_wang_mass(mass_aspect(Hyperbolic(), GRID))
     assert np.max(np.abs(v.as_array())) == 0.0
 
 
 def test_wang_mass_constant_trace():
     c = 0.8
-    v = wang_mass(np.full(GRID.n_theta, c / 2), GRID)
+    v = axial_wang_mass(np.full(GRID.n_theta, c / 2))
     assert v.t == pytest.approx(c / 4, rel=1e-13)
     assert np.max(np.abs(v.spatial)) < 1e-14
 
 
 def test_wang_mass_cosine_trace():
     # trace 2 cos(theta): (1/16 pi) integral of omega_3 * 2 cos(theta) = 1/6
-    v = wang_mass(mass_aspect(PerturbedRound(lambda x: x), GRID), GRID)
+    v = axial_wang_mass(mass_aspect(PerturbedRound(lambda x: x), GRID))
     assert np.allclose(v.as_array(), [0.0, 0.0, 1.0 / 6.0, 0.0], atol=1e-12)
 
 
 def test_wang_mass_small_cosine_aspect():
-    v = wang_mass(mass_aspect(PerturbedRound(lambda x: 0.1 * x), GRID), GRID)
+    v = axial_wang_mass(mass_aspect(PerturbedRound(lambda x: 0.1 * x), GRID))
     assert np.allclose(v.as_array(), [0.0, 0.0, 1.0 / 60.0, 0.0], atol=1e-13)
 
 
@@ -276,16 +284,24 @@ def test_wang_mass_linearity():
     rng = np.random.default_rng(7)
     prof1 = np.cos(GRID.theta) ** 2
     prof2 = rng.normal(size=GRID.n_theta)
-    want = 2.0 * wang_mass(prof1, GRID).as_array() - 0.5 * wang_mass(prof2, GRID).as_array()
-    assert np.allclose(wang_mass(2.0 * prof1 - 0.5 * prof2, GRID).as_array(), want, atol=1e-13)
+    want = 2.0 * axial_wang_mass(prof1).as_array() - 0.5 * axial_wang_mass(prof2).as_array()
+    assert np.allclose(axial_wang_mass(2.0 * prof1 - 0.5 * prof2).as_array(), want, atol=1e-13)
 
 
 def test_wang_mass_positive_trace_future_component():
     rng = np.random.default_rng(11)
     for _ in range(10):
         prof = 0.2 + rng.uniform(0.0, 1.0) * np.cos(GRID.theta) ** 2
-        v = wang_mass(prof, GRID)
+        v = axial_wang_mass(prof)
         assert v.t > 0.0
+
+
+def test_wang_mass_refuses_a_grid_field():
+    # psi is a theta profile by contract; a full (n_theta, n_phi) field,
+    # even one constant in phi, is refused
+    psi = mass_aspect(PerturbedRound(lambda x: x), GRID)
+    with pytest.raises(ValueError, match="not a theta profile"):
+        wang_mass(GRID.as_field(psi), GRID)
 
 
 def test_scalar_curvature_exact_families():

@@ -11,6 +11,7 @@ import pytest
 
 from ahmass import embed_h3
 from ahmass.cli import main
+from ahmass.sweep import MAX_GRID_PHI, MAX_GRID_THETA
 
 FAST_EPS = [0.2, 0.14, 0.1, 0.07, 0.05]
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -156,6 +157,21 @@ def test_unknown_nested_config_key_exits_3(tmp_path, capsys, command, over, unkn
     assert main([command, write_config(tmp_path, **over)]) == 3
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["config error: unknown " + unknown]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid, error", [
+    ({"n_theta": MAX_GRID_THETA + 1, "n_phi": 4}, "grid.n_theta must lie in [16, 1024]"),
+    ({"n_theta": 32, "n_phi": MAX_GRID_PHI + 1}, "grid.n_phi must lie in [4, 64]"),
+], ids=["n_theta", "n_phi"])
+@pytest.mark.parametrize("command", ["sweep", "verify", "embed"])
+def test_grid_above_its_cap_exits_3(tmp_path, capsys, command, grid, error):
+    # a grid one node above its cap is refused before any table is built:
+    # one stderr line, nothing on stdout, nothing written
+    assert main([command, write_config(tmp_path, grid=grid, epsilons=[0.2])]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: " + error]
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

@@ -45,6 +45,8 @@ from ahmass.killing_spinor import (
 )
 from ahmass.sweep import (
     DEFAULT_TOLERANCES,
+    MAX_GRID_PHI,
+    MAX_GRID_THETA,
     MAX_SCHEDULE_COUNT,
     ORDER_RANGE,
     VERIFY_SPINORS,
@@ -440,6 +442,19 @@ def test_from_dict_roundtrip(tmp_path):
     assert cfg.n_theta == 32
     for gone in ("with_alpha", "branch", "seed"):
         assert not hasattr(cfg, gone)
+
+
+def test_from_dict_grid_caps(tmp_path):
+    # the largest grid a config may ask for is accepted, one node more on
+    # either axis is refused; nothing is built
+    d = base_dict(tmp_path)
+    d["grid"] = {"n_theta": MAX_GRID_THETA, "n_phi": MAX_GRID_PHI}
+    cfg = SweepConfig.from_dict(d)
+    assert (cfg.n_theta, cfg.n_phi) == (1024, 64)
+    for key in ("n_theta", "n_phi"):
+        d["grid"] = {"n_theta": MAX_GRID_THETA, "n_phi": MAX_GRID_PHI, key: getattr(cfg, key) + 1}
+        with pytest.raises(ConfigError, match="grid.%s must lie in" % key):
+            SweepConfig.from_dict(d)
 
 
 def test_from_dict_schedule(tmp_path):

@@ -11,9 +11,12 @@ and each command's stdout, stderr and exit code; the output root is replaced
 by ``<out>`` before the streams are compared.  Each item prints ``identical``
 or its differences: the largest |delta| per numeric CSV column and JSON key
 path (list indices folded to ``[]``), for ``sweep.csv`` also the largest
-|delta| * eps^3, and any non-numeric difference.  Generated cases come from
-this checkout's ``perfbench/workloads.py``.  Exit status 0 when everything is
-identical, 1 otherwise.
+|delta| * eps^3, and any non-numeric difference.  A last verdict line counts
+the items that are identical, that differ only in numbers (a file with no
+non-numeric difference, a stream equal once every number token is masked)
+and that differ otherwise (an exit code, a file on one side only, any other
+change).  Generated cases come from this checkout's ``perfbench/workloads.py``.
+Exit status 0 when everything is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -36,6 +40,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from ahmass.sweep import ConfigError, SweepConfig  # noqa: E402
 
 SHOWN = 5  # non-numeric differences and stream lines shown per item
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")  # a stream's number tokens
+KINDS = ("identical", "numbers only", "other")
 
 
 def _workload_configs(workload, seed, cases) -> list:
@@ -120,10 +126,10 @@ def _number(v):
         return None
 
 
-def _differences(name, a, b) -> list:
+def _differences(name, a, b) -> tuple:
     """Lines describing how output file b differs from a: the largest
     |delta| per field, for sweep.csv also times eps^3, and the first
-    non-numeric differences."""
+    non-numeric differences; and whether there are none of those."""
     scaled = name == "sweep.csv"
     pairs = (_json_pairs(json.loads(a), json.loads(b)) if name.endswith(".json")
              else _csv_pairs(a, b, scaled))
@@ -141,7 +147,7 @@ def _differences(name, a, b) -> list:
              for k, (d, dw) in worst.items()]
     extra = len(other) - SHOWN
     return (lines + other[:SHOWN] + (["    ... %d more" % extra] if extra > 0 else [])
-            or ["    same values, other bytes"])
+            or ["    same values, other bytes"]), not other
 
 
 def _stream_diff(a, b) -> list:
@@ -151,34 +157,47 @@ def _stream_diff(a, b) -> list:
     return ["    " + ln for ln in diff[:2 * SHOWN]] + (["    ... %d more" % extra] if extra > 0 else [])
 
 
+def _report(old, new, counts) -> None:
+    """Print how one config's streams and files, (streams per command,
+    bytes per file) on each side, differ from old to new, and count each
+    item under its kind."""
+    (ra, fa), (rb, fb) = old, new
+    for cmd in ra:
+        for label, x, y in zip(("exit code", "stdout", "stderr"), ra[cmd], rb[cmd]):
+            kind = ("identical" if x == y else "other" if label == "exit code" else
+                    "numbers only" if NUMBER.sub("#", x) == NUMBER.sub("#", y) else "other")
+            counts[kind] += 1
+            print("  %-14s %-10s %s" % (cmd, label, "identical" if x == y else
+                                        "%r -> %r" % (x, y) if label == "exit code" else "differs"))
+            if x != y and label != "exit code":
+                print("\n".join(_stream_diff(x, y)))
+    for fname in sorted(set(fa) | set(fb)):
+        if fname not in fa or fname not in fb:
+            counts["other"] += 1
+            print("  %-25s only in %s" % (fname, "old" if fname in fa else "new"))
+        elif fa[fname] == fb[fname]:
+            counts["identical"] += 1
+            print("  %-25s identical" % fname)
+        else:
+            lines, numbers_only = _differences(fname, fa[fname], fb[fname])
+            counts["numbers only" if numbers_only else "other"] += 1
+            print("  %-25s differs" % fname)
+            print("\n".join(lines))
+
+
 def compare(old_tree, new_tree, configs) -> bool:
-    """Print the comparison of every config; True when all is identical."""
-    same = True
+    """Print the comparison of every config and the verdict line; True
+    when all is identical."""
+    counts = dict.fromkeys(KINDS, 0)
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         for name, cfg in configs:
             eps = _smallest_radius(cfg)
-            (ra, fa), (rb, fb) = (_run(tree, Path(tmp) / side, name, cfg, eps)
-                                  for tree, side in ((old_tree, "old"), (new_tree, "new")))
+            old, new = (_run(tree, Path(tmp) / side, name, cfg, eps)
+                        for tree, side in ((old_tree, "old"), (new_tree, "new")))
             print("%s:" % name)
-            for cmd in ra:
-                for label, x, y in zip(("exit code", "stdout", "stderr"), ra[cmd], rb[cmd]):
-                    ok = x == y
-                    same &= ok
-                    print("  %-14s %-10s %s" % (cmd, label, "identical" if ok else
-                                                "%r -> %r" % (x, y) if label == "exit code" else "differs"))
-                    if not ok and label != "exit code":
-                        print("\n".join(_stream_diff(x, y)))
-            for fname in sorted(set(fa) | set(fb)):
-                if fname not in fa or fname not in fb:
-                    same = False
-                    print("  %-25s only in %s" % (fname, "old" if fname in fa else "new"))
-                elif fa[fname] == fb[fname]:
-                    print("  %-25s identical" % fname)
-                else:
-                    same = False
-                    print("  %-25s differs" % fname)
-                    print("\n".join(_differences(fname, fa[fname], fb[fname])))
-    return same
+            _report(old, new, counts)
+    print("verdict: " + ", ".join("%d %s" % (counts[k], k) for k in KINDS))
+    return counts["identical"] == sum(counts.values())
 
 
 def main(argv=None) -> int:
