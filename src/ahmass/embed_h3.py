@@ -506,33 +506,36 @@ def embed_round(R: float, grid: QuadratureGrid,
 
 
 def embed_surfaces(surfaces) -> list:
-    """Isometrically embed coordinate-sphere samples (axisymmetric by
-    construction) into the hyperboloid in one pass; returns, in order, the
-    EmbeddedSurface or the EmbeddingError embed_surface gives for each.
-    Per grid, the exactly round ones take the closed geodesic-sphere form
-    in one broadcast, about a hundred times cheaper; the others share one
-    stacked rapidity quadrature."""
+    """Isometrically embed coordinate-sphere samples on one grid
+    (axisymmetric by construction) into the hyperboloid in one pass;
+    returns, in order, the EmbeddedSurface or the EmbeddingError
+    embed_surface gives for each.  The exactly round ones take the closed
+    geodesic-sphere form in one broadcast, about a hundred times cheaper;
+    the others share one stacked rapidity quadrature."""
+    if not surfaces:
+        return []
+    grid = surfaces[0].grid
+    if any(s.grid is not grid for s in surfaces):
+        raise ValueError("surfaces live on different grids")
     out = {}
-    for grid in dict.fromkeys(s.grid for s in surfaces):
-        idx = [i for i, s in enumerate(surfaces) if s.grid is grid]
-        # exactly round: E = sinh^2 R, its spread within ROUND_DISPATCH_TOL
-        E = np.stack([surfaces[i].E[:, 0] for i in idx])
-        top = np.max(E, axis=1)
-        is_rev = top - np.min(E, axis=1) > ROUND_DISPATCH_TOL * top
-        rnd = [i for i, r in zip(idx, is_rev) if not r]
-        if rnd:
-            # R from the mean of the whole grid field, as a lone sphere reads it
-            radii = [math.asinh(math.sqrt(float(np.mean(surfaces[i].E)))) for i in rnd]
-            out.update(zip(rnd, _round_stack(radii, grid, [surfaces[i] for i in rnd])))
-        rev = [i for i, r in zip(idx, is_rev) if r]
-        if rev:
-            G = np.stack([surfaces[i].G[:, 0] for i in rev])
-            for i, got in zip(rev, _embed_rows(E[is_rev], G, grid)):
-                if not isinstance(got, EmbeddingError):
-                    prof, X, N, h0, defect, err = got
-                    got = err or EmbeddedSurface._checked(grid, X, N, h0, prof.isometry_residual,
-                                                          defect, surfaces[i], prof)
-                out[i] = got
+    # exactly round: E = sinh^2 R, its spread within ROUND_DISPATCH_TOL
+    E = np.stack([s.E[:, 0] for s in surfaces])
+    top = np.max(E, axis=1)
+    is_rev = top - np.min(E, axis=1) > ROUND_DISPATCH_TOL * top
+    rnd = [i for i, r in enumerate(is_rev) if not r]
+    if rnd:
+        # R from the mean of the whole grid field, as a lone sphere reads it
+        radii = [math.asinh(math.sqrt(float(np.mean(surfaces[i].E)))) for i in rnd]
+        out.update(zip(rnd, _round_stack(radii, grid, [surfaces[i] for i in rnd])))
+    rev = [i for i, r in enumerate(is_rev) if r]
+    if rev:
+        G = np.stack([surfaces[i].G[:, 0] for i in rev])
+        for i, got in zip(rev, _embed_rows(E[is_rev], G, grid)):
+            if not isinstance(got, EmbeddingError):
+                prof, X, N, h0, defect, err = got
+                got = err or EmbeddedSurface._checked(grid, X, N, h0, prof.isometry_residual,
+                                                      defect, surfaces[i], prof)
+            out[i] = got
     return [out[i] for i in range(len(surfaces))]
 
 

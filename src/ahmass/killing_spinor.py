@@ -143,49 +143,28 @@ def _require_on_sheet(X):
     return arr
 
 
-def geodesic_norm_check(field, start, direction, t_samples):
+def geodesic_norm_check(field: KillingNormField, start, direction, t_samples):
     """Restrict F to the unit-speed geodesic cosh t X0 + sinh t V and fit
-    A e^t + B e^{-t}; returns (A, B, max fit residual).
+    A e^t + B e^{-t}; returns (A, B, max fit residual) as floats.
 
     The fit residual vanishes to rounding because the restriction of a
     linear form to a geodesic solves u'' = u exactly; a visible residual
-    flags a broken field or geodesic.
-
-    Batched form: field may be a sequence of n fields, one per row, and
-    start and direction (n, 4) arrays; single fields, points or
-    directions broadcast against the rows.  Every row is validated (a
-    nonzero eta, the start on the sheet, a unit spacelike direction
-    tangent at the start) and all rows are fitted by one least-squares
-    solve against the shared (len(t), 2) basis.  A, B and the residual
-    are floats when field, start and direction are all single, and
-    length-n arrays otherwise."""
-    single = isinstance(field, KillingNormField)
-    eta = np.array([f.eta.as_array() for f in ([field] if single else field)])
-    x0, v = _rows(start), _rows(direction)
-    single = single and x0.ndim == 1 and v.ndim == 1
-    eta, x0, v = np.broadcast_arrays(eta, np.atleast_2d(x0), np.atleast_2d(v))
-    bad = np.flatnonzero(np.max(np.abs(eta), axis=1) == 0.0)
-    if bad.size:
-        raise ValueError("row %d: zero direction vector has a constant norm field" % bad[0])
-    bad = np.flatnonzero(np.abs(lorentz_inner(x0, x0) + 1.0) > ON_SHEET_TOL)
-    if bad.size:
-        raise ValueError("row %d: geodesic start is off the hyperboloid" % bad[0])
-    bad = np.flatnonzero((np.abs(lorentz_inner(v, v) - 1.0) > ON_SHEET_TOL)
-                         | (np.abs(lorentz_inner(x0, v)) > ON_SHEET_TOL))
-    if bad.size:
-        raise ValueError("row %d: direction must be unit spacelike and tangent at the start"
-                         % bad[0])
+    flags a broken field or geodesic.  ValueError for a zero eta, a start
+    off the sheet, a direction that is not unit spacelike and tangent at
+    the start, or fewer than two distinct samples."""
+    eta = field.eta.as_array()
+    if not np.any(eta):
+        raise ValueError("zero direction vector has a constant norm field")
+    x0, v = _require_on_sheet(start), _rows(direction)
+    if abs(lorentz_inner(v, v) - 1.0) > ON_SHEET_TOL or abs(lorentz_inner(x0, v)) > ON_SHEET_TOL:
+        raise ValueError("direction must be unit spacelike and tangent at the start")
     t = np.asarray(t_samples, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.ptp(t) < 1e-12:
         raise ValueError("need at least two distinct parameter samples")
-    pts = np.cosh(t)[:, None, None] * x0 + np.sinh(t)[:, None, None] * v
-    u = -lorentz_inner(pts, eta)
+    u = -lorentz_inner(np.cosh(t)[:, None] * x0 + np.sinh(t)[:, None] * v, eta)
     basis = np.stack([np.exp(t), np.exp(-t)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
-    resid = np.max(np.abs(basis @ coef - u), axis=0)
-    if single:
-        return float(coef[0, 0]), float(coef[1, 0]), float(resid[0])
-    return coef[0], coef[1], resid
+    return float(coef[0]), float(coef[1]), float(np.max(np.abs(basis @ coef - u)))
 
 
 def gradient_identity_residual(field: KillingNormField, points) -> float:

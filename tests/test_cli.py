@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ahmass import embed_h3
+from ahmass import embed_h3, sweep
 from ahmass.cli import main
-from ahmass.sweep import MAX_GRID_PHI, MAX_GRID_THETA
+from ahmass.sweep import MAX_GRID_PHI, MAX_GRID_THETA, TOLERANCES
 
 FAST_EPS = [0.2, 0.14, 0.1, 0.07, 0.05]
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,6 +40,7 @@ def test_sweep_success(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["tags"]["m_by"]["classify"] == "zero"
+    assert summary["config"]["tolerances"] == TOLERANCES
 
 
 def test_sweep_reruns_identical(tmp_path):
@@ -91,12 +92,12 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["sweep", write_config(tmp_path, family="minkowski")]) == 3
     assert main(["sweep", write_config(tmp_path,
                                        schedule={"eps0": 0.2, "ratio": 0.5})]) == 3
-    assert main(["sweep", write_config(tmp_path, tolerances={"bogus": 1.0})]) == 3
     err = capsys.readouterr().err
     assert "config error" in err
 
 
 @pytest.mark.parametrize("over", [
+    # a tolerance key is refused whatever its value, a malformed one too
     {"tolerances": {"isometry": "abc"}},
     {"tolerances": {"hyperboloid": None}},
     {"tolerances": {"surface_identity": "inf"}},
@@ -112,7 +113,6 @@ def test_config_errors_exit_3(tmp_path, capsys):
     {"family": {"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": [0.05, True]}}},
     {"family": {"name": "perturbed_round", "psi": {"type": "cos_theta", "amplitude": False}}},
     {"family": {"name": "perturbed_round", "psi": {"type": "constant", "value": True}}},
-    # a negative tolerance: no check could pass, or none could fail
     {"tolerances": {"isometry": -1}},
     {"tolerances": {"h0_order": -4.0}},
     {"tolerances": {"gauss_order": -1e-300}},
@@ -125,9 +125,8 @@ def test_bad_config_values_exit_3(tmp_path, capsys, command, over):
     assert main([command, write_config(tmp_path, **over)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err
-    for key, val in over.get("tolerances", {}).items():
-        if isinstance(val, (int, float)) and not isinstance(val, bool) and val < 0:
-            assert err == "config error: tolerance %r must be nonnegative\n" % key
+    for key in over.get("tolerances", {}):
+        assert err == "config error: unknown tolerances key(s): %s\n" % key
 
 
 @pytest.mark.parametrize("over, unknown", [
@@ -257,24 +256,31 @@ def test_verify_notes_unresolved_flat_laplacian_order(tmp_path, capsys):
     assert entry["passed"] is True and entry["note"] == note
 
 
-def test_verify_failure_exits_2(tmp_path, capsys):
-    # the round spheres embed in closed form with an isometry residual of
-    # exactly 0, so the hyperboloid defect is the bound that can be undercut
-    path = write_config(tmp_path, tolerances={"hyperboloid": 1e-18})
-    assert main(["verify", path]) == 2
-    assert "FAIL" in capsys.readouterr().out
+def test_verify_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # the surface identity holds on the round spheres to about 2e-12, not
+    # to 0, so a zero bound fails that entry alone
+    monkeypatch.setitem(sweep.TOLERANCES, "surface_identity", 0.0)
+    assert main(["verify", write_config(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert [ln.split()[1] for ln in out.splitlines() if "FAIL" in ln] == ["surface_identity"]
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert report["passed"] is False
-    assert report["entries"]["embedding_residuals"]["passed"] is False
+    entry = report["entries"]["surface_identity"]
+    assert entry["passed"] is False and entry["residual"] > 0.0
 
 
-@pytest.mark.parametrize("key", ["spinor_norm", "geodesic_fit", "gradient_identity"])
-@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("key", sorted(TOLERANCES)
+                         + ["spinor_norm", "geodesic_fit", "gradient_identity", "bogus"])
+@pytest.mark.parametrize("command", ["sweep", "verify", "embed"])
 def test_removed_tolerance_keys_exit_3(tmp_path, capsys, command, key):
-    # the spinor checks these bounded read no config and run in the tests
-    assert main([command, write_config(tmp_path, tolerances={key: 1e-10})]) == 3
+    # the bounds are one fixed table, sweep.TOLERANCES: any key under
+    # "tolerances" is refused before anything is built or written, the
+    # table's own keys (even at their table value), the spinor bounds that
+    # moved to the tests, and a key that never was
+    assert main([command, write_config(tmp_path, tolerances={key: TOLERANCES.get(key, 1.0)})]) == 3
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["config error: unknown tolerance %r" % key]
+    assert captured.err.splitlines() == ["config error: unknown tolerances key(s): %s" % key]
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

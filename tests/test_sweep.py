@@ -44,11 +44,11 @@ from ahmass.killing_spinor import (
     minkowski_identity_residuals,
 )
 from ahmass.sweep import (
-    DEFAULT_TOLERANCES,
     MAX_GRID_PHI,
     MAX_GRID_THETA,
     MAX_SCHEDULE_COUNT,
     ORDER_RANGE,
+    TOLERANCES,
     VERIFY_SPINORS,
     judge_flat_laplacian,
 )
@@ -261,8 +261,7 @@ FLAT_LAP_RISING = [5.660467896027572e-07, 9.789295754576514e-07, 4.0274528674355
 
 
 def test_flat_laplacian_judgement_tail_order():
-    tol = dict(DEFAULT_TOLERANCES)
-    rising = judge_flat_laplacian(FLAT_LAP_RISING, FLAT_LAP_RADII, tol)
+    rising = judge_flat_laplacian(FLAT_LAP_RISING, FLAT_LAP_RADII)
     assert FLAT_LAP_RISING[1] > 1.1 * FLAT_LAP_RISING[0]
     assert rising["passed"] and rising["order"] == pytest.approx(2.0, abs=0.01)
     # a sharp drop over the large radii, then a tail that ends under the
@@ -271,14 +270,14 @@ def test_flat_laplacian_judgement_tail_order():
     tail_eps = FLAT_LAP_RADII[4:] / FLAT_LAP_RADII[4]
     for power, passed in ((2.0, True), (1.0, False), (0.0, False)):
         vals = head + list(5e-7 * tail_eps ** power)
-        assert vals[-1] <= tol["funclim_factor"] * vals[0]
-        entry = judge_flat_laplacian(vals, FLAT_LAP_RADII, tol)
+        assert vals[-1] <= TOLERANCES["funclim_factor"] * vals[0]
+        entry = judge_flat_laplacian(vals, FLAT_LAP_RADII)
         assert entry["passed"] is passed, power
         assert entry["order"] == pytest.approx(power, abs=1e-9)
-    zero = judge_flat_laplacian([1e-13] * 8, FLAT_LAP_RADII, tol)
+    zero = judge_flat_laplacian([1e-13] * 8, FLAT_LAP_RADII)
     assert zero["passed"] and zero["note"] == "zero to rounding"
     # an eps^2 tail after a flat head still misses the final-value bound
-    late = judge_flat_laplacian([1e-3] * 4 + list(1e-3 * tail_eps ** 2), FLAT_LAP_RADII, tol)
+    late = judge_flat_laplacian([1e-3] * 4 + list(1e-3 * tail_eps ** 2), FLAT_LAP_RADII)
     assert not late["passed"] and late["order"] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -418,11 +417,6 @@ def test_sweep_config_validation(tmp_path):
         fast_config(tmp_path, eps_list=())
     with pytest.raises(ConfigError):
         fast_config(tmp_path, n_theta=12)
-    with pytest.raises(ConfigError):
-        fast_config(tmp_path, tolerances={"unknown_key": 1.0})
-    cfg = fast_config(tmp_path, tolerances={"isometry": 1e-7})
-    assert cfg.tolerances["isometry"] == 1e-7
-    assert cfg.tolerances["hyperboloid"] == DEFAULT_TOLERANCES["hyperboloid"]
 
 
 def base_dict(tmp_path):
@@ -440,7 +434,7 @@ def test_from_dict_roundtrip(tmp_path):
     assert isinstance(cfg.family, Hyperbolic)
     assert cfg.eps_list == (0.2, 0.1, 0.05)
     assert cfg.n_theta == 32
-    for gone in ("with_alpha", "branch", "seed"):
+    for gone in ("with_alpha", "branch", "seed", "tolerances"):
         assert not hasattr(cfg, gone)
 
 
@@ -470,6 +464,12 @@ def test_from_dict_errors(tmp_path):
         d = base_dict(tmp_path)
         del d[key]
         with pytest.raises(ConfigError):
+            SweepConfig.from_dict(d)
+    for tol, message in (([], "'tolerances' must be an object"),
+                         ({"isometry": 1e-6}, "unknown tolerances key")):
+        d = base_dict(tmp_path)
+        d["tolerances"] = tol
+        with pytest.raises(ConfigError, match=message):
             SweepConfig.from_dict(d)
     d = base_dict(tmp_path)
     d["schedule"] = {"eps0": 0.2, "ratio": 0.5}
@@ -531,7 +531,7 @@ def test_alpha_mass_limit_on_the_by_scale(tmp_path, family, tag):
     assert rec.tags["m_by"]["classify"] is tag
     assert rec.tags["m_alpha"]["classify"] is tag
     wang = rec.wang.as_array()
-    bound = cfg.tolerances["limit_rtol"] * (1.0 + np.abs(wang))
+    bound = TOLERANCES["limit_rtol"] * (1.0 + np.abs(wang))
     assert np.all(np.abs(rec.limits["m_alpha"].as_array() - wang) <= bound)
 
 
@@ -1014,3 +1014,25 @@ def test_verify_fails_only_entries_that_read_a_failed_sphere(tmp_path, monkeypat
         # an entry reads its radii largest first and stops at the first failure
         first = max(set(reads[name]) & set(errors))
         assert report["entries"][name]["error"] == errors[first]
+
+
+def test_every_tolerance_is_a_reported_bound(tmp_path, monkeypatch):
+    # a bound no verify entry reports is a dead constant: each key of the
+    # table is moved to a value of its own (a relative 2^-20 apart, too
+    # little to change a verdict), and every key but limit_rtol, which only
+    # summary.json readers use, must come back as some entry's bound on the
+    # bench's hyperbolic or poly_cos config
+    moved = {key: val * (1.0 + (k + 1) * 2.0 ** -20)
+             for k, (key, val) in enumerate(sorted(TOLERANCES.items()))}
+    for key, val in moved.items():
+        monkeypatch.setitem(sweep.TOLERANCES, key, val)
+    reported = set()
+    for family in ("hyperbolic", POLY_SPEC):
+        cfg = SweepConfig.from_dict({
+            "family": family, "schedule": {"eps0": 0.2, "ratio": 2 ** -0.5, "count": 8},
+            "grid": {"n_theta": 64, "n_phi": 4}, "tolerances": {},
+            "output": {"dir": str(tmp_path)}})
+        for entry in verify_identities(cfg)["entries"].values():
+            bound = entry["tolerance"]
+            reported.update(bound.values() if isinstance(bound, dict) else [bound])
+    assert {key for key, val in moved.items() if val in reported} == set(TOLERANCES) - {"limit_rtol"}
