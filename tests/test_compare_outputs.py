@@ -18,7 +18,7 @@ def load_tool():
 
 
 def test_same_tree_is_identical(tmp_path, capsys):
-    # one three-radius config: four commands per tree, every stream, exit
+    # one three-radius config: five commands per tree, every stream, exit
     # code and output file identical
     path = tmp_path / "three.json"
     path.write_text(json.dumps({
@@ -27,12 +27,12 @@ def test_same_tree_is_identical(tmp_path, capsys):
         "epsilons": [0.2, 0.1, 0.05], "grid": {"n_theta": 32, "n_phi": 4}, "tolerances": {}}))
     assert load_tool().main([str(ROOT), str(ROOT), str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines.pop() == "verdict: 17 identical, 0 numbers only, 0 other"
+    assert lines.pop() == "verdict: 20 identical, 0 numbers only, 0 other"
     assert lines[0] == "three:"
-    files = [ln.split()[0] for ln in lines[1:] if ln.split()[0] not in ("sweep", "verify", "embed")]
+    files = [ln.split()[0] for ln in lines[1:] if ln.split()[0] not in ("sweep", "report", "verify", "embed")]
     assert files == ["profile_eps_0.05.csv", "profile_eps_0.2.csv", "summary.json", "sweep.csv",
                      "verify.json"]
-    assert len(lines) == 1 + 4 * 3 + 5
+    assert len(lines) == 1 + 5 * 3 + 5
     assert all(ln.endswith(" identical") for ln in lines[1:])
 
 

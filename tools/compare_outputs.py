@@ -3,9 +3,10 @@
     python tools/compare_outputs.py OLD_TREE NEW_TREE CONFIG.json [CONFIG.json ...]
     python tools/compare_outputs.py OLD_TREE NEW_TREE --workload pert_sweep --seed 7 --cases 8
 
-For each config it runs ``sweep``, ``verify``, ``embed`` and ``embed --eps E``
-(E the config's smallest radius, as this checkout parses it) as one fresh
-``python -m ahmass`` process per command and tree, with the tree's ``src`` on
+For each config it runs ``sweep``, ``report <out>/summary.json``, ``verify``,
+``embed`` and ``embed --eps E`` (E the config's smallest radius, as this
+checkout parses it) as one fresh ``python -m ahmass`` process per command and
+tree, with the tree's ``src`` on
 PYTHONPATH and ``OPENBLAS_NUM_THREADS=1``.  It then compares every output file
 and each command's stdout, stderr and exit code; the output root is replaced
 by ``<out>`` before the streams are compared.  Each item prints ``identical``
@@ -63,19 +64,22 @@ def _smallest_radius(cfg) -> float:
 
 
 def _run(tree, out, name, cfg, eps) -> tuple:
-    """Run the four commands of one config in one tree; returns the
+    """Run the five commands of one config in one tree; returns the
     streams per command and the bytes per output file."""
     cfg_dir = out / name
     cfg_dir.mkdir(parents=True)
-    path = cfg_dir / "config.json"
-    path.write_text(json.dumps(dict(cfg, output={"dir": str(cfg_dir / "out")})))
+    path = str(cfg_dir / "config.json")
+    Path(path).write_text(json.dumps(dict(cfg, output={"dir": str(cfg_dir / "out")})))
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     got = {}
-    for cmd in (["sweep"], ["verify"], ["embed"], ["embed", "--eps", repr(eps)]):
-        proc = subprocess.run([sys.executable, "-m", "ahmass", *cmd, str(path)], cwd=tree, env=env,
+    for label, argv in (("sweep", ["sweep", path]),
+                        ("report", ["report", str(cfg_dir / "out" / "summary.json")]),
+                        ("verify", ["verify", path]), ("embed", ["embed", path]),
+                        ("embed --eps", ["embed", "--eps", repr(eps), path])):
+        proc = subprocess.run([sys.executable, "-m", "ahmass", *argv], cwd=tree, env=env,
                               capture_output=True, text=True, timeout=600)
-        got[" ".join(cmd)] = (proc.returncode, proc.stdout.replace(str(out), "<out>"),
-                              proc.stderr.replace(str(out), "<out>"))
+        got[label] = (proc.returncode, proc.stdout.replace(str(out), "<out>"),
+                      proc.stderr.replace(str(out), "<out>"))
     files = sorted((cfg_dir / "out").glob("*")) if (cfg_dir / "out").is_dir() else []
     return got, {f.name: f.read_bytes() for f in files}
 
