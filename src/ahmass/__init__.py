@@ -54,7 +54,6 @@ from .embed_h3 import (
     mean_curvature_h0,
 )
 from .quasilocal import (
-    MassResult,
     alpha_from_radii,
     alpha_mass,
     by_mass,
@@ -109,9 +108,8 @@ __all__ = [
     "boost_surface", "dump_profile_csv", "embed_revolution", "embed_round",
     "embed_surface", "embed_surfaces", "mean_curvature_h0",
     # quasilocal
-    "MassResult", "alpha_from_radii", "alpha_mass", "by_mass",
-    "enclosing_radii", "hat_mass", "mainhyp_functional", "mass_vectors",
-    "shitam_alpha_mass",
+    "alpha_from_radii", "alpha_mass", "by_mass", "enclosing_radii",
+    "hat_mass", "mainhyp_functional", "mass_vectors", "shitam_alpha_mass",
     # killing_spinor
     "KillingNormField", "SpinorValue", "exhaustion_norm_growth",
     "geodesic_norm_check", "gradient_identity_residual",

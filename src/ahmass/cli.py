@@ -77,9 +77,8 @@ def _cmd_sweep(args) -> int:
         if rec.error is not None:
             print("  eps=%-10.6g FAILED: %s" % (rec.eps, rec.error))
             continue
-        res = rec.result
         print("  eps=%-10.6g m_BY=%s [%s]  |m_hat-m_BY|=%.3e"
-              % (rec.eps, _fmt_vec(res.m_by.as_array()), res.tag_by.value, rec.gap))
+              % (rec.eps, _fmt_vec(rec.m_by.as_array()), rec.tag_by.value, rec.gap))
     print("fitted limits (from eps = %s):"
           % ", ".join("%g" % e for e in record.fit_eps))
     for name, vec in record.limits.items():

@@ -16,17 +16,17 @@ mass_vectors computes m_BY and m_hat for a stack of spheres, one einsum
 over the stack per component: that sums in integrate_scalar's order, so
 each row is bit-identical to its sphere alone (one einsum over all four
 components is not).  by_mass and hat_mass are one-sphere calls of it.
+The sweep keeps each radius's three vectors, with their causal tags, in
+one sweep.PerEpsRecord.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz import CausalClass, MinkowskiVector, causal_classify
+from .lorentz import MinkowskiVector
 from .sphere_geometry import (
     SurfaceSample,
     integrate_scalar,
@@ -36,7 +36,6 @@ from .sphere_geometry import (
 from .embed_h3 import EmbeddedSurface
 
 __all__ = [
-    "MassResult",
     "mass_vectors",
     "mass_vector",
     "by_mass",
@@ -54,28 +53,6 @@ __all__ = [
 
 # hat_mass and mainhyp_functional need H bounded away from -2.
 MEAN_CURVATURE_FLOOR = -2.0 + 1e-8
-
-
-@dataclass(frozen=True)
-class MassResult:
-    """Mass vectors of one coordinate sphere, with their causal tags."""
-
-    eps: float
-    m_by: MinkowskiVector
-    m_hat: MinkowskiVector
-    m_alpha: MinkowskiVector
-
-    @functools.cached_property
-    def tag_by(self) -> CausalClass:
-        return causal_classify(self.m_by)
-
-    @functools.cached_property
-    def tag_hat(self) -> CausalClass:
-        return causal_classify(self.m_hat)
-
-    @functools.cached_property
-    def tag_alpha(self) -> CausalClass:
-        return causal_classify(self.m_alpha)
 
 
 def _check_aligned(surf: SurfaceSample, emb: EmbeddedSurface):

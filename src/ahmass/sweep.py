@@ -52,7 +52,6 @@ from .lorentz import (
 )
 from .quasilocal import (
     MEAN_CURVATURE_FLOOR,
-    MassResult,
     alpha_from_radii,
     alpha_mass,
     enclosing_radii_stack,
@@ -628,12 +627,19 @@ class SweepConfig:
 @dataclass(frozen=True)
 class PerEpsRecord:
     """Everything measured at one sweep radius, one sweep.csv row
-    (_csv_row); error set when the pipeline failed there (the sweep
-    continues with a gap).  gap is max|m_hat - m_BY| over the components,
-    which the fits and the CLI read; the output files do not carry it."""
+    (_csv_row): the three mass vectors, each with its causal tag, and the
+    sphere's diagnostics.  A radius where the pipeline failed has only its
+    eps and error set (the sweep continues with a gap).  gap is
+    max|m_hat - m_BY| over the components, which the fits and the CLI
+    read; the output files do not carry it."""
 
     eps: float
-    result: MassResult | None = None
+    m_by: MinkowskiVector | None = None
+    m_hat: MinkowskiVector | None = None
+    m_alpha: MinkowskiVector | None = None
+    tag_by: CausalClass | None = None
+    tag_hat: CausalClass | None = None
+    tag_alpha: CausalClass | None = None
     alpha: float | None = None
     radii: tuple | None = None
     area: float | None = None
@@ -714,8 +720,10 @@ def _mass_records(triples, failed) -> list:
     """The record, or the error, of each embedded (sphere, embedding,
     curvature extrema), with every m_BY and m_hat from one mass_vectors
     call and every enclosing radius and hat-BY gap from one pass over the
-    stack.  A row's error is the one its sphere alone raises: the first of
-    m_BY, m_hat and alpha to fail."""
+    stack; m_alpha is m_BY with its time component stretched by alpha, and
+    each of the three vectors gets one causal_classify.  A row's error is
+    the one its sphere alone raises: the first of m_BY, m_hat and alpha to
+    fail."""
     surfs, embs, _ = zip(*triples)
     m_by, m_hat, area, bad = mass_vectors(surfs, embs)
     radii = enclosing_radii_stack(embs).tolist()
@@ -727,8 +735,10 @@ def _mass_records(triples, failed) -> list:
             by = mass_vector(m_by[i], bad[i, 0])
             hat = mass_vector(m_hat[i], bad[i, 1])
             alpha = alpha_from_radii(*radii[i])
+            m_alpha = alpha_mass(by, alpha)
             out.append(PerEpsRecord(
-                eps=surf.eps, result=MassResult(surf.eps, by, hat, alpha_mass(by, alpha)),
+                eps=surf.eps, m_by=by, m_hat=hat, m_alpha=m_alpha, tag_by=causal_classify(by),
+                tag_hat=causal_classify(hat), tag_alpha=causal_classify(m_alpha),
                 alpha=alpha, radii=tuple(radii[i]), area=float(area[i]),
                 h_min=h_min, h_max=h_max, k_min=k_min, k_max=k_max,
                 isometry_residual=emb.isometry_residual,
@@ -788,8 +798,8 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
 
     # one batched fit of the distinct columns: m_BY, m_hat, the time
     # component of m_alpha (its x1..x3 are m_BY's), then the gap
-    series = np.array([[*_comps(r.result.m_by), *_comps(r.result.m_hat),
-                        r.result.m_alpha.t, r.gap] for r in fit_recs])
+    series = np.array([[*_comps(r.m_by), *_comps(r.m_hat), r.m_alpha.t, r.gap]
+                       for r in fit_recs])
     col_fits = fit_limit(series, fit_eps)
     by_fits = col_fits[:4]
 
@@ -1006,14 +1016,13 @@ _CSV_HEADER = (
 def _csv_row(rec: PerEpsRecord) -> str:
     """One sweep.csv row: float cells in repr, a failed radius's cells
     empty but its epsilon and error."""
-    res = rec.result
-    if res is None:
+    if rec.error is not None:
         return float.__repr__(rec.eps) + "," * (len(_CSV_HEADER) - 1) + rec.error
-    cells = (rec.eps, *_comps(res.m_by), *_comps(res.m_hat), *_comps(res.m_alpha),
+    cells = (rec.eps, *_comps(rec.m_by), *_comps(rec.m_hat), *_comps(rec.m_alpha),
              rec.alpha, *rec.radii, rec.area, rec.h_min, rec.h_max, rec.k_min, rec.k_max,
              rec.isometry_residual, rec.hyperboloid_defect)
-    return "%s,%s,%s,%s," % (",".join(map(float.__repr__, cells)), res.tag_by.value,
-                             res.tag_hat.value, res.tag_alpha.value)
+    return "%s,%s,%s,%s," % (",".join(map(float.__repr__, cells)), rec.tag_by.value,
+                             rec.tag_hat.value, rec.tag_alpha.value)
 
 
 def _csv_value(column: str, cell: str, failed: bool):

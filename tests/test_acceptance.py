@@ -81,8 +81,8 @@ def test_01_vacuum_sweep_masses_vanish(hyp_sweep):
     for r in rec.records:
         assert r.error is None
         worst = max(worst,
-                    float(np.max(np.abs(r.result.m_by.as_array()))),
-                    float(np.max(np.abs(r.result.m_hat.as_array()))))
+                    float(np.max(np.abs(r.m_by.as_array()))),
+                    float(np.max(np.abs(r.m_hat.as_array()))))
     assert worst <= 1e-8
     assert np.max(np.abs(rec.wang.as_array())) <= 1e-8
     assert rec.tags["m_by"]["classify"] is CausalClass.ZERO
@@ -99,7 +99,7 @@ def test_02_schwarzschild_mass_recovery(ads_sweeps):
         assert abs(fitted - rec.wang.t) <= 0.01 * rec.wang.t
         assert np.max(np.abs(rec.limits["m_by"].spatial)) <= 1e-6
         small = [r for r in rec.records if r.eps <= 0.1]
-        assert small and all(r.result.tag_by is CausalClass.FUTURE_TIMELIKE for r in small)
+        assert small and all(r.tag_by is CausalClass.FUTURE_TIMELIKE for r in small)
         assert elapsed < 60.0
         print("PASS mass recovery m=%g: fitted t %.8f vs reference %.8f, %d small-radius "
               "tags future-timelike, %.2fs" % (m, fitted, rec.wang.t, len(small), elapsed))
@@ -107,7 +107,7 @@ def test_02_schwarzschild_mass_recovery(ads_sweeps):
 
 def per_component_series(rec, name):
     by_eps = {r.eps: r for r in rec.records if r.error is None}
-    return np.array([getattr(by_eps[e].result, name).as_array() for e in rec.fit_eps])
+    return np.array([getattr(by_eps[e], name).as_array() for e in rec.fit_eps])
 
 
 def test_03_modified_mass_shares_limit_and_gap_order(ads_sweeps, pert_sweep):

@@ -96,6 +96,8 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert "config error" in err
 
 
+# each case keeps the name pytest first gave it by position, so that deleting
+# one renames no other
 @pytest.mark.parametrize("over", [
     # a tolerance key is refused whatever its value, a malformed one too
     {"tolerances": {"isometry": "abc"}},
@@ -119,7 +121,8 @@ def test_config_errors_exit_3(tmp_path, capsys):
     {"tolerances": {"funclim_atol": -1e-8}},
     # a schedule whose smallest radius underflows, refused before it is built
     {"epsilons": None, "schedule": {"eps0": 0.2, "ratio": 0.5, "count": 10 ** 12}},
-])
+], ids=["over0", "over1", "over2", "over3", "over4", "over5", "over6", "over7", "over8", "over9",
+        "over10", "over11", "over12", "over13", "over14", "over15", "over16", "over17", "over18"])
 @pytest.mark.parametrize("command", ["sweep", "verify"])
 def test_bad_config_values_exit_3(tmp_path, capsys, command, over):
     assert main([command, write_config(tmp_path, **over)]) == 3

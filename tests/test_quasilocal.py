@@ -12,7 +12,6 @@ from ahmass import (
     CausalClass,
     Hyperbolic,
     KillingNormField,
-    MassResult,
     MinkowskiVector,
     PerturbedRound,
     QuadratureGrid,
@@ -250,18 +249,6 @@ def test_mass_pairing_consistent_with_tag():
     for _ in range(1000):
         eta = random_null_eta(rng)
         assert lorentz_inner(m.as_array(), eta.as_array()) < 0.0
-
-
-def test_mass_result_tags():
-    res = MassResult(0.1,
-                     MinkowskiVector(0.0, 0.0, 0.0, 1.0),
-                     MinkowskiVector(0.0, 0.0, 0.0, -1.0),
-                     m_alpha=MinkowskiVector(1.0, 0.0, 0.0, 1.0))
-    assert res.tag_by is CausalClass.FUTURE_TIMELIKE
-    assert res.tag_hat is CausalClass.PAST_TIMELIKE
-    assert res.tag_alpha is CausalClass.FUTURE_NULL
-    with pytest.raises(TypeError):
-        MassResult(0.1, MinkowskiVector(0.0, 0.0, 0.0, 1.0), MinkowskiVector(0.0, 0.0, 0.0, 1.0))
 
 
 def stand_in_embedding(grid, H0, X):

@@ -17,6 +17,7 @@ from ahmass import (
     ConfigError,
     Hyperbolic,
     MinkowskiVector,
+    PerEpsRecord,
     PerturbedRound,
     QuadratureGrid,
     SweepConfig,
@@ -212,7 +213,7 @@ def test_run_sweep_fits_every_limit_in_one_call(tmp_path, monkeypatch):
     # the 8 components of m_BY and m_hat, m_alpha's time component (its
     # x1..x3 are m_BY's) and the hat-BY gap, on the 3 smallest of 5 radii
     assert calls == [(3, 10)]
-    by_eps = {r.eps: r.result for r in rec.records}
+    by_eps = {r.eps: r for r in rec.records}
     results = [by_eps[e] for e in rec.fit_eps]
     for name in ("m_by", "m_hat", "m_alpha"):
         series = np.array([getattr(r, name).as_array() for r in results])
@@ -554,9 +555,26 @@ def test_run_sweep_records_per_radius_failure(tmp_path):
     rec = run_sweep(cfg)
     assert rec.records[0].error is not None
     assert "ValueError" in rec.records[0].error
-    assert rec.records[0].result is None
-    assert all(r.error is None for r in rec.records[1:])
+    # the failed radius carries no vector and no tag; each good record
+    # carries the causal tag of each of its own three vectors
+    assert rec.records[0] == PerEpsRecord(eps=0.45, error=rec.records[0].error)
+    for r in rec.records[1:]:
+        assert r.error is None
+        assert r.tag_by is causal_classify(r.m_by)
+        assert r.tag_hat is causal_classify(r.m_hat)
+        assert r.tag_alpha is causal_classify(r.m_alpha)
     assert rec.fit_eps == pytest.approx((0.05, 0.08, 0.12))
+
+
+def test_record_tags_tell_the_vectors_apart(tmp_path):
+    # psi = 0.1 + 0.31085 cos(theta) puts m_BY just outside the light cone
+    # at eps = 0.45 (<m, m> = +5.9e-7) and m_hat just inside (-7.1e-7),
+    # while m_alpha's stretched time keeps it timelike down to eps = 0.3:
+    # each pair of tags differs on some record
+    spec = {"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": [0.1, 0.31085]}}
+    rec = run_sweep(fast_config(tmp_path, family=family_from_spec(spec)[0], eps_list=(0.45, 0.3, 0.2)))
+    S, F = CausalClass.SPACELIKE, CausalClass.FUTURE_TIMELIKE
+    assert [(r.tag_by, r.tag_hat, r.tag_alpha) for r in rec.records] == [(S, F, F), (S, S, F), (S, S, S)]
 
 
 def test_run_sweep_needs_three_good_radii(tmp_path):
@@ -823,7 +841,7 @@ def test_sweep_isolates_a_non_finite_density(tmp_path, monkeypatch, capsys):
     for a, b in zip(plain.records, broken.records):
         if b.eps == target:
             assert b.error == "ValueError: field has non-finite entries"
-            assert b.result is None
+            assert b == PerEpsRecord(eps=target, error=b.error)
         else:
             assert b == a
 
@@ -882,9 +900,9 @@ def test_sweep_classifies_each_mass_vector_once(tmp_path, monkeypatch):
     assert len(calls) <= 3 * len(rec.records) + len(rec.limits)
 
 
-def per_record_gap(res):
+def per_record_gap(rec):
     # the hat-BY gap as each record formed it before the stack did
-    return float(np.max(np.abs(res.m_hat.as_array() - res.m_by.as_array())))
+    return float(np.max(np.abs(rec.m_hat.as_array() - rec.m_by.as_array())))
 
 
 M40_SPEC = {"name": "perturbed_round", "psi": {"type": "constant", "value": -40.0}}
@@ -916,8 +934,8 @@ def test_stacked_tail_equals_per_record_forms(tmp_path, spec, eps, n_failed):
         assert (r.h_min, r.h_max) == (np.min(surf.H), np.max(surf.H))
         assert (r.k_min, r.k_max) == (np.min(surf.K), np.max(surf.K))
         assert r.radii == (float(np.arccosh(np.min(t))), float(np.arccosh(np.max(t))))
-        assert r.gap == per_record_gap(r.result)
-    gaps = [per_record_gap(r.result) for r in good]
+        assert r.gap == per_record_gap(r)
+    gaps = [per_record_gap(r) for r in good]
     slack = 1e-12 + 1e-9 * max(gaps)
     assert rec.gap_monotone == all(b <= a + slack for a, b in zip(gaps, gaps[1:]))
 
@@ -933,14 +951,13 @@ def per_record_csv(record) -> str:
 
     lines = [",".join(sweep._CSV_HEADER)]
     for rec in record.records:
-        res = rec.result
         row = [rec.eps]
-        for vec in (res.m_by, res.m_hat, res.m_alpha) if res else (None,) * 3:
+        for vec in (rec.m_by, rec.m_hat, rec.m_alpha):
             row.extend(list(vec.as_array()) if vec is not None else [None] * 4)
         row.extend([rec.alpha, *(rec.radii or (None, None)), rec.area, rec.h_min, rec.h_max, rec.k_min, rec.k_max,
                     rec.isometry_residual, rec.hyperboloid_defect,
-                    res.tag_by.value if res else None, res.tag_hat.value if res else None,
-                    res.tag_alpha.value if res else None, rec.error])
+                    *(tag.value if tag is not None else None
+                      for tag in (rec.tag_by, rec.tag_hat, rec.tag_alpha)), rec.error])
         lines.append(",".join(cell(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -963,14 +980,13 @@ def test_sweep_csv_equals_per_cell_formatter(tmp_path, spec, eps):
     for r, row in zip(rec.records, read_sweep_csv(Path(cfg.output_dir) / "sweep.csv")):
         assert (row["epsilon"], row["error"]) == (r.eps, r.error or "")
         values = [v for k, v in row.items() if k not in ("epsilon", "error")]
-        if r.result is None:
+        if r.error is not None:
             assert values == [None] * 25
         else:
-            res = r.result
-            assert values == [*res.m_by.as_array(), *res.m_hat.as_array(), *res.m_alpha.as_array(),
+            assert values == [*r.m_by.as_array(), *r.m_hat.as_array(), *r.m_alpha.as_array(),
                               r.alpha, *r.radii, r.area, r.h_min, r.h_max, r.k_min, r.k_max,
-                              r.isometry_residual, r.hyperboloid_defect, res.tag_by.value,
-                              res.tag_hat.value, res.tag_alpha.value]
+                              r.isometry_residual, r.hyperboloid_defect, r.tag_by.value,
+                              r.tag_hat.value, r.tag_alpha.value]
 
 
 @pytest.mark.parametrize("spec, eps", [
