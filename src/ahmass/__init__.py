@@ -17,12 +17,9 @@ from .lorentz import (
     SpinorParameter,
     boost,
     causal_classify,
-    causal_tolerance,
     hopf_eta,
-    hyperboloid_point,
     lorentz_inner,
     rotation,
-    sphere_direction,
 )
 from .sphere_geometry import (
     QuadratureGrid,
@@ -59,19 +56,12 @@ from .quasilocal import (
     by_mass,
     enclosing_radii,
     hat_mass,
-    mainhyp_functional,
     mass_vectors,
-    shitam_alpha_mass,
 )
 from .killing_spinor import (
     KillingNormField,
-    SpinorValue,
     exhaustion_norm_growth,
-    geodesic_norm_check,
-    gradient_identity_residual,
     minkowski_identity_residual,
-    spinor_at,
-    spinor_polar_point,
 )
 from .sweep import (
     ConfigError,
@@ -94,8 +84,7 @@ __all__ = [
     "__version__",
     # lorentz
     "CausalClass", "LorentzMap", "MinkowskiVector", "SpinorParameter",
-    "boost", "causal_classify", "causal_tolerance", "hopf_eta",
-    "hyperboloid_point", "lorentz_inner", "rotation", "sphere_direction",
+    "boost", "causal_classify", "hopf_eta", "lorentz_inner", "rotation",
     # sphere_geometry
     "QuadratureGrid", "SurfaceSample", "coordinate_sphere",
     "integrate_scalar", "surface_laplacian",
@@ -109,11 +98,10 @@ __all__ = [
     "embed_surface", "embed_surfaces", "mean_curvature_h0",
     # quasilocal
     "alpha_from_radii", "alpha_mass", "by_mass", "enclosing_radii",
-    "hat_mass", "mainhyp_functional", "mass_vectors", "shitam_alpha_mass",
+    "hat_mass", "mass_vectors",
     # killing_spinor
-    "KillingNormField", "SpinorValue", "exhaustion_norm_growth",
-    "geodesic_norm_check", "gradient_identity_residual",
-    "minkowski_identity_residual", "spinor_at", "spinor_polar_point",
+    "KillingNormField", "exhaustion_norm_growth",
+    "minkowski_identity_residual",
     # sweep
     "ConfigError", "FitResult", "MassSweepRecord", "PerEpsRecord",
     "SweepConfig", "cone_pairing_report", "decay_order", "default_schedule",

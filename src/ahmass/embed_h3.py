@@ -153,11 +153,6 @@ class RevolutionProfile:
         out.isometry_residual = float(out.isometry_residual)
         return out
 
-    def axial_moment(self) -> float:
-        """Integral of u f dth; zero in the centered gauge."""
-        g = self.grid
-        return float(np.sum(g.w_theta * self.u * self.f / g.sin_theta))
-
 
 class EmbeddedSurface:
     """Embedded image of a coordinate sphere: per-node position X on the

@@ -6,11 +6,8 @@ Vectors are stored in the component order (x1, x2, x3, t), so the pairing is
 
 signature (+, +, +, -).  The hyperboloid model is the upper sheet
 {<<X, X>> = -1, t >= 1}; the future light cone is {<<v, v>> = 0, t > 0}.
-Polar coordinates used by hyperboloid_point follow the unit direction
-
-    omega(theta, phi) = (sin th cos ph, sin th sin ph, cos th),
-
-with theta in [0, pi] measured from the +x3 axis.
+Points of the sheet in polar coordinates, for the tests, are in
+tests/oracles.py.
 
 Everything in this module is immutable and safe to share across threads.
 """
@@ -31,10 +28,7 @@ __all__ = [
     "LorentzMap",
     "lorentz_inner",
     "causal_classify",
-    "causal_tolerance",
     "hopf_eta",
-    "sphere_direction",
-    "hyperboloid_point",
     "boost",
     "rotation",
 ]
@@ -92,29 +86,6 @@ class MinkowskiVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.t])
 
-    @property
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-    def __add__(self, other: "MinkowskiVector") -> "MinkowskiVector":
-        return MinkowskiVector(
-            self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3, self.t + other.t
-        )
-
-    def __sub__(self, other: "MinkowskiVector") -> "MinkowskiVector":
-        return MinkowskiVector(
-            self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3, self.t - other.t
-        )
-
-    def __mul__(self, c: float) -> "MinkowskiVector":
-        c = float(c)
-        return MinkowskiVector(c * self.x1, c * self.x2, c * self.x3, c * self.t)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "MinkowskiVector":
-        return self * -1.0
-
 
 @dataclass(frozen=True)
 class SpinorParameter:
@@ -156,28 +127,20 @@ def lorentz_inner(a, b):
     return out
 
 
-def _tolerance_at(top: float) -> float:
-    return 1e-9 * (1.0 + top)
-
-
-def causal_tolerance(v) -> float:
-    """Default absolute tolerance 1e-9 * (1 + max|component|)."""
-    return _tolerance_at(float(np.max(np.abs(_as_array4(v)))))
-
-
 def causal_classify(v, tol: float | None = None) -> CausalClass:
     """Classify v against the light cone.
 
     The tolerance is applied to the quadratic form and to the time
     component, so vectors within tol of the cone are tagged null and
-    vectors with all components within tol of zero are tagged zero.
+    vectors with all components within tol of zero are tagged zero.  The
+    default tol is 1e-9 * (1 + max|component|).
     """
     arr = _as_array4(v)
     if arr.ndim != 1:
         raise ValueError("causal_classify takes a single vector")
     top = float(np.max(np.abs(arr)))
     if tol is None:
-        tol = _tolerance_at(top)
+        tol = 1e-9 * (1.0 + top)
     if top <= tol:
         return CausalClass.ZERO
     q = float(np.dot(arr[:3], arr[:3]) - arr[3] ** 2)
@@ -209,29 +172,6 @@ def hopf_eta(z: SpinorParameter) -> MinkowskiVector:
     cross = z.z1 * np.conj(z.z2)
     return MinkowskiVector(
         -(a - b), -2.0 * float(np.real(cross)), 2.0 * float(np.imag(cross)), a + b
-    )
-
-
-def sphere_direction(theta, phi):
-    """Unit direction omega(theta, phi); broadcasts over array input and
-    returns an array with trailing dimension 3."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    st = np.sin(theta)
-    return np.stack(
-        np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1
-    )
-
-
-def hyperboloid_point(r: float, theta: float, phi: float) -> MinkowskiVector:
-    """Point (sinh r * omega(theta, phi), cosh r) of the upper hyperboloid;
-    requires r >= 0."""
-    if r < 0:
-        raise ValueError("hyperboloid radius must be nonnegative")
-    w = sphere_direction(theta, phi)
-    sr = np.sinh(r)
-    return MinkowskiVector(
-        float(sr * w[..., 0]), float(sr * w[..., 1]), float(sr * w[..., 2]), float(np.cosh(r))
     )
 
 

@@ -29,7 +29,6 @@ import numpy as np
 from .lorentz import MinkowskiVector
 from .sphere_geometry import (
     SurfaceSample,
-    integrate_scalar,
     integrate_scalars,
     surface_laplacians,
 )
@@ -40,18 +39,15 @@ __all__ = [
     "mass_vector",
     "by_mass",
     "hat_mass",
-    "shitam_alpha_mass",
     "alpha_mass",
     "alpha_from_radii",
     "enclosing_radii",
     "enclosing_radii_stack",
-    "mainhyp_functional",
-    "laplacian_term",
     "laplacian_terms",
     "MEAN_CURVATURE_FLOOR",
 ]
 
-# hat_mass and mainhyp_functional need H bounded away from -2.
+# hat_mass needs H bounded away from -2.
 MEAN_CURVATURE_FLOOR = -2.0 + 1e-8
 
 
@@ -118,12 +114,6 @@ def alpha_mass(m_by: MinkowskiVector, alpha: float) -> MinkowskiVector:
     return MinkowskiVector(m_by.x1, m_by.x2, m_by.x3, alpha * m_by.t)
 
 
-def shitam_alpha_mass(surf: SurfaceSample, emb: EmbeddedSurface, alpha: float) -> MinkowskiVector:
-    """(1/8 pi) int (H0 - H) (x, alpha t) dS with X = (x, t) and alpha >= 1:
-    by_mass with its time component stretched by alpha."""
-    return alpha_mass(by_mass(surf, emb), alpha)
-
-
 def alpha_from_radii(r1: float, r2: float) -> float:
     """Time-stretch factor for a surface pinched between geodesic spheres
     of radii r1 <= r2:  coth r1 + sqrt(sinh^2 r2 / sinh^2 r1 - 1)/sinh r1.
@@ -155,19 +145,3 @@ def laplacian_terms(surfaces, fields) -> list:
     integrate_scalars pass over the stack."""
     laps = surface_laplacians(surfaces, fields)
     return integrate_scalars(surfaces, laps / (np.stack([s.H for s in surfaces]) + 2.0)).tolist()
-
-
-def laplacian_term(surf: SurfaceSample, F) -> float:
-    """The one-surface call of laplacian_terms."""
-    return laplacian_terms([surf], [F])[0]
-
-
-def mainhyp_functional(surf: SurfaceSample, emb: EmbeddedSurface, F) -> float:
-    """int (H0^2 - H^2)/(H + 2) F dS + 4 int lap_S F / (H + 2) dS for a
-    scalar field F on the surface; requires H > -2."""
-    _check_aligned(surf, emb)
-    if np.min(surf.H) <= MEAN_CURVATURE_FLOOR:
-        raise ValueError("mean curvature reaches -2; functional undefined")
-    f = surf.grid.as_field(F)
-    first = integrate_scalar(surf, (emb.H0 ** 2 - surf.H ** 2) / (surf.H + 2.0) * f)
-    return float(first + 4.0 * laplacian_term(surf, f))

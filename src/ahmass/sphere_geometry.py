@@ -39,13 +39,13 @@ __all__ = [
     "surface_laplacian",
     "surface_laplacians",
     "barycentric_weights",
-    "barycentric_interpolate",
     "barycentric_rows",
     "EMBEDDABILITY_MARGIN",
 ]
 
-# Margin above K = -1 that a sphere's Gauss curvature must clear before
-# a sweep or a verify embeds it.
+# Margin above K = -1 that a sphere's Gauss curvature must clear before a
+# sweep embeds it.  Verify embeds every sphere and reports the margin as
+# its embedding entry's gauss_margin_ok.
 EMBEDDABILITY_MARGIN = 1e-8
 
 
@@ -74,21 +74,6 @@ def barycentric_rows(x_nodes, weights, x_query) -> tuple:
         c = weights / diff
     c[hit] = exact[hit]
     return c, c.sum(axis=-1)
-
-
-def barycentric_interpolate(x_nodes, weights, values, x_query):
-    """Evaluate the polynomial interpolant of (x_nodes, values) at x_query
-    using the barycentric formula; exact node hits return the node value.
-    values of shape (n,) or (n, k) give (m,) or (m, k) for m query points,
-    one weight matrix serving all k columns; a scalar query on (n,) values
-    gives a float."""
-    xq = np.atleast_1d(np.asarray(x_query, dtype=float))
-    values = np.asarray(values, dtype=float)
-    c, den = barycentric_rows(x_nodes, weights, xq)
-    out = (c @ values) / den.reshape(den.shape + (1,) * (values.ndim - 1))
-    if np.asarray(x_query).ndim == 0:
-        return float(out[0]) if out.ndim == 1 else out[0]
-    return out
 
 
 def _barycentric_diff_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -161,15 +146,20 @@ class QuadratureGrid:
             return arr.copy()
         raise ValueError("field shape %r does not fit grid %r" % (arr.shape, self.shape))
 
-    def integrate_round(self, field) -> float:
-        """Integral against the round measure sin th dth dphi."""
-        f = self.as_field(field)
-        return float(self.w_phi * np.einsum("i,ij->", self.w_theta, f))
-
     def interp_x(self, values, x_query):
-        """Evaluate the interpolant of a theta profile (given at the grid
-        nodes, shape (n_theta,) or (n_theta, k)) at arbitrary x = cos theta."""
-        return barycentric_interpolate(self.x, self.bary_w, values, x_query)
+        """Evaluate the polynomial interpolant of a theta profile (given at
+        the grid nodes, shape (n_theta,) or (n_theta, k)) at arbitrary
+        x = cos theta by the barycentric formula; exact node hits return
+        the node value.  (m,) query points give (m,) or (m, k), one row
+        matrix serving all k columns; a scalar query on (n_theta,) values
+        gives a float."""
+        xq = np.atleast_1d(np.asarray(x_query, dtype=float))
+        values = np.asarray(values, dtype=float)
+        c, den = barycentric_rows(self.x, self.bary_w, xq)
+        out = (c @ values) / den.reshape(den.shape + (1,) * (values.ndim - 1))
+        if np.asarray(x_query).ndim == 0:
+            return float(out[0]) if out.ndim == 1 else out[0]
+        return out
 
     def round_laplacian(self, profile) -> np.ndarray:
         """Laplacian of the unit round sphere applied to an axisymmetric

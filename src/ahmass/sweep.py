@@ -384,6 +384,12 @@ def decay_order(values, eps_list, floor=1e-13) -> float:
 FLAT_LAPLACIAN_MIN_ORDER = 1.5
 
 
+def _fit_count(n: int) -> int:
+    """How many of n radii a fit reads: the smallest half, never fewer
+    than three.  Higher-order terms at the large radii bias a fit."""
+    return max(3, math.ceil(n / 2))
+
+
 def judge_flat_laplacian(values, radii) -> dict:
     """Verify entry for |int lap f / (H + 2) dS| sampled at radii (largest
     first): zero to rounding when the first value is within funclim_atol;
@@ -398,7 +404,7 @@ def judge_flat_laplacian(values, radii) -> dict:
     if vals[0] <= atol:
         return {"passed": True, "initial": vals[0], "final": vals[-1],
                 "note": "zero to rounding", "tolerance": atol}
-    n_fit = max(3, math.ceil(len(vals) / 2))
+    n_fit = _fit_count(len(vals))
     order = decay_order(vals[-n_fit:], radii[-n_fit:], floor=atol)
     ok = order >= FLAT_LAPLACIAN_MIN_ORDER and vals[-1] <= max(factor * vals[0], atol)
     entry = {"passed": ok, "initial": vals[0], "final": vals[-1],
@@ -792,8 +798,7 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
         raise RuntimeError("only %d of %d radii completed; need 3 to fit limits"
                            % (len(good), len(records)))
     good.sort(key=lambda r: r.eps)
-    n_fit = max(3, math.ceil(len(good) / 2))
-    fit_recs = good[:n_fit]
+    fit_recs = good[:_fit_count(len(good))]
     fit_eps = np.array([r.eps for r in fit_recs])
 
     # one batched fit of the distinct columns: m_BY, m_hat, the time
@@ -914,9 +919,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
         surfs, _ = stack_at(cfg.eps_list)
         areas = integrate_scalars(surfs, [1.0] * len(surfs)).tolist()
         values = [eps ** 2 * area for eps, area in zip(cfg.eps_list, areas)]
-        # fit only the smallest radii, same convention as the mass sweep:
-        # higher-order terms at the large end bias the free exponent
-        n_fit = max(3, math.ceil(len(values) / 2))
+        n_fit = _fit_count(len(values))
         fit = fit_limit(values[-n_fit:], cfg.eps_list[-n_fit:])
         target = 4.0 * np.pi
         ok = (abs(fit.limit - target) <= tol["area_limit_rtol"] * target

@@ -272,6 +272,30 @@ def test_verify_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert entry["passed"] is False and entry["residual"] > 0.0
 
 
+def test_verify_embeds_spheres_below_the_k_margin(tmp_path, capsys):
+    # on 300 cos^2 theta the two largest spheres do not clear the K > -1
+    # margin: sweep records the error at each, while verify embeds them
+    # anyway and reports the margin as gauss_margin_ok
+    path = write_config(
+        tmp_path,
+        family={"name": "perturbed_round", "psi": {"type": "poly_cos", "coefficients": [0, 0, 300]}},
+        epsilons=[0.5, 0.45, 0.4, 0.3, 0.2, 0.1, 0.05, 0.025],
+        grid={"n_theta": 64, "n_phi": 4},
+    )
+    margin = "FAILED: EmbeddingError: Gauss curvature does not clear the K > -1 margin"
+    assert main(["sweep", path]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines if margin in ln] == ["eps=0.5", "eps=0.45"]
+    assert sum("FAILED" in ln for ln in lines) == 2
+    assert main(["verify", path]) == 2
+    failed = [ln.split()[1] for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+    assert failed == ["surface_identity", "norm_growth", "area_growth", "embedding_residuals"]
+    entry = json.loads((tmp_path / "out" / "verify.json").read_text())["entries"][
+        "embedding_residuals"]
+    assert entry["gauss_margin_ok"] is False and entry["mean_curvature_ok"] is True
+    assert entry["passed"] is False
+
+
 @pytest.mark.parametrize("key", sorted(TOLERANCES)
                          + ["spinor_norm", "geodesic_fit", "gradient_identity", "bogus"])
 @pytest.mark.parametrize("command", ["sweep", "verify", "embed"])

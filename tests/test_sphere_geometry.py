@@ -20,7 +20,7 @@ from ahmass import (
     surface_laplacian,
 )
 from ahmass import embed_h3, family_from_spec
-from ahmass.quasilocal import laplacian_term, laplacian_terms
+from ahmass.quasilocal import laplacian_terms
 from ahmass.killing_spinor import values_on
 from ahmass.sphere_geometry import coordinate_spheres, integrate_scalars, surface_laplacians
 
@@ -35,14 +35,15 @@ def round_sample(radius_sinh, grid, eps=0.1):
 
 def test_round_measure_total():
     ones = np.ones(GRID.shape)
-    assert abs(GRID.integrate_round(ones) - 4.0 * np.pi) < 1e-13 * 4.0 * np.pi
+    got = GRID.w_phi * np.einsum("i,ij->", GRID.w_theta, ones)
+    assert abs(got - 4.0 * np.pi) < 1e-13 * 4.0 * np.pi
 
 
 def test_quadrature_polynomial_exactness():
     # Gauss-Legendre in cos(theta) is exact through degree 2 n_theta - 1
     x = np.cos(GRID.theta)[:, None] * np.ones((1, GRID.n_phi))
     for k in range(0, 2 * GRID.n_theta, 7):
-        got = GRID.integrate_round(x ** k)
+        got = GRID.w_phi * np.einsum("i,ij->", GRID.w_theta, x ** k)
         want = 0.0 if k % 2 else 4.0 * np.pi / (k + 1)
         assert abs(got - want) < 1e-13 * (1.0 + abs(want))
 
@@ -306,18 +307,18 @@ def test_coordinate_spheres_match_solo(family, radii, n_errors, grid):
 @pytest.mark.parametrize("n_phi", [4, 5])
 def test_stacked_flat_laplacian_matches_solo(n_phi):
     # verify's 8 flat-Laplacian spheres in one surface_laplacians pass: each
-    # value equals laplacian_term on that sphere alone
+    # value equals the one-sphere call on that sphere alone
     grid = QuadratureGrid(64, n_phi)
     radii = [float(e) for e in np.geomspace(0.3, 0.0075, 8)]
     surfs = coordinate_spheres(poly_family(0.05, -0.08, 0.06), radii, grid)
     embs = embed_surfaces(surfs)
     fld = KillingNormField.from_spinor(SpinorParameter(0.6 + 0.2j, -0.3 + 0.7j))
-    fields = [fld.value_on(emb) for emb in embs]
+    fields = [values_on([fld], [emb])[0] for emb in embs]
     assert np.ptp(fields[0], axis=1).max() > 0.0  # the fields vary in phi
     assert np.array_equal(values_on([fld] * len(embs), embs),
                           np.stack([fld.value(emb.X) for emb in embs]))
     got = laplacian_terms(surfs, fields)
-    assert [laplacian_term(s, f) for s, f in zip(surfs, fields)] == got
+    assert [laplacian_terms([s], [f])[0] for s, f in zip(surfs, fields)] == got
     laps = surface_laplacians(surfs, fields)
     for s, f, lap, value in zip(surfs, fields, laps, got):
         assert np.array_equal(surface_laplacian(s, f), lap)
