@@ -17,6 +17,7 @@ from .lorentz import (
     SpinorParameter,
     boost,
     causal_classify,
+    cone_pairing_report,
     hopf_eta,
     lorentz_inner,
     rotation,
@@ -69,7 +70,6 @@ from .sweep import (
     MassSweepRecord,
     PerEpsRecord,
     SweepConfig,
-    cone_pairing_report,
     decay_order,
     default_schedule,
     family_from_spec,
@@ -84,7 +84,8 @@ __all__ = [
     "__version__",
     # lorentz
     "CausalClass", "LorentzMap", "MinkowskiVector", "SpinorParameter",
-    "boost", "causal_classify", "hopf_eta", "lorentz_inner", "rotation",
+    "boost", "causal_classify", "cone_pairing_report", "hopf_eta", "lorentz_inner",
+    "rotation",
     # sphere_geometry
     "QuadratureGrid", "SurfaceSample", "coordinate_sphere",
     "integrate_scalar", "surface_laplacian",
@@ -104,7 +105,7 @@ __all__ = [
     "minkowski_identity_residual",
     # sweep
     "ConfigError", "FitResult", "MassSweepRecord", "PerEpsRecord",
-    "SweepConfig", "cone_pairing_report", "decay_order", "default_schedule",
+    "SweepConfig", "decay_order", "default_schedule",
     "family_from_spec", "fit_limit", "read_sweep_csv", "run_sweep",
     "verify_identities", "write_outputs",
 ]

@@ -28,6 +28,7 @@ __all__ = [
     "LorentzMap",
     "lorentz_inner",
     "causal_classify",
+    "cone_pairing_report",
     "hopf_eta",
     "boost",
     "rotation",
@@ -127,14 +128,20 @@ def lorentz_inner(a, b):
     return out
 
 
-def causal_classify(v, tol: float | None = None) -> CausalClass:
-    """Classify v against the light cone.
+def _spatial_norm(arr) -> float:
+    """||x|| of (x1, x2, x3, t), as np.linalg.norm takes it; where its
+    squares would leave the float range, math.hypot's scaled form."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(arr[:3]))
+    return n if 1e-150 < n < 1e150 else math.hypot(*arr[:3])
 
-    The tolerance is applied to the quadratic form and to the time
-    component, so vectors within tol of the cone are tagged null and
-    vectors with all components within tol of zero are tagged zero.  The
-    default tol is 1e-9 * (1 + max|component|).
-    """
+
+def causal_classify(v, tol: float | None = None) -> CausalClass:
+    """Classify v by its cone distance d = ||x|| - |t|, in v's units:
+    zero when max|v| <= tol, else null when |d| <= tol, timelike when
+    d < -tol (future or past by the sign of t), spacelike when d > tol.
+    The default tol is 1e-9 * (1 + max|v|).  ||x|| is cone_pairing_report's,
+    so future-timelike means cone_max < -tol and future-null |cone_max| <= tol."""
     arr = _as_array4(v)
     if arr.ndim != 1:
         raise ValueError("causal_classify takes a single vector")
@@ -143,19 +150,24 @@ def causal_classify(v, tol: float | None = None) -> CausalClass:
         tol = 1e-9 * (1.0 + top)
     if top <= tol:
         return CausalClass.ZERO
-    q = float(np.dot(arr[:3], arr[:3]) - arr[3] ** 2)
     t = float(arr[3])
-    if abs(q) <= tol:
-        if t > tol:
-            return CausalClass.FUTURE_NULL
-        if t < -tol:
-            return CausalClass.PAST_NULL
-        # |t| <= tol together with q ~ 0 forces the spatial part ~ 0,
-        # which the zero branch above already caught; fall through safely.
-        return CausalClass.ZERO
-    if q < 0.0:
+    d = _spatial_norm(arr) - abs(t)
+    if d > tol:
+        return CausalClass.SPACELIKE
+    if d < -tol:
         return CausalClass.FUTURE_TIMELIKE if t > 0 else CausalClass.PAST_TIMELIKE
-    return CausalClass.SPACELIKE
+    return CausalClass.FUTURE_NULL if t > 0 else CausalClass.PAST_NULL
+
+
+def cone_pairing_report(v) -> float:
+    """Supremum of <<v, eta>> over the t = 1 slice of the future null
+    cone, ||x|| - t in closed form (attained at eta = (x/||x||, 1)), with
+    the ||x|| causal_classify reads.  v is future causal exactly when the
+    supremum is <= 0; causal_classify's tol applies to it in v's units."""
+    arr = _as_array4(v)
+    if arr.shape != (4,):
+        raise ValueError("expected a 4-vector")
+    return _spatial_norm(arr) - float(arr[3])
 
 
 def hopf_eta(z: SpinorParameter) -> MinkowskiVector:

@@ -49,6 +49,7 @@ from .lorentz import (
     MinkowskiVector,
     SpinorParameter,
     causal_classify,
+    cone_pairing_report,
 )
 from .quasilocal import (
     MEAN_CURVATURE_FLOOR,
@@ -72,7 +73,6 @@ __all__ = [
     "FitResult",
     "fit_limit",
     "decay_order",
-    "cone_pairing_report",
     "family_from_spec",
     "SweepConfig",
     "default_schedule",
@@ -391,11 +391,13 @@ def _fit_count(n: int) -> int:
 
 
 def judge_flat_laplacian(values, radii) -> dict:
-    """Verify entry for |int lap f / (H + 2) dS| sampled at radii (largest
-    first): zero to rounding when the first value is within funclim_atol;
-    otherwise its decay order over the smaller half of the radii (the
-    area_growth convention; values below the atol carry no order) must
-    reach FLAT_LAPLACIAN_MIN_ORDER and the last value must fall to
+    """Verify entry for |int lap f / (H + 2) dS| over radii (largest
+    first), from the values at the first and the last
+    _fit_count(len(radii)) radii (or at every radius): zero to rounding
+    when the first value is within funclim_atol; otherwise its decay
+    order over the smaller half of the radii (the area_growth convention;
+    values below the atol carry no order) must reach
+    FLAT_LAPLACIAN_MIN_ORDER and the last value must fall to
     funclim_factor times the first, or to the atol (both TOLERANCES).
     With fewer than two tail values above the atol the order is
     unresolved (+inf), and a note says so."""
@@ -404,7 +406,7 @@ def judge_flat_laplacian(values, radii) -> dict:
     if vals[0] <= atol:
         return {"passed": True, "initial": vals[0], "final": vals[-1],
                 "note": "zero to rounding", "tolerance": atol}
-    n_fit = _fit_count(len(vals))
+    n_fit = _fit_count(len(radii))
     order = decay_order(vals[-n_fit:], radii[-n_fit:], floor=atol)
     ok = order >= FLAT_LAPLACIAN_MIN_ORDER and vals[-1] <= max(factor * vals[0], atol)
     entry = {"passed": ok, "initial": vals[0], "final": vals[-1],
@@ -416,23 +418,6 @@ def judge_flat_laplacian(values, radii) -> dict:
         entry["note"] = ("decay order unresolved: %d of %d tail values above funclim_atol"
                          % (above, n_fit))
     return entry
-
-
-# ---------------------------------------------------------------------------
-# Cone pairing
-
-
-def cone_pairing_report(v) -> float:
-    """Supremum of <<v, eta>> over the t = 1 slice of the future null
-    cone, |v_x| - v_t in closed form (attained at eta = (v_x/|v_x|, 1)).
-    v is future causal exactly when the supremum is <= 0."""
-    if isinstance(v, MinkowskiVector):
-        arr = v.as_array()
-    else:
-        arr = np.asarray(v, dtype=float)
-        if arr.shape != (4,):
-            raise ValueError("expected a 4-vector")
-    return float(np.linalg.norm(arr[:3])) - float(arr[3])
 
 
 # ---------------------------------------------------------------------------
@@ -873,13 +858,14 @@ def verify_identities(cfg: SweepConfig) -> dict:
     tol = TOLERANCES
     entries = {}
 
-    # every sphere an entry reads, the configured radii and the
-    # flat-Laplacian radii, built in one stacked call and embedded in one
-    # batched call; a failed sphere holds its error, raised in the entry
-    # that reads it (stack_at: the first failure of a list of radii)
+    # every sphere an entry reads (the configured radii and the flat-Laplacian
+    # radii judge_flat_laplacian reads) in one stacked and one batched call;
+    # a failed sphere holds its error, raised in the entry that reads it
+    # (stack_at: the first failure of a list of radii)
     hi = min(0.3, float(fam.rho_max))
     eps_fun = [float(e) for e in np.geomspace(hi, 0.025 * hi, 8)]
-    radii = list(dict.fromkeys(cfg.eps_list + tuple(eps_fun)))
+    fun_read = eps_fun[:1] + eps_fun[-_fit_count(len(eps_fun)):]
+    radii = list(dict.fromkeys(cfg.eps_list + tuple(fun_read)))
     spheres = dict(zip(radii, coordinate_spheres(fam, radii, grid)))
     deepest = spheres[cfg.eps_list[-1]]  # aspect_recovery reads its u, embedded or not
     surfs = [s for s in spheres.values() if isinstance(s, SurfaceSample)]
@@ -966,7 +952,7 @@ def verify_identities(cfg: SweepConfig) -> dict:
 
     def e_flat_laplacian_decay():
         fld = KillingNormField.from_spinor(VERIFY_SPINORS[4])
-        surfs, embs = stack_at(eps_fun)
+        surfs, embs = stack_at(fun_read)
         vals = laplacian_terms(surfs, values_on([fld] * len(embs), embs))
         return judge_flat_laplacian([abs(v) for v in vals], eps_fun)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ahmass import embed_h3, sweep
+from ahmass import cone_pairing_report, embed_h3, sweep
 from ahmass.cli import main
 from ahmass.sweep import MAX_GRID_PHI, MAX_GRID_THETA, TOLERANCES
 
@@ -41,6 +41,34 @@ def test_sweep_success(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["tags"]["m_by"]["classify"] == "zero"
     assert summary["config"]["tolerances"] == TOLERANCES
+
+
+@pytest.mark.parametrize("psi, want", [
+    # the limit sits about 1,170 tolerances outside the future cone
+    ({"type": "poly_cos", "coefficients": [1e-6, 1e-5]}, "spacelike"),
+    # about 5,000 tolerances inside it
+    ({"type": "constant", "value": 1e-5}, "future-timelike"),
+], ids=["poly_cos-small", "constant-small"])
+def test_sweep_tags_small_masses_by_cone_distance(tmp_path, psi, want):
+    # every per-radius and limit tag of a small mass vector is read off its
+    # cone distance in the vector's units, and agrees with cone_max's sign
+    path = write_config(tmp_path, family={"name": "perturbed_round", "psi": psi},
+                        epsilons=None, schedule={"eps0": 0.2, "ratio": 2 ** -0.5, "count": 8},
+                        grid={"n_theta": 64, "n_phi": 4})
+    assert main(["sweep", path]) == 0
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    for row in rows:
+        assert [row[k] for k in ("tag_by", "tag_hat", "tag_alpha")] == [want] * 3
+        for prefix in ("mBY", "mhat", "malpha"):
+            v = [float(row["%s_%s" % (prefix, c)]) for c in ("x1", "x2", "x3", "t")]
+            assert (cone_pairing_report(v) < 0.0) == (want == "future-timelike")
+    tags = json.loads((tmp_path / "out" / "summary.json").read_text())["tags"]
+    assert sorted(tags) == ["m_alpha", "m_by", "m_hat"]
+    for tag in tags.values():
+        assert tag["classify"] == want
+        assert (tag["cone_max"] < 0.0) == (want == "future-timelike")
 
 
 def test_sweep_reruns_identical(tmp_path):

@@ -1,5 +1,7 @@
 """Minkowski vector algebra, causal classification, and Lorentz maps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -89,28 +91,28 @@ def test_vector_array_roundtrip():
     ((0.0, 0.6, 0.8, -1.0), CausalClass.PAST_NULL),
     ((1.0, 0.0, 0.0, 0.0), CausalClass.SPACELIKE),
     ((2.0, 0.0, 0.0, 1.0), CausalClass.SPACELIKE),
+    # small limits: 1,170 tolerances outside the cone, 5,000 inside it
+    ((0.0, 0.0, 1.6666668e-06, 4.999454e-07), CausalClass.SPACELIKE),
+    ((1.2e-22, -1.2e-22, 0.0, 4.999989e-06), CausalClass.FUTURE_TIMELIKE),
 ])
 def test_classify_examples(comps, want):
     assert causal_classify(MinkowskiVector(*comps)) is want
 
 
-def two_pass_classify(v, tol=None):
-    # the classifier with max|v| taken twice: for the default tolerance
-    # and again for the zero test
-    arr = v.as_array() if isinstance(v, MinkowskiVector) else np.asarray(v, dtype=float)
+def cone_distance_classify(v, tol=None):
+    # the classifier from its definition: the cone distance d = |x| - |t|,
+    # |x| by math.hypot, against tol in v's units
+    comps = [float(c) for c in v]
+    top = max(abs(c) for c in comps)
     if tol is None:
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(arr))))
-    if np.max(np.abs(arr)) <= tol:
+        tol = 1e-9 * (1.0 + top)
+    if top <= tol:
         return CausalClass.ZERO
-    q = float(np.dot(arr[:3], arr[:3]) - arr[3] ** 2)
-    t = float(arr[3])
-    if abs(q) <= tol:
-        if t > tol:
-            return CausalClass.FUTURE_NULL
-        if t < -tol:
-            return CausalClass.PAST_NULL
-        return CausalClass.ZERO
-    if q < 0.0:
+    t = comps[3]
+    d = math.hypot(*comps[:3]) - abs(t)
+    if abs(d) <= tol:
+        return CausalClass.FUTURE_NULL if t > 0 else CausalClass.PAST_NULL
+    if d < 0:
         return CausalClass.FUTURE_TIMELIKE if t > 0 else CausalClass.PAST_TIMELIKE
     return CausalClass.SPACELIKE
 
@@ -123,18 +125,24 @@ def classify_cases():
     for t in (1e-3, -1e-3, np.nextafter(1e-3, 1.0), -np.nextafter(1e-3, 1.0)):
         cases += [((0.0, 0.0, 0.0, t), 1e-3), ((t, 0.0, 0.0, 0.0), 1e-3),
                   ((0.0, -t, 0.0, 0.5 * t), 1e-3)]
-    # <<v, v>> = +-0.3125 exactly, against tolerances at, above and below it
-    for x, t in ((0.75, 0.5), (0.5, 0.75), (0.5, -0.75), (-0.75, -0.5), (0.0, 0.75)):
+    # |x| - |t| = +-0.3125 exactly, against tolerances at, above and below it
+    for x, t in ((0.8125, 0.5), (0.5, 0.8125), (0.5, -0.8125), (-0.8125, -0.5), (0.0, 0.3125)):
         for tol in (0.3125, up, down, None):
             cases += [((x, 0.0, 0.0, t), tol), ((0.0, x, 0.0, t), tol), ((0.0, 0.0, x, t), tol)]
+    # |(0.75, 1, 0)| = 1.25 exactly, so d = +-0.3125 across two components
+    for t in (0.9375, 1.5625, -0.9375, -1.5625):
+        for tol in (0.3125, up, down):
+            cases += [((0.75, 1.0, 0.0, t), tol), ((0.0, -1.0, 0.75, t), tol)]
     # a default tolerance that sits exactly on the time component
     for t in (1e-9 / (1.0 - 1e-9), -1e-9 / (1.0 - 1e-9)):
         cases.append(((0.0, 0.0, 0.0, t), None))
-    # huge components: the squares overflow, and the tolerance is huge
+    # huge components, whose squares overflow, and tiny ones, whose squares
+    # underflow; the tolerance is huge, one, or tiny
     big = np.finfo(float).max
     for comps in ((1e154, 0.0, 0.0, 1e154), (big, 0.0, 0.0, big), (big, -big, 0.0, 1.0),
-                  (1.0, 0.0, 0.0, -big), (1e300, 1e300, 1e300, 2e300), (0.0, 0.0, 1e200, 1e200)):
-        cases += [(comps, None), (comps, 1.0), (comps, 1e299)]
+                  (1.0, 0.0, 0.0, -big), (1e300, 1e300, 1e300, 2e300), (0.0, 0.0, 1e200, 1e200),
+                  (3e-170, 4e-170, 0.0, 5e-170), (3e-170, 4e-170, 0.0, 4e-170)):
+        cases += [(comps, None), (comps, 1.0), (comps, 1e299), (comps, 1e-171)]
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(300):
         v = rng.standard_normal(4) * 10.0 ** rng.integers(-12, 12)
@@ -144,12 +152,39 @@ def classify_cases():
     return cases
 
 
-def test_classify_equals_two_pass_form():
+def test_classify_equals_cone_distance_form():
+    seen = set()
     for comps, tol in classify_cases():
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = two_pass_classify(np.array(comps), tol)
-            assert causal_classify(MinkowskiVector(*comps), tol) is want, (comps, tol)
-            assert causal_classify(np.array(comps), tol) is want, (comps, tol)
+        want = cone_distance_classify(comps, tol)
+        seen.add(want)
+        assert causal_classify(MinkowskiVector(*comps), tol) is want, (comps, tol)
+        assert causal_classify(np.array(comps), tol) is want, (comps, tol)
+    assert seen == set(CausalClass)
+
+
+@pytest.mark.parametrize("comps,tol,want", [
+    # d = |x| - |t| exactly at +-tol is null; one ulp of tol inside or out
+    # moves it
+    ((0.8125, 0.0, 0.0, 0.5), 0.3125, CausalClass.FUTURE_NULL),
+    ((0.8125, 0.0, 0.0, 0.5), float(np.nextafter(0.3125, 0.0)), CausalClass.SPACELIKE),
+    ((0.5, 0.0, 0.0, 0.8125), 0.3125, CausalClass.FUTURE_NULL),
+    ((0.5, 0.0, 0.0, 0.8125), float(np.nextafter(0.3125, 0.0)), CausalClass.FUTURE_TIMELIKE),
+    ((0.0, 0.5, 0.0, -0.8125), 0.3125, CausalClass.PAST_NULL),
+    ((0.0, 0.5, 0.0, -0.8125), float(np.nextafter(0.3125, 0.0)), CausalClass.PAST_TIMELIKE),
+    ((0.75, 1.0, 0.0, 0.9375), 0.3125, CausalClass.FUTURE_NULL),
+    ((0.75, 1.0, 0.0, 0.9375), float(np.nextafter(0.3125, 0.0)), CausalClass.SPACELIKE),
+    ((0.75, 1.0, 0.0, -1.5625), float(np.nextafter(0.3125, 0.0)), CausalClass.PAST_TIMELIKE),
+    # max|v| exactly at tol is zero, one ulp past it is not
+    ((0.0, 0.0, 0.0, 0.3125), 0.3125, CausalClass.ZERO),
+    ((0.0, 0.0, 0.0, 0.3125), float(np.nextafter(0.3125, 0.0)), CausalClass.FUTURE_TIMELIKE),
+    ((0.0, 0.0, 0.3125, 0.0), float(np.nextafter(0.3125, 0.0)), CausalClass.SPACELIKE),
+    # the squares overflow or underflow; the cone distance does not
+    ((np.finfo(float).max, 0.0, 0.0, np.finfo(float).max), None, CausalClass.FUTURE_NULL),
+    ((3e-170, 4e-170, 0.0, 4e-170), 1e-171, CausalClass.SPACELIKE),
+    ((3e-170, 4e-170, 0.0, 5e-170), 1e-171, CausalClass.FUTURE_NULL),
+])
+def test_classify_cone_distance_boundaries(comps, tol, want):
+    assert causal_classify(MinkowskiVector(*comps), tol) is want
 
 
 def test_minkowski_vector_rejects_nonfinite():

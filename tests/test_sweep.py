@@ -1,4 +1,4 @@
-"""Limit fitting, cone-slice pairing, configuration plumbing, and the
+"""Limit fitting, cone-slice pairing against the tags, configuration plumbing, and the
 radius-sweep driver."""
 
 import csv
@@ -282,6 +282,16 @@ def test_flat_laplacian_judgement_tail_order():
     assert not late["passed"] and late["order"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_flat_laplacian_judgement_reads_first_and_tail():
+    # the verdict reads the first value and the last _fit_count(8) = 4, so
+    # those five alone give the entry a value per radius gives; the entry
+    # still lists all eight radii
+    read = FLAT_LAP_RISING[:1] + FLAT_LAP_RISING[-4:]
+    assert judge_flat_laplacian(read, FLAT_LAP_RADII) == judge_flat_laplacian(
+        FLAT_LAP_RISING, FLAT_LAP_RADII)
+    assert judge_flat_laplacian(read, FLAT_LAP_RADII)["radii"] == FLAT_LAP_RADII.tolist()
+
+
 def test_cone_pairing_exact_values():
     cases = [
         ((0.0, 0.0, 0.0, 1.0), -1.0),
@@ -302,20 +312,37 @@ def test_cone_pairing_exact_values():
 
 def test_cone_pairing_tag_matches_classifier():
     # the slice supremum is the sup of <<v, eta>> over sampled null eta,
-    # and its sign encodes the tag for clear-cut vectors
+    # and with the classifier's tol it encodes every tag: future-timelike
+    # below -tol, future-null within tol, spacelike above tol, past tags
+    # at |v_t| or more, zero within (1 + sqrt 3) tol
     rng = np.random.default_rng(94211)
     dirs = rng.normal(size=(4096, 3))
     etas = np.column_stack([dirs / np.linalg.norm(dirs, axis=1)[:, None], np.ones(len(dirs))])
-    for _ in range(50):
+    seen = set()
+    for i in range(300):
         v = rng.normal(scale=2.0, size=4)
+        if i % 3 == 1:  # within a few 1e-9 of the cone, either side
+            v[3] = np.copysign(np.linalg.norm(v[:3]) + rng.uniform(-8e-9, 8e-9), v[3])
+        elif i % 3 == 2:  # within a few 1e-9 of zero
+            v *= rng.uniform(0.0, 2.0) * 1e-9 / np.max(np.abs(v))
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
         cone_max = cone_pairing_report(v)
         sampled = float(np.max(etas[:, :3] @ v[:3] - v[3]))
         assert sampled <= cone_max + 1e-12
         assert cone_max - sampled <= 1e-2 * np.linalg.norm(v[:3])
         tag = causal_classify(MinkowskiVector(*v))
-        if tag in (CausalClass.FUTURE_TIMELIKE, CausalClass.SPACELIKE,
-                   CausalClass.PAST_TIMELIKE):
-            assert (cone_max < 0.0) == (tag is CausalClass.FUTURE_TIMELIKE)
+        seen.add(tag)
+        if tag is CausalClass.FUTURE_TIMELIKE:
+            assert cone_max < -tol
+        elif tag is CausalClass.FUTURE_NULL:
+            assert abs(cone_max) <= tol
+        elif tag is CausalClass.SPACELIKE:
+            assert cone_max > tol
+        elif tag is CausalClass.ZERO:
+            assert abs(cone_max) <= (1.0 + math.sqrt(3.0)) * tol
+        else:
+            assert cone_max >= abs(v[3]) > 0.0
+    assert seen == set(CausalClass)
 
 
 def test_family_from_spec_names():
@@ -622,9 +649,33 @@ def test_sweep_and_verify_find_each_horizon_once(tmp_path, monkeypatch):
         assert verify_identities(cfg)["passed"]
     info = ah_metric._horizon_radius.cache_info()
     assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
-    # per mass: the 8 sweep radii and the 16 verify radii; aspect_recovery
+    # per mass: the 8 sweep radii and the 13 verify radii (the 8 configured
+    # and the 5 flat-Laplacian radii its verdict reads); aspect_recovery
     # reads u from its sphere
-    assert solves == [8, 16] * 2
+    assert solves == [8, 13] * 2
+
+
+# Worst |m_BY - closed form| * eps^3 over the 12 default radii on 64x4 is
+# 3.4e-16 for t and 6.4e-19 for x1..x3 (m = 0.3, 1 and 3.3); the bounds
+# allow about four times that.
+ADS_KAPPA_T, ADS_KAPPA_X = 1.5e-15, 3e-18
+
+
+@pytest.mark.parametrize("m", [0.3, 1.0, 3.3])
+def test_ads_mass_per_radius_closed_form(tmp_path, m):
+    # the coordinate sphere at eps has area radius r = ads_collar_transform
+    # (m, eps), and its m_BY is (0, 0, 0, 2m sqrt(1 + r^2) / (sqrt(1 + r^2)
+    # + sqrt V)) with V = 1 + r^2 - 2m/r, future-timelike at every radius
+    cfg = fast_config(tmp_path, family=AdSSchwarzschild(m), n_theta=64,
+                      eps_list=default_schedule(count=12))
+    for rec in run_sweep(cfg).records:
+        eps = rec.eps
+        r = ah_metric.ads_collar_transform(m, eps)
+        s, v = math.sqrt(1.0 + r * r), math.sqrt(1.0 + r * r - 2.0 * m / r)
+        got = rec.m_by.as_array()
+        assert abs(got[3] - 2.0 * m * s / (s + v)) <= ADS_KAPPA_T / eps ** 3, eps
+        assert np.max(np.abs(got[:3])) <= ADS_KAPPA_X / eps ** 3, eps
+        assert rec.tag_by is CausalClass.FUTURE_TIMELIKE, eps
 
 
 def test_run_sweep_deterministic(tmp_path):
@@ -724,7 +775,8 @@ def test_verify_embeds_each_sphere_once(tmp_path, monkeypatch):
     verify_identities(cfg)
     assert len(calls) == 1
     spheres = calls[0]
-    assert len(spheres) == 16
+    # the 8 configured radii and the 5 flat-Laplacian radii its verdict reads
+    assert len(spheres) == 13
     assert len(set(spheres)) == len(spheres)
 
 
