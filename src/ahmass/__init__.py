@@ -67,11 +67,13 @@ from .killing_spinor import (
 from .sweep import (
     ConfigError,
     FitResult,
+    LimitFit,
     MassSweepRecord,
     PerEpsRecord,
     SweepConfig,
     decay_order,
     default_schedule,
+    extrapolate_limits,
     family_from_spec,
     fit_limit,
     read_sweep_csv,
@@ -104,8 +106,8 @@ __all__ = [
     "KillingNormField", "exhaustion_norm_growth",
     "minkowski_identity_residual",
     # sweep
-    "ConfigError", "FitResult", "MassSweepRecord", "PerEpsRecord",
-    "SweepConfig", "decay_order", "default_schedule",
+    "ConfigError", "FitResult", "LimitFit", "MassSweepRecord", "PerEpsRecord",
+    "SweepConfig", "decay_order", "default_schedule", "extrapolate_limits",
     "family_from_spec", "fit_limit", "read_sweep_csv", "run_sweep",
     "verify_identities", "write_outputs",
 ]

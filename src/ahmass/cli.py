@@ -63,6 +63,13 @@ def _fmt_vec(comps) -> str:
     return "(" + ", ".join("%+.6e" % c for c in comps) + ")"
 
 
+def _fmt_fit(comps, comp_fits) -> str:
+    """A fitted limit, its error bars and the fit degree, from each
+    component's {limit_err, degree} (LimitFit fields or summary.json's)."""
+    errs = "(" + ", ".join("%.1e" % float(f["limit_err"]) for f in comp_fits) + ")"
+    return "%s +/- %s degree %s" % (_fmt_vec(comps), errs, comp_fits[-1]["degree"])
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     try:
@@ -83,8 +90,10 @@ def _cmd_sweep(args) -> int:
           % ", ".join("%g" % e for e in record.fit_eps))
     for name, vec in record.limits.items():
         tag = record.tags[name]
+        comp_fits = [vars(f) for f in record.fits[name].values()]
         print("  %-8s %s [%s] cone max %.3e"
-              % (name, _fmt_vec(vec.as_array()), tag["classify"].value, tag["cone_max"]))
+              % (name, _fmt_fit(vec.as_array(), comp_fits), tag["classify"].value,
+                 tag["cone_max"]))
     print("reference mass vector: %s" % _fmt_vec(record.wang.as_array()))
     print("wrote %s and %s" % (paths["csv"], paths["summary"]))
     return 0 if all(r.error is None for r in record.records) else 2
@@ -152,10 +161,9 @@ def _summary_lines(data) -> tuple:
     fits = data.get("fits", {})
     for name, comps in limits.items():
         tag = tags.get(name, {})
-        t_fit = fits.get(name, {}).get("t", {})
-        tail.append("  limit %-8s %s [%s] t-order %s"
-                     % (name, _fmt_vec(comps), tag.get("classify", "?"),
-                        t_fit.get("order", "?")))
+        tail.append("  limit %-8s %s [%s]"
+                    % (name, _fmt_fit(comps, [fits[name][c] for c in ("x1", "x2", "x3", "t")]),
+                       tag.get("classify", "?")))
     if "wang_reference" in data:
         tail.append("  reference mass vector: %s" % _fmt_vec(data["wang_reference"]))
     gap = fits.get("hat_by_gap", {})

@@ -128,35 +128,46 @@ def lorentz_inner(a, b):
     return out
 
 
-def _spatial_norm(arr) -> float:
-    """||x|| of (x1, x2, x3, t), as np.linalg.norm takes it; where its
-    squares would leave the float range, math.hypot's scaled form."""
+def _spatial_norms(stack) -> np.ndarray:
+    """||x|| of each (x1, x2, x3, t) row of an (S, 4) stack, as
+    np.linalg.norm takes it for one row: a row-by-row product is the same
+    BLAS dot that norm calls, so a row's bits do not depend on the stack.
+    Where the squares would leave the float range, math.hypot's scaled form."""
+    x = stack[:, :3]
     with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(arr[:3]))
-    return n if 1e-150 < n < 1e150 else math.hypot(*arr[:3])
+        n = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    for i in np.flatnonzero(~((1e-150 < n) & (n < 1e150))):
+        n[i] = math.hypot(*x[i])
+    return n
 
 
-def causal_classify(v, tol: float | None = None) -> CausalClass:
+_CLASSES = (CausalClass.SPACELIKE, CausalClass.FUTURE_TIMELIKE, CausalClass.PAST_TIMELIKE,
+            CausalClass.FUTURE_NULL, CausalClass.PAST_NULL, CausalClass.ZERO)
+
+
+def causal_classify(v, tol: float | None = None):
     """Classify v by its cone distance d = ||x|| - |t|, in v's units:
     zero when max|v| <= tol, else null when |d| <= tol, timelike when
     d < -tol (future or past by the sign of t), spacelike when d > tol.
     The default tol is 1e-9 * (1 + max|v|).  ||x|| is cone_pairing_report's,
-    so future-timelike means cone_max < -tol and future-null |cone_max| <= tol."""
+    so future-timelike means cone_max < -tol and future-null |cone_max| <= tol.
+
+    v is one vector, which returns its CausalClass, or an (S, 4) stack,
+    which returns a tuple of S classes, each row's tag as it alone would
+    get it (the default tol is per row)."""
     arr = _as_array4(v)
-    if arr.ndim != 1:
-        raise ValueError("causal_classify takes a single vector")
-    top = float(np.max(np.abs(arr)))
-    if tol is None:
-        tol = 1e-9 * (1.0 + top)
-    if top <= tol:
-        return CausalClass.ZERO
-    t = float(arr[3])
-    d = _spatial_norm(arr) - abs(t)
-    if d > tol:
-        return CausalClass.SPACELIKE
-    if d < -tol:
-        return CausalClass.FUTURE_TIMELIKE if t > 0 else CausalClass.PAST_TIMELIKE
-    return CausalClass.FUTURE_NULL if t > 0 else CausalClass.PAST_NULL
+    if arr.ndim not in (1, 2):
+        raise ValueError("causal_classify takes a vector or an (S, 4) stack")
+    stack = arr.reshape(-1, 4)
+    top = np.max(np.abs(stack), axis=1)
+    tol = 1e-9 * (1.0 + top) if tol is None else np.full(top.shape, float(tol))
+    t = stack[:, 3]
+    d = _spatial_norms(stack) - np.abs(t)
+    past = ~(t > 0.0)
+    # zero, else spacelike when d > tol, timelike when d < -tol, else null
+    kind = np.where(top <= tol, 5, np.where(d > tol, 0, np.where(d < -tol, 1 + past, 3 + past)))
+    tags = tuple(_CLASSES[k] for k in kind.tolist())
+    return tags if arr.ndim == 2 else tags[0]
 
 
 def cone_pairing_report(v) -> float:
@@ -167,7 +178,7 @@ def cone_pairing_report(v) -> float:
     arr = _as_array4(v)
     if arr.shape != (4,):
         raise ValueError("expected a 4-vector")
-    return _spatial_norm(arr) - float(arr[3])
+    return float(_spatial_norms(arr[None])[0]) - float(arr[3])
 
 
 def hopf_eta(z: SpinorParameter) -> MinkowskiVector:

@@ -5,15 +5,17 @@ the coordinate spheres in one stacked call, check their H and K extrema
 from one reduction over the stack, embed them all in one batched call,
 evaluate m_BY and m_hat of every radius in one stacked quadrature, the
 enclosing radii and hat-BY gaps in one pass over the stack, and m_alpha
-from m_BY (a radius whose masses fail records its own error), fit each
-component to v_inf + C eps^p, and classify the causal character of the
-fitted limits.  The per-radius numbers go to sweep.csv, one row per
-radius written by _csv_row; summary.json holds the radii, the fits, the
-limits and their tags.  A companion identity verifier runs the spinor and
-surface-geometry property suites that depend on the configured family,
-building and embedding each sphere once, in one stacked and one batched
-call before any suite entry runs; each entry reads its spheres in one
-pass over their stack.
+from m_BY (a radius whose masses fail records its own error), and tag
+every per-radius vector in one stacked causal_classify call.  Each limit
+component is extrapolated from all good radii by one integer-power fit,
+v0 + sum_k c_k eps^k (extrapolate_limits), with an error bar; the hat-BY
+gap, which decays to zero, gets its decay order.  The per-radius numbers
+go to sweep.csv, one row per radius written by _csv_row; summary.json
+holds the radii, the fits, the limits and their tags.  A companion
+identity verifier runs the spinor and surface-geometry property suites
+that depend on the configured family, building and embedding each sphere
+once, in one stacked and one batched call before any suite entry runs;
+each entry reads its spheres in one pass over their stack.
 All outputs are deterministic: closed-form cone pairings, five fixed
 spinors for the identity suites, no timestamps.
 """
@@ -72,6 +74,8 @@ __all__ = [
     "ConfigError",
     "FitResult",
     "fit_limit",
+    "LimitFit",
+    "extrapolate_limits",
     "decay_order",
     "family_from_spec",
     "SweepConfig",
@@ -141,14 +145,29 @@ class FitResult:
     limit_stderr: float
     order_trusted: bool
 
-    def to_dict(self) -> dict:
-        return {name: _jsonable(value) for name, value in vars(self).items()}
-
 
 def _jsonable(x):
     if isinstance(x, float) and not math.isfinite(x):
         return repr(x)
     return x
+
+
+def _fit_input(values, eps_list) -> tuple:
+    """The radii sorted ascending and one row of values per column, smallest
+    radius first, from values of shape (n,) or (n, k) over n radii."""
+    v = np.asarray(values, dtype=float)
+    eps = np.asarray(eps_list, dtype=float)
+    if v.ndim not in (1, 2) or eps.ndim != 1 or v.shape[0] != eps.size:
+        raise ValueError("values must have shape (n,) or (n, k) for n radii in eps_list")
+    if eps.size < 3:
+        raise ValueError("need at least 3 samples to fit a limit")
+    order = np.argsort(eps)
+    eps = eps[order]
+    # sorted, a repeat sits beside its twin; NaNs sort last and, as in
+    # np.unique, count as one radius
+    if np.any(eps <= 0.0) or np.any(eps[1:] == eps[:-1]) or np.isnan(eps[-2]):
+        raise ValueError("radii must be positive and distinct")
+    return eps, np.ascontiguousarray(v.reshape(eps.size, -1)[order].T)
 
 
 def _tail_monotone(v, vinf):
@@ -312,22 +331,9 @@ def fit_limit(values, eps_list, known_order: float | None = None):
     standard error of v_inf from the Gauss-Newton normal matrix (inf when
     that matrix is singular).
     """
-    v = np.asarray(values, dtype=float)
-    eps = np.asarray(eps_list, dtype=float)
-    if v.ndim not in (1, 2) or eps.ndim != 1 or v.shape[0] != eps.size:
-        raise ValueError("values must have shape (n,) or (n, k) for n radii in eps_list")
-    if eps.size < 3:
-        raise ValueError("need at least 3 samples to fit a limit")
-    order = np.argsort(eps)
-    eps = eps[order]
-    # sorted, a repeat sits beside its twin; NaNs sort last and, as in
-    # np.unique, count as one radius
-    if np.any(eps <= 0.0) or np.any(eps[1:] == eps[:-1]) or np.isnan(eps[-2]):
-        raise ValueError("radii must be positive and distinct")
+    eps, vs = _fit_input(values, eps_list)
     if known_order is not None and not float(known_order) > 0.0:
         raise ValueError("known_order must be positive")
-    # one row per column, smallest radius first
-    vs = np.ascontiguousarray(v.reshape(eps.size, -1)[order].T)
 
     spread = np.ptp(vs, axis=1)
     flat = spread <= 1e-13 * (1.0 + np.max(np.abs(vs), axis=1))
@@ -352,7 +358,74 @@ def fit_limit(values, eps_list, known_order: float | None = None):
     for i, j in enumerate(live):
         fits[j] = FitResult(float(vinf[i]), float(c[i]), float(p[i]), math.sqrt(ssr[i]),
                             float(stderr[i]), bool(trusted[i]))
-    return fits[0] if v.ndim == 1 else tuple(fits)
+    return fits[0] if np.ndim(values) == 1 else tuple(fits)
+
+
+# The rounding of a per-radius mass: |error| <= ROUNDING_KAPPA (1 + |v|)
+# eps^-3.  It is the worst |m_BY.t - closed form| eps^3 / (1 + m) that
+# test_ads_mass_per_radius_closed_form meets (AdS m = 0.3, 1 and 3.3 at the
+# 12 default radii on 64x4): 2.59e-16, at m = 0.3.
+ROUNDING_KAPPA = 2.6e-16
+
+# Highest power of eps the limit model fits: d = min(MAX_DEGREE, n - 3) on
+# n radii, so the fit keeps two degrees of freedom.
+MAX_DEGREE = 5
+
+
+@dataclass(frozen=True)
+class LimitFit:
+    """One column's limit v0 of v(eps) = v0 + sum_{k=1..degree} c_k eps^k
+    and its error bar (see extrapolate_limits)."""
+
+    limit: float
+    limit_err: float
+    degree: int
+
+    def to_dict(self) -> dict:
+        return {"limit": self.limit, "limit_err": _jsonable(self.limit_err),
+                "degree": self.degree}
+
+
+def extrapolate_limits(values, eps_list):
+    """The eps -> 0 limit of each column by integer-power extrapolation.
+
+    values is one series of shape (n,), which returns one LimitFit, or a
+    batch of shape (n, k), which returns a tuple of k LimitFits; each
+    equals the fit of its column alone, bit for bit (every column-wise step
+    is elementwise or a left-to-right sum).
+
+    The model is v0 + sum_{k=1..d} c_k eps^k on all n radii by linear least
+    squares, with d = min(MAX_DEGREE, n - 3) fixed in advance.  One QR of
+    the Vandermonde matrix in eps / max(eps) serves every column: v0 is a
+    fixed combination w . v of the data, w = Q R^-T e0, and the leading d
+    columns of the same factor give the degree d - 1 limit.  limit_err is
+    the largest of the standard error of v0, the shift of v0 from degree
+    d - 1 to d (inf when d = 0) and 1e-15 (1 + |v0|), plus the rounding of
+    the data carried through w: sqrt(sum_i (w_i sigma_i)^2) with sigma_i =
+    ROUNDING_KAPPA (1 + |v0|) eps_i^-3.
+    """
+    eps, vs = _fit_input(values, eps_list)
+    n = eps.size
+    d = min(MAX_DEGREE, n - 3)
+    q, r = np.linalg.qr(np.vander(eps / eps[-1], d + 1, increasing=True))
+    # y = R^-T e0 by forward substitution, so y[:d] is the degree d - 1 fit's
+    # own; w = Q y keeps sum(w) = y0 R00 = 1 to rounding, as constants need
+    y = np.zeros(d + 1)
+    for j in range(d + 1):
+        y[j] = (float(j == 0) - r[:j, j] @ y[:j]) / r[j, j]
+    w = q @ y
+    v0 = _sum_last(w * vs)
+    if d > 0:
+        shift = np.abs(v0 - _sum_last((q[:, :d] @ y[:d]) * vs))
+    else:
+        shift = np.full(v0.shape, math.inf)
+    resid = vs - _sum_last((q @ q.T) * vs[:, None, :])
+    stderr = math.sqrt(float(y @ y)) * np.sqrt(_sum_last(resid * resid) / (n - d - 1))
+    scale = 1.0 + np.abs(v0)
+    rounding = ROUNDING_KAPPA * math.sqrt(float(np.sum((w / eps ** 3) ** 2))) * scale
+    err = np.maximum(np.maximum(stderr, shift), 1e-15 * scale) + rounding
+    fits = tuple(LimitFit(a, b, d) for a, b in zip(v0.tolist(), err.tolist()))
+    return fits[0] if np.ndim(values) == 1 else fits
 
 
 def decay_order(values, eps_list, floor=1e-13) -> float:
@@ -649,10 +722,10 @@ _COMPONENTS = ("x1", "x2", "x3", "t")
 
 @dataclass(frozen=True)
 class MassSweepRecord:
-    """Per-radius records plus fitted limits, convergence orders, and
-    causal tags; radii stored largest first, fits taken from the smallest
-    half (never fewer than three).  to_dict leaves the records out: they
-    are sweep.csv's rows."""
+    """Per-radius records plus fitted limits, their error bars and causal
+    tags, and the hat-BY gap's decay order; radii stored largest first,
+    fits taken from every good radius (fit_eps, ascending).  to_dict leaves
+    the records out: they are sweep.csv's rows."""
 
     family_label: str
     eps_list: tuple
@@ -665,12 +738,9 @@ class MassSweepRecord:
     gap_monotone: bool
 
     def to_dict(self) -> dict:
-        fits = {}
-        for name, val in self.fits.items():
-            if isinstance(val, FitResult):
-                fits[name] = val.to_dict()
-            else:
-                fits[name] = {comp: fr.to_dict() for comp, fr in val.items()}
+        fits = {name: {comp: fit.to_dict() for comp, fit in val.items()}
+                for name, val in self.fits.items() if name != "hat_by_gap"}
+        fits["hat_by_gap"] = {"order": _jsonable(self.fits["hat_by_gap"]["order"])}
         return {
             "family": self.family_label,
             "epsilons": list(self.eps_list),
@@ -712,9 +782,9 @@ def _mass_records(triples, failed) -> list:
     curvature extrema), with every m_BY and m_hat from one mass_vectors
     call and every enclosing radius and hat-BY gap from one pass over the
     stack; m_alpha is m_BY with its time component stretched by alpha, and
-    each of the three vectors gets one causal_classify.  A row's error is
-    the one its sphere alone raises: the first of m_BY, m_hat and alpha to
-    fail."""
+    every record's three vectors are tagged in one causal_classify call.  A
+    row's error is the one its sphere alone raises: the first of m_BY,
+    m_hat and alpha to fail."""
     surfs, embs, _ = zip(*triples)
     m_by, m_hat, area, bad = mass_vectors(surfs, embs)
     radii = enclosing_radii_stack(embs).tolist()
@@ -727,16 +797,21 @@ def _mass_records(triples, failed) -> list:
             hat = mass_vector(m_hat[i], bad[i, 1])
             alpha = alpha_from_radii(*radii[i])
             m_alpha = alpha_mass(by, alpha)
-            out.append(PerEpsRecord(
-                eps=surf.eps, m_by=by, m_hat=hat, m_alpha=m_alpha, tag_by=causal_classify(by),
-                tag_hat=causal_classify(hat), tag_alpha=causal_classify(m_alpha),
+            out.append(dict(
+                eps=surf.eps, m_by=by, m_hat=hat, m_alpha=m_alpha,
                 alpha=alpha, radii=tuple(radii[i]), area=float(area[i]),
                 h_min=h_min, h_max=h_max, k_min=k_min, k_max=k_max,
                 isometry_residual=emb.isometry_residual,
                 hyperboloid_defect=emb.hyperboloid_defect, gap=gaps[i]))
         except failed as exc:
             out.append(exc)
-    return out
+    fields = [f for f in out if isinstance(f, dict)]
+    if fields:
+        tags = iter(causal_classify(np.array(
+            [_comps(f[name]) for f in fields for name in ("m_by", "m_hat", "m_alpha")])))
+        for f in fields:
+            f.update(tag_by=next(tags), tag_hat=next(tags), tag_alpha=next(tags))
+    return [PerEpsRecord(**f) if isinstance(f, dict) else f for f in out]
 
 
 def _comps(v: MinkowskiVector) -> tuple:
@@ -750,7 +825,8 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
     reduction over the stack, every radius that passes its curvature
     checks is embedded in one batched call, and every one embedded gets
     its m_BY and m_hat from one mass_vectors call; m_alpha is its m_BY
-    with the time component stretched by alpha."""
+    with the time component stretched by alpha.  The 9 distinct limit
+    columns are one extrapolate_limits call on every good radius."""
     grid = QuadratureGrid(cfg.n_theta, cfg.n_phi)
     failed = (EmbeddingError, ValueError, ArithmeticError)
     spheres = coordinate_spheres(cfg.family, cfg.eps_list, grid)
@@ -783,27 +859,28 @@ def run_sweep(cfg: SweepConfig) -> MassSweepRecord:
         raise RuntimeError("only %d of %d radii completed; need 3 to fit limits"
                            % (len(good), len(records)))
     good.sort(key=lambda r: r.eps)
-    fit_recs = good[:_fit_count(len(good))]
-    fit_eps = np.array([r.eps for r in fit_recs])
+    fit_eps = np.array([r.eps for r in good])
 
-    # one batched fit of the distinct columns: m_BY, m_hat, the time
-    # component of m_alpha (its x1..x3 are m_BY's), then the gap
-    series = np.array([[*_comps(r.m_by), *_comps(r.m_hat), r.m_alpha.t, r.gap]
-                       for r in fit_recs])
-    col_fits = fit_limit(series, fit_eps)
+    # one fit of the distinct columns: m_BY, m_hat and the time component
+    # of m_alpha (its x1..x3 are m_BY's)
+    series = np.array([[*_comps(r.m_by), *_comps(r.m_hat), r.m_alpha.t] for r in good])
+    col_fits = extrapolate_limits(series, fit_eps)
     by_fits = col_fits[:4]
 
-    fits, limits, tags = {}, {}, {}
+    fits, limits = {}, {}
     for name, comp in (("m_by", by_fits), ("m_hat", col_fits[4:8]),
                        ("m_alpha", by_fits[:3] + col_fits[8:9])):
-        comp_fits = dict(zip(_COMPONENTS, comp))
-        fits[name] = comp_fits
-        vec = MinkowskiVector(*(comp_fits[c].limit for c in _COMPONENTS))
-        limits[name] = vec
-        tags[name] = {"classify": causal_classify(vec),
-                      "cone_max": cone_pairing_report(vec)}
-    fits["hat_by_gap"] = col_fits[-1]
-    gaps_desc = [r.gap for r in good[::-1]]
+        fits[name] = dict(zip(_COMPONENTS, comp))
+        limits[name] = MinkowskiVector(*(f.limit for f in comp))
+    tags = {name: {"classify": tag, "cone_max": cone_pairing_report(vec)}
+            for (name, vec), tag in zip(limits.items(), causal_classify(
+                np.array([_comps(v) for v in limits.values()])))}
+    # the gap decays to zero: its log-log slope over the samples above the
+    # rounding of the two masses it subtracts
+    gaps = [r.gap for r in good]
+    floor = 2.0 * ROUNDING_KAPPA * (1.0 + np.max(np.abs(series[:, :4]), axis=1)) / fit_eps ** 3
+    fits["hat_by_gap"] = {"order": decay_order(gaps, fit_eps, floor=floor)}
+    gaps_desc = gaps[::-1]
     slack = 1e-12 + 1e-9 * max(gaps_desc)
     gap_monotone = all(b <= a + slack for a, b in zip(gaps_desc, gaps_desc[1:]))
 

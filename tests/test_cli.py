@@ -423,6 +423,23 @@ def test_report(tmp_path, capsys):
     assert "decay order" in out
 
 
+def test_report_prints_the_sweeps_limits_and_bars(tmp_path, capsys):
+    # each limit line of the report carries the sweep's limit, its error
+    # bar per component in (x1, x2, x3, t) order, and the fit degree
+    family = {"name": "perturbed_round", "psi": {"type": "cos_theta", "amplitude": 0.1}}
+    assert main(["sweep", write_config(tmp_path, family=family)]) == 0
+    swept = capsys.readouterr().out.splitlines()
+    assert main(["report", str(tmp_path / "out" / "summary.json")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    fits = json.loads((tmp_path / "out" / "summary.json").read_text())["fits"]
+    for name in ("m_by", "m_hat", "m_alpha"):
+        line = next(x for x in swept if x.startswith("  %-8s (" % name))
+        fitted = line[len("  %-8s " % name):line.index(" [")]
+        bars = ", ".join("%.1e" % fits[name][c]["limit_err"] for c in ("x1", "x2", "x3", "t"))
+        assert fitted.endswith(" +/- (%s) degree %d" % (bars, len(FAST_EPS) - 3))
+        assert any(x.startswith("  limit %-8s %s [" % (name, fitted)) for x in out)
+
+
 def test_report_rejects_non_summary(tmp_path):
     other = tmp_path / "other.json"
     other.write_text(json.dumps({"hello": 1}))

@@ -201,26 +201,36 @@ def test_singular_gauss_newton_matrix_gives_inf_for_its_column_only():
 
 def test_run_sweep_fits_every_limit_in_one_call(tmp_path, monkeypatch):
     calls = []
-    real_fit = sweep.fit_limit
+    real_fit = sweep.extrapolate_limits
 
-    def counting_fit(values, eps_list, known_order=None):
+    def counting_fit(values, eps_list):
         calls.append(np.shape(values))
-        return real_fit(values, eps_list, known_order)
+        return real_fit(values, eps_list)
 
-    monkeypatch.setattr(sweep, "fit_limit", counting_fit)
+    def no_free_fit(*args, **kwargs):
+        raise AssertionError("the sweep fits no free exponent")
+
+    monkeypatch.setattr(sweep, "extrapolate_limits", counting_fit)
+    monkeypatch.setattr(sweep, "fit_limit", no_free_fit)
     cfg = fast_config(tmp_path, family=PerturbedRound(lambda x: 0.1 * x))
     rec = run_sweep(cfg)
-    # the 8 components of m_BY and m_hat, m_alpha's time component (its
-    # x1..x3 are m_BY's) and the hat-BY gap, on the 3 smallest of 5 radii
-    assert calls == [(3, 10)]
+    # the 8 components of m_BY and m_hat and m_alpha's time component (its
+    # x1..x3 are m_BY's), on all 5 radii
+    assert calls == [(5, 9)]
     by_eps = {r.eps: r for r in rec.records}
     results = [by_eps[e] for e in rec.fit_eps]
     for name in ("m_by", "m_hat", "m_alpha"):
         series = np.array([getattr(r, name).as_array() for r in results])
         for j, comp in enumerate(("x1", "x2", "x3", "t")):
             assert rec.fits[name][comp] == real_fit(series[:, j], rec.fit_eps)
+    # the gap decays to zero: its order is decay_order's, over the samples
+    # above twice the rounding of m_BY
     gaps = [float(np.max(np.abs(r.m_hat.as_array() - r.m_by.as_array()))) for r in results]
-    assert rec.fits["hat_by_gap"] == real_fit(gaps, rec.fit_eps)
+    m_by = np.array([r.m_by.as_array() for r in results])
+    floor = 2.0 * sweep.ROUNDING_KAPPA * (1.0 + np.max(np.abs(m_by), axis=1)) / np.array(
+        rec.fit_eps) ** 3
+    assert rec.fits["hat_by_gap"] == {"order": decay_order(gaps, rec.fit_eps, floor=floor)}
+    assert rec.fits["hat_by_gap"]["order"] == pytest.approx(2.0, abs=0.05)
 
 
 def test_decay_order_cubic():
@@ -542,9 +552,8 @@ def test_run_sweep_reference_space(tmp_path):
     assert rec.tags["m_by"]["cone_max"] == cone_pairing_report(rec.limits["m_by"])
     assert abs(rec.tags["m_by"]["cone_max"]) <= 2e-10
     assert rec.gap_monotone
-    # fits use the smallest half of the surviving radii, in ascending order
-    want_fit = tuple(sorted(cfg.eps_list)[:max(3, math.ceil(len(cfg.eps_list) / 2))])
-    assert rec.fit_eps == pytest.approx(want_fit)
+    # fits use every surviving radius, in ascending order
+    assert rec.fit_eps == tuple(sorted(cfg.eps_list))
 
 
 @pytest.mark.parametrize("family, tag", [
@@ -683,7 +692,7 @@ def test_run_sweep_deterministic(tmp_path):
     cfg_b = fast_config(tmp_path / "b", family=AdSSchwarzschild(1.0))
     rec_a, rec_b = run_sweep(cfg_a), run_sweep(cfg_b)
     assert np.array_equal(rec_a.limits["m_by"].as_array(), rec_b.limits["m_by"].as_array())
-    assert rec_a.fits["m_by"]["t"].order == rec_b.fits["m_by"]["t"].order
+    assert rec_a.fits["m_by"]["t"].limit_err == rec_b.fits["m_by"]["t"].limit_err
     pa = write_outputs(rec_a, cfg_a)
     pb = write_outputs(rec_b, cfg_b)
     for key in ("csv", "summary"):
@@ -934,8 +943,9 @@ def test_aspect_recovery_reads_u_from_the_deepest_sphere(tmp_path, monkeypatch):
 
 def test_sweep_classifies_each_mass_vector_once(tmp_path, monkeypatch):
     # run_sweep and write_outputs together tag each per-radius vector and
-    # each fitted limit exactly once; a record's tags are fields, set where
-    # its vectors are formed
+    # each fitted limit exactly once, in two stacked calls: every record's
+    # three vectors, then the three limits; a record's tags are fields, set
+    # where its vectors are formed
     calls = []
     real = lorentz.causal_classify
 
@@ -950,7 +960,7 @@ def test_sweep_classifies_each_mass_vector_once(tmp_path, monkeypatch):
     rec = run_sweep(cfg)
     write_outputs(rec, cfg)
     assert all(r.error is None for r in rec.records)
-    assert len(calls) == 3 * len(rec.records) + len(rec.limits)
+    assert [np.shape(v) for v in calls] == [(3 * len(rec.records), 4), (len(rec.limits), 4)]
 
 
 def per_record_gap(rec):

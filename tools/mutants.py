@@ -1,4 +1,4 @@
-"""Apply one-line mutants to a copy of ahmass and print which checks kill each.
+"""Apply mutants to a copy of ahmass and print which checks kill each.
 
     python tools/mutants.py                                  # every mutant
     python tools/mutants.py band h_dev                       # the named ones
@@ -48,9 +48,12 @@ _GEOM = "src/ahmass/sphere_geometry.py"
 _METRIC = "src/ahmass/ah_metric.py"
 _EMBED = "src/ahmass/embed_h3.py"
 _QL = "src/ahmass/quasilocal.py"
+_SWEEP = "src/ahmass/sweep.py"
 
 # name -> (file, old, new); 1-14 are the defects of ROADMAP item 15, band
-# restores the tolerance test on <<v, v>> that the cone distance replaced
+# restores the tolerance test on <<v, v>> that the cone distance replaced,
+# no_shift drops the degree-shift term from the limits' error bars, and
+# stack_flip flips the cone distance of every stacked row after the first
 MUTANTS = {
     "h_dev": (_GEOM, "H = 2.0 * ch - sh * du / u", "H = 2.0 * ch - 1.02 * sh * du / u"),
     "u_rho": (_METRIC, "return 1.0 + r ** 3 * psi / 3.0, r ** 2 * psi,",
@@ -69,8 +72,12 @@ MUTANTS = {
     "x3_comp": (_QL, "xk = np.stack([e.X[..., k] for e in embeddings])",
                 "xk = np.stack([e.X[..., k] for e in embeddings]) * (1.0 + 1e-3 * (k == 2))"),
     "ads_urr": (_METRIC, "ddp = -sv * ch / sh + r * sh +", "ddp = -sv * ch / sh + 1.001 * r * sh +"),
-    "band": ("src/ahmass/lorentz.py", "d = _spatial_norm(arr) - abs(t)",
-             "d = float(np.dot(arr[:3], arr[:3]) - arr[3] ** 2)"),
+    "band": ("src/ahmass/lorentz.py", "d = _spatial_norms(stack) - np.abs(t)",
+             "d = np.sum(stack[:, :3] ** 2, axis=1) - t ** 2"),
+    "no_shift": (_SWEEP, "err = np.maximum(np.maximum(stderr, shift), 1e-15 * scale)",
+                 "err = np.maximum(stderr, 1e-15 * scale)"),
+    "stack_flip": ("src/ahmass/lorentz.py", "d = _spatial_norms(stack) - np.abs(t)",
+                   "d = _spatial_norms(stack) - np.abs(t)\n    d[1:] = -d[1:]"),
 }
 
 
