@@ -14,8 +14,8 @@ go to sweep.csv, one row per radius written by _csv_row; summary.json
 holds the radii, the fits, the limits and their tags.  A companion
 identity verifier runs the spinor and surface-geometry property suites
 that depend on the configured family, building and embedding each sphere
-once, in one stacked and one batched call before any suite entry runs;
-each entry reads its spheres in one pass over their stack.
+once before any entry runs; each entry reads its spheres in one pass
+over their stack, and area_growth fits eps^2 times the area (fit_limit).
 All outputs are deterministic: closed-form cone pairings, five fixed
 spinors for the identity suites, no timestamps.
 """
@@ -170,14 +170,6 @@ def _fit_input(values, eps_list) -> tuple:
     return eps, np.ascontiguousarray(v.reshape(eps.size, -1)[order].T)
 
 
-def _tail_monotone(v, vinf):
-    # distance to the fitted limit should shrink toward eps -> 0; one row
-    # of v per column, smallest radius first
-    d = np.abs(v - vinf[:, None])
-    slack = 1e-9 * np.ptp(v, axis=1) + 1e-13 * (1.0 + np.max(np.abs(v), axis=1))
-    return np.all(d[:, :-1] <= d[:, 1:] + slack[:, None], axis=1)
-
-
 def _sum_last(a):
     """Sum over the last axis, left to right.  numpy's own reductions
     change their summation order with the array's shape, so a column's
@@ -187,11 +179,11 @@ def _sum_last(a):
 
 
 def _powers(eps, p):
-    """eps_i^p_j as a (p.size, eps.size) array.  Both operands are
-    materialised in full (tile, repeat): numpy takes another pow loop for
-    a broadcast exponent, on some shapes only, and a column's fit would
-    then depend on what else shares its batch."""
-    return np.power(np.tile(eps, (p.size, 1)), np.repeat(p[:, None], eps.size, axis=1))
+    """eps ** p, one row per exponent in p.  Both operands are full arrays:
+    numpy may take another pow loop for a broadcast operand."""
+    shape = np.shape(p) + eps.shape
+    return np.power(np.broadcast_to(eps, shape).copy(),
+                    np.broadcast_to(np.asarray(p)[..., None], shape).copy())
 
 
 def _centred(a):
@@ -210,155 +202,113 @@ def _line_fit(x, vm, dv):
     return vm - c * xm, c, _sum_last(r * r), r
 
 
-def _inv00(gram):
-    """Top-left entry of the inverse of each matrix in a stack, inf where
-    one is singular.  The stacked inverse raises if any matrix is, so
-    then each is inverted alone."""
+def _stderr(gram, ssr, dof) -> float:
+    """Standard error of the first parameter from its normal matrix, inf
+    when the matrix is singular."""
     try:
-        return np.linalg.inv(gram)[:, 0, 0]
+        g00 = float(np.linalg.inv(gram)[0, 0])
     except np.linalg.LinAlgError:
-        out = np.full(len(gram), math.inf)
-        for i, g in enumerate(gram):
-            try:
-                out[i] = np.linalg.inv(g)[0, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        return math.inf
+    return math.sqrt(max(g00 * (ssr / dof), 0.0)) if math.isfinite(g00) else math.inf
 
 
-def _stderr(gram00, ssr, dof):
-    out = np.full(ssr.shape, math.inf)
-    ok = np.isfinite(gram00)
-    out[ok] = np.sqrt(np.maximum(gram00[ok] * (ssr[ok] / dof), 0.0))
-    return out
-
-
-def _illinois_roots(slope, a, b):
-    """Per-column root of slope(q, cols) in [a, b] by the Illinois variant
-    of false position, all columns in lockstep; NaN unless the slope turns
-    from - at a to + at b.  A column stops when two successive estimates
-    agree to 1e-9 relative (the noise floor of the slope is reached well
-    before), on an exact zero, when the secant leaves its bracket, or
-    after 100 steps.  Only the slope is evaluated in numpy, once per step
-    over the active columns; each column's bracket, end slopes, side and
-    root are Python floats, and the secant, halving and stop tests are the
-    IEEE operations of an elementwise array form in its order, so every
-    value is that form's to the bit (a zero denominator gives NaN, which
-    leaves the bracket as the array form's inf or NaN does)."""
-    cols = np.arange(a.size)
-    ends = [[lo, hi] for lo, hi in zip(a.tolist(), b.tolist())]
-    ends_g = [[ga, gb] for ga, gb in zip(slope(a, cols).tolist(), slope(b, cols).tolist())]
-    root, side = [math.nan] * a.size, [None] * a.size
-    act = [j for j, (ga, gb) in enumerate(ends_g) if ga < 0.0 < gb]
+def _illinois_root(slope, lo, hi) -> float:
+    """Root of slope(q) in [lo, hi] by the Illinois variant of false
+    position; NaN unless the slope turns from - at lo to + at hi.  It stops
+    when two successive estimates agree to 1e-9 relative, on an exact zero,
+    when the secant leaves its bracket (or is NaN), or after 100 steps."""
+    ends, ends_g = [lo, hi], [slope(lo), slope(hi)]
+    root, side = math.nan, None
+    if not ends_g[0] < 0.0 < ends_g[1]:
+        return root
     for _ in range(100):
-        step = []
-        for j in act:
-            (lo, hi), (ga, gb) = ends[j], ends_g[j]
-            q = (lo * gb - hi * ga) / (gb - ga) if gb != ga else math.nan
-            if lo < q < hi:
-                step.append((j, q))
-        if not step:
+        (lo, hi), (ga, gb) = ends, ends_g
+        q = (lo * gb - hi * ga) / (gb - ga) if gb != ga else math.nan
+        if not lo < q < hi:
             break
-        gq = slope(np.array([q for _, q in step]), np.array([j for j, _ in step]))
-        act = []
-        for (j, q), g in zip(step, gq.tolist()):
-            settled = abs(q - root[j]) <= 1e-9 * q  # False while root is NaN
-            root[j] = q
-            if settled or g == 0.0:
-                continue
-            act.append(j)
-            k = 0 if g < 0.0 else 1  # the end that q replaces
-            ends[j][k], ends_g[j][k] = q, g
-            if side[j] == k:  # the same end twice running: halve the other's slope
-                ends_g[j][1 - k] *= 0.5
-            side[j] = k
-    return np.array(root)
+        g = slope(q)
+        settled = abs(q - root) <= 1e-9 * q  # False while root is NaN
+        root = q
+        if settled or g == 0.0:
+            break
+        k = 0 if g < 0.0 else 1  # the end that q replaces
+        ends[k], ends_g[k] = q, g
+        if side == k:  # the same end twice running: halve the other's slope
+            ends_g[1 - k] *= 0.5
+        side = k
+    return root
 
 
-def _free_order_fit(vs, eps):
-    """p, v_inf, C, SSR and v_inf standard error per row of vs, with p
-    free inside ORDER_RANGE (see fit_limit)."""
+def _free_order_fit(v, eps):
+    """p, v_inf, C, SSR and v_inf standard error of one column v, smallest
+    radius first, with p free inside ORDER_RANGE (see fit_limit)."""
     scan = np.linspace(ORDER_RANGE[0], ORDER_RANGE[1], 23)
-    vm, dv = _centred(vs)
-    vinf, c, ssr, _ = _line_fit(_powers(eps, scan)[:, None, :], vm, dv)
-    best = np.argmin(ssr, axis=0)
-    cols = np.arange(vs.shape[0])
-    p, vinf, c, ssr = scan[best], vinf[best, cols], c[best, cols], ssr[best, cols]
+    vm, dv = _centred(v)
+    vinf, c, ssr, _ = _line_fit(_powers(eps, scan), vm, dv)
+    best = int(np.argmin(ssr))
+    p, vinf, c, ssr = float(scan[best]), float(vinf[best]), float(c[best]), float(ssr[best])
 
     log_eps = np.log(eps)
 
-    def slope(q, rows):
+    def slope(q):
         # half the derivative in p of the SSR with v_inf and C profiled out
         x = _powers(eps, q)
-        _, cq, _, r = _line_fit(x, vm[rows], dv[rows])
-        return cq * _sum_last(r * (x * log_eps))
+        _, cq, _, r = _line_fit(x, vm, dv)
+        return float(cq * _sum_last(r * (x * log_eps)))
 
     h = float(scan[1] - scan[0])
-    root = _illinois_roots(slope, np.maximum(p - h, ORDER_RANGE[0]),
-                           np.minimum(p + h, ORDER_RANGE[1]))
-    has = np.flatnonzero(~np.isnan(root))
-    vq, cq, sq, _ = _line_fit(_powers(eps, root[has]), vm[has], dv[has])
-    better = sq <= ssr[has]
-    take = has[better]
-    p[take], vinf[take], c[take], ssr[take] = root[take], vq[better], cq[better], sq[better]
+    root = _illinois_root(slope, max(p - h, ORDER_RANGE[0]), min(p + h, ORDER_RANGE[1]))
+    vq, cq, sq, _ = _line_fit(_powers(eps, root), vm, dv)
+    if sq <= ssr:  # False for a NaN root
+        p, vinf, c, ssr = root, float(vq), float(cq), float(sq)
 
     ep = _powers(eps, p)
-    jac = np.stack([np.ones_like(ep), ep, c[:, None] * ep * log_eps], axis=1)
-    gram = _sum_last(jac[:, :, None, :] * jac[:, None, :, :])
-    return p, vinf, c, ssr, _stderr(_inv00(gram), ssr, max(eps.size - 3, 1))
+    jac = np.stack([np.ones_like(ep), ep, c * ep * log_eps])
+    gram = _sum_last(jac[:, None, :] * jac[None, :, :])
+    return p, vinf, c, ssr, _stderr(gram, ssr, max(eps.size - 3, 1))
 
 
-def fit_limit(values, eps_list, known_order: float | None = None):
-    """Least-squares fit of v(eps) = v_inf + C eps^p over a radius list.
+def fit_limit(values, eps_list, known_order: float | None = None) -> FitResult:
+    """Least-squares fit of v(eps) = v_inf + C eps^p to one column of
+    values, shape (n,) over n radii; any other shape raises ValueError.
+    Verify's area_growth reads its limit, order and order_trusted;
+    acceptance test_03 pins known_order=2.0 and reads limit, limit_stderr.
 
-    values is one series of shape (n,), which returns one FitResult, or a
-    batch of shape (n, k), which returns a tuple of k FitResults, one per
-    column; each equals the fit of that column alone.
-
-    The exponent is free inside ORDER_RANGE unless known_order pins it
-    (Richardson-style fallback).  For a fixed p, v_inf and C solve the
-    line v_inf + C x, x = eps^p, in closed form from centred sums; p is
-    the best of a 23-point scan of ORDER_RANGE, one array expression over
-    scan points, columns and radii.  Variable projection (Golub & Pereyra
-    1973) refines it: a bracketed Illinois secant search within one scan
-    step for a root of 1/2 dSSR/dp = C sum_i r_i eps_i^p log eps_i that
-    turns from - to +, run in lockstep over the columns.  The scan point
-    stands when there is no such sign change or when the refined p fits
-    worse.  Near-constant data returns the mean with order 0 and
-    order_trusted False; the flag also drops when the distance to the
-    fitted limit fails to shrink monotonically toward small eps, or when
-    the free exponent lands on a search boundary.  limit_stderr is the
-    standard error of v_inf from the Gauss-Newton normal matrix (inf when
-    that matrix is singular).
+    For a fixed p, v_inf and C solve the line v_inf + C x, x = eps^p, in
+    closed form.  A free p is the best of a 23-point scan of ORDER_RANGE,
+    refined by variable projection (Golub & Pereyra 1973): an Illinois
+    search within one scan step for a root of 1/2 dSSR/dp = C sum_i r_i
+    eps_i^p log eps_i that turns from - to +, kept if it fits no worse.
+    Near-constant data returns its mean, order 0.  order_trusted is False
+    for it, when the distance to the limit fails to shrink monotonically
+    toward small eps, or when a free p lands on a search boundary.
+    limit_stderr is the standard error of v_inf from the Gauss-Newton
+    normal matrix, inf when that matrix is singular.
     """
-    eps, vs = _fit_input(values, eps_list)
+    if np.ndim(values) != 1:
+        raise ValueError("values must have shape (n,) for n radii in eps_list")
+    eps, (v,) = _fit_input(values, eps_list)
     if known_order is not None and not float(known_order) > 0.0:
         raise ValueError("known_order must be positive")
 
-    spread = np.ptp(vs, axis=1)
-    flat = spread <= 1e-13 * (1.0 + np.max(np.abs(vs), axis=1))
-    live = np.flatnonzero(~flat)
-    vl = vs[live]
-    if known_order is not None:
-        x = eps ** float(known_order)
-        vinf, c, ssr, _ = _line_fit(x, *_centred(vl))
-        gram = np.array([[[eps.size, x.sum()], [x.sum(), x @ x]]])
-        stderr = _stderr(np.repeat(_inv00(gram), live.size), ssr,
-                         max(eps.size - 2, 1))
-        p = np.full(live.size, float(known_order))
-        trusted = _tail_monotone(vl, vinf)
+    spread = float(np.ptp(v))
+    if spread <= 1e-13 * (1.0 + np.max(np.abs(v))):
+        return FitResult(float(np.mean(v)), 0.0, 0.0, spread, 0.0, False)
+    if known_order is None:
+        p, vinf, c, ssr, stderr = _free_order_fit(v, eps)
+        inside = ORDER_RANGE[0] + 1e-9 < p < ORDER_RANGE[1] - 1e-9
     else:
-        p, vinf, c, ssr, stderr = _free_order_fit(vl, eps)
-        trusted = (_tail_monotone(vl, vinf) & (p > ORDER_RANGE[0] + 1e-9)
-                   & (p < ORDER_RANGE[1] - 1e-9))
-
-    means = iter(np.mean(vs[flat], axis=1).tolist())  # the flat rows' means, in order
-    fits = [FitResult(next(means), 0.0, 0.0, ptp, 0.0, False) if is_flat else None
-            for is_flat, ptp in zip(flat, spread.tolist())]
-    for i, j in enumerate(live):
-        fits[j] = FitResult(float(vinf[i]), float(c[i]), float(p[i]), math.sqrt(ssr[i]),
-                            float(stderr[i]), bool(trusted[i]))
-    return fits[0] if np.ndim(values) == 1 else tuple(fits)
+        p = float(known_order)
+        x = eps ** p
+        vinf, c, ssr, _ = _line_fit(x, *_centred(v))
+        stderr = _stderr(np.array([[eps.size, x.sum()], [x.sum(), x @ x]]), ssr,
+                         max(eps.size - 2, 1))
+        inside = True
+    # the distance to the limit should shrink toward eps -> 0
+    d = np.abs(v - vinf)
+    slack = 1e-9 * spread + 1e-13 * (1.0 + np.max(np.abs(v)))
+    trusted = inside and bool(np.all(d[:-1] <= d[1:] + slack))
+    return FitResult(float(vinf), float(c), p, math.sqrt(ssr), stderr, trusted)
 
 
 # The rounding of a per-radius mass: |error| <= ROUNDING_KAPPA (1 + |v|)

@@ -1,7 +1,7 @@
-"""Oracle test of the limit fit's exponent search: the array form of the
-search, kept here as the reference, and the fit in ahmass.sweep return
-equal FitResults on drawn batches, and each flat column is its row's own
-mean and spread."""
+"""Oracle and property tests of the limit fit's free exponent: the array form
+of the search, kept here as the reference, and the fit in ahmass.sweep
+return equal FitResults on drawn columns, a flat column is its own mean and
+spread, and a trusted fit of a drawn power law finds its exponent."""
 
 import math
 from unittest import mock
@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ahmass import sweep  # noqa: E402
-from ahmass.sweep import ORDER_RANGE, fit_limit  # noqa: E402
+from ahmass.sweep import ORDER_RANGE, default_schedule, fit_limit  # noqa: E402
 
 
 # --- reference: the exponent search as numpy array bookkeeping ------------
@@ -70,6 +70,19 @@ def ref_illinois_roots(slope, a, b):
     return root
 
 
+def ref_stderr(gram, ssr, dof):
+    # inf where the normal matrix is singular (the stacked inverse raises)
+    # or its inverse is not finite
+    try:
+        g00 = np.linalg.inv(gram)[:, 0, 0]
+    except np.linalg.LinAlgError:
+        return np.full(ssr.shape, np.inf)
+    out = np.full(ssr.shape, np.inf)
+    ok = np.isfinite(g00)
+    out[ok] = np.sqrt(np.maximum(g00[ok] * (ssr[ok] / dof), 0.0))
+    return out
+
+
 def ref_free_order_fit(vs, eps):
     scan = np.linspace(ORDER_RANGE[0], ORDER_RANGE[1], 23)
     vinf, c, ssr, _ = ref_line_fit(ref_powers(eps, scan)[:, None, :], vs)
@@ -94,10 +107,15 @@ def ref_free_order_fit(vs, eps):
     ep = ref_powers(eps, p)
     jac = np.stack([np.ones_like(ep), ep, c[:, None] * ep * log_eps], axis=1)
     gram = ref_sum_last(jac[:, :, None, :] * jac[:, None, :, :])
-    return p, vinf, c, ssr, sweep._stderr(sweep._inv00(gram), ssr, max(eps.size - 3, 1))
+    return p, vinf, c, ssr, ref_stderr(gram, ssr, max(eps.size - 3, 1))
 
 
-# --- drawn batches ---------------------------------------------------------
+def ref_column_fit(v, eps):
+    """The reference on one column, in _free_order_fit's form."""
+    return tuple(float(a[0]) for a in ref_free_order_fit(v[None, :], eps))
+
+
+# --- drawn columns ---------------------------------------------------------
 
 RADII = st.lists(st.floats(1e-3, 0.5), min_size=3, max_size=12, unique=True)
 
@@ -123,25 +141,23 @@ def column(eps, spec):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(radii=RADII, cols=st.lists(COLUMN, min_size=1, max_size=13))
-def test_fit_limit_equals_array_form_search(radii, cols):
+@given(radii=RADII, spec=COLUMN)
+def test_fit_limit_equals_array_form_search(radii, spec):
     eps = np.array(radii)
-    series = np.stack([column(eps, spec) for spec in cols], axis=1)
-    got = fit_limit(series, eps)
-    with mock.patch.object(sweep, "_free_order_fit", ref_free_order_fit):
-        want = fit_limit(series, eps)
+    v = column(eps, spec)
+    got = fit_limit(v, eps)
+    with mock.patch.object(sweep, "_free_order_fit", ref_column_fit):
+        want = fit_limit(v, eps)
     assert got == want
-    # a flat column, reduced with the batch's other flat columns, is the
-    # mean and spread of its row alone, order 0, untrusted
-    vs = np.ascontiguousarray(series[np.argsort(eps)].T)
-    for row, fit in zip(vs, got):
-        if np.ptp(row) <= 1e-13 * (1.0 + np.max(np.abs(row))):
-            assert fit == sweep.FitResult(float(np.mean(row)), 0.0, 0.0, float(np.ptp(row)),
-                                          0.0, False)
+    # a flat column is the mean and spread of its values, order 0, untrusted
+    row = v[np.argsort(eps)]
+    if np.ptp(row) <= 1e-13 * (1.0 + np.max(np.abs(row))):
+        assert got == sweep.FitResult(float(np.mean(row)), 0.0, 0.0, float(np.ptp(row)),
+                                      0.0, False)
     # the pieces the known-order fit shares with the free one
     x = np.sort(eps) ** 2.0
-    assert np.array_equal(sweep._sum_last(vs), ref_sum_last(vs))
-    for a, b in zip(sweep._line_fit(x, *sweep._centred(vs)), ref_line_fit(x, vs)):
+    assert np.array_equal(sweep._sum_last(row), ref_sum_last(row))
+    for a, b in zip(sweep._line_fit(x, *sweep._centred(row)), ref_line_fit(x, row)):
         assert np.array_equal(a, b, equal_nan=True)
 
 
@@ -150,16 +166,37 @@ def test_drawn_kinds_reach_every_search_outcome(monkeypatch):
     # window stays pinned to its end, and noise can give no sign change:
     # the oracle above compares each branch of the search
     eps = np.geomspace(0.2, 0.01, 8)
-    specs = [("power", 1.0, 2.0, 2.7), ("power", 1.0, 2.0, 7.5), ("noise", 0.0, 1.0, 3)]
     roots = []
-    search = sweep._illinois_roots
-    monkeypatch.setattr(sweep, "_illinois_roots",
+    search = sweep._illinois_root
+    monkeypatch.setattr(sweep, "_illinois_root",
                         lambda *args: roots.append(search(*args)) or roots[-1])
-    fits = fit_limit(np.stack([column(eps, spec) for spec in specs], axis=1), eps)
-    (root,) = roots
-    assert abs(root[0] - 2.7) < 1e-6 and fits[0].order == root[0]
-    assert fits[1].order == ORDER_RANGE[1] and not fits[1].order_trusted
-    assert math.isnan(root[2])
+    refined, pinned, noise = (fit_limit(column(eps, spec), eps) for spec in (
+        ("power", 1.0, 2.0, 2.7), ("power", 1.0, 2.0, 7.5), ("noise", 0.0, 1.0, 3)))
+    assert len(roots) == 3
+    assert abs(roots[0] - 2.7) < 1e-6 and refined.order == roots[0]
+    assert pinned.order == ORDER_RANGE[1] and not pinned.order_trusted
+    assert math.isnan(roots[2]) and noise.order in np.linspace(*ORDER_RANGE, 23)
     flat = fit_limit(column(eps, ("flat", 3.0, 1e-15, 0.0)), eps)
     assert flat.order == 0.0 and not flat.order_trusted
 
+
+# the radii area_growth fits on default 8- and 16-radius schedules: the smaller half
+FIT_SCHEDULES = (np.array(default_schedule(count=8)[-4:]),
+                 np.array(default_schedule(count=16)[-8:]))
+
+# (w, |C|, C < 0, p) for one column v_inf + C eps^p
+POWER_LAW = st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 10.0), st.booleans(),
+                      st.floats(0.6, 5.9))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(eps=st.sampled_from(FIT_SCHEDULES), law=POWER_LAW)
+def test_fit_recovers_drawn_power_laws(eps, law):
+    w, c_abs, negative, p = law
+    # v_inf = w times the smallest correction term, so the correction
+    # clears rounding by about 1e13 and the data fix p; a fit of data at
+    # the rounding floor can be flagged trusted with a wrong p
+    correction = (-c_abs if negative else c_abs) * eps ** p
+    fit = fit_limit(w * c_abs * eps[-1] ** p + correction, eps)
+    if fit.order_trusted:
+        assert abs(fit.order - p) <= 1e-6

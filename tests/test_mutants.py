@@ -17,7 +17,7 @@ def load_tool():
 def test_every_mutant_applies_once():
     tool = load_tool()
     tool.check_mutants()
-    assert len(tool.MUTANTS) == 17
+    assert len(tool.MUTANTS) == 19
 
 
 def test_band_mutant_is_killed(capsys):

@@ -2,6 +2,7 @@
 radius-sweep driver."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -131,7 +132,7 @@ def test_fit_limit_validation():
     assert math.isnan(fit.limit)
 
 
-# Columns of one fit batch on EPS_FIT4: flat data, exponents pinned at
+# One-column fits on EPS_FIT4: flat data, exponents pinned at
 # either end of ORDER_RANGE (at the lower end the profiled slope has no
 # sign change in the bracket, so the scan point stands), exponents between
 # scan points, and two-term series that no single power law fits.
@@ -147,24 +148,17 @@ MIXED_BATCH = {
 }
 
 
-def test_fit_limit_batch_equals_solo():
-    cols = list(MIXED_BATCH.values())
-    batch = fit_limit(np.stack(cols, axis=1), EPS_FIT4)
-    assert isinstance(batch, tuple) and len(batch) == len(cols)
-    for name, col, fit in zip(MIXED_BATCH, cols, batch):
-        assert fit == fit_limit(col, EPS_FIT4), name
-    # neither the column order nor the radius order matters
-    flipped = fit_limit(np.stack(cols[::-1], axis=1)[::-1], EPS_FIT4[::-1])
-    assert flipped == batch[::-1]
-    assert fit_limit(cols[3][:, None], EPS_FIT4) == (batch[3],)
-
-    fits = dict(zip(MIXED_BATCH, batch))
-    assert fits["flat"].order == 0.0 and not fits["flat"].order_trusted
-    assert fits["upper-pinned"].order == ORDER_RANGE[1]
-    assert fits["lower-pinned"].order == ORDER_RANGE[0]
-    assert not fits["upper-pinned"].order_trusted and not fits["lower-pinned"].order_trusted
-    for name in ("off-grid-1.996", "off-grid-2.003", "off-grid-2.37"):
-        assert abs(fits[name].order - float(name.split("-")[-1])) < 1e-6
+@pytest.mark.parametrize("name", list(MIXED_BATCH))
+def test_fit_limit_mixed_cases(name):
+    col = MIXED_BATCH[name]
+    fit = fit_limit(col, EPS_FIT4)
+    # the radius order does not matter
+    assert fit_limit(col[::-1], EPS_FIT4[::-1]) == fit
+    # the off-grid orders are test_fit_limit_quadratic's, on the same data
+    if name == "flat":
+        assert fit.order == 0.0 and not fit.order_trusted
+    if name.endswith("-pinned"):
+        assert fit.order == ORDER_RANGE[name == "upper-pinned"] and not fit.order_trusted
 
 
 def _dense_scan_min_ssr(v, eps):
@@ -178,25 +172,33 @@ def _dense_scan_min_ssr(v, eps):
     return best
 
 
-def test_fit_limit_ssr_matches_dense_lstsq_scan():
-    names = [n for n in MIXED_BATCH if n != "flat"]
-    batch = fit_limit(np.stack([MIXED_BATCH[n] for n in names], axis=1), EPS_FIT4)
-    for name, fit in zip(names, batch):
-        oracle = _dense_scan_min_ssr(MIXED_BATCH[name], EPS_FIT4)
-        assert fit.residual ** 2 <= oracle * (1.0 + 1e-12), name
+@pytest.mark.parametrize("name", [n for n in MIXED_BATCH if n != "flat"])
+def test_fit_limit_ssr_matches_dense_lstsq_scan(name):
+    fit = fit_limit(MIXED_BATCH[name], EPS_FIT4)
+    assert fit.residual ** 2 <= _dense_scan_min_ssr(MIXED_BATCH[name], EPS_FIT4) * (1.0 + 1e-12)
 
 
 def test_fit_limit_batch_validation():
-    with pytest.raises(ValueError):
-        fit_limit(np.ones((4, 2)), EPS8)
+    # one column only: a batch of shape (n, k) is refused, whatever k
+    for k in (1, 2, 9):
+        with pytest.raises(ValueError, match=r"shape \(n,\)"):
+            fit_limit(np.stack([1.0 + j + EPS8 ** 2 for j in range(k)], axis=1), EPS8)
     with pytest.raises(ValueError):
         fit_limit(np.ones((8, 2, 1)), EPS8)
 
 
-def test_singular_gauss_newton_matrix_gives_inf_for_its_column_only():
-    # the stacked inverse raises for the whole stack; the others keep theirs
-    gram = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
-    assert list(sweep._inv00(gram)) == [1.0, math.inf, 0.5]
+def test_singular_gauss_newton_matrix_gives_inf_stderr(monkeypatch):
+    # a fit whose Gauss-Newton inverse raises keeps the rest of its numbers
+    col = MIXED_BATCH["off-grid-2.37"]
+    fit = fit_limit(col, EPS_FIT4)
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    got = fit_limit(col, EPS_FIT4)
+    assert got.limit_stderr == math.inf and math.isfinite(fit.limit_stderr)
+    assert got == dataclasses.replace(fit, limit_stderr=math.inf)
 
 
 def test_run_sweep_fits_every_limit_in_one_call(tmp_path, monkeypatch):

@@ -6,13 +6,14 @@
 
 A mutant is one (file, old, new) replacement in ``src/ahmass``; before any
 run the tool checks that each ``old`` occurs exactly once in this checkout.
-For each mutant it copies ``src``, ``tests``, ``tools``, ``perfbench`` and
-``pyproject.toml`` into a temporary directory, applies the replacement
-there, and runs, each as a fresh process with the copy's ``src`` on
-PYTHONPATH and ``OPENBLAS_NUM_THREADS=1``:
+For each mutant it copies ``src``, ``tests``, ``tools``, ``perfbench``,
+``BENCHMARK.json`` and ``pyproject.toml`` into a temporary directory, applies
+the replacement there, and runs, each as a fresh process with the copy's
+``src`` on PYTHONPATH and ``OPENBLAS_NUM_THREADS=1``:
 
 - tier-1, ``python -m pytest -q`` in the copy (or the ``--tests`` paths):
-  it kills the mutant when a test fails or errors;
+  it kills the mutant when a test fails or errors.  The test that every
+  mutant applies to the checkout is deselected: no mutated copy passes it;
 - ``ahmass sweep`` and ``ahmass verify`` on each config: hyperbolic,
   AdS-Schwarzschild m = 1, psi = 0.1 cos theta and poly_cos
   [0.05, -0.08, 0.06], each with 8 radii on a 64x4 grid.  The sweep kills
@@ -42,7 +43,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "perfbench", "BENCHMARK.json", "pyproject.toml")
+# fails in every mutated copy, whatever the mutant: the copy's old text is gone
+APPLIES_ONCE = "tests/test_mutants.py::test_every_mutant_applies_once"
 
 _GEOM = "src/ahmass/sphere_geometry.py"
 _METRIC = "src/ahmass/ah_metric.py"
@@ -52,8 +55,10 @@ _SWEEP = "src/ahmass/sweep.py"
 
 # name -> (file, old, new); 1-14 are the defects of ROADMAP item 15, band
 # restores the tolerance test on <<v, v>> that the cone distance replaced,
-# no_shift drops the degree-shift term from the limits' error bars, and
-# stack_flip flips the cone distance of every stacked row after the first
+# no_shift drops the degree-shift term from the limits' error bars,
+# stack_flip flips the cone distance of every stacked row after the first,
+# no_refine keeps the free fit's scan point whatever its search finds, and
+# no_halve turns the Illinois search into plain false position
 MUTANTS = {
     "h_dev": (_GEOM, "H = 2.0 * ch - sh * du / u", "H = 2.0 * ch - 1.02 * sh * du / u"),
     "u_rho": (_METRIC, "return 1.0 + r ** 3 * psi / 3.0, r ** 2 * psi,",
@@ -78,6 +83,8 @@ MUTANTS = {
                  "err = np.maximum(stderr, 1e-15 * scale)"),
     "stack_flip": ("src/ahmass/lorentz.py", "d = _spatial_norms(stack) - np.abs(t)",
                    "d = _spatial_norms(stack) - np.abs(t)\n    d[1:] = -d[1:]"),
+    "no_refine": (_SWEEP, "if sq <= ssr:", "if False:"),
+    "no_halve": (_SWEEP, "ends_g[1 - k] *= 0.5", "ends_g[1 - k] *= 1.0"),
 }
 
 
@@ -156,6 +163,7 @@ def run_mutant(name, tests=(), configs=tuple(CONFIGS)) -> dict:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), OPENBLAS_NUM_THREADS="1",
                    PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               "--deselect", APPLIES_ONCE,
                                *tests], cwd=copy, env=env, capture_output=True, text=True,
                               timeout=1800)
         tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
